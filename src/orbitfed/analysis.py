@@ -13,7 +13,7 @@ certified".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,6 +26,9 @@ from .fl import (
     loss_and_grad,
 )
 from .scenario import SampleSet, concat_samples, satellite_pool
+
+WEIGHT_SCALE = 0.5  # std of the random weights the smoothness estimate draws
+BOUND_TRIALS = 4000  # smoothness-estimate trials behind a reported bound
 
 
 def sample_variance(samples) -> float:
@@ -171,8 +174,7 @@ def build_bound_inputs(scenario, learning_rates, smoothness, rho,
 
 
 def estimate_smoothness_and_rho(model, samples, trials: int = 10000,
-                                seed: int = 0, param_dim: int = None,
-                                weight_scale: float = 0.5):
+                                seed: int = 0, param_dim: int = None):
     """Empirical maxima of the gradient Lipschitz ratio over random weight
     pairs (L) and over sample pairs at random weights (rho). Zero-distance
     pairs are skipped. Lower bounds on the true constants."""
@@ -192,8 +194,8 @@ def estimate_smoothness_and_rho(model, samples, trials: int = 10000,
 
     l_hat = 0.0
     for _ in range(n_pairs):
-        w = rng.normal(0.0, weight_scale, dim)
-        v = rng.normal(0.0, weight_scale, dim)
+        w = rng.normal(0.0, WEIGHT_SCALE, dim)
+        v = rng.normal(0.0, WEIGHT_SCALE, dim)
         d = float(np.linalg.norm(w - v))
         if d == 0.0:
             continue
@@ -203,7 +205,7 @@ def estimate_smoothness_and_rho(model, samples, trials: int = 10000,
     rho_hat = 0.0
     n = len(x)
     for _ in range(n_pairs):
-        w = rng.normal(0.0, weight_scale, dim)
+        w = rng.normal(0.0, WEIGHT_SCALE, dim)
         i, j = rng.integers(0, n, size=2)
         d = float(np.linalg.norm(x[i] - x[j]))
         if d == 0.0:
@@ -227,8 +229,7 @@ def _global_grad(values, layout, cluster_data):
 
 def verify_bound_empirically(scenario, layout, rounds: int, seeds: int = 10,
                              eta0: float = 0.1, lr_schedule: str = "constant",
-                             lambda_client=None, lambda_sat=None,
-                             trials: int = 4000) -> dict:
+                             lambda_client=None, lambda_sat=None) -> dict:
     """Run the one-step-per-round protocol and check the measured weighted
     gradient norm against the bound, per seed.
 
@@ -249,24 +250,19 @@ def verify_bound_empirically(scenario, layout, rounds: int, seeds: int = 10,
         for p in members:
             eff_alpha[p.id] = len(p.dataset.offloaded) / p.size if p.size else 0.0
 
-    def lam_for(p):
-        full = len(p.dataset.retained)
-        if lambda_client is None:
-            return full
-        v = lambda_client.get(p.id, full) if isinstance(lambda_client, dict) else lambda_client
-        return max(1, min(int(v), full)) if full > 0 else 0
-
-    def lam_sat_for(c, pool_n):
-        if lambda_sat is None:
-            return pool_n
-        v = lambda_sat.get(c.id, pool_n) if isinstance(lambda_sat, dict) else lambda_sat
-        return max(1, min(int(v), pool_n)) if pool_n > 0 else 0
-
+    merged_all = concat_samples([
+        SampleSet(features=x, labels=y, ids=np.arange(len(x)))
+        for x, y in cluster_data
+    ])
+    l_hat, rho_hat = estimate_smoothness_and_rho(layout, merged_all, trials=BOUND_TRIALS)
     lrs = [
         eta0 / (1 + r) if lr_schedule == "inv" else eta0
         for r in range(rounds)
     ]
-    gamma = float(sum(lrs))
+    inputs = build_bound_inputs(
+        scenario, lrs, l_hat, rho_hat,
+        lambda_client=lambda_client, lambda_sat=lambda_sat)
+    om = omega(inputs, scenario)
 
     per_seed = []
     for s in range(seeds):
@@ -286,10 +282,11 @@ def verify_bound_empirically(scenario, layout, rounds: int, seeds: int = 10,
                 if len(pool) > 0:
                     sat_model = local_update(
                         model, pool, cfg, r,
-                        batch_size=lam_sat_for(c, len(pool)), stream=(1, c.id))
+                        batch_size=inputs.sat_batch[c.id], stream=(1, c.id))
                 client_models = [
                     local_update(model, p.dataset.retained, cfg, r,
-                                 batch_size=max(lam_for(p), 1), stream=(2, p.id))
+                                 batch_size=max(inputs.client_batch[p.id], 1),
+                                 stream=(2, p.id))
                     for p in members
                 ]
                 cluster_models.append(intra_cluster_aggregate(
@@ -298,39 +295,22 @@ def verify_bound_empirically(scenario, layout, rounds: int, seeds: int = 10,
                     sizes_by_cluster[c.id]))
             model = global_aggregate(cluster_models)
             f_star = min(f_star, _global_objective(model, layout, cluster_data))
-        per_seed.append({"seed": s, "lhs": lhs_acc / gamma, "f0": f0, "f_star": f_star})
-
-    merged_all = concat_samples([
-        SampleSet(features=x, labels=y, ids=np.arange(len(x)))
-        for x, y in cluster_data
-    ])
-    l_hat, rho_hat = estimate_smoothness_and_rho(layout, merged_all, trials=trials)
-
-    inputs = build_bound_inputs(
-        scenario, lrs, l_hat, rho_hat,
-        lambda_client=lambda_client, lambda_sat=lambda_sat)
-    om = omega(inputs, scenario)
-
-    for row in per_seed:
-        seeded = BoundInputs(
-            learning_rates=inputs.learning_rates, smoothness=l_hat,
-            data_variability=rho_hat, client_batch=inputs.client_batch,
-            client_pool=inputs.client_pool, sat_batch=inputs.sat_batch,
-            sat_pool=inputs.sat_pool, dataset_sizes=inputs.dataset_sizes,
-            groups=inputs.groups, f0=row["f0"], f_star=row["f_star"])
-        row["bound"] = convergence_bound(seeded, om)
-        row["holds"] = row["lhs"] <= row["bound"]
-        row["margin"] = row["bound"] - row["lhs"]
+        lhs = lhs_acc / inputs.gamma_r
+        bound = convergence_bound(replace(inputs, f0=f0, f_star=f_star), om)
+        per_seed.append({
+            "seed": s, "lhs": lhs, "f0": f0, "f_star": f_star,
+            "bound": bound, "holds": lhs <= bound, "margin": bound - lhs,
+        })
 
     return {
         "rounds": rounds,
         "seeds": seeds,
         "omega": om,
-        "gamma_r": gamma,
-        "sum_eta_sq": float(sum(e * e for e in lrs)),
+        "gamma_r": inputs.gamma_r,
+        "sum_eta_sq": inputs.sum_eta_sq,
         "smoothness": l_hat,
         "rho": rho_hat,
-        "lr_premise_ok": max(lrs) <= 1.0 / (2.0 * l_hat) + 1e-12 if l_hat > 0 else True,
+        "lr_premise_ok": inputs.lr_premise_ok(),
         "per_seed": per_seed,
         "holds_all": all(r["holds"] for r in per_seed),
         "min_margin": min(r["margin"] for r in per_seed),

@@ -11,9 +11,7 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -176,13 +174,6 @@ def _train_config(train_raw: dict, plan: ExperimentPlan, seed: int) -> TrainConf
     )
 
 
-def _workers(n_legs: int) -> int:
-    env = os.environ.get("ORBITFED_THREADS", "").strip()
-    if env:
-        return max(1, min(int(env), n_legs))
-    return max(1, min(4, os.cpu_count() or 1, n_legs))
-
-
 def _first_crossing(metrics, target):
     for m in metrics:
         acc = m["accuracy"]
@@ -307,20 +298,9 @@ def _mode_simulate(raw, plan, out: Path, train_raw):
 
 
 def _mode_sweep(raw, plan, out: Path, train_raw):
-    jobs = [(name, baseline, af) for name, baseline, af in SWEEP_SERIES]
-    workers = _workers(len(jobs))
     rows = []
-    if workers == 1:
-        for name, baseline, af in jobs:
-            rows.extend(_run_series(raw, plan, name, baseline, af, out, train_raw))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_run_series, raw, plan, name, baseline, af, out, train_raw)
-                for name, baseline, af in jobs
-            ]
-            for fut in futures:
-                rows.extend(fut.result())
+    for name, baseline, af in SWEEP_SERIES:
+        rows.extend(_run_series(raw, plan, name, baseline, af, out, train_raw))
     rows.sort(key=lambda r: (r["series"], r["seed"]))
     _write_json(out / "summary.json", _series_summary(rows, plan.target_acc))
     print(f"wrote {out / 'summary.json'} ({len(rows)} legs)")

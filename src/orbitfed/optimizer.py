@@ -13,9 +13,7 @@ by three coupled blocks, each solved exactly given the others:
 
 A block-coordinate loop cycles the three. Because A_j changes the relay time
 and hence the battery headroom, the offload block evaluates the satellite
-path at the battery-optimal frequency for each trial A_j (refresh_freq=True,
-the default); with refresh_freq=False it uses the frequency in hand, which
-can make the descent trace non-monotone on battery-bound instances.
+path at the battery-optimal frequency for each trial A_j.
 """
 
 from __future__ import annotations
@@ -31,6 +29,8 @@ from .cost import cluster_client_path
 BISECT_EPS = 1e-6
 BISECT_MAX_ITER = 200
 BAND_EPS = 1e-6  # bandwidth budget band (1 - eps) * B_j <= sum b <= B_j
+DESCENT_RTOL = 1e-6  # stop the descent when an iteration gains less than this
+TAU_TABLE_POINTS = 3000  # log-spaced bandwidths in the grid's upload table
 
 
 class InfeasibleError(RuntimeError):
@@ -222,10 +222,6 @@ class _Ctx:
         return np.clip(lo, 0.0, self.alpha_max)
 
 
-def _contexts(scenario):
-    return {c.id: _Ctx(scenario, c) for c in scenario.clusters}
-
-
 # ---------------------------------------------------------------------------
 # satellite frequency block (battery-limited maximum)
 
@@ -297,7 +293,8 @@ def _best_freq(ctx: _Ctx, a: float) -> float:
             f"cluster {ctx.cluster.id}: battery cannot sustain any frequency "
             "across full coverage windows", slack=num,
         )
-    f = min(ctx.f_max, (num / (ctx.kappa * (ctx.T - tau_tr))) ** (1.0 / 3.0))
+    f = battery_freq_closed_form(ctx.e_orig, e_tr, ctx.T, tau_tr, ctx.p_charge,
+                                 ctx.psi, ctx.kappa, ctx.f_max)
     worst = _chain_residuals(ctx, a, f)
     if worst < -1e-9 * max(1.0, ctx.psi):
         # charging over a shortened final dwell can undercut the full-window
@@ -316,7 +313,7 @@ def battery_freq_closed_form(e_orig, e_trans, coverage_s, tau_trans_s,
     return min(f_max, (num / (kappa * (coverage_s - tau_trans_s))) ** (1.0 / 3.0))
 
 
-def solve_freq(scenario, alpha, b=None) -> dict:
+def solve_freq(scenario, alpha) -> dict:
     """Per-cluster battery-feasible frequency for a fixed offload vector."""
     out = {}
     for cluster in scenario.clusters:
@@ -330,10 +327,9 @@ def solve_freq(scenario, alpha, b=None) -> dict:
 # offload block
 
 
-def _equalize_local(ctx: _Ctx, a: float, lo: np.ndarray = None) -> np.ndarray:
-    """Distribute offload mass a to minimize the worst client compute time."""
-    if lo is None:
-        lo = np.zeros(len(ctx.sizes))
+def _equalize_local(ctx: _Ctx, a: float, lo: np.ndarray) -> np.ndarray:
+    """Distribute offload mass a, at least lo per client, to minimize the
+    worst client compute time."""
     full = ctx.cycles * ctx.sizes / ctx.freqs  # tau_local at alpha = 0
 
     def need(nu):
@@ -347,11 +343,9 @@ def _equalize_local(ctx: _Ctx, a: float, lo: np.ndarray = None) -> np.ndarray:
     return _fix_sum(ctx, alpha, a, lo)
 
 
-def _fix_sum(ctx: _Ctx, alpha: np.ndarray, a: float, lo: np.ndarray = None) -> np.ndarray:
+def _fix_sum(ctx: _Ctx, alpha: np.ndarray, a: float, lo: np.ndarray) -> np.ndarray:
     """Nudge the profile so sum(alpha * size) hits a exactly, spreading the
     residual in proportion to each client's remaining room."""
-    if lo is None:
-        lo = np.zeros(len(ctx.sizes))
     alpha = alpha.copy()
     for _ in range(3):  # clipping can strand a residual sliver; re-spread
         resid = a - float(np.sum(alpha * ctx.sizes))
@@ -371,8 +365,9 @@ def _fix_sum(ctx: _Ctx, alpha: np.ndarray, a: float, lo: np.ndarray = None) -> n
     return alpha
 
 
-def _alpha_within(ctx: _Ctx, a: float, freq: float, tau_aggs: np.ndarray) -> np.ndarray:
-    """Split total offload a across the cluster to minimize the client path."""
+def _alpha_within(ctx: _Ctx, a: float, tau_aggs: np.ndarray) -> np.ndarray:
+    """Split total offload a across the cluster to minimize the worst client
+    compute time, above the per-client energy floors."""
     lo = ctx.alpha_floor(tau_aggs)
     a_floor = float(np.sum(lo * ctx.sizes))
     if a < a_floor - 1e-9 * max(1.0, a_floor):
@@ -387,60 +382,21 @@ def _alpha_within(ctx: _Ctx, a: float, freq: float, tau_aggs: np.ndarray) -> np.
         raise InfeasibleError(
             f"cluster {ctx.cluster.id}: offload {a} exceeds capacity {ctx.a_cap}"
         )
-    a = min(a, ctx.a_cap)
-    n = ctx.n_handoffs(a, freq)
-    tn = ctx.T * n
-
-    cand = [_equalize_local(ctx, a, lo)]
-    m_star = float(np.max(ctx.tau_locals(cand[0])))
-
-    if m_star > tn:
-        # straggler lands after the final chain satellite arrives: equalize
-        # completion (wait-or-compute plus upload) instead of compute alone
-        h = math.floor(m_star / ctx.T)
-        base = ctx.T * h
-
-        def need2(nu):
-            slack = nu - tau_aggs
-            if np.any(slack < base):
-                return math.inf
-            req = np.clip(1.0 - slack * ctx.freqs * ctx.inv_work, lo, ctx.alpha_max)
-            return float(np.sum(req * ctx.sizes))
-
-        lo = base + float(np.max(tau_aggs))
-        up = float(np.max(np.maximum(base, ctx.tau_locals(cand[0])) + tau_aggs))
-        if up > lo:
-            r = bisect(lambda nu: (need2(nu) - a) if need2(nu) != math.inf else math.inf,
-                       lo, up)
-            nu2 = r.hi
-            if need2(nu2) <= a:
-                slack = nu2 - tau_aggs
-                alpha2 = np.clip(
-                    1.0 - slack * ctx.freqs * ctx.inv_work, lo, ctx.alpha_max
-                )
-                cand.append(_fix_sum(ctx, alpha2, a, lo))
-
-    best = None
-    best_y = math.inf
-    for alpha in cand:
-        y, _ = cluster_client_path(ctx.tau_locals(alpha), tau_aggs, ctx.T, n)
-        if y < best_y - 1e-15:
-            best, best_y = alpha, y
-    return best
+    return _equalize_local(ctx, min(a, ctx.a_cap), lo)
 
 
-def solve_alpha_within_cluster(scenario, cluster_id: int, a: float, freq: float,
+def solve_alpha_within_cluster(scenario, cluster_id: int, a: float,
                                bandwidth: dict) -> dict:
     """Public per-cluster inner solver; returns client id -> alpha."""
     ctx = _Ctx(scenario, scenario.cluster(cluster_id))
     tau_aggs = np.array([ctx.tau_agg_one(k, bandwidth[pid]) for k, pid in enumerate(ctx.ids)])
-    alpha = _alpha_within(ctx, a, freq, tau_aggs)
+    alpha = _alpha_within(ctx, a, tau_aggs)
     return {pid: float(alpha[k]) for k, pid in enumerate(ctx.ids)}
 
 
-def _cluster_alpha(ctx: _Ctx, freq: float, tau_aggs: np.ndarray,
-                   refresh_freq: bool):
-    """Choose the cluster's total offload A by balancing the two paths."""
+def _cluster_alpha(ctx: _Ctx, tau_aggs: np.ndarray) -> np.ndarray:
+    """Choose the cluster's total offload A by balancing the two paths, with
+    the satellite at its battery-optimal frequency for each trial A."""
     lo_vec = ctx.alpha_floor(tau_aggs)
     a_lo = float(np.sum(lo_vec * ctx.sizes))
     if a_lo > ctx.a_cap * (1.0 + 1e-9):
@@ -450,11 +406,6 @@ def _cluster_alpha(ctx: _Ctx, freq: float, tau_aggs: np.ndarray,
         )
     a_lo = min(a_lo, ctx.a_cap)
 
-    def freq_for(a):
-        if not refresh_freq:
-            return freq
-        return _best_freq(ctx, a)
-
     def m_star(a):
         return float(np.max(ctx.tau_locals(
             _equalize_local(ctx, max(a, a_lo), lo_vec))))
@@ -462,7 +413,7 @@ def _cluster_alpha(ctx: _Ctx, freq: float, tau_aggs: np.ndarray,
     def gap(a):
         # positive while the worst client still outlasts the chain build-up
         try:
-            f = freq_for(a)
+            f = _best_freq(ctx, a)
         except InfeasibleError:
             return -math.inf
         return m_star(a) - ctx.T * ctx.n_handoffs(a, f)
@@ -481,10 +432,10 @@ def _cluster_alpha(ctx: _Ctx, freq: float, tau_aggs: np.ndarray,
 
     def paths(a):
         try:
-            f = freq_for(a)
+            f = _best_freq(ctx, a)
         except InfeasibleError:
             return math.inf, math.inf, None
-        alpha = _alpha_within(ctx, a, f, tau_aggs)
+        alpha = _alpha_within(ctx, a, tau_aggs)
         n = ctx.n_handoffs(a, f)
         y, _ = cluster_client_path(ctx.tau_locals(alpha), tau_aggs, ctx.T, n)
         return y, ctx.tau_rep(a, f), f
@@ -512,12 +463,10 @@ def _cluster_alpha(ctx: _Ctx, freq: float, tau_aggs: np.ndarray,
                 f"cluster {ctx.cluster.id}: no battery-feasible offload level"
             )
         best_a = a_lo
-    f = freq_for(best_a)
-    return _alpha_within(ctx, best_a, f, tau_aggs), best_a
+    return _alpha_within(ctx, best_a, tau_aggs)
 
 
-def solve_alpha(scenario, sat_freq: dict, bandwidth: dict,
-                refresh_freq: bool = True) -> dict:
+def solve_alpha(scenario, bandwidth: dict) -> dict:
     """Per-client offload fractions balancing client and satellite paths."""
     out = {}
     for cluster in scenario.clusters:
@@ -525,7 +474,7 @@ def solve_alpha(scenario, sat_freq: dict, bandwidth: dict,
         tau_aggs = np.array(
             [ctx.tau_agg_one(k, bandwidth[pid]) for k, pid in enumerate(ctx.ids)]
         )
-        alpha, _ = _cluster_alpha(ctx, sat_freq[cluster.id], tau_aggs, refresh_freq)
+        alpha = _cluster_alpha(ctx, tau_aggs)
         for k, pid in enumerate(ctx.ids):
             out[pid] = float(alpha[k])
     return out
@@ -799,43 +748,43 @@ def _client_energy_ok(scenario, alpha, bandwidth) -> bool:
     return True
 
 
-def optimize(scenario, iters: int = 10, init: DecisionVector = None,
-             refresh_freq: bool = True, rtol: float = 1e-6) -> OptimizeResult:
+def optimize(scenario, iters: int = 10) -> OptimizeResult:
     """Cycle the three blocks, keeping the incumbent when a block candidate
     does not strictly improve the exact round time."""
-    decision = init if init is not None else default_init(scenario)
-    trace = [("init", 0, _tau(scenario, decision))]
+    decision = default_init(scenario)
+    tau = _tau(scenario, decision)
+    trace = [("init", 0, tau)]
 
     for i in range(iters):
-        tau_before = trace[-1][2]
+        tau_before = tau
 
-        # offload block (with its coupled frequency in refresh mode)
-        alpha_new = solve_alpha(
-            scenario, decision.sat_freq_hz, decision.bandwidth_hz, refresh_freq
-        )
-        freq_new = solve_freq(scenario, alpha_new) if refresh_freq else decision.sat_freq_hz
-        candidate = DecisionVector(alpha_new, freq_new, decision.bandwidth_hz)
-        if _tau(scenario, candidate) <= trace[-1][2]:
-            decision = candidate
-        trace.append(("alpha", i, _tau(scenario, decision)))
+        # offload block, with the frequency it balanced the paths at
+        alpha_new = solve_alpha(scenario, decision.bandwidth_hz)
+        candidate = DecisionVector(alpha_new, solve_freq(scenario, alpha_new),
+                                   decision.bandwidth_hz)
+        tau_cand = _tau(scenario, candidate)
+        if tau_cand <= tau:
+            decision, tau = candidate, tau_cand
+        trace.append(("alpha", i, tau))
 
         # frequency block
         freq2 = solve_freq(scenario, decision.alpha)
         candidate = DecisionVector(decision.alpha, freq2, decision.bandwidth_hz)
-        if _tau(scenario, candidate) <= trace[-1][2]:
-            decision = candidate
-        trace.append(("freq", i, _tau(scenario, decision)))
+        tau_cand = _tau(scenario, candidate)
+        if tau_cand <= tau:
+            decision, tau = candidate, tau_cand
+        trace.append(("freq", i, tau))
 
         # bandwidth block
         b_new = solve_bandwidth(scenario, decision.alpha, decision.sat_freq_hz)
         candidate = DecisionVector(decision.alpha, decision.sat_freq_hz, b_new)
         tau_cand = _tau(scenario, candidate)
         incumbent_ok = _client_energy_ok(scenario, decision.alpha, decision.bandwidth_hz)
-        if tau_cand <= trace[-1][2] or not incumbent_ok:
-            decision = candidate
-        trace.append(("bandwidth", i, _tau(scenario, decision)))
+        if tau_cand <= tau or not incumbent_ok:
+            decision, tau = candidate, tau_cand
+        trace.append(("bandwidth", i, tau))
 
-        if tau_before - trace[-1][2] <= rtol * max(1.0, tau_before):
+        if tau_before - tau <= DESCENT_RTOL * max(1.0, tau_before):
             break
 
     report = check_feasibility(scenario, decision)
@@ -862,7 +811,7 @@ def optimize_pinned_alpha(scenario, alpha: dict) -> DecisionVector:
 # brute-force comparator for small instances
 
 
-def grid_search_cluster(scenario, alpha_step: float = 1e-3, tau_table_points: int = 3000):
+def grid_search_cluster(scenario, alpha_step: float = 1e-3):
     """Exhaustive offload-profile search for a single-cluster scenario.
 
     The offload profile is enumerated on a per-client alpha lattice. For each
@@ -907,7 +856,7 @@ def grid_search_cluster(scenario, alpha_step: float = 1e-3, tau_table_points: in
 
     # --- client-path inner minimum per profile ---------------------------
     # tabulate tau_agg(b) per client on a log grid for fast inversion
-    b_grid = np.geomspace(ctx.budget_hz * 1e-9, ctx.budget_hz, tau_table_points)
+    b_grid = np.geomspace(ctx.budget_hz * 1e-9, ctx.budget_hz, TAU_TABLE_POINTS)
     tau_tables = [ctx.state_bits / (b_grid * np.log2(1.0 + ctx.snr_num[k] / b_grid))
                   for k in range(k_count)]
 
@@ -987,7 +936,6 @@ def grid_search_cluster(scenario, alpha_step: float = 1e-3, tau_table_points: in
         near = near[np.argsort(total[near])[:400]]
 
     best_exact, best_decision = math.inf, None
-    freq_cache = {}
     for idx in near:
         alpha_pt = {pid: float(alphas[idx, k]) for k, pid in enumerate(ctx.ids)}
         f_pt = float(best_f[inverse[idx]])

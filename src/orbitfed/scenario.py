@@ -147,16 +147,6 @@ class CoverageSchedule:
     period_s: float = 0.0
     intervals: tuple = ()  # (satellite_index, start_s, end_s) rows
 
-    def interval(self, i: int) -> tuple:
-        if i < 0:
-            raise IndexError("interval index must be nonnegative")
-        if self.mode == "fixed":
-            return (i, i * self.period_s, (i + 1) * self.period_s)
-        return self.intervals[i]
-
-    def n_intervals(self):
-        return None if self.mode == "fixed" else len(self.intervals)
-
     def mean_dwell_s(self) -> float:
         if self.mode == "fixed":
             return self.period_s

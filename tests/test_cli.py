@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import orbitfed
-from orbitfed.cli import CliError, _parse_seeds, _workers, main
+from orbitfed.cli import CliError, _parse_seeds, main
 
 from conftest import REFERENCE_SCENARIO, client_dict, cluster_dict, scenario_dict
 
@@ -57,17 +57,6 @@ class TestSeedParsing:
     def test_empty_rejected(self):
         with pytest.raises(CliError, match="no seeds"):
             _parse_seeds(" , ")
-
-
-class TestWorkers:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("ORBITFED_THREADS", "3")
-        assert _workers(5) == 3
-        assert _workers(2) == 2
-
-    def test_never_more_than_legs(self, monkeypatch):
-        monkeypatch.delenv("ORBITFED_THREADS", raising=False)
-        assert _workers(1) == 1
 
 
 class TestOptimizeMode:
@@ -163,8 +152,7 @@ class TestSimulateMode:
 
 
 class TestSweepMode:
-    def test_five_series(self, spec_path, tmp_path, monkeypatch):
-        monkeypatch.setenv("ORBITFED_THREADS", "1")
+    def test_five_series(self, spec_path, tmp_path):
         out = tmp_path / "run"
         rc = main(["--mode", "sweep", "--scenario", str(spec_path),
                    "--rounds", "3", "--target-acc", "0.5", "--out", str(out)])
@@ -177,9 +165,8 @@ class TestSweepMode:
         assert sorted(summary["per_series"]) == names
         assert [r["series"] for r in summary["rows"]] == names
 
-    def test_pinned_series_share_no_state(self, spec_path, tmp_path, monkeypatch):
+    def test_pinned_series_share_no_state(self, spec_path, tmp_path):
         # alpha_0.0 must match a standalone terrestrial run bit for bit
-        monkeypatch.setenv("ORBITFED_THREADS", "2")
         sweep_out = tmp_path / "sweep"
         rc = main(["--mode", "sweep", "--scenario", str(spec_path),
                    "--rounds", "3", "--out", str(sweep_out)])

@@ -69,18 +69,18 @@ class TestBisect:
 class TestAlphaWithinCluster:
     def test_zero_total_gives_zero_vector(self):
         sc = two_client_scenario()
-        out = solve_alpha_within_cluster(sc, 0, 0.0, 1e9, {0: 5e5, 1: 5e5})
+        out = solve_alpha_within_cluster(sc, 0, 0.0, {0: 5e5, 1: 5e5})
         assert out == {0: 0.0, 1: 0.0}
 
     def test_identical_clients_split_evenly(self):
         sc = two_client_scenario()
-        out = solve_alpha_within_cluster(sc, 0, 800.0, 1e9, {0: 5e5, 1: 5e5})
+        out = solve_alpha_within_cluster(sc, 0, 800.0, {0: 5e5, 1: 5e5})
         assert out[0] == pytest.approx(out[1], rel=1e-9)
         assert out[0] * 1000 + out[1] * 1000 == pytest.approx(800.0, rel=1e-9)
 
     def test_slower_client_offloads_more(self):
         sc = two_client_scenario(freqs=(1e8, 3e8))
-        out = solve_alpha_within_cluster(sc, 0, 800.0, 1e9, {0: 5e5, 1: 5e5})
+        out = solve_alpha_within_cluster(sc, 0, 800.0, {0: 5e5, 1: 5e5})
         assert out[0] > out[1]
 
     def test_matches_fine_grid(self):
@@ -89,7 +89,7 @@ class TestAlphaWithinCluster:
         cluster = sc.clusters[0]
         freq, a_total = 1e9, 800.0
         bw = {0: 5e5, 1: 5e5}
-        out = solve_alpha_within_cluster(sc, 0, a_total, freq, bw)
+        out = solve_alpha_within_cluster(sc, 0, a_total, bw)
 
         tau_aggs = []
         for p in sc.clients:
@@ -119,8 +119,7 @@ class TestAlphaWithinCluster:
 class TestSolveAlpha:
     def test_fast_satellite_drives_offload_to_cap(self):
         sc = two_client_scenario(freqs=(1e8, 1e8))
-        freq = solve_freq(sc, {0: 0.8, 1: 0.8})
-        out = solve_alpha(sc, freq, {0: 5e5, 1: 5e5})
+        out = solve_alpha(sc, {0: 5e5, 1: 5e5})
         total = sum(out[p.id] * p.size for p in sc.clients)
         cap = sum(p.max_offload_fraction * p.size for p in sc.clients)
         assert total == pytest.approx(cap, rel=1e-3)
@@ -131,7 +130,7 @@ class TestSolveAlpha:
         clients = [client_dict(k, 2e9, 1000) for k in range(2)]
         sc = validate_scenario(scenario_dict(
             [cluster_dict(0, clients, isl_rate_bps=1e4, sat_max_freq_hz=1e6)]))
-        out = solve_alpha(sc, {0: 1e6}, {0: 5e5, 1: 5e5})
+        out = solve_alpha(sc, {0: 5e5, 1: 5e5})
         total = sum(out[p.id] * p.size for p in sc.clients)
         assert total <= 1e-3 * sum(p.size for p in sc.clients)
 
@@ -140,7 +139,7 @@ class TestSolveAlpha:
         for _ in range(10):
             sc = mixed_instance(rng)
             init = default_init(sc)
-            out = solve_alpha(sc, init.sat_freq_hz, init.bandwidth_hz)
+            out = solve_alpha(sc, init.bandwidth_hz)
             for p in sc.clients:
                 assert -1e-12 <= out[p.id] <= p.max_offload_fraction + 1e-12
 
@@ -281,6 +280,22 @@ class TestOptimize:
             for a, b in zip(vals, vals[1:]):
                 assert b <= a + 1e-9
             assert res.report.ok
+
+    def test_last_trace_value_is_exact_round_time(self):
+        # the trace reuses each block candidate's round time, so its last
+        # entry must equal a fresh evaluation of the kept decision bit for bit
+        reference = validate_scenario(json.loads(REFERENCE_SCENARIO.read_text()))
+        clients = [client_dict(k, f, 3000)
+                   for k, f in enumerate(np.geomspace(1e8, 4e8, 6))]
+        handoff = validate_scenario(scenario_dict(
+            [cluster_dict(0, clients, coverage_s=120.0, sat_max_freq_hz=1e9,
+                          isl_rate_bps=1e6)],
+            param_count=334, sample_bits=544))
+        for sc in (reference, handoff):
+            res = optimize(sc)
+            breakdown = cost.round_latency(sc, res.decision)
+            assert res.trace_values()[-1] == breakdown.tau_round_s
+        assert breakdown.clusters[0].n_handoffs > 0
 
     def test_close_to_exhaustive_search(self):
         rng = np.random.default_rng(7)
