@@ -235,6 +235,17 @@ _CLIENT_DEFAULTS = {
 }
 
 
+def _positive(value) -> bool:
+    # NaN fails every comparison, so a bare `<= 0` test would let it through
+    v = float(value)
+    return math.isfinite(v) and v > 0
+
+
+def _nonnegative(value) -> bool:
+    v = float(value)
+    return math.isfinite(v) and v >= 0
+
+
 def validate_scenario(spec: dict) -> Scenario:
     """Build an immutable Scenario from a parsed description.
 
@@ -290,17 +301,17 @@ def validate_scenario(spec: dict) -> Scenario:
                     pathloss=float(lk["pathloss"]),
                     noise_density_w_per_hz=float(lk["noise_density_w_per_hz"]),
                 )
-                if min(link.bandwidth_hz, link.tx_power_w, link.pathloss,
-                       link.noise_density_w_per_hz) <= 0:
-                    errors.append(f"cluster {cid}: ISL link parameters must be positive")
+                if not all(_positive(v) for v in (link.bandwidth_hz, link.tx_power_w,
+                                                  link.pathloss, link.noise_density_w_per_hz)):
+                    errors.append(f"cluster {cid}: ISL link parameters must be positive and finite")
                 else:
                     rate = isl_rate(link)
             except KeyError as missing:
                 errors.append(f"cluster {cid}: isl_link missing field {missing}")
         if rate is None:
             rate = 3.125e6
-        if rate <= 0:
-            errors.append(f"cluster {cid}: ISL rate must be positive")
+        if not _positive(rate):
+            errors.append(f"cluster {cid}: ISL rate must be positive and finite")
 
         schedule = None
         if "coverage_file" in raw:
@@ -329,12 +340,16 @@ def validate_scenario(spec: dict) -> Scenario:
             ("noise_density_w_per_hz", vals["noise_density_w_per_hz"]),
             ("energy_coeff", vals["energy_coeff"]),
         ):
-            if float(val) <= 0:
-                errors.append(f"cluster {cid}: {key} must be positive")
+            if not _positive(val):
+                errors.append(f"cluster {cid}: {key} must be positive and finite")
         for key in ("sat_initial_energy_j", "sat_min_residual_j", "sun_power_w",
-                    "glob_delay_s", "sync_delay_s", "max_offload_samples"):
-            if float(vals[key]) < 0:
-                errors.append(f"cluster {cid}: {key} must be nonnegative")
+                    "glob_delay_s", "sync_delay_s"):
+            if not _nonnegative(vals[key]):
+                errors.append(f"cluster {cid}: {key} must be nonnegative and finite")
+        # an unlimited offload budget is spelled +inf
+        cap = float(vals["max_offload_samples"])
+        if math.isnan(cap) or cap < 0:
+            errors.append(f"cluster {cid}: max_offload_samples must be nonnegative")
 
         raw_members = raw.get("clients", [])
         if not raw_members:
@@ -352,17 +367,15 @@ def validate_scenario(spec: dict) -> Scenario:
             if "cpu_freq_hz" not in rk:
                 errors.append(f"client {kid}: missing cpu_freq_hz")
             cpu = float(rk.get("cpu_freq_hz", 0.0))
-            if cpu <= 0:
-                errors.append(f"client {kid}: cpu_freq_hz must be positive")
-            if float(cv["cycles_per_sample"]) <= 0:
-                errors.append(f"client {kid}: cycles_per_sample must be positive")
-            if float(cv["tx_power_w"]) <= 0:
-                errors.append(f"client {kid}: tx_power_w must be positive")
+            for key, val in (("cpu_freq_hz", cpu),
+                             ("cycles_per_sample", cv["cycles_per_sample"]),
+                             ("tx_power_w", cv["tx_power_w"]),
+                             ("energy_budget_j", cv["energy_budget_j"])):
+                if not _positive(val):
+                    errors.append(f"client {kid}: {key} must be positive and finite")
             amax = float(cv["max_offload_fraction"])
             if not 0.0 <= amax <= 1.0:
                 errors.append(f"client {kid}: offload fraction out of range ({amax})")
-            if float(cv["energy_budget_j"]) <= 0:
-                errors.append(f"client {kid}: energy_budget_j must be positive")
             if int(cv["dataset_size"]) < 0:
                 errors.append(f"client {kid}: dataset_size must be nonnegative")
             clients.append(ClientProfile(

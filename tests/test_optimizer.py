@@ -10,6 +10,8 @@ from orbitfed import cost
 from orbitfed.optimizer import (
     DecisionVector,
     InfeasibleError,
+    _Ctx,
+    _Lattice,
     bisect,
     check_feasibility,
     default_init,
@@ -21,6 +23,7 @@ from orbitfed.optimizer import (
     solve_alpha_within_cluster,
     solve_bandwidth,
     solve_freq,
+    upload_bandwidth,
 )
 from orbitfed.scenario import validate_scenario
 
@@ -38,6 +41,90 @@ def two_client_scenario(freqs=(2e8, 2e8), sizes=(1000, 1000), **client_kw):
     clients = [client_dict(k, f, s, **client_kw)
                for k, (f, s) in enumerate(zip(freqs, sizes))]
     return validate_scenario(scenario_dict([cluster_dict(0, clients)]))
+
+
+def handoff_scenario():
+    # one cluster whose offloaded work spans several coverage windows
+    clients = [client_dict(k, f, 3000)
+               for k, f in enumerate(np.geomspace(1e8, 4e8, 6))]
+    return validate_scenario(scenario_dict(
+        [cluster_dict(0, clients, coverage_s=120.0, sat_max_freq_hz=1e9,
+                      isl_rate_bps=1e6)],
+        param_count=334, sample_bits=544))
+
+
+class TestUploadBandwidth:
+    S = 10688.0  # state bits
+    C = 5e7  # SNR numerator p d^-xi / N0
+
+    def tau(self, b, c=C):
+        return self.S / (b * np.log2(1.0 + c / b))
+
+    def test_round_trip_scalar_and_vector(self):
+        b = self.C / np.geomspace(1e-3, 1e6, 2001)  # c / b from 1e-3 to 1e6
+        t = self.tau(b)
+        got = upload_bandwidth(self.S, self.C, t)
+        assert np.max(np.abs(self.tau(got) / t - 1.0)) <= 1e-12
+        # the slice itself is well conditioned once c / b >= 1
+        well = self.C / b >= 1.0
+        assert np.max(np.abs(got[well] / b[well] - 1.0)) <= 1e-12
+        for tk, gk in zip(t[::50], got[::50]):
+            one = upload_bandwidth(self.S, self.C, float(tk))
+            assert isinstance(one, float)
+            assert one == gk
+
+    def test_result_is_the_least_feasible_slice(self):
+        rng = np.random.default_rng(11)
+        c = 10.0 ** rng.uniform(5, 9, 5000)
+        t = self.S * math.log(2.0) / c * (1.0 + 10.0 ** rng.uniform(-9, 4, 5000))
+        b = upload_bandwidth(self.S, c, t)
+        assert np.all(np.isfinite(b)) and np.all(b > 0)
+        assert np.all(self.tau(b, c) <= t)
+        well = c / b >= 1.0  # where the slice is well conditioned
+        assert np.all(self.tau(b[well] * (1.0 - 1e-9), c[well]) > t[well])
+        for ck, tk, bk in zip(c[::250], t[::250], b[::250]):
+            one = upload_bandwidth(self.S, float(ck), float(tk))
+            assert one == bk and self.tau(one, ck) <= tk
+
+    def test_unattainable_targets_read_inf(self):
+        floor = self.S * math.log(2.0) / self.C  # upload time at infinite bandwidth
+        bad = [0.0, -1.0, floor, floor * (1.0 - 1e-9)]
+        for t in bad:
+            assert upload_bandwidth(self.S, self.C, t) == math.inf
+        got = upload_bandwidth(self.S, self.C, np.array(bad + [floor * (1.0 + 1e-6)]))
+        assert np.all(got[:-1] == math.inf)
+        assert np.isfinite(got[-1]) and self.tau(got[-1]) <= floor * (1.0 + 1e-6)
+        # just above the floor the forward formula itself rounds coarsely;
+        # whatever comes back still meets the target
+        near = floor * (1.0 + 10.0 ** -np.arange(4.0, 17.0))
+        got = upload_bandwidth(self.S, self.C, near)
+        assert np.all(self.tau(got[np.isfinite(got)]) <= near[np.isfinite(got)])
+
+    def test_invert_tau_agg_caps_at_b_hi(self):
+        sc = two_client_scenario(freqs=(2e8, 3e8))
+        ctx = _Ctx(sc, sc.clusters[0])
+        b_hi = 0.25 * ctx.budget_hz
+        at_cap = ctx.tau_agg(b_hi)  # per-client upload time at the cap
+        got = ctx.invert_tau_agg(at_cap, b_hi)
+        assert np.all(got <= b_hi) and np.all(ctx.tau_agg(got) <= at_cap)
+        assert np.all(got / b_hi > 1.0 - 1e-12)
+        assert np.all(ctx.invert_tau_agg(at_cap * (1.0 - 1e-9), b_hi) == math.inf)
+        assert np.all(ctx.invert_tau_agg(np.array([0.0, -1.0]), b_hi) == math.inf)
+        mixed = ctx.invert_tau_agg(np.array([at_cap[0] * 2.0, at_cap[1] * 0.5]), b_hi)
+        assert mixed[0] < b_hi and mixed[1] == math.inf
+
+
+class TestGridPruning:
+    @pytest.mark.parametrize("n_clients,seed", [(2, 0), (2, 1), (3, 0), (3, 1)])
+    def test_pruned_search_matches_every_profile(self, n_clients, seed):
+        # the 3-client lattice stays small with a tight offload range
+        sc = case1_instance(np.random.default_rng([4204, seed]), n_clients=n_clients,
+                            grid_sizes=True, alpha_max=0.12 if n_clients == 3 else None)
+        lattice = _Lattice(sc, 1e-2)
+        every = np.arange(len(lattice.lower))
+        totals = lattice.totals(every)
+        assert np.all(lattice.lower <= totals)
+        assert lattice.best(every, totals) == grid_search_cluster(sc, alpha_step=1e-2)
 
 
 class TestBisect:
@@ -285,17 +372,26 @@ class TestOptimize:
         # the trace reuses each block candidate's round time, so its last
         # entry must equal a fresh evaluation of the kept decision bit for bit
         reference = validate_scenario(json.loads(REFERENCE_SCENARIO.read_text()))
-        clients = [client_dict(k, f, 3000)
-                   for k, f in enumerate(np.geomspace(1e8, 4e8, 6))]
-        handoff = validate_scenario(scenario_dict(
-            [cluster_dict(0, clients, coverage_s=120.0, sat_max_freq_hz=1e9,
-                          isl_rate_bps=1e6)],
-            param_count=334, sample_bits=544))
-        for sc in (reference, handoff):
+        for sc in (reference, handoff_scenario()):
             res = optimize(sc)
             breakdown = cost.round_latency(sc, res.decision)
             assert res.trace_values()[-1] == breakdown.tau_round_s
         assert breakdown.clusters[0].n_handoffs > 0
+
+    def test_kept_frequency_is_battery_optimal_for_kept_offload(self):
+        # default_init and the offload block set the frequency from the
+        # offload split, and the bandwidth block leaves it, so the frequency
+        # block has nothing to change at any iteration
+        reference = validate_scenario(json.loads(REFERENCE_SCENARIO.read_text()))
+        for sc in (reference, handoff_scenario()):
+            res = optimize(sc)
+            for iters in range(res.iterations + 1):
+                dec = optimize(sc, iters=iters).decision
+                assert dec.sat_freq_hz == solve_freq(sc, dec.alpha)
+            rows = res.trace
+            for before, row in zip(rows, rows[1:]):
+                if row[0] == "freq":
+                    assert before[0] == "alpha" and row[2] == before[2]
 
     def test_close_to_exhaustive_search(self):
         rng = np.random.default_rng(7)

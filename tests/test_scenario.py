@@ -2,10 +2,12 @@
 coverage schedules."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
+from orbitfed.cli import main
 from orbitfed.scenario import (
     SampleSet,
     ScenarioError,
@@ -67,6 +69,67 @@ class TestValidate:
         with pytest.raises(ScenarioError) as err:
             validate_scenario(spec)
         assert len(err.value.errors) >= 2
+
+
+# one field per family: cluster fields that must be positive, cluster fields
+# that must be nonnegative, client fields that must be positive, ISL link
+# parameters; each with the values that slip past a bare `<= 0` / `< 0` test
+NON_FINITE_CASES = [
+    ("cluster", "coverage_s", math.nan),
+    ("cluster", "bandwidth_hz", math.inf),
+    ("cluster", "isl_rate_bps", math.nan),
+    ("cluster", "sync_delay_s", math.nan),
+    ("cluster", "sat_initial_energy_j", math.inf),
+    ("cluster", "max_offload_samples", math.nan),
+    ("client", "cpu_freq_hz", math.nan),
+    ("client", "energy_budget_j", math.inf),
+    ("client", "tx_power_w", math.nan),
+    ("isl_link", "pathloss", math.nan),
+]
+
+
+def spec_with(where, field, value):
+    clients = [client_dict(0, 2e8, 100), client_dict(1, 3e8, 100)]
+    spec = scenario_dict([cluster_dict(0, clients)])
+    cluster = spec["clusters"][0]
+    if where == "cluster":
+        cluster[field] = value
+    elif where == "client":
+        cluster["clients"][1][field] = value
+    else:
+        cluster["isl_link"] = {"bandwidth_hz": 1e6, "tx_power_w": 1.0,
+                               "pathloss": 1e-9, "noise_density_w_per_hz": 4e-21}
+        cluster["isl_link"][field] = value
+    return spec
+
+
+class TestNonFiniteRejected:
+    @pytest.mark.parametrize("where,field,value", NON_FINITE_CASES)
+    def test_validate_names_the_field(self, where, field, value):
+        with pytest.raises(ScenarioError) as err:
+            validate_scenario(spec_with(where, field, value))
+        name = "ISL link" if where == "isl_link" else "ISL rate" if field == "isl_rate_bps" else field
+        assert any(name in e for e in err.value.errors), err.value.errors
+
+    @pytest.mark.parametrize("where,field,value", NON_FINITE_CASES)
+    def test_cli_reports_one_json_line(self, where, field, value, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(spec_with(where, field, value)))  # NaN / Infinity tokens
+        rc = main(["--mode", "optimize", "--scenario", str(path), "--out", str(tmp_path / "run")])
+        assert rc == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ScenarioError"
+        assert err["details"]
+
+    def test_negative_infinity_is_rejected(self):
+        with pytest.raises(ScenarioError, match="max_offload_samples"):
+            validate_scenario(spec_with("cluster", "max_offload_samples", -math.inf))
+
+    def test_unlimited_offload_budget_stays_valid(self):
+        sc = validate_scenario(spec_with("cluster", "max_offload_samples", math.inf))
+        assert sc.clusters[0].max_offload_samples == math.inf
 
 
 def corpus(n, labels=None, dim=4, seed=0):
