@@ -17,15 +17,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fl import (
-    TrainConfig,
-    global_aggregate,
-    init_model,
-    intra_cluster_aggregate,
-    local_update,
-    loss_and_grad,
-)
+from .fl import TrainConfig, init_model, loss_and_grad
 from .scenario import SampleSet, concat_samples, satellite_pool
+from .sim import protocol_round
 
 WEIGHT_SCALE = 0.5  # std of the random weights the smoothness estimate draws
 BOUND_TRIALS = 4000  # smoothness-estimate trials behind a reported bound
@@ -237,16 +231,13 @@ def verify_bound_empirically(scenario, layout, rounds: int, seeds: int = 10,
     full, so the full-batch case is plain gradient descent on the global
     objective. Aggregation weights use the actual integer sample counts.
     """
-    clusters = scenario.clusters
     cluster_data = []
     eff_alpha = {}
-    sizes_by_cluster = {}
-    for c in clusters:
+    for c in scenario.clusters:
         members = scenario.cluster_clients(c.id)
         parts = [p.dataset.retained for p in members] + [satellite_pool(scenario, c.id)]
         merged = concat_samples([s for s in parts if len(s) > 0])
         cluster_data.append((merged.features, merged.labels))
-        sizes_by_cluster[c.id] = [p.size for p in members]
         for p in members:
             eff_alpha[p.id] = len(p.dataset.offloaded) / p.size if p.size else 0.0
 
@@ -274,26 +265,9 @@ def verify_bound_empirically(scenario, layout, rounds: int, seeds: int = 10,
         for r in range(rounds):
             g = _global_grad(model.values, layout, cluster_data)
             lhs_acc += lrs[r] * float(np.dot(g, g))
-            cluster_models = []
-            for c in clusters:
-                members = scenario.cluster_clients(c.id)
-                pool = satellite_pool(scenario, c.id)
-                sat_model = None
-                if len(pool) > 0:
-                    sat_model = local_update(
-                        model, pool, cfg, r,
-                        batch_size=inputs.sat_batch[c.id], stream=(1, c.id))
-                client_models = [
-                    local_update(model, p.dataset.retained, cfg, r,
-                                 batch_size=max(inputs.client_batch[p.id], 1),
-                                 stream=(2, p.id))
-                    for p in members
-                ]
-                cluster_models.append(intra_cluster_aggregate(
-                    sat_model, client_models,
-                    [eff_alpha[p.id] for p in members],
-                    sizes_by_cluster[c.id]))
-            model = global_aggregate(cluster_models)
+            model = protocol_round(scenario, model, cfg, r, eff_alpha,
+                                   client_batch=inputs.client_batch,
+                                   sat_batch=inputs.sat_batch)
             f_star = min(f_star, _global_objective(model, layout, cluster_data))
         lhs = lhs_acc / inputs.gamma_r
         bound = convergence_bound(replace(inputs, f0=f0, f_star=f_star), om)

@@ -474,6 +474,10 @@ def main(argv=None) -> int:
             report["details"] = exc.errors
         print(json.dumps(report, sort_keys=True), file=sys.stderr)
         return 1
+    except Exception as exc:  # a fault in orbitfed itself: still one JSON line
+        report = {"error": "internal", "kind": type(exc).__name__, "message": str(exc)}
+        print(json.dumps(report, sort_keys=True), file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

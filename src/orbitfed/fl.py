@@ -6,6 +6,11 @@ follows the cooperative round shape: clients take one mini-batch pass over
 their retained samples, the cluster satellite takes one pass over the pooled
 offloaded samples, then models merge by data-weighted intra-cluster
 aggregation and an unweighted global mean.
+
+The forward and backward passes are written once, over optional leading
+model axes, so one call can step a whole stack of models: a round's local
+updates run as one `local_update_stack`, of which `local_update` is the
+one-model case.
 """
 
 from __future__ import annotations
@@ -93,79 +98,168 @@ def init_model(layout: ModelLayout, seed: int = 0, sample_bits: int = 6272) -> M
 
 
 def _views(values: np.ndarray, layout: ModelLayout):
+    """Weight and bias views of flat parameters (..., P), over any leading
+    model axes."""
+    lead = values.shape[:-1]
     if layout.kind == "logistic":
         d, c = layout.dims
-        w = values[: d * c].reshape(d, c)
-        b = values[d * c:]
+        w = values[..., : d * c].reshape(lead + (d, c))
+        b = values[..., d * c:]
         return w, b
     d, h, c = layout.dims
     o = 0
-    w1 = values[o:o + d * h].reshape(d, h); o += d * h
-    b1 = values[o:o + h]; o += h
-    w2 = values[o:o + h * c].reshape(h, c); o += h * c
-    b2 = values[o:]
+    w1 = values[..., o:o + d * h].reshape(lead + (d, h)); o += d * h
+    b1 = values[..., o:o + h]; o += h
+    w2 = values[..., o:o + h * c].reshape(lead + (h, c)); o += h * c
+    b2 = values[..., o:]
     return w1, b1, w2, b2
 
 
-def _softmax_ce(logits: np.ndarray, y: np.ndarray):
-    shifted = logits - logits.max(axis=1, keepdims=True)
+def _forward(params, X: np.ndarray):
+    """Logits and the MLP's hidden activations (None for logistic) of the
+    views `params` on features X (..., n, d)."""
+    if len(params) == 2:
+        w, b = params
+        return X @ w + b[..., None, :], None
+    w1, b1, w2, b2 = params
+    hidden = np.tanh(X @ w1 + b1[..., None, :])
+    return hidden @ w2 + b2[..., None, :], hidden
+
+
+def _softmax(logits: np.ndarray):
+    """Shifted logits, partition sums and probabilities over the last axis."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     expz = np.exp(shifted)
-    probs = expz / expz.sum(axis=1, keepdims=True)
-    logden = np.log(expz.sum(axis=1))
-    loss = float(np.mean(logden - shifted[np.arange(len(y)), y]))
-    return loss, probs
+    den = expz.sum(axis=-1, keepdims=True)
+    return shifted, den, expz / den
+
+
+def _label_index(y: np.ndarray):
+    """Index of each row's true-class entry in an (n, classes) or
+    (models, n, classes) array."""
+    if y.ndim == 1:
+        return np.arange(len(y)), y
+    return np.arange(y.shape[0])[:, None], np.arange(y.shape[1]), y
+
+
+def _mean_ce(shifted, den, label_index) -> float:
+    return float(np.mean(np.log(den[..., 0]) - shifted[label_index]))
+
+
+def _loss_grad(values, layout: ModelLayout, X, y, with_loss: bool):
+    """Mean cross-entropy gradient over any leading model axes: values
+    (..., P), X (..., n, d) and y (..., n) give a (..., P) gradient. The loss
+    is computed only when asked for, and only for one model (2-D X)."""
+    n = X.shape[-2]
+    params = _views(values, layout)
+    logits, hidden = _forward(params, X)
+    shifted, den, dz = _softmax(logits)
+    idx = _label_index(y)
+    loss = _mean_ce(shifted, den, idx) if with_loss else None
+    dz[idx] -= 1.0
+    dz /= n
+    Xt = np.swapaxes(X, -1, -2)
+    if layout.kind == "logistic":
+        parts = (Xt @ dz, dz.sum(axis=-2))
+    else:
+        w2 = params[2]
+        dh = (dz @ np.swapaxes(w2, -1, -2)) * (1.0 - hidden ** 2)
+        parts = (Xt @ dh, dh.sum(axis=-2), np.swapaxes(hidden, -1, -2) @ dz,
+                 dz.sum(axis=-2))
+    lead = values.shape[:-1]
+    return loss, np.concatenate([p.reshape(lead + (-1,)) for p in parts], axis=-1)
 
 
 def loss_and_grad(values: np.ndarray, layout: ModelLayout, X: np.ndarray, y: np.ndarray):
     """Mean cross-entropy and its flat gradient."""
-    n = X.shape[0]
-    if n == 0:
+    if X.shape[0] == 0:
         raise ValueError("empty batch")
-    if layout.kind == "logistic":
-        w, b = _views(values, layout)
-        logits = X @ w + b
-        loss, probs = _softmax_ce(logits, y)
-        dz = probs
-        dz[np.arange(n), y] -= 1.0
-        dz /= n
-        grad = np.concatenate([(X.T @ dz).ravel(), dz.sum(axis=0)])
-        return loss, grad
-    w1, b1, w2, b2 = _views(values, layout)
-    hidden = np.tanh(X @ w1 + b1)
-    logits = hidden @ w2 + b2
-    loss, probs = _softmax_ce(logits, y)
-    dz = probs
-    dz[np.arange(n), y] -= 1.0
-    dz /= n
-    dh = (dz @ w2.T) * (1.0 - hidden ** 2)
-    grad = np.concatenate([
-        (X.T @ dh).ravel(), dh.sum(axis=0), (hidden.T @ dz).ravel(), dz.sum(axis=0),
-    ])
-    return loss, grad
-
-
-def model_loss(model: ModelParams, X: np.ndarray, y: np.ndarray) -> float:
-    loss, _ = loss_and_grad(model.values, model.layout, X, y)
-    return loss
-
-
-def predict(model: ModelParams, X: np.ndarray) -> np.ndarray:
-    if model.layout.kind == "logistic":
-        w, b = _views(model.values, model.layout)
-        logits = X @ w + b
-    else:
-        w1, b1, w2, b2 = _views(model.values, model.layout)
-        logits = np.tanh(X @ w1 + b1) @ w2 + b2
-    return np.argmax(logits, axis=1)
+    return _loss_grad(values, layout, X, y, with_loss=True)
 
 
 def evaluate(model: ModelParams, test_set) -> tuple:
-    """Top-1 accuracy and mean loss on a sample set."""
+    """Top-1 accuracy and mean loss on a sample set, from one forward pass."""
     if len(test_set) == 0:
         raise ValueError("empty test set")
-    acc = float(np.mean(predict(model, test_set.features) == test_set.labels))
-    loss = model_loss(model, test_set.features, test_set.labels)
-    return acc, loss
+    y = test_set.labels
+    logits, _ = _forward(_views(model.values, model.layout), test_set.features)
+    acc = float(np.mean(np.argmax(logits, axis=1) == y))
+    shifted, den, _ = _softmax(logits)
+    return acc, _mean_ce(shifted, den, _label_index(y))
+
+
+def local_update_stack(values, layout: ModelLayout, sample_sets, config: TrainConfig,
+                       round_index: int, batch_sizes, streams) -> np.ndarray:
+    """Local updates of K models at once; returns their (K, P) parameters.
+
+    Row k of `values` trains on `sample_sets[k]` with batch size
+    `batch_sizes[k]`, shuffled by its own `default_rng([seed, round,
+    *streams[k]])` permutation. Default mode is one mini-batch pass with
+    momentum (plus an optional proximal pull toward the row's starting
+    point); single_step mode takes exactly one plain SGD step on one
+    sampled mini-batch.
+
+    At step t every model that still has a batch takes it, and the models
+    whose batches have the same length step as one (G, B, d) stack. A
+    ragged last batch thus divides by its own size, and every row comes out
+    bit for bit as a one-model update would leave it.
+    """
+    sizes = np.array([len(s) for s in sample_sets], dtype=np.int64)
+    if np.any(sizes == 0):
+        raise ValueError("local update on empty sample set")
+    bs = np.maximum(1, np.minimum(np.asarray(batch_sizes, dtype=np.int64), sizes))
+    steps = np.ones_like(sizes) if config.single_step else -(-sizes // bs)
+    # most steps first, so the models still stepping at t are a prefix; at a
+    # tie the longer last batch first, so equal lengths sit next to each other
+    order = np.lexsort((-(sizes - (steps - 1) * bs), -steps))
+    sizes, bs, steps = sizes[order], bs[order], steps[order]
+    feats = [sample_sets[k].features for k in order]
+    perms = [
+        np.random.default_rng([config.seed, round_index, *streams[k]]).permutation(n)
+        for k, n in zip(order, sizes)
+    ]
+    # the models' shuffles end to end, as row numbers and as labels; a batch
+    # is a run of these starting at first[k] + t * bs[k]
+    labels = np.concatenate([sample_sets[k].labels[p] for k, p in zip(order, perms)])
+    perm = np.concatenate(perms)
+    first = np.cumsum(sizes) - sizes
+    anchor = np.array(np.broadcast_to(values, (len(sizes), layout.param_count))[order],
+                      dtype=np.float64)
+    w = anchor.copy()
+    velocity = np.zeros_like(w)
+    eta = config.learning_rate(round_index)
+    dim = feats[0].shape[1]
+    for t in range(int(steps[0])):
+        m = int(np.count_nonzero(steps > t))
+        lengths = np.minimum(bs[:m], sizes[:m] - t * bs[:m])
+        for length in set(lengths.tolist()):
+            ks = np.flatnonzero(lengths == length)
+            rows = slice(ks[0], ks[-1] + 1) if ks[-1] - ks[0] + 1 == len(ks) else ks
+            at = (first[ks] + t * bs[ks])[:, None] + np.arange(length)
+            yb = labels[at]
+            picks = perm[at]
+            Xb = np.empty((len(ks), length, dim))
+            for i, k in enumerate(ks.tolist()):
+                feats[k].take(picks[i], axis=0, out=Xb[i])
+            _, g = _loss_grad(w[rows], layout, Xb, yb, with_loss=False)
+            finite = np.isfinite(g).all(axis=1)
+            if not finite.all():
+                i = int(np.argmin(finite))
+                loss, _ = _loss_grad(w[rows][i], layout, Xb[i], yb[i], with_loss=True)
+                raise FloatingPointError(
+                    f"non-finite gradient for model stream {tuple(streams[order[ks[i]]])} "
+                    f"at batch offset {t * bs[ks[i]]} (loss={loss})"
+                )
+            if config.prox_mu > 0.0:
+                g += config.prox_mu * (w[rows] - anchor[rows])
+            if config.single_step:
+                w[rows] -= eta * g
+            else:
+                velocity[rows] = config.momentum * velocity[rows] + g
+                w[rows] -= eta * velocity[rows]
+    out = np.empty_like(w)
+    out[order] = w
+    return out
 
 
 def local_update(
@@ -176,50 +270,12 @@ def local_update(
     batch_size: int | None = None,
     stream=(0,),
 ) -> ModelParams:
-    """One local update on a sample set.
-
-    Default mode is one shuffled mini-batch pass with momentum (plus an
-    optional proximal pull toward the round's starting point). single_step
-    mode takes exactly one plain SGD step on one sampled mini-batch.
-    """
-    n = len(samples)
-    if n == 0:
-        raise ValueError("local update on empty sample set")
+    """One local update on a sample set: the one-model case of
+    `local_update_stack`."""
     bs = batch_size if batch_size is not None else config.batch_size
-    bs = max(1, min(bs, n))
-    eta = config.learning_rate(round_index)
-    rng = np.random.default_rng([config.seed, round_index, *stream])
-    order = rng.permutation(n)
-    X = samples.features
-    y = samples.labels
-    anchor = model.values
-
-    if config.single_step:
-        batch = order[:bs]
-        loss, g = loss_and_grad(model.values, model.layout, X[batch], y[batch])
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError(
-                f"non-finite gradient in single-step update (loss={loss})"
-            )
-        if config.prox_mu > 0.0:
-            g = g + config.prox_mu * (model.values - anchor)
-        new_values = model.values - eta * g
-        return ModelParams(new_values, model.layout, model.footprint)
-
-    values = model.values.copy()
-    velocity = np.zeros_like(values)
-    for start in range(0, n, bs):
-        batch = order[start:start + bs]
-        loss, g = loss_and_grad(values, model.layout, X[batch], y[batch])
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError(
-                f"non-finite gradient at batch offset {start} (loss={loss})"
-            )
-        if config.prox_mu > 0.0:
-            g = g + config.prox_mu * (values - anchor)
-        velocity = config.momentum * velocity + g
-        values = values - eta * velocity
-    return ModelParams(values, model.layout, model.footprint)
+    values = local_update_stack(model.values, model.layout, [samples], config,
+                                round_index, [bs], [stream])
+    return ModelParams(values[0], model.layout, model.footprint)
 
 
 def intra_cluster_aggregate(sat_model, client_models, alphas, sizes) -> ModelParams:

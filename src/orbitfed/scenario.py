@@ -186,6 +186,9 @@ class Scenario:
     footprint: ModelFootprint
     seed: int = 0
     data_config: dict | None = None
+    # cluster id -> the cluster's offloaded samples, set by apply_offload; the
+    # members' offloaded sets are row slices of it, so the pool costs no copy
+    sat_pools: dict | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_client_by_id", {c.id: c for c in self.clients})
@@ -201,8 +204,8 @@ class Scenario:
         spec = self._cluster_by_id[cluster_id]
         return tuple(self._client_by_id[cid] for cid in spec.client_ids)
 
-    def with_clients(self, new_clients) -> "Scenario":
-        return replace(self, clients=tuple(new_clients))
+    def with_clients(self, new_clients, sat_pools=None) -> "Scenario":
+        return replace(self, clients=tuple(new_clients), sat_pools=sat_pools)
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +249,15 @@ def _nonnegative(value) -> bool:
     return math.isfinite(v) and v >= 0
 
 
+def _count(value, name: str, errors: list, fallback: int = 0) -> int:
+    """int() of a count field; NaN and inf are reported under the field's
+    name instead of escaping as a bare ValueError or OverflowError."""
+    if isinstance(value, float) and not math.isfinite(value):
+        errors.append(f"{name} must be finite")
+        return fallback
+    return int(value)
+
+
 def validate_scenario(spec: dict) -> Scenario:
     """Build an immutable Scenario from a parsed description.
 
@@ -256,9 +268,9 @@ def validate_scenario(spec: dict) -> Scenario:
         raise ScenarioError(["scenario description must be a mapping"])
 
     model_spec = spec.get("model", {})
-    param_count = int(model_spec.get("param_count", 100000))
-    bits_per_param = int(model_spec.get("bits_per_param", 32))
-    sample_bits = int(model_spec.get("sample_bits", 6272))
+    param_count = _count(model_spec.get("param_count", 100000), "model.param_count", errors, 1)
+    bits_per_param = _count(model_spec.get("bits_per_param", 32), "model.bits_per_param", errors, 1)
+    sample_bits = _count(model_spec.get("sample_bits", 6272), "model.sample_bits", errors, 1)
     if param_count <= 0:
         errors.append("model.param_count must be positive")
     if bits_per_param <= 0:
@@ -274,7 +286,7 @@ def validate_scenario(spec: dict) -> Scenario:
     # clients that omit dataset_size inherit the planned per-client count, so
     # cost and resource questions work before any data is materialized
     data_spec = spec.get("data") or {}
-    default_size = int(data_spec.get("samples_per_client", 0))
+    default_size = _count(data_spec.get("samples_per_client", 0), "data.samples_per_client", errors)
 
     clusters = []
     clients = []
@@ -376,7 +388,8 @@ def validate_scenario(spec: dict) -> Scenario:
             amax = float(cv["max_offload_fraction"])
             if not 0.0 <= amax <= 1.0:
                 errors.append(f"client {kid}: offload fraction out of range ({amax})")
-            if int(cv["dataset_size"]) < 0:
+            dataset_size = _count(cv["dataset_size"], f"client {kid}: dataset_size", errors)
+            if dataset_size < 0:
                 errors.append(f"client {kid}: dataset_size must be nonnegative")
             clients.append(ClientProfile(
                 id=kid,
@@ -386,7 +399,7 @@ def validate_scenario(spec: dict) -> Scenario:
                 tx_power_w=float(cv["tx_power_w"]),
                 max_offload_fraction=amax,
                 energy_budget_j=float(cv["energy_budget_j"]),
-                dataset_size=int(cv["dataset_size"]),
+                dataset_size=dataset_size,
             ))
 
         clusters.append(ClusterSpec(
@@ -563,8 +576,11 @@ def synthetic_dataset(
     means = mean_rng.standard_normal((n_classes, feature_dim)) * (class_scale / math.sqrt(feature_dim))
     labels = np.tile(np.arange(n_classes, dtype=np.int64), n_samples // n_classes + 1)[:n_samples]
     labels = labels[rng.permutation(n_samples)]
-    features = means[labels] + noise * rng.standard_normal((n_samples, feature_dim))
-    return SampleSet(features.astype(np.float64), labels, np.arange(n_samples, dtype=np.int64))
+    # built in place: one corpus-sized array instead of four at once
+    features = rng.standard_normal((n_samples, feature_dim))
+    features *= noise
+    features += means[labels]
+    return SampleSet(features, labels, np.arange(n_samples, dtype=np.int64))
 
 
 def load_idx(images_path, labels_path) -> SampleSet:
@@ -688,7 +704,7 @@ def apply_offload(scenario: Scenario, alpha) -> Scenario:
     """
     if not isinstance(alpha, dict):
         alpha = {p.id: a for p, a in zip(scenario.clients, alpha)}
-    new_clients = []
+    picks, retained = {}, {}
     for p in scenario.clients:
         a = float(alpha[p.id])
         if a < -1e-12 or a > p.max_offload_fraction + 1e-12:
@@ -698,35 +714,60 @@ def apply_offload(scenario: Scenario, alpha) -> Scenario:
         if p.dataset is None:
             raise ValueError(f"client {p.id}: no materialized dataset to offload from")
         n_off = round(a * p.dataset.size)
-        pool = p.dataset.nonsensitive
-        if n_off > len(pool):
+        nonsens = p.dataset.nonsensitive
+        if n_off > len(nonsens):
             raise ValueError(
-                f"client {p.id}: offload of {n_off} exceeds nonsensitive pool {len(pool)}"
+                f"client {p.id}: offload of {n_off} exceeds nonsensitive pool {len(nonsens)}"
             )
         rng = np.random.default_rng([scenario.seed, 11, p.id])
-        picks = np.sort(rng.choice(len(pool), size=n_off, replace=False)) if n_off else np.array([], dtype=np.int64)
-        mask = np.zeros(len(pool), dtype=bool)
-        mask[picks] = True
-        offloaded = pool.take(np.where(mask)[0])
-        kept_nonsens = pool.take(np.where(~mask)[0])
+        chosen = np.sort(rng.choice(len(nonsens), size=n_off, replace=False)) if n_off else np.array([], dtype=np.int64)
+        mask = np.zeros(len(nonsens), dtype=bool)
+        mask[chosen] = True
+        picks[p.id] = chosen
+        kept_nonsens = nonsens.take(np.where(~mask)[0])
         if len(p.dataset.sensitive) and len(kept_nonsens):
-            retained = concat_samples([p.dataset.sensitive, kept_nonsens])
+            retained[p.id] = concat_samples([p.dataset.sensitive, kept_nonsens])
         elif len(p.dataset.sensitive):
-            retained = p.dataset.sensitive
+            retained[p.id] = p.dataset.sensitive
         else:
-            retained = kept_nonsens
-        handle = DatasetHandle(
+            retained[p.id] = kept_nonsens
+
+    # each cluster's offloaded rows are gathered once, in member order, into
+    # the satellite pool; a member's offloaded set is its slice of the pool
+    offloaded, pools = {}, {}
+    for c in scenario.clusters:
+        members = scenario.cluster_clients(c.id)
+        total = sum(len(picks[p.id]) for p in members)
+        dim = members[0].dataset.nonsensitive.feature_dim
+        pool = SampleSet(np.empty((total, dim)), np.empty(total, dtype=np.int64),
+                         np.empty(total, dtype=np.int64))
+        o = 0
+        for p in members:
+            src, idx = p.dataset.nonsensitive, picks[p.id]
+            part = slice(o, o + len(idx))
+            np.take(src.features, idx, axis=0, out=pool.features[part])
+            np.take(src.labels, idx, out=pool.labels[part])
+            np.take(src.ids, idx, out=pool.ids[part])
+            offloaded[p.id] = SampleSet(pool.features[part], pool.labels[part], pool.ids[part])
+            o += len(idx)
+        pools[c.id] = pool
+
+    new_clients = [
+        replace(p, dataset=DatasetHandle(
             sensitive=p.dataset.sensitive,
             nonsensitive=p.dataset.nonsensitive,
-            offloaded=offloaded,
-            retained=retained,
-        )
-        new_clients.append(replace(p, dataset=handle))
-    return scenario.with_clients(new_clients)
+            offloaded=offloaded[p.id],
+            retained=retained[p.id],
+        ))
+        for p in scenario.clients
+    ]
+    return scenario.with_clients(new_clients, sat_pools=pools)
 
 
 def satellite_pool(scenario: Scenario, cluster_id: int) -> SampleSet:
     """Union of the cluster's offloaded sets (the satellite's training data)."""
+    if scenario.sat_pools is not None:
+        return scenario.sat_pools[cluster_id]
     parts = [
         p.dataset.offloaded
         for p in scenario.cluster_clients(cluster_id)

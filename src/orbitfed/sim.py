@@ -24,12 +24,13 @@ import numpy as np
 
 from . import cost
 from .fl import (
+    ModelParams,
     TrainConfig,
     evaluate,
     global_aggregate,
     init_model,
     intra_cluster_aggregate,
-    local_update,
+    local_update_stack,
 )
 from .scenario import satellite_pool
 
@@ -323,35 +324,52 @@ def _cluster_path(state, cluster, feed, path_start, events):
     return log, y_abs, finish
 
 
-def _learning_step(state, test_set):
-    """One protocol round of actual training on the attached datasets."""
-    scenario = state.scenario
-    decision = state.decision
-    config = state.config
-    r = state.round_index
-    cluster_models = []
+def protocol_round(scenario, model, config: TrainConfig, round_index: int, alpha,
+                   client_batch=None, sat_batch=None) -> ModelParams:
+    """One protocol round of training from the global `model`: every cluster
+    satellite that holds offloaded samples and every client take their local
+    update, all stepped as one stack; then intra-cluster and global
+    aggregation.
+
+    alpha maps client id to its aggregation fraction. A satellite trains
+    when its pool is nonempty and its aggregation weight sum(alpha_k |D_k|)
+    is positive. client_batch and sat_batch map client and cluster ids to
+    batch sizes; None means the config's.
+    """
+    sets, batches, streams, plan = [], [], [], []
     for cluster in scenario.clusters:
         members = scenario.cluster_clients(cluster.id)
         pool = satellite_pool(scenario, cluster.id)
-        alphas = [decision.alpha[p.id] for p in members]
+        alphas = [alpha[p.id] for p in members]
         sizes = [p.size for p in members]
-        sat_weight = sum(al * s for al, s in zip(alphas, sizes))
-        sat_model = None
-        if len(pool) > 0 and sat_weight > 0:
-            sat_model = local_update(
-                state.model, pool, config, r,
-                batch_size=config.sat_batch_size or config.batch_size,
-                stream=(1, cluster.id),
-            )
-        client_models = [
-            local_update(state.model, p.dataset.retained, config, r,
-                         stream=(2, p.id))
-            for p in members
-        ]
+        has_sat = len(pool) > 0 and sum(al * s for al, s in zip(alphas, sizes)) > 0
+        if has_sat:
+            sets.append(pool)
+            batches.append(sat_batch[cluster.id] if sat_batch is not None
+                           else config.sat_batch_size or config.batch_size)
+            streams.append((1, cluster.id))
+        for p in members:
+            sets.append(p.dataset.retained)
+            batches.append(client_batch[p.id] if client_batch is not None
+                           else config.batch_size)
+            streams.append((2, p.id))
+        plan.append((has_sat, len(members), alphas, sizes))
+    trained = iter(local_update_stack(model.values, model.layout, sets, config,
+                                      round_index, batches, streams))
+    cluster_models = []
+    for has_sat, n_members, alphas, sizes in plan:
+        sat_model = ModelParams(next(trained), model.layout, model.footprint) if has_sat else None
+        client_models = [ModelParams(next(trained), model.layout, model.footprint)
+                         for _ in range(n_members)]
         cluster_models.append(
-            intra_cluster_aggregate(sat_model, client_models, alphas, sizes)
-        )
-    state.model = global_aggregate(cluster_models)
+            intra_cluster_aggregate(sat_model, client_models, alphas, sizes))
+    return global_aggregate(cluster_models)
+
+
+def _learning_step(state, test_set):
+    """One protocol round of actual training on the attached datasets."""
+    state.model = protocol_round(state.scenario, state.model, state.config,
+                                 state.round_index, state.decision.alpha)
     if test_set is not None and len(test_set) > 0:
         return evaluate(state.model, test_set)
     return math.nan, math.nan

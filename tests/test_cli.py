@@ -267,6 +267,20 @@ class TestErrorReporting:
         assert rc == 1
         assert "no seeds" in json.loads(capsys.readouterr().err)["message"]
 
+    def test_internal_fault_is_one_json_line(self, spec_path, tmp_path, capsys, monkeypatch):
+        def diverge(plan):
+            raise FloatingPointError("non-finite gradient for model stream (2, 0)")
+        monkeypatch.setattr(orbitfed.cli, "run", diverge)
+        rc = main(["--mode", "simulate", "--scenario", str(spec_path),
+                   "--out", str(tmp_path / "run")])
+        assert rc != 0
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "internal"
+        assert err["kind"] == "FloatingPointError"
+        assert "(2, 0)" in err["message"]
+
 
 class TestConsoleScript:
     def test_installed_entry_point(self, spec_path, tmp_path):

@@ -13,6 +13,7 @@ from orbitfed.fl import (
     intra_cluster_aggregate,
     load_checkpoint,
     local_update,
+    local_update_stack,
     loss_and_grad,
     save_checkpoint,
 )
@@ -138,6 +139,80 @@ class TestLocalUpdate:
         c = local_update(model, data, cfg, 0, stream=(2, 6))
         assert np.array_equal(a.values, b.values)
         assert not np.array_equal(a.values, c.values)
+
+
+def looped_update(values, layout, samples, cfg, r, bs, stream):
+    """The one-model update written as a plain loop over loss_and_grad."""
+    n = len(samples)
+    bs = max(1, min(bs, n))
+    order = np.random.default_rng([cfg.seed, r, *stream]).permutation(n)
+    eta = cfg.learning_rate(r)
+    w, v = values.copy(), np.zeros_like(values)
+    starts = [0] if cfg.single_step else range(0, n, bs)
+    for start in starts:
+        batch = order[start:start + bs]
+        _, g = loss_and_grad(w, layout, samples.features[batch], samples.labels[batch])
+        g = g + cfg.prox_mu * (w - values) if cfg.prox_mu > 0.0 else g
+        if cfg.single_step:
+            w = w - eta * g
+        else:
+            v = cfg.momentum * v + g
+            w = w - eta * v
+    return w
+
+
+STACK_CONFIGS = {
+    "momentum": TrainConfig(eta0=0.1, seed=3),
+    "fedprox": TrainConfig(eta0=0.2, prox_mu=0.5, seed=4),
+    "single_step": TrainConfig(eta0=0.1, single_step=True, seed=5),
+    "single_step_prox": TrainConfig(eta0=0.1, single_step=True, prox_mu=0.3, seed=6,
+                                    lr_schedule="constant"),
+}
+
+
+class TestStackedUpdate:
+    # n = 1, n < batch, exact multiples and ragged last batches of one and
+    # of batch - 1 rows
+    SIZES = (1, 2, 5, 31, 32, 33, 64, 65, 100)
+
+    @pytest.mark.parametrize("layout", [LOGISTIC, MLP, ModelLayout("mlp", (7, 5, 3))],
+                             ids=["logistic", "mlp", "mlp_odd"])
+    @pytest.mark.parametrize("cfg", STACK_CONFIGS.values(), ids=STACK_CONFIGS.keys())
+    def test_matches_looped_updates_bit_for_bit(self, layout, cfg):
+        d, c = layout.dims[0], layout.n_classes
+        sets = [sample_set(n, d, c, seed=i) for i, n in enumerate(self.SIZES)]
+        sets.append(sample_set(150, d, c, seed=99))  # a satellite pool
+        batches = [32] * len(self.SIZES) + [17]
+        streams = [(2, i) for i in range(len(self.SIZES))] + [(1, 0)]
+        start = np.random.default_rng(1).uniform(-0.3, 0.3, (len(sets), layout.param_count))
+        stacked = local_update_stack(start, layout, sets, cfg, 2, batches, streams)
+        for k, samples in enumerate(sets):
+            ref = looped_update(start[k], layout, samples, cfg, 2, batches[k], streams[k])
+            assert np.array_equal(stacked[k], ref), (k, len(samples))
+
+    def test_shared_start_vector_broadcasts(self):
+        sets = [sample_set(n, 16, 10, seed=n) for n in (3, 40, 70)]
+        model = init_model(MLP, seed=2)
+        cfg = TrainConfig(eta0=0.1, seed=1)
+        streams = [(2, k) for k in range(3)]
+        stacked = local_update_stack(model.values, MLP, sets, cfg, 0, [32] * 3, streams)
+        for k, samples in enumerate(sets):
+            one = local_update(model, samples, cfg, 0, stream=streams[k])
+            assert np.array_equal(stacked[k], one.values)
+
+    def test_planted_nan_names_the_model_stream(self):
+        sets = [sample_set(n, 8, 4, seed=n) for n in (20, 45, 60)]
+        sets[2].features[37, 3] = np.nan
+        start = init_model(LOGISTIC).values
+        with pytest.raises(FloatingPointError, match=r"stream \(1, 7\)"):
+            local_update_stack(start, LOGISTIC, sets, TrainConfig(seed=0), 0,
+                               [16, 16, 16], [(2, 0), (2, 1), (1, 7)])
+
+    def test_empty_member_rejected(self):
+        sets = [sample_set(10, 8, 4), SampleSet.empty(8)]
+        with pytest.raises(ValueError, match="empty"):
+            local_update_stack(init_model(LOGISTIC).values, LOGISTIC, sets,
+                               TrainConfig(), 0, [4, 4], [(2, 0), (2, 1)])
 
 
 class TestIntraClusterAggregate:

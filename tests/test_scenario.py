@@ -85,6 +85,12 @@ NON_FINITE_CASES = [
     ("client", "energy_budget_j", math.inf),
     ("client", "tx_power_w", math.nan),
     ("isl_link", "pathloss", math.nan),
+    # counts that go through int(): inf used to escape as an OverflowError
+    ("client", "dataset_size", math.inf),
+    ("client", "dataset_size", math.nan),
+    ("model", "param_count", math.nan),
+    ("model", "bits_per_param", math.inf),
+    ("data", "samples_per_client", math.inf),
 ]
 
 
@@ -96,6 +102,8 @@ def spec_with(where, field, value):
         cluster[field] = value
     elif where == "client":
         cluster["clients"][1][field] = value
+    elif where in ("model", "data"):
+        spec.setdefault(where, {})[field] = value
     else:
         cluster["isl_link"] = {"bandwidth_hz": 1e6, "tx_power_w": 1.0,
                                "pathloss": 1e-9, "noise_density_w_per_hz": 4e-21}
