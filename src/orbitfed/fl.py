@@ -199,10 +199,10 @@ def local_update_stack(values, layout: ModelLayout, sample_sets, config: TrainCo
     point); single_step mode takes exactly one plain SGD step on one
     sampled mini-batch.
 
-    At step t every model that still has a batch takes it, and the models
-    whose batches have the same length step as one (G, B, d) stack. A
-    ragged last batch thus divides by its own size, and every row comes out
-    bit for bit as a one-model update would leave it.
+    At step t every model that still has a batch takes it, and each run of
+    neighbouring models whose batches have the same length steps as one
+    (G, B, d) stack. A ragged last batch thus divides by its own size, and
+    every row comes out bit for bit as a one-model update would leave it.
     """
     sizes = np.array([len(s) for s in sample_sets], dtype=np.int64)
     if np.any(sizes == 0):
@@ -210,7 +210,7 @@ def local_update_stack(values, layout: ModelLayout, sample_sets, config: TrainCo
     bs = np.maximum(1, np.minimum(np.asarray(batch_sizes, dtype=np.int64), sizes))
     steps = np.ones_like(sizes) if config.single_step else -(-sizes // bs)
     # most steps first, so the models still stepping at t are a prefix; at a
-    # tie the longer last batch first, so equal lengths sit next to each other
+    # tie the longer last batch first, so equal lengths tend to sit together
     order = np.lexsort((-(sizes - (steps - 1) * bs), -steps))
     sizes, bs, steps = sizes[order], bs[order], steps[order]
     feats = [sample_sets[k].features for k in order]
@@ -232,23 +232,24 @@ def local_update_stack(values, layout: ModelLayout, sample_sets, config: TrainCo
     for t in range(int(steps[0])):
         m = int(np.count_nonzero(steps > t))
         lengths = np.minimum(bs[:m], sizes[:m] - t * bs[:m])
-        for length in set(lengths.tolist()):
-            ks = np.flatnonzero(lengths == length)
-            rows = slice(ks[0], ks[-1] + 1) if ks[-1] - ks[0] + 1 == len(ks) else ks
-            at = (first[ks] + t * bs[ks])[:, None] + np.arange(length)
+        # each run of equal batch lengths steps as one stack
+        cuts = [0, *(np.flatnonzero(np.diff(lengths)) + 1).tolist(), m]
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            rows, length = slice(lo, hi), int(lengths[lo])
+            at = (first[rows] + t * bs[rows])[:, None] + np.arange(length)
             yb = labels[at]
             picks = perm[at]
-            Xb = np.empty((len(ks), length, dim))
-            for i, k in enumerate(ks.tolist()):
-                feats[k].take(picks[i], axis=0, out=Xb[i])
+            Xb = np.empty((hi - lo, length, dim))
+            for i in range(hi - lo):
+                feats[lo + i].take(picks[i], axis=0, out=Xb[i])
             _, g = _loss_grad(w[rows], layout, Xb, yb, with_loss=False)
             finite = np.isfinite(g).all(axis=1)
             if not finite.all():
                 i = int(np.argmin(finite))
-                loss, _ = _loss_grad(w[rows][i], layout, Xb[i], yb[i], with_loss=True)
+                loss, _ = _loss_grad(w[lo + i], layout, Xb[i], yb[i], with_loss=True)
                 raise FloatingPointError(
-                    f"non-finite gradient for model stream {tuple(streams[order[ks[i]]])} "
-                    f"at batch offset {t * bs[ks[i]]} (loss={loss})"
+                    f"non-finite gradient for model stream {tuple(streams[order[lo + i]])} "
+                    f"at batch offset {t * bs[lo + i]} (loss={loss})"
                 )
             if config.prox_mu > 0.0:
                 g += config.prox_mu * (w[rows] - anchor[rows])

@@ -768,17 +768,11 @@ def satellite_pool(scenario: Scenario, cluster_id: int) -> SampleSet:
     """Union of the cluster's offloaded sets (the satellite's training data)."""
     if scenario.sat_pools is not None:
         return scenario.sat_pools[cluster_id]
-    parts = [
-        p.dataset.offloaded
-        for p in scenario.cluster_clients(cluster_id)
-        if p.dataset is not None and len(p.dataset.offloaded) > 0
-    ]
-    if not parts:
-        for p in scenario.cluster_clients(cluster_id):
-            if p.dataset is not None:
-                return SampleSet.empty(p.dataset.retained.feature_dim)
-        raise ValueError(f"cluster {cluster_id}: no materialized datasets")
-    return concat_samples(parts)
+    # apply_offload has not run, so nothing is offloaded yet
+    for p in scenario.cluster_clients(cluster_id):
+        if p.dataset is not None:
+            return SampleSet.empty(p.dataset.retained.feature_dim)
+    raise ValueError(f"cluster {cluster_id}: no materialized datasets")
 
 
 def prepare_data(scenario: Scenario) -> tuple:
