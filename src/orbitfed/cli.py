@@ -195,8 +195,8 @@ def _prepare(raw: dict, seed: int):
     return prepare_data(scenario)
 
 
-def _simulate_leg(raw, plan, decision, seed, leg_dir: Path, train_raw):
-    scenario, test = _prepare(raw, seed)
+def _simulate_leg(prepared, plan, decision, seed, leg_dir: Path, train_raw):
+    scenario, test = prepared
     layout = _resolve_layout(scenario, test) if test is not None else None
     if layout is not None:
         scenario = apply_offload(scenario, decision.alpha)
@@ -220,24 +220,31 @@ def _simulate_leg(raw, plan, decision, seed, leg_dir: Path, train_raw):
     }
 
 
-def _run_series(raw, plan, series_name, baseline, alpha_fixed, out: Path, train_raw):
-    base_scenario, _ = _prepare(raw, plan.seeds[0])
-    decision, meta = _resolve_decision(base_scenario, baseline, alpha_fixed)
-    series_dir = out / series_name
-    series_dir.mkdir(parents=True, exist_ok=True)
-    breakdown = cost.round_latency(base_scenario, decision)
-    _write_json(series_dir / "decision.json", {
-        "baseline": baseline,
-        "alpha_fixed": alpha_fixed,
-        "tau_round_s": breakdown.tau_round_s,
-        "decision": decision.as_dict(),
-        **meta,
-    })
-    legs = []
+def _run_series(raw, plan, series, out: Path, train_raw):
+    """Solve each (name, baseline, alpha_fixed) series on the first seed's
+    data, then simulate every series on every seed. Each seed's data is
+    prepared once and shared by its legs."""
+    base = _prepare(raw, plan.seeds[0])
+    base_scenario = base[0]
+    decisions = []
+    for name, baseline, alpha_fixed in series:
+        decision, meta = _resolve_decision(base_scenario, baseline, alpha_fixed)
+        (out / name).mkdir(parents=True, exist_ok=True)
+        _write_json(out / name / "decision.json", {
+            "baseline": baseline,
+            "alpha_fixed": alpha_fixed,
+            "tau_round_s": cost.round_latency(base_scenario, decision).tau_round_s,
+            "decision": decision.as_dict(),
+            **meta,
+        })
+        decisions.append((name, decision))
+    rows = []
     for seed in plan.seeds:
-        legs.append(_simulate_leg(
-            raw, plan, decision, seed, series_dir / f"seed{seed}", train_raw))
-    rows = [{"series": series_name, **leg} for leg in legs]
+        prepared = base if seed == plan.seeds[0] else _prepare(raw, seed)
+        for name, decision in decisions:
+            leg = _simulate_leg(prepared, plan, decision, seed,
+                                out / name / f"seed{seed}", train_raw)
+            rows.append({"series": name, **leg})
     return rows
 
 
@@ -292,15 +299,13 @@ def _mode_simulate(raw, plan, out: Path, train_raw):
         "fixed_ratio": f"alpha_{plan.alpha_fixed:g}" if plan.alpha_fixed is not None else "alpha_fixed",
         "optimized": "optimized",
     }[plan.baseline]
-    rows = _run_series(raw, plan, name, plan.baseline, plan.alpha_fixed, out, train_raw)
+    rows = _run_series(raw, plan, [(name, plan.baseline, plan.alpha_fixed)], out, train_raw)
     _write_json(out / "summary.json", _series_summary(rows, plan.target_acc))
     print(f"wrote {out / 'summary.json'} ({len(rows)} legs)")
 
 
 def _mode_sweep(raw, plan, out: Path, train_raw):
-    rows = []
-    for name, baseline, af in SWEEP_SERIES:
-        rows.extend(_run_series(raw, plan, name, baseline, af, out, train_raw))
+    rows = _run_series(raw, plan, SWEEP_SERIES, out, train_raw)
     rows.sort(key=lambda r: (r["series"], r["seed"]))
     _write_json(out / "summary.json", _series_summary(rows, plan.target_acc))
     print(f"wrote {out / 'summary.json'} ({len(rows)} legs)")

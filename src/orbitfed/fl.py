@@ -10,7 +10,8 @@ aggregation and an unweighted global mean.
 The forward and backward passes are written once, over optional leading
 model axes, so one call can step a whole stack of models: a round's local
 updates run as one `local_update_stack`, of which `local_update` is the
-one-model case.
+one-model case. They work class-major, with logits (..., classes, rows), so
+the softmax reduces along contiguous rows.
 """
 
 from __future__ import annotations
@@ -116,34 +117,48 @@ def _views(values: np.ndarray, layout: ModelLayout):
 
 
 def _forward(params, X: np.ndarray):
-    """Logits and the MLP's hidden activations (None for logistic) of the
-    views `params` on features X (..., n, d)."""
+    """Class-major logits (..., classes, n) and the MLP's hidden activations
+    (..., hidden, n), None for logistic, of the views `params` on features X
+    (..., n, d): each layer is wᵀ @ Xᵀ, so that the softmax's reductions run
+    along contiguous rows."""
+    Xt = np.swapaxes(X, -1, -2)
     if len(params) == 2:
         w, b = params
-        return X @ w + b[..., None, :], None
+        logits = np.swapaxes(w, -1, -2) @ Xt
+        logits += b[..., None]
+        return logits, None
     w1, b1, w2, b2 = params
-    hidden = np.tanh(X @ w1 + b1[..., None, :])
-    return hidden @ w2 + b2[..., None, :], hidden
+    hidden = np.swapaxes(w1, -1, -2) @ Xt
+    hidden += b1[..., None]
+    np.tanh(hidden, out=hidden)
+    logits = np.swapaxes(w2, -1, -2) @ hidden
+    logits += b2[..., None]
+    return logits, hidden
 
 
-def _softmax(logits: np.ndarray):
-    """Shifted logits, partition sums and probabilities over the last axis."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    expz = np.exp(shifted)
-    den = expz.sum(axis=-1, keepdims=True)
-    return shifted, den, expz / den
+def _softmax(logits: np.ndarray, label_index=None):
+    """Turn class-major logits (..., classes, n) into probabilities in place.
+
+    Returns the partition sums (..., 1, n) of the shifted logits and, when
+    `label_index` is given, the shifted logits of the true classes, taken
+    before the exp overwrites them."""
+    logits -= logits.max(axis=-2, keepdims=True)
+    true = logits[label_index] if label_index is not None else None
+    np.exp(logits, out=logits)
+    den = logits.sum(axis=-2, keepdims=True)
+    logits /= den
+    return den, true
 
 
 def _label_index(y: np.ndarray):
-    """Index of each row's true-class entry in an (n, classes) or
-    (models, n, classes) array."""
-    if y.ndim == 1:
-        return np.arange(len(y)), y
-    return np.arange(y.shape[0])[:, None], np.arange(y.shape[1]), y
+    """Index of each row's true-class entry in a class-major (..., classes, n)
+    array, for labels y (..., n)."""
+    grids = np.ix_(*(np.arange(s) for s in y.shape))
+    return (*grids[:-1], y, grids[-1])
 
 
-def _mean_ce(shifted, den, label_index) -> float:
-    return float(np.mean(np.log(den[..., 0]) - shifted[label_index]))
+def _mean_ce(den, true) -> float:
+    return float(np.mean(np.log(den[..., 0, :]) - true))
 
 
 def _loss_grad(values, layout: ModelLayout, X, y, with_loss: bool):
@@ -152,22 +167,33 @@ def _loss_grad(values, layout: ModelLayout, X, y, with_loss: bool):
     is computed only when asked for, and only for one model (2-D X)."""
     n = X.shape[-2]
     params = _views(values, layout)
-    logits, hidden = _forward(params, X)
-    shifted, den, dz = _softmax(logits)
+    # the logits become the probabilities, then dz, in place
+    dz, hidden = _forward(params, X)
     idx = _label_index(y)
-    loss = _mean_ce(shifted, den, idx) if with_loss else None
+    den, true = _softmax(dz, idx if with_loss else None)
+    loss = _mean_ce(den, true) if with_loss else None
     dz[idx] -= 1.0
     dz /= n
-    Xt = np.swapaxes(X, -1, -2)
-    if layout.kind == "logistic":
-        parts = (Xt @ dz, dz.sum(axis=-2))
-    else:
-        w2 = params[2]
-        dh = (dz @ np.swapaxes(w2, -1, -2)) * (1.0 - hidden ** 2)
-        parts = (Xt @ dh, dh.sum(axis=-2), np.swapaxes(hidden, -1, -2) @ dz,
-                 dz.sum(axis=-2))
     lead = values.shape[:-1]
-    return loss, np.concatenate([p.reshape(lead + (-1,)) for p in parts], axis=-1)
+    g = np.empty(lead + (layout.param_count,))
+    dzt = np.swapaxes(dz, -1, -2)
+    if layout.kind == "logistic":
+        d, c = layout.dims
+        np.matmul(np.swapaxes(X, -1, -2), dzt, out=g[..., :d * c].reshape(lead + (d, c)))
+        dz.sum(axis=-1, out=g[..., d * c:])
+        return loss, g
+    d, h, c = layout.dims
+    o = d * h + h
+    np.matmul(hidden, dzt, out=g[..., o:o + h * c].reshape(lead + (h, c)))
+    dz.sum(axis=-1, out=g[..., o + h * c:])
+    dh = params[2] @ dz
+    hidden *= hidden
+    np.subtract(1.0, hidden, out=hidden)
+    dh *= hidden
+    np.matmul(np.swapaxes(X, -1, -2), np.swapaxes(dh, -1, -2),
+              out=g[..., :d * h].reshape(lead + (d, h)))
+    dh.sum(axis=-1, out=g[..., d * h:o])
+    return loss, g
 
 
 def loss_and_grad(values: np.ndarray, layout: ModelLayout, X: np.ndarray, y: np.ndarray):
@@ -177,15 +203,21 @@ def loss_and_grad(values: np.ndarray, layout: ModelLayout, X: np.ndarray, y: np.
     return _loss_grad(values, layout, X, y, with_loss=True)
 
 
+def gradient(values: np.ndarray, layout: ModelLayout, X: np.ndarray, y: np.ndarray):
+    """Mean cross-entropy gradient alone, over any leading model axes:
+    values (..., P), X (..., n, d) and y (..., n) give (..., P)."""
+    return _loss_grad(values, layout, X, y, with_loss=False)[1]
+
+
 def evaluate(model: ModelParams, test_set) -> tuple:
     """Top-1 accuracy and mean loss on a sample set, from one forward pass."""
     if len(test_set) == 0:
         raise ValueError("empty test set")
     y = test_set.labels
     logits, _ = _forward(_views(model.values, model.layout), test_set.features)
-    acc = float(np.mean(np.argmax(logits, axis=1) == y))
-    shifted, den, _ = _softmax(logits)
-    return acc, _mean_ce(shifted, den, _label_index(y))
+    acc = float(np.mean(np.argmax(logits, axis=0) == y))
+    den, true = _softmax(logits, _label_index(y))
+    return acc, _mean_ce(den, true)
 
 
 def local_update_stack(values, layout: ModelLayout, sample_sets, config: TrainConfig,
@@ -242,7 +274,7 @@ def local_update_stack(values, layout: ModelLayout, sample_sets, config: TrainCo
             Xb = np.empty((hi - lo, length, dim))
             for i in range(hi - lo):
                 feats[lo + i].take(picks[i], axis=0, out=Xb[i])
-            _, g = _loss_grad(w[rows], layout, Xb, yb, with_loss=False)
+            g = gradient(w[rows], layout, Xb, yb)
             finite = np.isfinite(g).all(axis=1)
             if not finite.all():
                 i = int(np.argmin(finite))

@@ -280,7 +280,10 @@ def validate_scenario(spec: dict) -> Scenario:
     footprint = ModelFootprint(max(param_count, 1), max(bits_per_param, 1), max(sample_bits, 1))
 
     raw_clusters = spec.get("clusters", [])
-    if not raw_clusters:
+    if not isinstance(raw_clusters, list):
+        errors.append("clusters must be a list")
+        raw_clusters = []
+    elif not raw_clusters:
         errors.append("scenario has no clusters")
 
     # clients that omit dataset_size inherit the planned per-client count, so
@@ -293,6 +296,9 @@ def validate_scenario(spec: dict) -> Scenario:
     seen_clients = set()
     seen_clusters = set()
     for ci, raw in enumerate(raw_clusters):
+        if not isinstance(raw, dict):
+            errors.append(f"clusters[{ci}] must be an object")
+            continue
         cid = int(raw.get("id", ci))
         if cid in seen_clusters:
             errors.append(f"duplicate cluster id {cid}")
@@ -364,10 +370,16 @@ def validate_scenario(spec: dict) -> Scenario:
             errors.append(f"cluster {cid}: max_offload_samples must be nonnegative")
 
         raw_members = raw.get("clients", [])
-        if not raw_members:
+        if not isinstance(raw_members, list):
+            errors.append(f"cluster {cid}: clients must be a list")
+            raw_members = []
+        elif not raw_members:
             errors.append(f"empty cluster {cid}")
         member_ids = []
         for ki, rk in enumerate(raw_members):
+            if not isinstance(rk, dict):
+                errors.append(f"cluster {cid}: clients[{ki}] must be an object")
+                continue
             kid = int(rk.get("id", len(clients)))
             if kid in seen_clients:
                 errors.append(f"duplicate client id {kid}")

@@ -7,15 +7,17 @@ import numpy as np
 import pytest
 
 from orbitfed.analysis import (
+    WEIGHT_SCALE,
     BoundInputs,
     build_bound_inputs,
+    certified_smoothness,
     convergence_bound,
     estimate_smoothness_and_rho,
     omega,
     sample_variance,
     verify_bound_empirically,
 )
-from orbitfed.fl import ModelLayout
+from orbitfed.fl import ModelLayout, loss_and_grad
 from orbitfed.scenario import (
     SampleSet,
     apply_offload,
@@ -192,6 +194,72 @@ class TestEstimation:
         assert rho_b == pytest.approx(rho_a, rel=0.05)
 
 
+def per_pair_estimate(layout, samples, trials, seed=0):
+    """The estimate one pair at a time, as the plain reference for the
+    blocked one: same draws, same skips, one gradient per call."""
+    grad = lambda w, xx, yy: loss_and_grad(w, layout, xx, yy)[1]
+    x, y = samples.features, samples.labels
+    rng = np.random.default_rng([seed, 23])
+    n_pairs = max(1, trials // 2)
+    l_hat = 0.0
+    for _ in range(n_pairs):
+        w = rng.normal(0.0, WEIGHT_SCALE, layout.param_count)
+        v = rng.normal(0.0, WEIGHT_SCALE, layout.param_count)
+        d = float(np.linalg.norm(w - v))
+        if d > 0.0:
+            l_hat = max(l_hat, float(np.linalg.norm(grad(w, x, y) - grad(v, x, y))) / d)
+    rho_hat = 0.0
+    for _ in range(n_pairs):
+        w = rng.normal(0.0, WEIGHT_SCALE, layout.param_count)
+        i, j = rng.integers(0, len(x), size=2)
+        d = float(np.linalg.norm(x[i] - x[j]))
+        if d > 0.0:
+            gi = grad(w, x[i:i + 1], y[i:i + 1])
+            gj = grad(w, x[j:j + 1], y[j:j + 1])
+            rho_hat = max(rho_hat, float(np.linalg.norm(gi - gj)) / d)
+    return l_hat, rho_hat
+
+
+def with_duplicate_row(samples):
+    # the last row repeats the first, so some sample pairs are zero apart
+    return concat_samples([samples, samples.take([0])])
+
+
+class TestBlockedEstimate:
+    @pytest.mark.parametrize("layout", [ModelLayout("mlp", (5, 4, 3)),
+                                        ModelLayout("logistic", (5, 3))], ids=["mlp", "logistic"])
+    @pytest.mark.parametrize("trials", [1, 2, 3, 33, 4000])
+    def test_matches_per_pair_reference(self, layout, trials):
+        data = with_duplicate_row(synthetic_dataset(6, n_classes=3, feature_dim=5, seed=2))
+        got = estimate_smoothness_and_rho(layout, data, trials=trials, seed=7)
+        want = per_pair_estimate(layout, data, trials, seed=7)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_identical_rows_give_zero_rho(self):
+        layout = ModelLayout("logistic", (5, 3))
+        one = synthetic_dataset(1, n_classes=3, feature_dim=5, seed=2)
+        l_hat, rho_hat = estimate_smoothness_and_rho(layout, concat_samples([one, one]), trials=40)
+        assert l_hat > 0.0
+        assert rho_hat == 0.0
+
+
+class TestCertifiedSmoothness:
+    def test_empirical_never_exceeds_certified(self):
+        rng = np.random.default_rng(31)
+        for _ in range(12):
+            n, dim, classes = (int(v) for v in rng.integers((2, 1, 2), (40, 7, 6)))
+            data = SampleSet(rng.normal(0.0, float(rng.uniform(0.1, 3.0)), (n, dim)),
+                             rng.integers(0, classes, n), np.arange(n))
+            layout = ModelLayout("logistic", (dim, classes))
+            l_hat, _ = estimate_smoothness_and_rho(layout, data, trials=400,
+                                                   seed=int(rng.integers(0, 1000)))
+            assert 0.0 < l_hat <= certified_smoothness(layout, data)
+
+    def test_none_for_mlp(self):
+        data = synthetic_dataset(10, n_classes=3, feature_dim=4, seed=0)
+        assert certified_smoothness(ModelLayout("mlp", (4, 3, 3)), data) is None
+
+
 class TestBoundInputsFromScenario:
     def test_pools_track_offload(self):
         sc = offloaded_scenario(alpha=0.25, samples=80)
@@ -217,6 +285,7 @@ class TestVerifyBound:
         assert rep["min_margin"] > 0
         assert rep["bound_mean"] > rep["lhs_mean"]
         assert rep["certified"] is False
+        assert 0.0 < rep["smoothness"] <= rep["smoothness_certified"]
 
     def test_single_round_holds(self):
         sc = offloaded_scenario(seed=2)

@@ -192,6 +192,7 @@ class TestAnalyzeMode:
         assert rep["omega"] == 0.0  # full batches by default
         assert set(rep["v_client"]) == {"0", "1", "2"}
         assert "decision" in rep and "v_sat" in rep
+        assert "smoothness_certified" in rep
 
 
 def write_metrics(path, rows):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orbitfed.fl import (
     ModelLayout,
@@ -9,6 +10,7 @@ from orbitfed.fl import (
     TrainConfig,
     evaluate,
     global_aggregate,
+    gradient,
     init_model,
     intra_cluster_aggregate,
     load_checkpoint,
@@ -84,6 +86,67 @@ class TestGradients:
         implied = (model.values - out.values) / 0.05
         _, g = loss_and_grad(model.values, LOGISTIC, data.features, data.labels)
         assert np.allclose(implied, g, rtol=1e-10, atol=1e-12)
+
+
+def rowmajor_loss_grad(values, layout, X, y):
+    """One model's mean cross-entropy, gradient and shifted logits, written
+    row-major (logits (n, classes)) as the plain reference for the kernel."""
+    n = len(y)
+    if layout.kind == "logistic":
+        d, c = layout.dims
+        w, b = values[:d * c].reshape(d, c), values[d * c:]
+        z = X @ w + b
+    else:
+        d, h, c = layout.dims
+        w1 = values[:d * h].reshape(d, h)
+        b1 = values[d * h:d * h + h]
+        w2 = values[d * h + h:d * h + h + h * c].reshape(h, c)
+        b2 = values[d * h + h + h * c:]
+        a = np.tanh(X @ w1 + b1)
+        z = a @ w2 + b2
+    z = z - z.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    loss = np.mean(np.log(e.sum(axis=1)) - z[np.arange(n), y])
+    dz = e / e.sum(axis=1, keepdims=True)
+    dz[np.arange(n), y] -= 1.0
+    dz /= n
+    if layout.kind == "logistic":
+        parts = [X.T @ dz, dz.sum(axis=0)]
+    else:
+        dh = (dz @ w2.T) * (1.0 - a ** 2)
+        parts = [X.T @ dh, dh.sum(axis=0), a.T @ dz, dz.sum(axis=0)]
+    return loss, np.concatenate([p.ravel() for p in parts]), z
+
+
+def assert_rel(got, want, tol=1e-12):
+    assert np.linalg.norm(np.asarray(got) - want) <= tol * np.linalg.norm(want), (got, want)
+
+
+class TestClassMajorKernel:
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(kind=st.sampled_from(["logistic", "mlp"]), rows=st.integers(1, 40),
+           classes=st.integers(2, 7), dim=st.integers(1, 6), hidden=st.integers(1, 6),
+           lead=st.lists(st.integers(1, 3), max_size=2), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_rowmajor_reference(self, kind, rows, classes, dim, hidden, lead, seed):
+        dims = (dim, classes) if kind == "logistic" else (dim, hidden, classes)
+        layout = ModelLayout(kind, dims)
+        rng = np.random.default_rng(seed)
+        lead = tuple(lead)
+        values = rng.normal(0.0, 1.0, lead + (layout.param_count,))
+        X = rng.normal(0.0, 2.0, lead + (rows, dim))
+        y = rng.integers(0, classes, lead + (rows,))
+        g = gradient(values, layout, X, y)
+        assert g.shape == values.shape
+        for i in np.ndindex(*lead):
+            want_loss, want_grad, z = rowmajor_loss_grad(values[i], layout, X[i], y[i])
+            assert_rel(g[i], want_grad)
+            loss, g1 = loss_and_grad(values[i], layout, X[i], y[i])
+            assert_rel(g1, want_grad)
+            assert_rel(loss, want_loss)
+            acc, ev_loss = evaluate(ModelParams(values[i], layout, init_model(layout).footprint),
+                                    SampleSet(X[i], y[i], np.arange(rows)))
+            assert_rel(ev_loss, want_loss)
+            assert acc == np.mean(np.argmax(z, axis=1) == y[i])
 
 
 class TestLocalUpdate:

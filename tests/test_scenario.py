@@ -140,6 +140,53 @@ class TestNonFiniteRejected:
         assert sc.clusters[0].max_offload_samples == math.inf
 
 
+# each case breaks the JSON shape of one part of a valid two-client spec;
+# the error must name that part
+SHAPE_CASES = {
+    "cluster_entry_not_object": "clusters[1]",
+    "clusters_not_list": "clusters must be a list",
+    "clients_string": "clients must be a list",
+    "clients_object": "clients must be a list",
+    "client_entry_not_object": "clients[1]",
+}
+
+
+def misshapen_spec(case):
+    spec = scenario_dict([cluster_dict(0, [client_dict(0, 2e8, 100), client_dict(1, 3e8, 100)])])
+    cluster = spec["clusters"][0]
+    if case == "cluster_entry_not_object":
+        spec["clusters"].append([1, 2])
+    elif case == "clusters_not_list":
+        spec["clusters"] = {"0": cluster}
+    elif case == "clients_string":
+        cluster["clients"] = "0,1"
+    elif case == "clients_object":
+        cluster["clients"] = {"0": {}}
+    else:
+        cluster["clients"][1] = 7
+    return spec
+
+
+class TestMisshapenRejected:
+    @pytest.mark.parametrize("case", sorted(SHAPE_CASES))
+    def test_validate_names_the_field(self, case):
+        with pytest.raises(ScenarioError) as err:
+            validate_scenario(misshapen_spec(case))
+        assert any(SHAPE_CASES[case] in e for e in err.value.errors), err.value.errors
+
+    @pytest.mark.parametrize("case", sorted(SHAPE_CASES))
+    def test_cli_reports_one_json_line(self, case, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(misshapen_spec(case)))
+        rc = main(["--mode", "optimize", "--scenario", str(path), "--out", str(tmp_path / "run")])
+        assert rc == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ScenarioError"
+        assert any(SHAPE_CASES[case] in e for e in err["details"]), err["details"]
+
+
 def corpus(n, labels=None, dim=4, seed=0):
     rng = np.random.default_rng(seed)
     y = np.zeros(n, dtype=np.int64) if labels is None else np.asarray(labels, dtype=np.int64)
