@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import mmap
 import struct
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -588,10 +589,18 @@ def synthetic_dataset(
     means = mean_rng.standard_normal((n_classes, feature_dim)) * (class_scale / math.sqrt(feature_dim))
     labels = np.tile(np.arange(n_classes, dtype=np.int64), n_samples // n_classes + 1)[:n_samples]
     labels = labels[rng.permutation(n_samples)]
-    # built in place: one corpus-sized array instead of four at once
-    features = rng.standard_normal((n_samples, feature_dim))
+    # Drawn into an anonymous mapping of its own and shifted by the class
+    # means in 128 KiB row blocks, so no corpus-sized block passes through the
+    # heap. A process that prepares data command after command then keeps a
+    # steady peak RSS: a freed heap block the next corpus cannot reuse leaves
+    # it one corpus higher, by heap layout alone.
+    buf = mmap.mmap(-1, n_samples * feature_dim * 8)
+    features = np.frombuffer(buf, dtype=np.float64).reshape(n_samples, feature_dim)
+    rng.standard_normal(out=features)
     features *= noise
-    features += means[labels]
+    step = max(1, 16384 // feature_dim)
+    for lo in range(0, n_samples, step):
+        features[lo:lo + step] += means[labels[lo:lo + step]]
     return SampleSet(features, labels, np.arange(n_samples, dtype=np.int64))
 
 

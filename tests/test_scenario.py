@@ -3,6 +3,7 @@ coverage schedules."""
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -220,6 +221,28 @@ class TestPartition:
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
             partition_dataset(corpus(3), 2, mode="shard_noniid", shards_per_client=2)
+
+
+class TestSyntheticDataset:
+    def test_matches_mixture_formula(self):
+        # noise * N(0, I) plus the row's class mean, from the same draws
+        data = synthetic_dataset(997, n_classes=13, feature_dim=5, noise=1.2, seed=3)
+        mean_rng, rng = np.random.default_rng(3), np.random.default_rng(3)
+        means = mean_rng.standard_normal((13, 5)) * (3.0 / math.sqrt(5))
+        labels = np.tile(np.arange(13), 997 // 13 + 1)[:997][rng.permutation(997)]
+        expect = rng.standard_normal((997, 5)) * 1.2 + means[labels]
+        assert (data.labels == labels).all()
+        assert data.features.tobytes() == expect.tobytes()
+
+    def test_no_corpus_sized_temporary(self):
+        tracemalloc.start()
+        try:
+            data = synthetic_dataset(20000, n_classes=10, feature_dim=16, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the corpus itself lives in its own mapping, outside tracemalloc
+        assert peak < 0.5 * data.features.nbytes
 
 
 def attached_scenario(sizes=(1000, 1000), sensitive_fraction=0.2, seed=0):
