@@ -91,9 +91,9 @@ def _write_metrics(path: Path, metrics):
 
 
 def _write_timeline(path: Path, events):
+    encode = json.JSONEncoder(sort_keys=True).encode  # json.dumps(e, sort_keys=True)
     with open(path, "w") as fh:
-        for e in events:
-            fh.write(json.dumps(e, sort_keys=True) + "\n")
+        fh.writelines(encode(e) + "\n" for e in events)
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +389,7 @@ def run(plan: ExperimentPlan) -> int:
     with open(plan.scenario_path) as fh:
         raw = json.load(fh)
     scenario = validate_scenario(raw)
-    train_raw = raw.get("train", {})
+    train_raw = raw.get("train") or {}
     _write_json(out / "manifest.json", {
         "version": __version__,
         "plan": {**asdict(plan), "seeds": list(plan.seeds)},
@@ -477,6 +477,9 @@ def main(argv=None) -> int:
         report = {"error": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, ScenarioError):
             report["details"] = exc.errors
+        if isinstance(exc, InfeasibleError) and exc.slack is not None:
+            slack = float(exc.slack)
+            report["slack"] = slack if math.isfinite(slack) else None
         print(json.dumps(report, sort_keys=True), file=sys.stderr)
         return 1
     except Exception as exc:  # a fault in orbitfed itself: still one JSON line

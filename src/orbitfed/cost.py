@@ -32,7 +32,7 @@ class ModelFootprint:
 
     param_count: int
     bits_per_param: int = 32
-    sample_bits: int = 6272  # one 28x28 8-bit image by default
+    sample_bits: float = 6272  # one 28x28 8-bit image by default
 
     @property
     def state_bits(self) -> float:

@@ -5,7 +5,8 @@ by three coupled blocks, each solved exactly given the others:
 
   - offload fractions: an outer bisection balances the client path against
     the satellite path in total offloaded samples A_j, with an inner min-max
-    equalization distributing A_j across clients;
+    equalization distributing A_j across clients in closed form
+    (water-filling);
   - satellite frequency: the battery-constrained maximum, found by bisection
     when the work fits one coverage window and in closed form otherwise;
   - bandwidth: per-client floors from the energy budget, then bisection on
@@ -284,6 +285,13 @@ class _Ctx:
         return np.clip(lo, 0.0, self.alpha_max)
 
 
+def _contexts(scenario) -> list:
+    """One working context per cluster, in scenario order. A caller that runs
+    several blocks on one scenario builds them once and passes them to each
+    block as `ctxs`; a block called without them builds its own."""
+    return [_Ctx(scenario, cluster) for cluster in scenario.clusters]
+
+
 # ---------------------------------------------------------------------------
 # satellite frequency block (battery-limited maximum)
 
@@ -375,13 +383,12 @@ def battery_freq_closed_form(e_orig, e_trans, coverage_s, tau_trans_s,
     return min(f_max, (num / (kappa * (coverage_s - tau_trans_s))) ** (1.0 / 3.0))
 
 
-def solve_freq(scenario, alpha) -> dict:
+def solve_freq(scenario, alpha, ctxs=None) -> dict:
     """Per-cluster battery-feasible frequency for a fixed offload vector."""
     out = {}
-    for cluster in scenario.clusters:
-        ctx = _Ctx(scenario, cluster)
+    for ctx in ctxs or _contexts(scenario):
         a = float(sum(alpha[p.id] * p.size for p in ctx.profiles))
-        out[cluster.id] = _best_freq(ctx, a)
+        out[ctx.cluster.id] = _best_freq(ctx, a)
     return out
 
 
@@ -391,39 +398,36 @@ def solve_freq(scenario, alpha) -> dict:
 
 def _equalize_local(ctx: _Ctx, a: float, lo: np.ndarray) -> np.ndarray:
     """Distribute offload mass a, at least lo per client, to minimize the
-    worst client compute time."""
-    full = ctx.cycles * ctx.sizes / ctx.freqs  # tau_local at alpha = 0
+    worst client compute time.
 
-    def need(nu):
-        req = np.clip(1.0 - nu * ctx.freqs * ctx.inv_work, lo, ctx.alpha_max)
-        return float(np.sum(req * ctx.sizes))
-
-    hi = float(np.max(full))
-    r = bisect(lambda nu: need(nu) - a, 0.0, hi)
-    nu = r.hi  # feasible side: need(nu) <= a
-    alpha = np.clip(1.0 - nu * ctx.freqs * ctx.inv_work, lo, ctx.alpha_max)
-    return _fix_sum(ctx, alpha, a, lo)
-
-
-def _fix_sum(ctx: _Ctx, alpha: np.ndarray, a: float, lo: np.ndarray) -> np.ndarray:
-    """Nudge the profile so sum(alpha * size) hits a exactly, spreading the
-    residual in proportion to each client's remaining room."""
-    alpha = alpha.copy()
-    for _ in range(3):  # clipping can strand a residual sliver; re-spread
-        resid = a - float(np.sum(alpha * ctx.sizes))
-        if abs(resid) <= 1e-12 * max(1.0, a):
-            break
-        if resid < 0:
-            room = np.maximum(alpha - lo, 0.0) * ctx.sizes
-        else:
-            room = np.maximum(ctx.alpha_max - alpha, 0.0) * ctx.sizes
-        total = float(np.sum(room))
-        if total <= 0:
-            break
-        share = np.minimum(room, room * (abs(resid) / total))
-        bump = np.divide(share, ctx.sizes, out=np.zeros_like(share),
-                         where=ctx.sizes > 0)
-        alpha = np.clip(alpha + math.copysign(1.0, resid) * bump, lo, ctx.alpha_max)
+    At water level nu client k keeps clip(1 - nu / full_k, lo_k, alpha_max_k),
+    full_k its compute time at alpha = 0, so need(nu) = sum_k s_k alpha_k(nu)
+    is piecewise linear and nonincreasing, with breakpoints full_k (1 -
+    alpha_max_k) and full_k (1 - lo_k). need is evaluated at every
+    breakpoint, and the level with need(nu) = a is solved on the linear
+    piece that holds a (water-filling: Boyd & Vandenberghe, Convex
+    Optimization, 2004, section 5.5.3). Dataless clients have no breakpoint
+    and keep alpha_max; their mass is zero."""
+    rate = ctx.freqs * ctx.inv_work  # 1 / full_k
+    pos = rate > 0
+    knots = np.concatenate(([0.0], (1.0 - ctx.alpha_max[pos]) / rate[pos],
+                            (1.0 - lo[pos]) / rate[pos]))
+    knots.sort()
+    need = np.clip(1.0 - knots[:, None] * rate, lo, ctx.alpha_max) @ ctx.sizes
+    j = int(np.argmax(need <= a))
+    if need[j] > a:  # a sits below need at the last knot by rounding only
+        nu = knots[-1]
+    elif j == 0:
+        nu = 0.0
+    else:
+        nu = knots[j - 1] + (knots[j] - knots[j - 1]) * (need[j - 1] - a) / (need[j - 1] - need[j])
+    alpha = np.clip(1.0 - nu * rate, lo, ctx.alpha_max)
+    # 1 - nu * rate drops the low bits of a small share, up to eps * sum(s)
+    # of mass in all; the clients on the water line take the residual back
+    wet = (alpha > lo) & (alpha < ctx.alpha_max)
+    if wet.any():
+        alpha[wet] += (a - float(alpha @ ctx.sizes)) / float(np.sum(ctx.sizes[wet]))
+        np.clip(alpha, lo, ctx.alpha_max, out=alpha)
     return alpha
 
 
@@ -528,11 +532,10 @@ def _cluster_alpha(ctx: _Ctx, tau_aggs: np.ndarray) -> np.ndarray:
     return _alpha_within(ctx, best_a, tau_aggs)
 
 
-def solve_alpha(scenario, bandwidth: dict) -> dict:
+def solve_alpha(scenario, bandwidth: dict, ctxs=None) -> dict:
     """Per-client offload fractions balancing client and satellite paths."""
     out = {}
-    for cluster in scenario.clusters:
-        ctx = _Ctx(scenario, cluster)
+    for ctx in ctxs or _contexts(scenario):
         tau_aggs = np.array(
             [ctx.tau_agg_one(k, bandwidth[pid]) for k, pid in enumerate(ctx.ids)]
         )
@@ -617,13 +620,12 @@ def _bandwidth_cluster(ctx: _Ctx, alpha: np.ndarray, freq: float) -> np.ndarray:
     return best
 
 
-def solve_bandwidth(scenario, alpha: dict, sat_freq: dict) -> dict:
+def solve_bandwidth(scenario, alpha: dict, sat_freq: dict, ctxs=None) -> dict:
     """Per-client bandwidth slices equalizing completion under the budget."""
     out = {}
-    for cluster in scenario.clusters:
-        ctx = _Ctx(scenario, cluster)
+    for ctx in ctxs or _contexts(scenario):
         avec = np.array([alpha[pid] for pid in ctx.ids])
-        b = _bandwidth_cluster(ctx, avec, sat_freq[cluster.id])
+        b = _bandwidth_cluster(ctx, avec, sat_freq[ctx.cluster.id])
         for k, pid in enumerate(ctx.ids):
             out[pid] = float(b[k])
     return out
@@ -749,12 +751,13 @@ class OptimizeResult:
         }
 
 
-def default_init(scenario) -> DecisionVector:
+def default_init(scenario, ctxs=None) -> DecisionVector:
     """Half-max offload (projected into the cluster cap), battery-max
     frequency at that offload, equal bandwidth split."""
+    ctxs = ctxs or _contexts(scenario)
     alpha = {}
-    for cluster in scenario.clusters:
-        ctx = _Ctx(scenario, cluster)
+    for ctx in ctxs:
+        cluster = ctx.cluster
         base = ctx.alpha_max * 0.5
         total = float(np.sum(base * ctx.sizes))
         if total > cluster.max_offload_samples > 0:
@@ -769,13 +772,12 @@ def default_init(scenario) -> DecisionVector:
             pass  # equal split can't cover some budget; later blocks resolve it
         for k, pid in enumerate(ctx.ids):
             alpha[pid] = float(base[k])
-    freq = solve_freq(scenario, alpha)
+    freq = solve_freq(scenario, alpha, ctxs)
     bandwidth = {}
-    for cluster in scenario.clusters:
-        members = scenario.cluster_clients(cluster.id)
-        share = cluster.bandwidth_hz / len(members)
-        for p in members:
-            bandwidth[p.id] = share
+    for ctx in ctxs:
+        share = ctx.cluster.bandwidth_hz / len(ctx.ids)
+        for pid in ctx.ids:
+            bandwidth[pid] = share
     return DecisionVector(alpha=alpha, sat_freq_hz=freq, bandwidth_hz=bandwidth)
 
 
@@ -783,9 +785,8 @@ def _tau(scenario, decision) -> float:
     return cost.round_latency(scenario, decision).tau_round_s
 
 
-def _client_energy_ok(scenario, alpha, bandwidth) -> bool:
-    for cluster in scenario.clusters:
-        ctx = _Ctx(scenario, cluster)
+def _client_energy_ok(ctxs, alpha, bandwidth) -> bool:
+    for ctx in ctxs:
         avec = np.array([alpha[pid] for pid in ctx.ids])
         e_loc = ctx.e_locals(avec)
         for k, pid in enumerate(ctx.ids):
@@ -798,7 +799,8 @@ def _client_energy_ok(scenario, alpha, bandwidth) -> bool:
 def optimize(scenario, iters: int = 10) -> OptimizeResult:
     """Cycle the three blocks, keeping the incumbent when a block candidate
     does not strictly improve the exact round time."""
-    decision = default_init(scenario)
+    ctxs = _contexts(scenario)
+    decision = default_init(scenario, ctxs)
     tau = _tau(scenario, decision)
     trace = [("init", 0, tau)]
 
@@ -806,8 +808,8 @@ def optimize(scenario, iters: int = 10) -> OptimizeResult:
         tau_before = tau
 
         # offload block, with the frequency it balanced the paths at
-        alpha_new = solve_alpha(scenario, decision.bandwidth_hz)
-        candidate = DecisionVector(alpha_new, solve_freq(scenario, alpha_new),
+        alpha_new = solve_alpha(scenario, decision.bandwidth_hz, ctxs)
+        candidate = DecisionVector(alpha_new, solve_freq(scenario, alpha_new, ctxs),
                                    decision.bandwidth_hz)
         tau_cand = _tau(scenario, candidate)
         if tau_cand <= tau:
@@ -821,10 +823,10 @@ def optimize(scenario, iters: int = 10) -> OptimizeResult:
         trace.append(("freq", i, tau))
 
         # bandwidth block
-        b_new = solve_bandwidth(scenario, decision.alpha, decision.sat_freq_hz)
+        b_new = solve_bandwidth(scenario, decision.alpha, decision.sat_freq_hz, ctxs)
         candidate = DecisionVector(decision.alpha, decision.sat_freq_hz, b_new)
         tau_cand = _tau(scenario, candidate)
-        incumbent_ok = _client_energy_ok(scenario, decision.alpha, decision.bandwidth_hz)
+        incumbent_ok = _client_energy_ok(ctxs, decision.alpha, decision.bandwidth_hz)
         if tau_cand <= tau or not incumbent_ok:
             decision, tau = candidate, tau_cand
         trace.append(("bandwidth", i, tau))
@@ -847,8 +849,9 @@ def optimize_pinned_alpha(scenario, alpha: dict) -> DecisionVector:
             raise InfeasibleError(
                 f"client {p.id}: pinned offload {a} outside [0, {p.max_offload_fraction}]"
             )
-    freq = solve_freq(scenario, alpha)
-    bandwidth = solve_bandwidth(scenario, alpha, freq)
+    ctxs = _contexts(scenario)
+    freq = solve_freq(scenario, alpha, ctxs)
+    bandwidth = solve_bandwidth(scenario, alpha, freq, ctxs)
     return DecisionVector(alpha=dict(alpha), sat_freq_hz=freq, bandwidth_hz=bandwidth)
 
 
@@ -973,7 +976,7 @@ class _Lattice:
             idx = sel[i]
             alpha_pt = {pid: float(self.alphas[idx, k]) for k, pid in enumerate(self.ctx.ids)}
             freq_map = {self.cluster.id: float(self.freq[idx])}
-            b_map = solve_bandwidth(self.scenario, alpha_pt, freq_map)
+            b_map = solve_bandwidth(self.scenario, alpha_pt, freq_map, [self.ctx])
             decision = DecisionVector(alpha=alpha_pt, sat_freq_hz=freq_map, bandwidth_hz=b_map)
             tau = _tau(self.scenario, decision)
             if tau < best_exact:

@@ -20,6 +20,7 @@ import csv
 import json
 import math
 import mmap
+import numbers
 import struct
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -250,13 +251,37 @@ def _nonnegative(value) -> bool:
     return math.isfinite(v) and v >= 0
 
 
-def _count(value, name: str, errors: list, fallback: int = 0) -> int:
-    """int() of a count field; NaN and inf are reported under the field's
-    name instead of escaping as a bare ValueError or OverflowError."""
-    if isinstance(value, float) and not math.isfinite(value):
+def _number(value, name: str, errors: list, fallback):
+    """A finite real number, as given; anything else (strings, lists, null,
+    booleans, NaN, inf) is reported under the field's name and replaced by
+    fallback, so validation goes on to the next field."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        errors.append(f"{name} must be a number")
+        return fallback
+    if not math.isfinite(value):
         errors.append(f"{name} must be finite")
         return fallback
+    return value
+
+
+def _count(value, name: str, errors: list, fallback: int = 0) -> int:
+    """A whole-number field as an int; a fraction is reported, not truncated."""
+    value = _number(value, name, errors, fallback)
+    if value != int(value):
+        errors.append(f"{name} must be a whole number")
+        return fallback
     return int(value)
+
+
+def _section(spec: dict, key: str, errors: list) -> dict:
+    """The object under a top-level key; {} when absent or null."""
+    value = spec.get(key)
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        errors.append(f"{key} must be an object")
+        return {}
+    return value
 
 
 def validate_scenario(spec: dict) -> Scenario:
@@ -268,17 +293,18 @@ def validate_scenario(spec: dict) -> Scenario:
     if not isinstance(spec, dict):
         raise ScenarioError(["scenario description must be a mapping"])
 
-    model_spec = spec.get("model", {})
+    model_spec = _section(spec, "model", errors)
     param_count = _count(model_spec.get("param_count", 100000), "model.param_count", errors, 1)
     bits_per_param = _count(model_spec.get("bits_per_param", 32), "model.bits_per_param", errors, 1)
-    sample_bits = _count(model_spec.get("sample_bits", 6272), "model.sample_bits", errors, 1)
+    # bits per offloaded sample is a size, not a count: a fraction is kept
+    sample_bits = _number(model_spec.get("sample_bits", 6272), "model.sample_bits", errors, 1)
     if param_count <= 0:
         errors.append("model.param_count must be positive")
     if bits_per_param <= 0:
         errors.append("model.bits_per_param must be positive")
     if sample_bits <= 0:
         errors.append("model.sample_bits must be positive")
-    footprint = ModelFootprint(max(param_count, 1), max(bits_per_param, 1), max(sample_bits, 1))
+    footprint = ModelFootprint(param_count, bits_per_param, sample_bits)
 
     raw_clusters = spec.get("clusters", [])
     if not isinstance(raw_clusters, list):
@@ -289,7 +315,8 @@ def validate_scenario(spec: dict) -> Scenario:
 
     # clients that omit dataset_size inherit the planned per-client count, so
     # cost and resource questions work before any data is materialized
-    data_spec = spec.get("data") or {}
+    data_spec = _section(spec, "data", errors)
+    _section(spec, "train", errors)  # read by the command line, checked here
     default_size = _count(data_spec.get("samples_per_client", 0), "data.samples_per_client", errors)
 
     clusters = []

@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import orbitfed
-from orbitfed.cli import CliError, _parse_seeds, main
+from orbitfed.cli import CliError, _parse_seeds, _prepare, main
+from orbitfed.optimizer import InfeasibleError, optimize
 
 from conftest import REFERENCE_SCENARIO, client_dict, cluster_dict, scenario_dict
 
@@ -267,6 +268,35 @@ class TestErrorReporting:
                    "--seeds", ",", "--out", str(tmp_path / "run")])
         assert rc == 1
         assert "no seeds" in json.loads(capsys.readouterr().err)["message"]
+
+    def run_infeasible(self, spec, tmp_path, capsys):
+        path = tmp_path / "tight.json"
+        path.write_text(json.dumps(spec))
+        rc = main(["--mode", "optimize", "--scenario", str(path),
+                   "--out", str(tmp_path / "run")])
+        assert rc == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "InfeasibleError"
+        return err
+
+    def test_infeasible_budget_reports_its_slack(self, tmp_path, capsys):
+        spec = tiny_spec()
+        spec["clusters"][0]["clients"][0]["energy_budget_j"] = 1e-3
+        err = self.run_infeasible(spec, tmp_path, capsys)
+        with pytest.raises(InfeasibleError) as exc:
+            optimize(_prepare(spec, 0)[0])
+        assert exc.value.slack < 0
+        assert err["slack"] == exc.value.slack
+
+    def test_unbounded_slack_reads_null(self, tmp_path, capsys):
+        # a dataless client whose upload alone busts its budget: no offload
+        # can help, and the slack is -inf, which JSON cannot spell
+        spec = scenario_dict([cluster_dict(0, [
+            client_dict(0, 2e8, 0, energy_budget_j=1e-9), client_dict(1, 2e8, 100)])])
+        err = self.run_infeasible(spec, tmp_path, capsys)
+        assert "slack" in err and err["slack"] is None
 
     def test_internal_fault_is_one_json_line(self, spec_path, tmp_path, capsys, monkeypatch):
         def diverge(plan):

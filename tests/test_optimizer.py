@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orbitfed import cost
 from orbitfed.optimizer import (
@@ -12,6 +13,7 @@ from orbitfed.optimizer import (
     InfeasibleError,
     _Ctx,
     _Lattice,
+    _equalize_local,
     bisect,
     check_feasibility,
     default_init,
@@ -201,6 +203,102 @@ class TestAlphaWithinCluster:
             best = min(best, client_path([a0, a1]))
         got = client_path([out[0], out[1]])
         assert got <= best * (1 + 1e-6)
+
+
+def split_context(sizes, freqs, alpha_max):
+    clients = [client_dict(k, f, s, cycles_per_sample=3e7, max_offload_fraction=m)
+               for k, (s, f, m) in enumerate(zip(sizes, freqs, alpha_max))]
+    sc = validate_scenario(scenario_dict([cluster_dict(0, clients)]))
+    return _Ctx(sc, sc.clusters[0])
+
+
+def bisected_split(ctx, a, lo):
+    """The split by a near machine-tight bisection on the water level, kept
+    on the side whose mass does not exceed a."""
+    rate = ctx.freqs * ctx.inv_work
+
+    def need(nu):
+        return float(np.clip(1.0 - nu * rate, lo, ctx.alpha_max) @ ctx.sizes)
+
+    full = ctx.cycles * ctx.sizes / ctx.freqs
+    r = bisect(lambda nu: need(nu) - a, 0.0, float(np.max(full)), eps=1e-15, max_iter=2000)
+    return np.clip(1.0 - r.hi * rate, lo, ctx.alpha_max)
+
+
+def assert_valid_split(ctx, alpha, a, lo):
+    assert np.all(alpha >= lo) and np.all(alpha <= ctx.alpha_max)
+    assert abs(float(alpha @ ctx.sizes) - a) <= 1e-12 * max(1.0, a)
+
+
+class TestEqualizeLocal:
+    """The closed-form water-filling split against a tight bisection."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 3000), st.floats(1e8, 1e9),
+                              st.floats(0.05, 1.0), st.floats(0.0, 1.0), st.booleans()),
+                    min_size=1, max_size=8),
+           st.floats(0.0, 1.0))
+    def test_matches_bisection(self, clients, u):
+        sizes, freqs, amax, lo_frac, has_floor = zip(*clients)
+        ctx = split_context(sizes, freqs, amax)
+        lo = ctx.alpha_max * np.array(lo_frac) * np.array(has_floor)
+        a_floor = float(lo @ ctx.sizes)
+        a = a_floor + u * (float(ctx.alpha_max @ ctx.sizes) - a_floor)
+        alpha = _equalize_local(ctx, a, lo)
+        assert_valid_split(ctx, alpha, a, lo)
+        worst = float(np.max(ctx.tau_locals(alpha)))
+        ref = float(np.max(ctx.tau_locals(bisected_split(ctx, a, lo))))
+        assert worst <= ref * (1.0 + 1e-9)
+
+    def test_total_at_the_floors(self):
+        ctx = split_context((400, 900, 650), (1e8, 3e8, 2e8), (0.8, 0.6, 0.7))
+        lo = np.array([0.2, 0.0, 0.5])
+        a = float(lo @ ctx.sizes)
+        alpha = _equalize_local(ctx, a, lo)
+        assert_valid_split(ctx, alpha, a, lo)
+        assert alpha == pytest.approx(lo, abs=1e-12)
+
+    def test_total_at_the_cap(self):
+        ctx = split_context((400, 900, 650), (1e8, 3e8, 2e8), (0.8, 0.6, 0.7))
+        lo = np.array([0.2, 0.0, 0.5])
+        a = float(ctx.alpha_max @ ctx.sizes)
+        alpha = _equalize_local(ctx, a, lo)
+        assert_valid_split(ctx, alpha, a, lo)
+        assert np.array_equal(alpha, ctx.alpha_max)
+
+    def test_dataless_client(self):
+        ctx = split_context((0, 500, 500), (2e8, 1e8, 3e8), (0.8, 0.8, 0.8))
+        assert ctx.inv_work[0] == 0.0
+        lo = np.zeros(3)
+        alpha = _equalize_local(ctx, 400.0, lo)  # water level 45 s: alpha 0.7 and 0.1
+        assert_valid_split(ctx, alpha, 400.0, lo)
+        assert alpha[1:] == pytest.approx([0.7, 0.1], rel=1e-12)
+        tl = ctx.tau_locals(alpha)
+        assert tl[1] == pytest.approx(tl[2], rel=1e-12)  # both on the water line
+        assert tl[0] == 0.0
+
+    def test_small_total_over_many_shares(self):
+        # ten equal clients share half a sample: each share 1 - nu / full_k
+        # is about 1.7e-5, left by a difference of two numbers near 1, and
+        # the rounding error of that difference over 30,000 samples would
+        # miss the total by 6.6e-12 without the residual fix
+        ctx = split_context((3000,) * 10, (3.7e8,) * 10, (0.8,) * 10)
+        lo = np.zeros(10)
+        alpha = _equalize_local(ctx, 0.5, lo)
+        assert_valid_split(ctx, alpha, 0.5, lo)
+
+    def test_tied_breakpoints(self):
+        # two identical clients share both breakpoints, and the third's
+        # floor meets its cap, so its two breakpoints coincide
+        ctx = split_context((600, 600, 300), (2e8, 2e8, 1e8), (0.7, 0.7, 0.5))
+        lo = np.array([0.1, 0.1, 0.5])
+        for a in (float(lo @ ctx.sizes), 500.0, 700.0, float(ctx.alpha_max @ ctx.sizes)):
+            alpha = _equalize_local(ctx, a, lo)
+            assert_valid_split(ctx, alpha, a, lo)
+            assert alpha[0] == pytest.approx(alpha[1], abs=1e-15)
+            assert alpha[2] == 0.5
+            ref = float(np.max(ctx.tau_locals(bisected_split(ctx, a, lo))))
+            assert float(np.max(ctx.tau_locals(alpha))) <= ref * (1.0 + 1e-9)
 
 
 class TestSolveAlpha:

@@ -188,6 +188,60 @@ class TestMisshapenRejected:
         assert any(SHAPE_CASES[case] in e for e in err["details"]), err["details"]
 
 
+# values of the wrong JSON type in count fields and top-level sections; each
+# escaped as a bare ValueError, TypeError or AttributeError, or was read as 1
+WRONG_TYPE_CASES = [
+    (("model", "sample_bits", "x"), "model.sample_bits must be a number"),
+    (("model", "sample_bits", [1]), "model.sample_bits must be a number"),
+    (("model", "param_count", None), "model.param_count must be a number"),
+    (("model", "bits_per_param", True), "model.bits_per_param must be a number"),
+    (("client", "dataset_size", "100"), "client 1: dataset_size must be a number"),
+    (("data", "samples_per_client", [60]), "data.samples_per_client must be a number"),
+    (("model", "param_count", 1000.5), "model.param_count must be a whole number"),
+    (("model", None, "abc"), "model must be an object"),
+    (("data", None, [1]), "data must be an object"),
+    (("train", None, 3), "train must be an object"),
+]
+WRONG_TYPE_IDS = [f"{w}.{f}={v!r}" for (w, f, v), _ in WRONG_TYPE_CASES]
+
+
+def wrong_type_spec(where, field, value):
+    if field is not None:
+        return spec_with(where, field, value)
+    spec = spec_with("model", "param_count", 1000)
+    spec[where] = value
+    return spec
+
+
+class TestWrongTypeRejected:
+    @pytest.mark.parametrize("case,message", WRONG_TYPE_CASES, ids=WRONG_TYPE_IDS)
+    def test_validate_names_the_field(self, case, message):
+        with pytest.raises(ScenarioError) as err:
+            validate_scenario(wrong_type_spec(*case))
+        assert message in err.value.errors
+
+    @pytest.mark.parametrize("case,message", WRONG_TYPE_CASES, ids=WRONG_TYPE_IDS)
+    def test_cli_reports_one_json_line(self, case, message, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(wrong_type_spec(*case)))
+        rc = main(["--mode", "optimize", "--scenario", str(path), "--out", str(tmp_path / "run")])
+        assert rc == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ScenarioError"
+        assert message in err["details"]
+
+    def test_fractional_sample_bits_are_kept(self):
+        sc = validate_scenario(spec_with("model", "sample_bits", 6272.5))
+        assert sc.footprint.sample_bits == 6272.5
+
+    def test_whole_float_counts_are_read_as_ints(self):
+        sc = validate_scenario(spec_with("client", "dataset_size", 100.0))
+        assert sc.clients[1].dataset_size == 100
+        assert isinstance(sc.clients[1].dataset_size, int)
+
+
 def corpus(n, labels=None, dim=4, seed=0):
     rng = np.random.default_rng(seed)
     y = np.zeros(n, dtype=np.int64) if labels is None else np.asarray(labels, dtype=np.int64)
