@@ -6,12 +6,21 @@ cluster runs two parallel paths after a fixed sync delay: the client path
 satellite) and the satellite path (compute on the offloaded pool, relayed
 along the satellite chain whenever a coverage window expires). The cluster
 finishes when both paths do, plus a fixed global exchange delay.
+
+`ClusterModel` is the one per-cluster copy of this model. Built once from a
+cluster's clients, it prices the satellite chain for an offload total and a
+satellite frequency, and every client at once through the per-equation
+functions below, which work elementwise over numpy arrays. Reporting
+(`cluster_costs`, `round_latency`), the optimizer's blocks, its feasibility
+audit and its grid oracle all read it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -101,22 +110,35 @@ class CostBreakdown:
         }
 
 
-def client_local_latency(profile, gamma: float, dataset_size: float) -> float:
-    """Seconds one client spends computing on its retained share."""
-    if not 0.0 <= gamma <= 1.0:
+def _retained(gamma):
+    gamma = np.asarray(gamma, dtype=float)
+    if not ((gamma >= 0.0) & (gamma <= 1.0)).all():
         raise ValueError(f"retained fraction {gamma} outside [0, 1]")
-    if dataset_size < 0:
+    return gamma
+
+
+def client_local_latency(profile, gamma, dataset_size):
+    """Seconds one client spends computing on its retained share;
+    elementwise over arrays of clients (a `ClusterModel` passes as the
+    profile) and over a leading batch axis of gamma."""
+    gamma = _retained(gamma)
+    if (np.asarray(dataset_size) < 0).any():
         raise ValueError("negative dataset size")
-    if profile.cpu_freq_hz <= 0:
+    if (np.asarray(profile.cpu_freq_hz) <= 0).any():
         raise ValueError("client CPU frequency must be positive")
+    return _local_latency(profile, gamma, dataset_size)
+
+
+def _local_latency(profile, gamma, dataset_size):
+    # unchecked: a ClusterModel's solvers call it on validated clients and
+    # shares they keep in [0, 1]
     return profile.cycles_per_sample * gamma * dataset_size / profile.cpu_freq_hz
 
 
-def client_local_energy(profile, gamma: float, dataset_size: float, energy_coeff: float) -> float:
-    """Joules one client spends computing on its retained share."""
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError(f"retained fraction {gamma} outside [0, 1]")
-    cycles = profile.cycles_per_sample * gamma * dataset_size
+def client_local_energy(profile, gamma, dataset_size, energy_coeff: float):
+    """Joules one client spends computing on its retained share; elementwise
+    like `client_local_latency`."""
+    cycles = profile.cycles_per_sample * _retained(gamma) * dataset_size
     return energy_coeff * cycles * profile.cpu_freq_hz ** 2
 
 
@@ -140,6 +162,42 @@ def isl_transfer_energy(tau_trans_s: float, tx_power_w: float) -> float:
     return tx_power_w * tau_trans_s
 
 
+def relay_chain(
+    offloaded_samples: float,
+    cycles_per_sample: float,
+    coverage_s: float,
+    tau_trans_s: float,
+    freq_hz: float,
+    energy_coeff: float = 0.0,
+    transfer_energy_j: float = 0.0,
+) -> tuple:
+    """The satellite chain that computes the offloaded pool.
+
+    Returns (n_handoffs, tau_rep, first, last): n satellites exhaust a full
+    coverage window on compute and hand off, the final one finishes the
+    residual cycles inside a partial window and serves aggregation, and the
+    satellite side finishes tau_rep seconds after path start. first and last
+    are the (dwell, energy) of one window-filling satellite and of the final
+    one. Energies are zero without energy_coeff and transfer_energy_j.
+    """
+    window = coverage_s - tau_trans_s  # compute time of a window-filling satellite
+    if window <= 0:
+        raise ValueError(
+            f"coverage window {coverage_s} s does not outlast the relay time {tau_trans_s} s"
+        )
+    first = (coverage_s, energy_coeff * window * freq_hz ** 3 + transfer_energy_j)
+    if offloaded_samples <= 0:
+        return 0, tau_trans_s, first, (tau_trans_s, transfer_energy_j)
+    if freq_hz <= 0:
+        raise ValueError("satellite frequency must be positive when work is offloaded")
+    total_cycles = cycles_per_sample * offloaded_samples
+    n = math.floor(total_cycles / (window * freq_hz))
+    rem = max(total_cycles - n * window * freq_hz, 0.0)
+    t_rem = rem / freq_hz
+    return (n, coverage_s * n + t_rem + tau_trans_s, first,
+            (t_rem + tau_trans_s, energy_coeff * rem * freq_hz ** 2 + transfer_energy_j))
+
+
 def handoff_count(
     offloaded_samples: float,
     cycles_per_sample: float,
@@ -152,24 +210,7 @@ def handoff_count(
     The chain needs this count plus one satellite in total; the final one
     finishes the residual cycles inside a partial window.
     """
-    if coverage_s <= tau_trans_s:
-        raise ValueError(
-            f"coverage window {coverage_s} s does not outlast the relay time {tau_trans_s} s"
-        )
-    if offloaded_samples <= 0:
-        return 0
-    if freq_hz <= 0:
-        raise ValueError("satellite frequency must be positive when work is offloaded")
-    total_cycles = cycles_per_sample * offloaded_samples
-    per_window = (coverage_s - tau_trans_s) * freq_hz
-    return int(math.floor(total_cycles / per_window))
-
-
-def _residual_cycles(offloaded_samples, cycles_per_sample, coverage_s, tau_trans_s, freq_hz) -> float:
-    n = handoff_count(offloaded_samples, cycles_per_sample, coverage_s, tau_trans_s, freq_hz)
-    total = cycles_per_sample * offloaded_samples
-    rem = total - n * (coverage_s - tau_trans_s) * freq_hz
-    return max(rem, 0.0)
+    return relay_chain(offloaded_samples, cycles_per_sample, coverage_s, tau_trans_s, freq_hz)[0]
 
 
 def satellite_dwell_and_energy(
@@ -188,18 +229,11 @@ def satellite_dwell_and_energy(
     role "last" covers the one that finishes the residual and serves
     aggregation.
     """
-    if role == "first":
-        dwell = coverage_s
-        energy = energy_coeff * (coverage_s - tau_trans_s) * freq_hz ** 3 + transfer_energy_j
-        return dwell, energy
-    if role == "last":
-        if offloaded_samples <= 0:
-            return tau_trans_s, transfer_energy_j
-        rem = _residual_cycles(offloaded_samples, cycles_per_sample, coverage_s, tau_trans_s, freq_hz)
-        dwell = rem / freq_hz + tau_trans_s
-        energy = energy_coeff * rem * freq_hz ** 2 + transfer_energy_j
-        return dwell, energy
-    raise ValueError(f"unknown satellite role {role!r}")
+    if role not in ("first", "last"):
+        raise ValueError(f"unknown satellite role {role!r}")
+    _, _, first, last = relay_chain(offloaded_samples, cycles_per_sample, coverage_s,
+                                    tau_trans_s, freq_hz, energy_coeff, transfer_energy_j)
+    return first if role == "first" else last
 
 
 def satellite_step_latency(
@@ -210,50 +244,82 @@ def satellite_step_latency(
     freq_hz: float,
 ) -> float:
     """Seconds from path start until the satellite side finishes its pass."""
-    if offloaded_samples <= 0:
-        if coverage_s <= tau_trans_s:
-            raise ValueError(
-                f"coverage window {coverage_s} s does not outlast the relay time {tau_trans_s} s"
-            )
-        return tau_trans_s
-    n = handoff_count(offloaded_samples, cycles_per_sample, coverage_s, tau_trans_s, freq_hz)
-    rem = _residual_cycles(offloaded_samples, cycles_per_sample, coverage_s, tau_trans_s, freq_hz)
-    return coverage_s * n + rem / freq_hz + tau_trans_s
+    return relay_chain(offloaded_samples, cycles_per_sample, coverage_s, tau_trans_s, freq_hz)[1]
+
+
+def uplink_snr_num(tx_power_w, distance_m: float, pathloss_exponent: float,
+                   noise_density_w_per_hz: float):
+    """p d^-xi / N0: the uplink SNR times the slice width, so a slice of b Hz
+    sees SNR snr_num / b. Elementwise over arrays of transmit powers."""
+    return tx_power_w * distance_m ** (-pathloss_exponent) / noise_density_w_per_hz
+
+
+def slice_rate(snr_num, bandwidth_hz):
+    """Rate b log2(1 + snr_num / b) of slice(s) of b Hz, bits/second,
+    elementwise (an infinite slice reads nan)."""
+    b = np.asarray(bandwidth_hz, dtype=float)
+    return b * np.log2(1.0 + snr_num / b)
+
+
+def upload_time(state_bits: float, snr_num, bandwidth_hz):
+    """Seconds to upload state_bits on slice(s) of b Hz, elementwise. Unchecked:
+    the validated entry point is `uplink_agg_latency_energy`."""
+    return state_bits / slice_rate(snr_num, bandwidth_hz)
+
+
+def _check_uplink(tx_power_w, bandwidth_hz):
+    if (np.asarray(bandwidth_hz) <= 0).any():
+        raise ValueError("bandwidth must be positive")
+    if (np.asarray(tx_power_w) <= 0).any():
+        raise ValueError("transmit power must be positive")
 
 
 def uplink_rate(
-    tx_power_w: float,
-    bandwidth_hz: float,
+    tx_power_w,
+    bandwidth_hz,
     distance_m: float,
     pathloss_exponent: float,
     noise_density_w_per_hz: float,
-) -> float:
-    """Client-to-satellite uplink rate for a given bandwidth slice, bits/second."""
-    if bandwidth_hz <= 0:
-        raise ValueError("bandwidth must be positive")
-    if tx_power_w <= 0:
-        raise ValueError("transmit power must be positive")
-    snr = tx_power_w * distance_m ** (-pathloss_exponent) / (bandwidth_hz * noise_density_w_per_hz)
-    return bandwidth_hz * math.log2(1.0 + snr)
+):
+    """Client-to-satellite uplink rate for bandwidth slice(s), bits/second,
+    elementwise over arrays of clients and slices."""
+    _check_uplink(tx_power_w, bandwidth_hz)
+    snr_num = uplink_snr_num(tx_power_w, distance_m, pathloss_exponent, noise_density_w_per_hz)
+    return slice_rate(snr_num, bandwidth_hz)
 
 
 def uplink_agg_latency_energy(
     profile,
-    bandwidth_hz: float,
+    bandwidth_hz,
     model: ModelFootprint,
     distance_m: float,
     pathloss_exponent: float,
     noise_density_w_per_hz: float,
 ) -> tuple:
-    """Seconds and joules for one client's aggregation upload."""
-    rate = uplink_rate(
-        profile.tx_power_w, bandwidth_hz, distance_m, pathloss_exponent, noise_density_w_per_hz
-    )
-    tau = model.state_bits / rate
+    """Seconds and joules of each client's aggregation upload, elementwise
+    like `uplink_rate`."""
+    _check_uplink(profile.tx_power_w, bandwidth_hz)
+    snr_num = uplink_snr_num(profile.tx_power_w, distance_m, pathloss_exponent,
+                             noise_density_w_per_hz)
+    tau = upload_time(model.state_bits, snr_num, bandwidth_hz)
     return tau, profile.tx_power_w * tau
 
 
-def cluster_client_path(tau_locals, tau_aggs, coverage_s: float, n_handoffs: int) -> tuple:
+def regime_geometry(tau_locals, coverage_s: float) -> tuple:
+    """Where the straggler's serving window lets each client upload.
+
+    The straggler finishes its local pass at m = max_k tau_local_k, inside
+    window h = floor(m / T). Client k can start its upload at
+    max(T h, tau_local_k), and the window closes at T (h + 1). Returns (m,
+    offsets, deadline), over a leading batch axis of tau_locals too.
+    """
+    tau_locals = np.asarray(tau_locals, dtype=float)
+    m = tau_locals.max(axis=-1)
+    h = np.floor(m / coverage_s)
+    return m, np.maximum((coverage_s * h)[..., None], tau_locals), coverage_s * (h + 1.0)
+
+
+def cluster_client_path(tau_locals, tau_aggs, coverage_s: float, n_handoffs) -> tuple:
     """Completion time of the client path relative to path start.
 
     Returns (seconds, case) where case identifies which of the three timing
@@ -261,72 +327,117 @@ def cluster_client_path(tau_locals, tau_aggs, coverage_s: float, n_handoffs: int
     satellite arrives, 2 when the straggler's serving satellite can still
     collect every upload inside its window, 3 when uploads must wait for the
     next satellite. Ties resolve to the lower case.
+
+    Rows of a leading batch axis are separate cases, with n_handoffs a
+    scalar or one count per row; they give arrays of seconds and cases.
     """
-    if len(tau_locals) == 0 or len(tau_locals) != len(tau_aggs):
+    tau_locals = np.asarray(tau_locals, dtype=float)
+    tau_aggs = np.asarray(tau_aggs, dtype=float)
+    if tau_locals.shape[-1:] in ((), (0,)) or tau_locals.shape != tau_aggs.shape:
         raise ValueError("need matching nonempty client latency lists")
-    m = max(tau_locals)
-    max_agg = max(tau_aggs)
-    if m <= coverage_s * n_handoffs:
-        return coverage_s * n_handoffs + max_agg, 1
-    h = math.floor(m / coverage_s)
-    v = max(
-        max(coverage_s * h, tl) + ta for tl, ta in zip(tau_locals, tau_aggs)
-    )
-    if v <= coverage_s * (h + 1):
-        return v, 2
-    return coverage_s * (h + 1) + max_agg, 3
+    gate = coverage_s * np.asarray(n_handoffs)
+    max_agg = tau_aggs.max(axis=-1)
+    m, offsets, deadline = regime_geometry(tau_locals, coverage_s)
+    v = (offsets + tau_aggs).max(axis=-1)
+    case = np.where(m <= gate, 1, np.where(v <= deadline, 2, 3))
+    y = np.where(case == 1, gate + max_agg, np.where(case == 2, v, deadline + max_agg))
+    if tau_locals.ndim == 1:
+        return float(y), int(case)
+    return y, case
+
+
+class ClusterModel:
+    """One cluster's round-time and energy model, built once per cluster.
+
+    The client fields are per-client arrays under the profile attribute
+    names (`cycles_per_sample`, `cpu_freq_hz`, `tx_power_w`), so the model
+    passes wherever a client profile does and the per-equation functions
+    price all of its clients at once. The satellite side is scalar in the
+    offloaded sample total a and the satellite frequency f.
+    """
+
+    def __init__(self, scenario, cluster):
+        self.cluster = cluster
+        self.footprint = scenario.footprint
+        self.profiles = scenario.cluster_clients(cluster.id)
+        self.ids = [p.id for p in self.profiles]
+        self.sizes = np.array([float(p.size) for p in self.profiles])
+        self.cycles_per_sample = np.array([p.cycles_per_sample for p in self.profiles])
+        self.cpu_freq_hz = np.array([p.cpu_freq_hz for p in self.profiles])
+        self.tx_power_w = np.array([p.tx_power_w for p in self.profiles])
+        self.T = cluster.coverage_s
+        self.p_charge = cluster.sun_power_w if cluster.sun_facing else 0.0
+        self.snr_num = uplink_snr_num(self.tx_power_w, cluster.sat_distance_m,
+                                      cluster.pathloss_exponent, cluster.noise_density_w_per_hz)
+        self._chain_at = None
+
+    def per_client(self, values: dict) -> np.ndarray:
+        """A client-id map, such as a decision's offload or bandwidth, as an
+        array in the model's client order."""
+        return np.array([values[pid] for pid in self.ids], dtype=float)
+
+    def offloaded(self, alpha) -> float:
+        """Offloaded samples sum_k alpha_k |D_k|, summed in client order."""
+        return sum((alpha * self.sizes).tolist())
+
+    # --- satellite path -------------------------------------------------
+    def tau_trans(self, a: float) -> float:
+        return isl_transfer_latency(self.footprint, a, self.cluster.isl_rate_bps)
+
+    def chain(self, a: float, f: float) -> tuple:
+        """`relay_chain` at offload a and frequency f, after the relay time:
+        (tau_trans, n_handoffs, tau_rep, first, last). The last chain is
+        kept: solvers read it right after the battery check priced it."""
+        if self._chain_at != (a, f):
+            c = self.cluster
+            tau_tr = self.tau_trans(a)
+            self._chain = (tau_tr,) + relay_chain(
+                a, c.sat_cycles_per_sample, self.T, tau_tr, f, c.energy_coeff,
+                isl_transfer_energy(tau_tr, c.sat_tx_power_w))
+            self._chain_at = (a, f)
+        return self._chain
+
+    def n_handoffs(self, a: float, f: float) -> int:
+        return self.chain(a, f)[1]
+
+    def battery_margin(self, a: float, f: float) -> float:
+        """Least battery residual over the relay chain at offload a and
+        frequency f, less the floor psi: negative when a satellite ends its
+        dwell below it."""
+        c = self.cluster
+        _, n, _, (d_first, e_first), (d, e) = self.chain(a, f)
+        worst = c.sat_initial_energy_j - e + d * self.p_charge
+        if n:
+            worst = min(c.sat_initial_energy_j - e_first + d_first * self.p_charge, worst)
+        return worst - c.sat_min_residual_j
+
+    # --- client path, elementwise over clients --------------------------
+    def tau_locals(self, alpha):
+        return _local_latency(self, 1.0 - alpha, self.sizes)
+
+    def e_locals(self, alpha):
+        return client_local_energy(self, 1.0 - alpha, self.sizes, self.cluster.energy_coeff)
+
+    def tau_agg(self, b):
+        return upload_time(self.footprint.state_bits, self.snr_num, b)
+
+    def uplink(self, b) -> tuple:
+        """Per-client upload seconds and joules for bandwidth slice(s) b."""
+        tau = self.tau_agg(b)
+        return tau, self.tx_power_w * tau
 
 
 def cluster_costs(scenario, cluster, decision) -> ClusterCosts:
     """Evaluate the full latency/energy detail of one cluster for a decision."""
-    profiles = scenario.cluster_clients(cluster.id)
-    footprint = scenario.footprint
-    alphas = [decision.alpha[p.id] for p in profiles]
-    sizes = [p.size for p in profiles]
-    offloaded = sum(a * s for a, s in zip(alphas, sizes))
+    model = ClusterModel(scenario, cluster)
+    alpha = model.per_client(decision.alpha)
+    offloaded = model.offloaded(alpha)
+    tau_trans, n, tau_rep, first, last = model.chain(offloaded, decision.sat_freq_hz[cluster.id])
+    sats = [first] * n + [last]
+    tau_locals = model.tau_locals(alpha)
+    tau_aggs, e_aggs = model.uplink(model.per_client(decision.bandwidth_hz))
 
-    tau_trans = isl_transfer_latency(footprint, offloaded, cluster.isl_rate_bps)
-    freq = decision.sat_freq_hz[cluster.id]
-    n = handoff_count(
-        offloaded, cluster.sat_cycles_per_sample, cluster.coverage_s, tau_trans, freq
-    ) if offloaded > 0 else 0
-    tau_rep = satellite_step_latency(
-        offloaded, cluster.sat_cycles_per_sample, cluster.coverage_s, tau_trans, freq
-    )
-    e_trans = isl_transfer_energy(tau_trans, cluster.sat_tx_power_w)
-
-    dwells = []
-    energies = []
-    for _ in range(n):
-        d, e = satellite_dwell_and_energy(
-            "first", offloaded, cluster.sat_cycles_per_sample, cluster.coverage_s,
-            tau_trans, freq, cluster.energy_coeff, e_trans,
-        )
-        dwells.append(d)
-        energies.append(e)
-    d, e = satellite_dwell_and_energy(
-        "last", offloaded, cluster.sat_cycles_per_sample, cluster.coverage_s,
-        tau_trans, freq, cluster.energy_coeff, e_trans,
-    )
-    dwells.append(d)
-    energies.append(e)
-
-    tau_locals = []
-    tau_aggs = []
-    e_locals = []
-    e_aggs = []
-    for p, a in zip(profiles, alphas):
-        gamma = 1.0 - a
-        tau_locals.append(client_local_latency(p, gamma, p.size))
-        e_locals.append(client_local_energy(p, gamma, p.size, cluster.energy_coeff))
-        ta, ea = uplink_agg_latency_energy(
-            p, decision.bandwidth_hz[p.id], footprint,
-            cluster.sat_distance_m, cluster.pathloss_exponent, cluster.noise_density_w_per_hz,
-        )
-        tau_aggs.append(ta)
-        e_aggs.append(ea)
-
-    y, case = cluster_client_path(tau_locals, tau_aggs, cluster.coverage_s, n)
+    y, case = cluster_client_path(tau_locals, tau_aggs, model.T, n)
     tau_client = cluster.sync_delay_s + y
     tau_sat = cluster.sync_delay_s + tau_rep
     total = max(tau_client, tau_sat) + cluster.glob_delay_s
@@ -337,12 +448,12 @@ def cluster_costs(scenario, cluster, decision) -> ClusterCosts:
         tau_trans_s=tau_trans,
         n_handoffs=n,
         tau_rep_s=tau_rep,
-        sat_dwell_s=tuple(dwells),
-        sat_energy_j=tuple(energies),
-        tau_local_s=tuple(tau_locals),
-        tau_agg_s=tuple(tau_aggs),
-        client_local_energy_j=tuple(e_locals),
-        client_agg_energy_j=tuple(e_aggs),
+        sat_dwell_s=tuple(d for d, _ in sats),
+        sat_energy_j=tuple(e for _, e in sats),
+        tau_local_s=tuple(tau_locals.tolist()),
+        tau_agg_s=tuple(tau_aggs.tolist()),
+        client_local_energy_j=tuple(model.e_locals(alpha).tolist()),
+        client_agg_energy_j=tuple(e_aggs.tolist()),
         y_s=y,
         y_case=case,
         tau_client_path_s=tau_client,

@@ -16,7 +16,6 @@ the softmax reduces along contiguous rows.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -347,44 +346,3 @@ def global_aggregate(cluster_models) -> ModelParams:
             raise ValueError("mismatched layouts in aggregation")
         acc += m.values
     return ModelParams(acc / len(cluster_models), ref.layout, ref.footprint)
-
-
-# ---------------------------------------------------------------------------
-# checkpoints
-
-_MAGIC = b"OFCK"
-_KIND_CODE = {"logistic": 1, "mlp": 2}
-_CODE_KIND = {v: k for k, v in _KIND_CODE.items()}
-
-
-def save_checkpoint(path, model: ModelParams) -> None:
-    """Binary model dump: magic, layout descriptor, little-endian float64."""
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<BB", _KIND_CODE[model.layout.kind], len(model.layout.dims)))
-        for d in model.layout.dims:
-            fh.write(struct.pack("<I", int(d)))
-        fh.write(struct.pack("<HI", model.footprint.bits_per_param, model.footprint.sample_bits))
-        fh.write(struct.pack("<Q", model.layout.param_count))
-        fh.write(model.values.astype("<f8").tobytes())
-
-
-def load_checkpoint(path) -> ModelParams:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise ValueError(f"bad checkpoint magic {magic!r}")
-        kind_code, ndims = struct.unpack("<BB", fh.read(2))
-        if kind_code not in _CODE_KIND:
-            raise ValueError(f"unknown model kind code {kind_code}")
-        dims = tuple(struct.unpack("<I", fh.read(4))[0] for _ in range(ndims))
-        bits_per_param, sample_bits = struct.unpack("<HI", fh.read(6))
-        count = struct.unpack("<Q", fh.read(8))[0]
-        layout = ModelLayout(_CODE_KIND[kind_code], dims)
-        if count != layout.param_count:
-            raise ValueError("checkpoint parameter count does not match layout")
-        raw = fh.read(8 * count)
-        if len(raw) != 8 * count:
-            raise ValueError("checkpoint truncated")
-        values = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-    return ModelParams(values, layout, ModelFootprint(count, bits_per_param, sample_bits))

@@ -169,7 +169,7 @@ def upload_bandwidth(state_bits: float, snr_num, target_s):
     rel = np.finfo(float).eps
     with np.errstate(invalid="ignore"):
         while True:
-            over = state_bits / (b * np.log2(1.0 + c / b)) > t  # inf slices read nan
+            over = cost.upload_time(state_bits, c, b) > t  # inf slices read nan
             if not over.any():
                 break
             b = np.where(over, b * (1.0 + rel), b)
@@ -181,99 +181,42 @@ def upload_bandwidth(state_bits: float, snr_num, target_s):
 # per-cluster working context
 
 
-class _Ctx:
-    """Precomputed per-cluster arrays and cost closures."""
+class _Ctx(cost.ClusterModel):
+    """A cluster's cost model plus the bounds the solver blocks share."""
 
     def __init__(self, scenario, cluster):
-        self.cluster = cluster
-        self.profiles = scenario.cluster_clients(cluster.id)
-        self.ids = [p.id for p in self.profiles]
-        self.sizes = np.array([float(p.size) for p in self.profiles])
-        self.freqs = np.array([p.cpu_freq_hz for p in self.profiles])
-        self.cycles = np.array([p.cycles_per_sample for p in self.profiles])
+        super().__init__(scenario, cluster)
         self.alpha_max = np.array([p.max_offload_fraction for p in self.profiles])
-        self.powers = np.array([p.tx_power_w for p in self.profiles])
         self.budgets = np.array([p.energy_budget_j for p in self.profiles])
-        self.T = cluster.coverage_s
-        self.rate = cluster.isl_rate_bps
-        self.state_bits = scenario.footprint.state_bits
-        self.sample_bits = float(scenario.footprint.sample_bits)
-        self.m_s = cluster.sat_cycles_per_sample
         self.f_max = cluster.sat_max_freq_hz
-        self.p_s = cluster.sat_tx_power_w
-        self.kappa = cluster.energy_coeff
-        self.e_orig = cluster.sat_initial_energy_j
-        self.psi = cluster.sat_min_residual_j
-        self.p_charge = cluster.sun_power_w if cluster.sun_facing else 0.0
         self.budget_hz = cluster.bandwidth_hz
-        # uplink SNR numerators p_k * d^-xi / N0
-        self.snr_num = (
-            self.powers * cluster.sat_distance_m ** (-cluster.pathloss_exponent)
-            / cluster.noise_density_w_per_hz
-        )
         self.a_cap = min(cluster.max_offload_samples, float(np.sum(self.alpha_max * self.sizes)))
         # reciprocal of per-client total work; zero for dataless clients so
         # the offload expressions stay finite (their mass is zero anyway)
-        work = self.cycles * self.sizes
+        work = self.cycles_per_sample * self.sizes
         self.inv_work = np.divide(1.0, work, out=np.zeros_like(work), where=work > 0)
-
-    # --- satellite path -------------------------------------------------
-    def tau_trans(self, a: float) -> float:
-        return (self.state_bits + self.sample_bits * a) / self.rate
-
-    def e_trans(self, a: float) -> float:
-        return self.p_s * self.tau_trans(a)
-
-    def n_handoffs(self, a: float, f: float) -> int:
-        if a <= 0:
-            return 0
-        return int(math.floor(self.m_s * a / ((self.T - self.tau_trans(a)) * f)))
-
-    def tau_rep(self, a: float, f: float) -> float:
-        tau_tr = self.tau_trans(a)
-        if a <= 0:
-            return tau_tr
-        n = self.n_handoffs(a, f)
-        rem = max(self.m_s * a - n * (self.T - tau_tr) * f, 0.0)
-        return self.T * n + rem / f + tau_tr
-
-    # --- client side ----------------------------------------------------
-    def tau_locals(self, alpha: np.ndarray) -> np.ndarray:
-        return self.cycles * (1.0 - alpha) * self.sizes / self.freqs
-
-    def e_locals(self, alpha: np.ndarray) -> np.ndarray:
-        return self.kappa * self.cycles * (1.0 - alpha) * self.sizes * self.freqs ** 2
-
-    def tau_agg(self, b):
-        """Upload seconds for bandwidth slice(s) b (vectorized)."""
-        b = np.asarray(b, dtype=float)
-        rate = b * np.log2(1.0 + self.snr_num / b)
-        return self.state_bits / rate
-
-    def tau_agg_one(self, k: int, b: float) -> float:
-        rate = b * math.log2(1.0 + self.snr_num[k] / b)
-        return self.state_bits / rate
-
-    def tau_agg_floor(self, k: int) -> float:
-        # limit of tau_agg as b -> inf: rate tends to snr_num / ln 2
-        return self.state_bits * math.log(2.0) / self.snr_num[k]
+        self.e_full = self.e_locals(np.zeros(len(self.sizes)))  # compute energy at alpha = 0
+        self.tau_budget = self.tau_agg(self.budget_hz)  # upload times on the whole budget
+        # offload total -> battery-optimal frequency, or the InfeasibleError it
+        # raised: the offload block's two bisections revisit most totals
+        self.freq_at = {}
 
     def invert_tau_agg(self, targets, b_hi: float) -> np.ndarray:
         """Per client, the smallest slice with tau_agg <= target, capped at
         b_hi; inf where even b_hi misses the target."""
         targets = np.asarray(targets, dtype=float)
-        b = upload_bandwidth(self.state_bits, self.snr_num, targets)
-        return np.where(self.tau_agg(b_hi) > targets, math.inf, np.minimum(b, b_hi))
+        b = upload_bandwidth(self.footprint.state_bits, self.snr_num, targets)
+        tau_hi = self.tau_budget if b_hi == self.budget_hz else self.tau_agg(b_hi)
+        return np.where(tau_hi > targets, math.inf, np.minimum(b, b_hi))
 
-    def alpha_floor(self, tau_aggs) -> np.ndarray:
-        """Least offload per client that fits its energy budget at the
-        given upload times. Local compute is the only knob once the slice
-        is fixed, so the budget turns into a lower bound on offload."""
-        e_loc0 = self.kappa * self.cycles * self.sizes * self.freqs ** 2
-        head = self.budgets - self.powers * np.asarray(tau_aggs, dtype=float)
+    def alpha_floor(self, e_aggs) -> np.ndarray:
+        """Least offload per client that fits its energy budget after uploads
+        costing e_aggs. Local compute is the only knob once the slice is
+        fixed, so the budget turns into a lower bound on offload."""
+        head = self.budgets - e_aggs
         lo = np.zeros(len(self.sizes))
-        pos = e_loc0 > 0
-        lo[pos] = 1.0 - head[pos] / e_loc0[pos]
+        pos = self.e_full > 0
+        lo[pos] = 1.0 - head[pos] / self.e_full[pos]
         lo[~pos & (head < 0)] = math.inf  # upload alone busts the budget
         if np.any(lo > self.alpha_max + 1e-9):
             k = int(np.argmax(lo - self.alpha_max))
@@ -296,81 +239,71 @@ def _contexts(scenario) -> list:
 # satellite frequency block (battery-limited maximum)
 
 
-def _chain_residuals(ctx: _Ctx, a: float, f: float):
-    """Worst per-satellite battery residual margin over the relay chain."""
-    tau_tr = ctx.tau_trans(a)
-    e_tr = ctx.e_trans(a)
-    if a <= 0:
-        return ctx.e_orig - e_tr + tau_tr * ctx.p_charge - ctx.psi
-    n = ctx.n_handoffs(a, f)
-    rem = max(ctx.m_s * a - n * (ctx.T - tau_tr) * f, 0.0)
-    last = (
-        ctx.e_orig - ctx.kappa * rem * f ** 2 - e_tr
-        + (rem / f + tau_tr) * ctx.p_charge - ctx.psi
-    )
-    if n == 0:
-        return last
-    first = (
-        ctx.e_orig - ctx.kappa * (ctx.T - tau_tr) * f ** 3 - e_tr
-        + ctx.T * ctx.p_charge - ctx.psi
-    )
-    return min(first, last)
-
-
 def _best_freq(ctx: _Ctx, a: float) -> float:
     """Battery-feasible frequency maximizing satellite progress for offload a."""
+    if a not in ctx.freq_at:
+        try:
+            ctx.freq_at[a] = _battery_freq(ctx, a)
+        except InfeasibleError as err:
+            ctx.freq_at[a] = err
+    f = ctx.freq_at[a]
+    if isinstance(f, InfeasibleError):
+        raise f.with_traceback(None)  # a kept traceback would grow on each raise
+    return f
+
+
+def _battery_freq(ctx: _Ctx, a: float) -> float:
+    c = ctx.cluster
     tau_tr = ctx.tau_trans(a)
     if tau_tr >= ctx.T:
         raise InfeasibleError(
-            f"cluster {ctx.cluster.id}: relay time {tau_tr:.3f} s exceeds the "
+            f"cluster {c.id}: relay time {tau_tr:.3f} s exceeds the "
             f"coverage window {ctx.T:.3f} s", slack=ctx.T - tau_tr,
         )
-    e_tr = ctx.e_trans(a)
-    cyc = ctx.m_s * a
+    cyc = c.sat_cycles_per_sample * a
     if cyc <= 0:
-        slack = ctx.e_orig - e_tr + tau_tr * ctx.p_charge - ctx.psi
+        slack = ctx.battery_margin(a, ctx.f_max)
         if slack < 0:
             raise InfeasibleError(
-                f"cluster {ctx.cluster.id}: battery cannot cover the relay alone",
+                f"cluster {c.id}: battery cannot cover the relay alone",
                 slack=slack,
             )
         return ctx.f_max
 
-    def resid_single(f):
-        # single-window completion: compute cyc at f, charge over actual dwell
-        return (
-            ctx.e_orig - ctx.kappa * cyc * f * f - e_tr
-            + (cyc / f + tau_tr) * ctx.p_charge - ctx.psi
-        )
+    def margin(f):
+        return ctx.battery_margin(a, f)
 
     thresh = cyc / (ctx.T - tau_tr)
     if ctx.f_max >= thresh:
-        if resid_single(ctx.f_max) >= 0.0:
+        # single-window completion: the one satellite computes cyc at f and
+        # charges over its actual dwell
+        if margin(ctx.f_max) >= 0.0:
             return ctx.f_max
-        lo_slack = resid_single(thresh)
+        lo_slack = margin(thresh)
         if lo_slack < 0.0:
             raise InfeasibleError(
-                f"cluster {ctx.cluster.id}: battery short by {-lo_slack:.6g} J even "
+                f"cluster {c.id}: battery short by {-lo_slack:.6g} J even "
                 "at the slowest single-window frequency", slack=lo_slack,
             )
-        r = bisect(resid_single, thresh, ctx.f_max)
+        r = bisect(margin, thresh, ctx.f_max)
         return r.lo  # feasible side
 
     # multi-window regime: full-dwell energy model, closed form
-    num = ctx.e_orig - e_tr + ctx.T * ctx.p_charge - ctx.psi
+    e_tr = cost.isl_transfer_energy(tau_tr, c.sat_tx_power_w)
+    num = c.sat_initial_energy_j - e_tr + ctx.T * ctx.p_charge - c.sat_min_residual_j
     if num <= 0.0:
         raise InfeasibleError(
-            f"cluster {ctx.cluster.id}: battery cannot sustain any frequency "
+            f"cluster {c.id}: battery cannot sustain any frequency "
             "across full coverage windows", slack=num,
         )
-    f = battery_freq_closed_form(ctx.e_orig, e_tr, ctx.T, tau_tr, ctx.p_charge,
-                                 ctx.psi, ctx.kappa, ctx.f_max)
-    worst = _chain_residuals(ctx, a, f)
-    if worst < -1e-9 * max(1.0, ctx.psi):
+    f = battery_freq_closed_form(c.sat_initial_energy_j, e_tr, ctx.T, tau_tr, ctx.p_charge,
+                                 c.sat_min_residual_j, c.energy_coeff, ctx.f_max)
+    worst = margin(f)
+    if worst < -1e-9 * max(1.0, c.sat_min_residual_j):
         # charging over a shortened final dwell can undercut the full-window
         # model; refuse rather than return an infeasible frequency
         raise InfeasibleError(
-            f"cluster {ctx.cluster.id}: final-satellite residual short by "
+            f"cluster {c.id}: final-satellite residual short by "
             f"{-worst:.6g} J under shortened-dwell charging", slack=worst,
         )
     return f
@@ -408,7 +341,7 @@ def _equalize_local(ctx: _Ctx, a: float, lo: np.ndarray) -> np.ndarray:
     piece that holds a (water-filling: Boyd & Vandenberghe, Convex
     Optimization, 2004, section 5.5.3). Dataless clients have no breakpoint
     and keep alpha_max; their mass is zero."""
-    rate = ctx.freqs * ctx.inv_work  # 1 / full_k
+    rate = ctx.cpu_freq_hz * ctx.inv_work  # 1 / full_k
     pos = rate > 0
     knots = np.concatenate(([0.0], (1.0 - ctx.alpha_max[pos]) / rate[pos],
                             (1.0 - lo[pos]) / rate[pos]))
@@ -431,10 +364,10 @@ def _equalize_local(ctx: _Ctx, a: float, lo: np.ndarray) -> np.ndarray:
     return alpha
 
 
-def _alpha_within(ctx: _Ctx, a: float, tau_aggs: np.ndarray) -> np.ndarray:
+def _alpha_within(ctx: _Ctx, a: float, e_aggs: np.ndarray) -> np.ndarray:
     """Split total offload a across the cluster to minimize the worst client
     compute time, above the per-client energy floors."""
-    lo = ctx.alpha_floor(tau_aggs)
+    lo = ctx.alpha_floor(e_aggs)
     a_floor = float(np.sum(lo * ctx.sizes))
     if a < a_floor - 1e-9 * max(1.0, a_floor):
         raise InfeasibleError(
@@ -455,15 +388,16 @@ def solve_alpha_within_cluster(scenario, cluster_id: int, a: float,
                                bandwidth: dict) -> dict:
     """Public per-cluster inner solver; returns client id -> alpha."""
     ctx = _Ctx(scenario, scenario.cluster(cluster_id))
-    tau_aggs = np.array([ctx.tau_agg_one(k, bandwidth[pid]) for k, pid in enumerate(ctx.ids)])
-    alpha = _alpha_within(ctx, a, tau_aggs)
-    return {pid: float(alpha[k]) for k, pid in enumerate(ctx.ids)}
+    alpha = _alpha_within(ctx, a, ctx.uplink(ctx.per_client(bandwidth))[1])
+    return dict(zip(ctx.ids, alpha.tolist()))
 
 
-def _cluster_alpha(ctx: _Ctx, tau_aggs: np.ndarray) -> np.ndarray:
+def _cluster_alpha(ctx: _Ctx, b: np.ndarray) -> np.ndarray:
     """Choose the cluster's total offload A by balancing the two paths, with
-    the satellite at its battery-optimal frequency for each trial A."""
-    lo_vec = ctx.alpha_floor(tau_aggs)
+    the satellite at its battery-optimal frequency for each trial A, for
+    the clients' bandwidth slices b."""
+    tau_aggs, e_aggs = ctx.uplink(b)
+    lo_vec = ctx.alpha_floor(e_aggs)
     a_lo = float(np.sum(lo_vec * ctx.sizes))
     if a_lo > ctx.a_cap * (1.0 + 1e-9):
         raise InfeasibleError(
@@ -501,10 +435,10 @@ def _cluster_alpha(ctx: _Ctx, tau_aggs: np.ndarray) -> np.ndarray:
             f = _best_freq(ctx, a)
         except InfeasibleError:
             return math.inf, math.inf, None
-        alpha = _alpha_within(ctx, a, tau_aggs)
-        n = ctx.n_handoffs(a, f)
+        alpha = _alpha_within(ctx, a, e_aggs)
+        _, n, rep, _, _ = ctx.chain(a, f)
         y, _ = cluster_client_path(ctx.tau_locals(alpha), tau_aggs, ctx.T, n)
-        return y, ctx.tau_rep(a, f), f
+        return y, rep, f
 
     while hi - lo > tol and it < BISECT_MAX_ITER:
         mid = 0.5 * (lo + hi)
@@ -529,19 +463,14 @@ def _cluster_alpha(ctx: _Ctx, tau_aggs: np.ndarray) -> np.ndarray:
                 f"cluster {ctx.cluster.id}: no battery-feasible offload level"
             )
         best_a = a_lo
-    return _alpha_within(ctx, best_a, tau_aggs)
+    return _alpha_within(ctx, best_a, e_aggs)
 
 
 def solve_alpha(scenario, bandwidth: dict, ctxs=None) -> dict:
     """Per-client offload fractions balancing client and satellite paths."""
     out = {}
     for ctx in ctxs or _contexts(scenario):
-        tau_aggs = np.array(
-            [ctx.tau_agg_one(k, bandwidth[pid]) for k, pid in enumerate(ctx.ids)]
-        )
-        alpha = _cluster_alpha(ctx, tau_aggs)
-        for k, pid in enumerate(ctx.ids):
-            out[pid] = float(alpha[k])
+        out.update(zip(ctx.ids, _cluster_alpha(ctx, ctx.per_client(bandwidth)).tolist()))
     return out
 
 
@@ -551,12 +480,10 @@ def solve_alpha(scenario, bandwidth: dict, ctxs=None) -> dict:
 
 def _bandwidth_cluster(ctx: _Ctx, alpha: np.ndarray, freq: float) -> np.ndarray:
     tl = ctx.tau_locals(alpha)
-    m = float(np.max(tl))
-    a = float(np.sum(alpha * ctx.sizes))
-    n = ctx.n_handoffs(a, freq)
+    n = ctx.n_handoffs(ctx.offloaded(alpha), freq)
     e_loc = ctx.e_locals(alpha)
 
-    targets = (ctx.budgets - e_loc) / ctx.powers
+    targets = (ctx.budgets - e_loc) / ctx.tx_power_w
     b_min = ctx.invert_tau_agg(targets, ctx.budget_hz)
     short = np.flatnonzero(np.isinf(b_min))
     if len(short):
@@ -568,15 +495,13 @@ def _bandwidth_cluster(ctx: _Ctx, alpha: np.ndarray, freq: float) -> np.ndarray:
             )
         raise InfeasibleError(
             f"client {ctx.ids[k]}: cannot meet the energy budget within the "
-            "cluster bandwidth", slack=float(targets[k] - ctx.tau_agg_one(k, ctx.budget_hz)),
+            "cluster bandwidth", slack=float(targets[k] - ctx.tau_budget[k]),
         )
 
     x = np.zeros_like(tl)
     floors = b_min
+    m, x2, deadline = cost.regime_geometry(tl, ctx.T)
     if m > ctx.T * n:
-        h = math.floor(m / ctx.T)
-        deadline = ctx.T * (h + 1)
-        x2 = np.maximum(ctx.T * h, tl)
         # an unattainable deadline reads inf and fails the budget test
         floors2 = np.maximum(b_min, ctx.invert_tau_agg(deadline - x2, ctx.budget_hz))
         if float(np.sum(floors2)) <= ctx.budget_hz:
@@ -624,10 +549,8 @@ def solve_bandwidth(scenario, alpha: dict, sat_freq: dict, ctxs=None) -> dict:
     """Per-client bandwidth slices equalizing completion under the budget."""
     out = {}
     for ctx in ctxs or _contexts(scenario):
-        avec = np.array([alpha[pid] for pid in ctx.ids])
-        b = _bandwidth_cluster(ctx, avec, sat_freq[ctx.cluster.id])
-        for k, pid in enumerate(ctx.ids):
-            out[pid] = float(b[k])
+        b = _bandwidth_cluster(ctx, ctx.per_client(alpha), sat_freq[ctx.cluster.id])
+        out.update(zip(ctx.ids, b.tolist()))
     return out
 
 
@@ -703,12 +626,7 @@ def check_feasibility(scenario, decision, bound_value=None, bound_cap=None) -> F
                 "client_energy", f"client {p.id}",
                 _rel_ok(slack_e, p.energy_budget_j), slack_e))
 
-        charge = cluster.sun_power_w if cluster.sun_facing else 0.0
-        residual = min(
-            cluster.sat_initial_energy_j - e + d * charge
-            for d, e in zip(cc.sat_dwell_s, cc.sat_energy_j)
-        )
-        slack_s = residual - cluster.sat_min_residual_j
+        slack_s = cost.ClusterModel(scenario, cluster).battery_margin(cc.offloaded_samples, f)
         name = "sat_energy_sun" if cluster.sun_facing else "sat_energy_dark"
         checks.append(ConstraintCheck(
             name, f"cluster {cluster.id}",
@@ -765,9 +683,8 @@ def default_init(scenario, ctxs=None) -> DecisionVector:
         elif cluster.max_offload_samples == 0:
             base = base * 0.0
         share = cluster.bandwidth_hz / len(ctx.ids)
-        tau_eq = np.array([ctx.tau_agg_one(k, share) for k in range(len(ctx.ids))])
         try:
-            base = np.maximum(base, ctx.alpha_floor(tau_eq))
+            base = np.maximum(base, ctx.alpha_floor(ctx.uplink(share)[1]))
         except InfeasibleError:
             pass  # equal split can't cover some budget; later blocks resolve it
         for k, pid in enumerate(ctx.ids):
@@ -784,15 +701,11 @@ def default_init(scenario, ctxs=None) -> DecisionVector:
 def _tau(scenario, decision) -> float:
     return cost.round_latency(scenario, decision).tau_round_s
 
-
 def _client_energy_ok(ctxs, alpha, bandwidth) -> bool:
     for ctx in ctxs:
-        avec = np.array([alpha[pid] for pid in ctx.ids])
-        e_loc = ctx.e_locals(avec)
-        for k, pid in enumerate(ctx.ids):
-            e_agg = ctx.powers[k] * ctx.tau_agg_one(k, bandwidth[pid])
-            if e_loc[k] + e_agg > ctx.budgets[k] * (1.0 + 1e-12):
-                return False
+        e = ctx.e_locals(ctx.per_client(alpha)) + ctx.uplink(ctx.per_client(bandwidth))[1]
+        if np.any(e > ctx.budgets * (1.0 + 1e-12)):
+            return False
     return True
 
 
@@ -811,7 +724,9 @@ def optimize(scenario, iters: int = 10) -> OptimizeResult:
         alpha_new = solve_alpha(scenario, decision.bandwidth_hz, ctxs)
         candidate = DecisionVector(alpha_new, solve_freq(scenario, alpha_new, ctxs),
                                    decision.bandwidth_hz)
-        tau_cand = _tau(scenario, candidate)
+        # a block that returns the incumbent (the descent's last pass often
+        # does) keeps its round time
+        tau_cand = tau if candidate == decision else _tau(scenario, candidate)
         if tau_cand <= tau:
             decision, tau = candidate, tau_cand
         trace.append(("alpha", i, tau))
@@ -825,7 +740,7 @@ def optimize(scenario, iters: int = 10) -> OptimizeResult:
         # bandwidth block
         b_new = solve_bandwidth(scenario, decision.alpha, decision.sat_freq_hz, ctxs)
         candidate = DecisionVector(decision.alpha, decision.sat_freq_hz, b_new)
-        tau_cand = _tau(scenario, candidate)
+        tau_cand = tau if candidate == decision else _tau(scenario, candidate)
         incumbent_ok = _client_energy_ok(ctxs, decision.alpha, decision.bandwidth_hz)
         if tau_cand <= tau or not incumbent_ok:
             decision, tau = candidate, tau_cand
@@ -896,33 +811,34 @@ class _Lattice:
 
         best_rep = np.empty(len(uniq_a))
         best_f = np.empty(len(uniq_a))
-        for i, a in enumerate(uniq_a):
-            f = _best_freq(ctx, float(a))
-            if ctx.n_handoffs(float(a), f) != 0:
+        for i, a in enumerate(uniq_a.tolist()):
+            f = _battery_freq(ctx, a)  # each total once, so no memo
+            _, n, best_rep[i], _, _ = ctx.chain(a, f)
+            if n != 0:
                 raise ValueError("grid comparator expects single-window instances")
-            best_rep[i] = ctx.tau_rep(float(a), f)
             best_f[i] = f
         self.rep = best_rep[inverse]
         self.freq = best_f[inverse]
 
-        # --- client side: exact energy floors on the slices, per axis value
+        # --- client side: exact energy floors on the slices, per axis value;
+        # column k holds client k's axis, padded with its first value (0)
+        axis_alpha = np.zeros((max(len(ax) for ax in axes), k_count))
+        for k, ax in enumerate(axes):
+            axis_alpha[:len(ax), k] = ax
+        targets = (ctx.budgets - ctx.e_locals(axis_alpha)) / ctx.tx_power_w
+        if np.any(targets <= 0):
+            raise InfeasibleError("grid instance has an unmeetable client energy budget")
+        b_axis = upload_bandwidth(ctx.footprint.state_bits, ctx.snr_num, targets)
         b_min = np.empty_like(self.alphas)
         for k in range(k_count):
-            e_loc = ctx.kappa * ctx.cycles[k] * (1.0 - axes[k]) * ctx.sizes[k] * ctx.freqs[k] ** 2
-            targets = (ctx.budgets[k] - e_loc) / ctx.powers[k]
-            if np.any(targets <= 0):
-                raise InfeasibleError("grid instance has an unmeetable client energy budget")
-            b_min[:, k] = upload_bandwidth(ctx.state_bits, ctx.snr_num[k], targets)[pos[:, k]]
+            b_min[:, k] = b_axis[pos[:, k], k]
         total_min = b_min.sum(axis=1)
         if np.any(np.isinf(b_min)) or np.any(total_min > ctx.budget_hz):
             raise InfeasibleError("grid instance has an unmeetable client energy budget")
         self.b_min = b_min
 
         tl = ctx.tau_locals(self.alphas)  # (P, K)
-        m = tl.max(axis=1)
-        h = np.floor(m / ctx.T)
-        self.x = np.maximum((ctx.T * h)[:, None], tl)
-        self.deadline = ctx.T * (h + 1.0)
+        m, self.x, self.deadline = cost.regime_geometry(tl, ctx.T)
         self.case1 = m <= 0.0
 
         # client k gets at most the budget the other floors leave, so its
@@ -947,7 +863,8 @@ class _Lattice:
             for _ in range(60):
                 mid = 0.5 * (lo + hi)
                 need = np.maximum(
-                    upload_bandwidth(ctx.state_bits, ctx.snr_num, mid[:, None] - offset), b_min)
+                    upload_bandwidth(ctx.footprint.state_bits, ctx.snr_num, mid[:, None] - offset),
+                    b_min)
                 feas = need.sum(axis=1) <= ctx.budget_hz
                 hi = np.where(feas, mid, hi)
                 lo = np.where(feas, lo, mid)
@@ -957,7 +874,8 @@ class _Lattice:
         val2 = least_target(x.max(axis=1), (x + tau_floor).max(axis=1), x)
         # when that misses the serving window, uploads wait for the next
         # satellite and the upload times alone are re-equalized
-        floor = max(ctx.tau_agg_floor(k) for k in range(len(ctx.sizes)))
+        # the slowest infinite-bandwidth upload: rate tends to snr_num / ln 2
+        floor = float(np.max(ctx.footprint.state_bits * math.log(2.0) / ctx.snr_num))
         hi3 = least_target(np.full(len(sel), floor), tau_floor.max(axis=1), 0.0)
         deadline = self.deadline[sel]
         y = np.where(self.case1[sel], hi3, np.where(val2 <= deadline, val2, deadline + hi3))

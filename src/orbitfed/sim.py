@@ -158,6 +158,15 @@ class SimState:
     feeds: dict
     battery: dict
     persistent_battery: bool
+    client_times: dict  # cluster id -> (tau_locals, tau_aggs) from the cost model
+
+
+def _client_times(scenario, cluster, decision) -> tuple:
+    """Per-client local-compute and upload seconds of one cluster; the
+    decision is fixed for the run, so they are priced once."""
+    model = cost.ClusterModel(scenario, cluster)
+    return (model.tau_locals(model.per_client(decision.alpha)),
+            model.tau_agg(model.per_client(decision.bandwidth_hz)))
 
 
 def init_state(scenario, decision, config: TrainConfig = None, layout=None,
@@ -175,6 +184,7 @@ def init_state(scenario, decision, config: TrainConfig = None, layout=None,
         feeds={c.id: _Feed(c) for c in scenario.clusters},
         battery={c.id: c.sat_initial_energy_j for c in scenario.clusters},
         persistent_battery=persistent_battery,
+        client_times={c.id: _client_times(scenario, c, decision) for c in scenario.clusters},
     )
 
 
@@ -245,18 +255,7 @@ def _cluster_path(state, cluster, feed, path_start, events):
     gate = feed.window(i)[0]  # arrival of the final chain satellite
 
     # client path
-    tau_locals = np.array([
-        cost.client_local_latency(p, 1.0 - decision.alpha[p.id], p.size)
-        for p in members
-    ])
-    tau_aggs = np.array([
-        cost.uplink_agg_latency_energy(
-            p, decision.bandwidth_hz[p.id], scenario.footprint,
-            cluster.sat_distance_m, cluster.pathloss_exponent,
-            cluster.noise_density_w_per_hz,
-        )[0]
-        for p in members
-    ])
+    tau_locals, tau_aggs = state.client_times[cluster.id]
     for p, tl in zip(members, tau_locals):
         events.append({
             "t_s": path_start, "cluster": cluster.id, "kind": "client_compute",

@@ -11,14 +11,20 @@ Two families:
   windows, exercising handoffs and the closed-form frequency branch.
 
 All draws come from a caller-provided Generator so every test seeds its own.
+The Hypothesis profile loaded here makes every property test derandomized
+and free of deadlines; each test states only its number of examples.
 """
 
 import math
 from pathlib import Path
 
 import numpy as np
+from hypothesis import settings
 
 from orbitfed.scenario import validate_scenario
+
+settings.register_profile("orbitfed", derandomize=True, deadline=None)
+settings.load_profile("orbitfed")
 
 KAPPA = 1e-28
 DIST_M = 784e3

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orbitfed import cost
 from orbitfed.cost import (
@@ -237,6 +238,30 @@ class TestClientPath:
                 assert case == 2 and y == pytest.approx(v)
             else:
                 assert case == 3 and y == pytest.approx(t * (h + 1) + max(ta))
+        assert seen == {1, 2, 3}
+
+    def test_batched_rows_equal_scalar_calls(self):
+        """A leading batch axis prices each row exactly as its own scalar
+        call, and the drawn rows reach all three regimes."""
+        seen = set()
+
+        @settings(max_examples=200)
+        @given(st.floats(50.0, 500.0), st.integers(1, 4), st.integers(1, 6), st.data())
+        def check(t, k, rows, data):
+            # local times anywhere in three windows or on a window edge
+            local = st.one_of(st.floats(0.0, 3.0 * t), st.integers(0, 3).map(lambda h: h * t))
+            tl = data.draw(st.lists(st.lists(local, min_size=k, max_size=k),
+                                    min_size=rows, max_size=rows))
+            ta = data.draw(st.lists(st.lists(st.floats(1e-3, t), min_size=k, max_size=k),
+                                    min_size=rows, max_size=rows))
+            n = data.draw(st.lists(st.integers(0, 3), min_size=rows, max_size=rows))
+            y, case = cluster_client_path(np.array(tl), np.array(ta), t, np.array(n))
+            assert y.shape == case.shape == (rows,)
+            for i in range(rows):
+                assert (y[i], case[i]) == cluster_client_path(tl[i], ta[i], t, n[i])
+            seen.update(case.tolist())
+
+        check()
         assert seen == {1, 2, 3}
 
 

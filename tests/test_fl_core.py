@@ -13,11 +13,9 @@ from orbitfed.fl import (
     gradient,
     init_model,
     intra_cluster_aggregate,
-    load_checkpoint,
     local_update,
     local_update_stack,
     loss_and_grad,
-    save_checkpoint,
 )
 from orbitfed.scenario import SampleSet, synthetic_dataset
 
@@ -123,7 +121,7 @@ def assert_rel(got, want, tol=1e-12):
 
 
 class TestClassMajorKernel:
-    @settings(derandomize=True, max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(kind=st.sampled_from(["logistic", "mlp"]), rows=st.integers(1, 40),
            classes=st.integers(2, 7), dim=st.integers(1, 6), hidden=st.integers(1, 6),
            lead=st.lists(st.integers(1, 3), max_size=2), seed=st.integers(0, 2 ** 32 - 1))
@@ -367,19 +365,3 @@ class TestEvaluate:
     def test_empty_test_set_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             evaluate(init_model(MLP), SampleSet.empty(16))
-
-
-class TestCheckpoint:
-    def test_roundtrip(self, tmp_path):
-        model = init_model(MLP, seed=5)
-        path = tmp_path / "model.bin"
-        save_checkpoint(path, model)
-        back = load_checkpoint(path)
-        assert back.layout == model.layout
-        assert np.array_equal(back.values, model.values)
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"NOPE" + b"\x00" * 64)
-        with pytest.raises(ValueError, match="magic"):
-            load_checkpoint(path)

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orbitfed import cost
 from orbitfed.fl import ModelLayout, TrainConfig
@@ -71,6 +72,35 @@ class TestTimingAgreement:
             rec = run_round(init_state(sc, d))
             want = cost.round_latency(sc, d).tau_round_s
             assert rec.tau_round_s == pytest.approx(want, abs=1e-9, rel=1e-12)
+
+    def test_fixed_period_replay_equals_model(self):
+        """Every fixed-period round replays the cost model: the round time
+        and, per cluster, the handoff count, the client path and its regime.
+        Slices scaled down by up to 1e7 stretch the uploads, so the drawn
+        rounds reach all three regimes."""
+        seen = set()
+
+        @settings(max_examples=200)
+        @given(st.sampled_from([(case1_instance, False), (case1_instance, True),
+                                (multiwindow_instance, False), (mixed_instance, False)]),
+               st.integers(0, 2 ** 32 - 1), st.floats(-7.0, 0.0))
+        def check(family, seed, squeeze):
+            build, optimized = family
+            sc = build(np.random.default_rng([5151, seed]))
+            d = optimize(sc, iters=2).decision if optimized else default_init(sc)
+            d = DecisionVector(d.alpha, d.sat_freq_hz,
+                               {k: b * 10.0 ** squeeze for k, b in d.bandwidth_hz.items()})
+            want = cost.round_latency(sc, d)
+            for rec in run_experiment(sc, d, rounds=3).records:
+                assert rec.tau_round_s == pytest.approx(want.tau_round_s, abs=1e-9, rel=1e-12)
+                for cc in want.clusters:
+                    log = rec.clusters[cc.cluster_id]
+                    assert (log.n_handoffs, log.y_case) == (cc.n_handoffs, cc.y_case)
+                    assert log.y_s == pytest.approx(cc.y_s, abs=1e-9, rel=1e-12)
+                    seen.add(cc.y_case)
+
+        check()
+        assert seen == {1, 2, 3}
 
     def test_every_round_agrees_over_many(self):
         rng = np.random.default_rng(23)
