@@ -108,7 +108,7 @@ def _pinned_alpha(scenario, baseline: str, alpha_fixed):
         for c in scenario.clusters:
             members = scenario.cluster_clients(c.id)
             total = sum(alpha[p.id] * p.size for p in members)
-            if total > c.max_offload_samples > 0:
+            if total > c.max_offload_samples:
                 scale = c.max_offload_samples / total
                 for p in members:
                     alpha[p.id] *= scale

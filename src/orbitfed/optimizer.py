@@ -7,10 +7,12 @@ by three coupled blocks, each solved exactly given the others:
     the satellite path in total offloaded samples A_j, with an inner min-max
     equalization distributing A_j across clients in closed form
     (water-filling);
-  - satellite frequency: the battery-constrained maximum, found by bisection
-    when the work fits one coverage window and in closed form otherwise;
-  - bandwidth: per-client floors from the energy budget, then bisection on
-    the equalized completion value until the cluster budget is met.
+  - satellite frequency: the battery-constrained maximum in closed form,
+    the root of a quadratic (dark) or a cubic (sunlit) in f when the work
+    fits one coverage window and of the full-window energy model otherwise;
+  - bandwidth: per-client floors from the energy budget, then safeguarded
+    Newton steps on the equalized completion value until the slices fill
+    the cluster budget.
 
 A block-coordinate loop cycles the offload and bandwidth blocks. Because A_j
 changes the relay time and hence the battery headroom, the offload block
@@ -39,6 +41,12 @@ from .cost import cluster_client_path
 BISECT_EPS = 1e-6
 BISECT_MAX_ITER = 200
 BAND_EPS = 1e-6  # bandwidth budget band (1 - eps) * B_j <= sum b <= B_j
+# the bandwidth block's Newton steps stop when the slices above their floors
+# miss the budget by at most this share of their sum, well inside the band
+BAND_AIM = 1e-4 * BAND_EPS
+# a round whose offloaded work needs more satellites than this is refused:
+# the cost breakdown and decision.json list every satellite of the chain
+MAX_HANDOFFS = 10_000
 DESCENT_RTOL = 1e-6  # stop the descent when an iteration gains less than this
 # The bandwidth block stops within BAND_EPS of the budget, so a profile's real
 # decision can sit up to that far above its exact grid total: the grid keeps
@@ -240,10 +248,19 @@ def _contexts(scenario) -> list:
 
 
 def _best_freq(ctx: _Ctx, a: float) -> float:
-    """Battery-feasible frequency maximizing satellite progress for offload a."""
+    """Battery-feasible frequency maximizing satellite progress for offload a,
+    for a relay chain of at most MAX_HANDOFFS handoffs."""
     if a not in ctx.freq_at:
         try:
-            ctx.freq_at[a] = _battery_freq(ctx, a)
+            f = _battery_freq(ctx, a)
+            n = ctx.n_handoffs(a, f)
+            if n > MAX_HANDOFFS:
+                raise InfeasibleError(
+                    f"cluster {ctx.cluster.id}: offloading {a:.6g} samples needs "
+                    f"{n} satellite handoffs, more than {MAX_HANDOFFS}",
+                    slack=float(MAX_HANDOFFS - n),
+                )
+            ctx.freq_at[a] = f
         except InfeasibleError as err:
             ctx.freq_at[a] = err
     f = ctx.freq_at[a]
@@ -274,6 +291,7 @@ def _battery_freq(ctx: _Ctx, a: float) -> float:
         return ctx.battery_margin(a, f)
 
     thresh = cyc / (ctx.T - tau_tr)
+    e_tr = cost.isl_transfer_energy(tau_tr, c.sat_tx_power_w)
     if ctx.f_max >= thresh:
         # single-window completion: the one satellite computes cyc at f and
         # charges over its actual dwell
@@ -285,11 +303,18 @@ def _battery_freq(ctx: _Ctx, a: float) -> float:
                 f"cluster {c.id}: battery short by {-lo_slack:.6g} J even "
                 "at the slowest single-window frequency", slack=lo_slack,
             )
-        r = bisect(margin, thresh, ctx.f_max)
-        return r.lo  # feasible side
+        f = max(thresh, min(ctx.f_max, ctx.f_max * _single_window_root(
+            c.sat_initial_energy_j - e_tr + ctx.p_charge * tau_tr - c.sat_min_residual_j,
+            c.energy_coeff * cyc * ctx.f_max ** 2, ctx.p_charge * cyc / ctx.f_max)))
+        # the root is exact to rounding; lower it a few ulps where needed so
+        # the chain's own margin holds (it holds at thresh)
+        rel = math.ulp(1.0)
+        while margin(f) < 0.0:
+            f = max(thresh, f * (1.0 - rel))
+            rel *= 2.0
+        return f
 
     # multi-window regime: full-dwell energy model, closed form
-    e_tr = cost.isl_transfer_energy(tau_tr, c.sat_tx_power_w)
     num = c.sat_initial_energy_j - e_tr + ctx.T * ctx.p_charge - c.sat_min_residual_j
     if num <= 0.0:
         raise InfeasibleError(
@@ -307,6 +332,30 @@ def _battery_freq(ctx: _Ctx, a: float) -> float:
             f"{-worst:.6g} J under shortened-dwell charging", slack=worst,
         )
     return f
+
+
+def _single_window_root(head: float, e_max: float, charge: float) -> float:
+    """Root s = f / f_max of the single-window battery margin head - e_max s^2
+    + charge / s, which falls in s: head = E0 - e_tr + p tau_tr - psi, e_max
+    = kappa cyc f_max^2 the compute energy at f_max, charge = p cyc / f_max
+    what the charger gains over the compute time at f_max.
+
+    Without sun s = sqrt(head / e_max). With it, times s the margin is the
+    cubic s^3 - (head / e_max) s - charge / e_max = 0, which has one positive
+    root: Cardano's formula when it is the only real root, and the largest
+    of the trigonometric form's three otherwise (Nickalls, "A new approach
+    to solving the cubic", Math. Gazette 77, 1993). Scaling by f_max keeps
+    every term near 1."""
+    if charge == 0.0:
+        return math.sqrt(head / e_max)
+    p3 = head / (3.0 * e_max)
+    q2 = charge / (2.0 * e_max)
+    disc = q2 * q2 - p3 ** 3
+    if disc >= 0.0:
+        u = (q2 + math.sqrt(disc)) ** (1.0 / 3.0)
+        # u + p3 / u, written without the cancellation of a negative p3
+        return 2.0 * q2 / (u * u - p3 + (p3 / u) ** 2)
+    return 2.0 * math.sqrt(p3) * math.cos(math.acos(min(1.0, q2 / p3 ** 1.5)) / 3.0)
 
 
 def battery_freq_closed_form(e_orig, e_trans, coverage_s, tau_trans_s,
@@ -515,33 +564,63 @@ def _bandwidth_cluster(ctx: _Ctx, alpha: np.ndarray, freq: float) -> np.ndarray:
             slack=ctx.budget_hz - float(np.sum(floors)),
         )
 
-    def alloc(nu):
-        return np.maximum(floors, ctx.invert_tau_agg(nu - x, ctx.budget_hz))
+    return _equalize_slices(ctx, floors, x)
 
-    nu_lo = float(np.max(x))
-    nu_hi = float(np.max(x + ctx.tau_agg(floors)))
-    best = alloc(nu_hi)  # all floors by construction
-    if nu_hi <= nu_lo:
-        return best
-    lo, hi = nu_lo, nu_hi
-    # the budget band is the real stop; the interval check is a backstop and
-    # has to be near machine tight or the split lands visibly short of B
-    tol = 1e-13 * max(1.0, nu_hi)
-    it = 0
-    while it < BISECT_MAX_ITER:
-        mid = 0.5 * (lo + hi)
-        b = alloc(mid)
+
+def _equalize_slices(ctx: _Ctx, floors: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The slices max(floor_k, b_k(nu - x_k)) at the least common completion
+    nu whose sum S(nu) fits the budget B; b_k(t) is client k's smallest
+    slice uploading within t.
+
+    The slices above their floors sum to A(nu), convex and decreasing, with
+    a pole where one slice takes all of B and close to a hyperbola near it,
+    so 1 / A is close to linear in nu. Newton steps on 1 / A(nu) - 1 / R,
+    R what the floored slices leave of B less half of BAND_AIM A, reach
+    B - BAND_AIM A <= S <= B in a few inversions from either side: A, and
+    with it the completion, is then within BAND_AIM of the equalized split.
+    Each active slice has the analytic slope db/dt = -r^2 / (Q r'), r(b) =
+    b log2(1 + c/b) its rate. The bracket costs no inversion: below
+    max_k(x_k + tau_k(B)) a slice would exceed B, and at max_k(x_k +
+    tau_k(c_k)) for a split c_k >= floor_k of B every slice is at most c_k,
+    so the first step starts there with c_k the floors plus equal shares of
+    what they leave. A step that leaves the bracket bisects it instead. The
+    kept split is the last one that fits the budget: the floors, if no
+    other does."""
+    budget = ctx.budget_hz
+    total = float(np.sum(floors))
+    if total >= budget:
+        return floors
+    lo = float(np.max(x + ctx.tau_budget))
+    hi = float(np.max(x + ctx.tau_agg(floors)))  # the floors-only end: S = total
+    nu = float(np.max(x + ctx.tau_agg(floors + (budget - total) / len(floors))))
+    best = floors
+    # a backstop for a bracket that closes before the aim is met; it has to
+    # be near machine tight or the split lands visibly short of B
+    tol = 1e-13 * max(1.0, hi)
+    for _ in range(BISECT_MAX_ITER):
+        b = np.maximum(floors, ctx.invert_tau_agg(nu - x, budget))
         s = float(np.sum(b))
-        if s > ctx.budget_hz:
-            lo = mid
+        on = b > floors
+        b_on, c_on = b[on], ctx.snr_num[on]
+        active = float(np.sum(b_on))
+        if s > budget:
+            lo = nu
         else:
             best = b
-            if s >= (1.0 - BAND_EPS) * ctx.budget_hz:
+            if budget - s <= BAND_AIM * active:
                 break
-            hi = mid
+            hi = min(hi, nu)
         if hi - lo <= tol:
             break
-        it += 1
+        if math.isfinite(s):  # a slice past the bracket's low end reads inf
+            room = budget - (s - active) - 0.5 * BAND_AIM * active
+            r = cost.slice_rate(c_on, b_on)
+            dr = r / b_on - c_on / ((b_on + c_on) * math.log(2.0))
+            slope = -float(np.sum(r * r / dr)) / ctx.footprint.state_bits
+            if slope < 0.0 and room > 0.0:
+                nu += active * (1.0 - active / room) / slope
+        if not lo < nu < hi:
+            nu = 0.5 * (lo + hi)
     return best
 
 

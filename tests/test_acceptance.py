@@ -381,7 +381,7 @@ def full_offload_alpha(sc):
     for c in sc.clusters:
         members = sc.cluster_clients(c.id)
         total = sum(alpha[p.id] * p.size for p in members)
-        if 0 < c.max_offload_samples < total:
+        if c.max_offload_samples < total:
             scale = c.max_offload_samples / total
             for p in members:
                 alpha[p.id] *= scale

@@ -2,19 +2,31 @@
 baseline wiring, and the summarize table."""
 
 import csv
+import itertools
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import orbitfed
 from orbitfed.cli import CliError, _parse_seeds, _prepare, main
 from orbitfed.optimizer import InfeasibleError, optimize
+from orbitfed.scenario import scenario_to_dict
 
-from conftest import REFERENCE_SCENARIO, client_dict, cluster_dict, scenario_dict
+from conftest import (
+    REFERENCE_SCENARIO,
+    case1_instance,
+    client_dict,
+    cluster_dict,
+    mixed_instance,
+    multiwindow_instance,
+    scenario_dict,
+)
 
 
 def tiny_spec(n_clients=3, seed=0):
@@ -86,6 +98,23 @@ class TestOptimizeMode:
             taus[baseline] = json.loads(
                 (out / "decision.json").read_text())["tau_round_s"]
         assert taus["optimized"] < taus["terrestrial_only"]
+
+    def test_full_offload_respects_a_zero_cluster_cap(self, tmp_path):
+        spec = json.loads(REFERENCE_SCENARIO.read_text())
+        capped = spec["clusters"][1]
+        capped["max_offload_samples"] = 0
+        path = tmp_path / "capped.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / "run"
+        rc = main(["--mode", "optimize", "--scenario", str(path),
+                   "--baseline", "full_offload", "--out", str(out)])
+        assert rc == 0
+        dec = json.loads((out / "decision.json").read_text())
+        assert dec["feasible"] is True
+        alpha = dec["decision"]["alpha"]
+        ids = [str(c["id"]) for c in capped["clients"]]
+        assert all(alpha[pid] == 0.0 for pid in ids)
+        assert any(v > 0.0 for pid, v in alpha.items() if pid not in ids)
 
     def test_grid_oracle_close(self, tmp_path):
         spec = tiny_spec(n_clients=2)
@@ -311,6 +340,59 @@ class TestErrorReporting:
         assert err["error"] == "internal"
         assert err["kind"] == "FloatingPointError"
         assert "(2, 0)" in err["message"]
+
+
+SCALED_CLUSTER_FIELDS = (
+    "bandwidth_hz", "isl_rate_bps", "coverage_s", "sat_max_freq_hz", "sat_cycles_per_sample",
+    "sat_tx_power_w", "sat_initial_energy_j", "sat_min_residual_j", "sun_power_w",
+    "energy_coeff", "noise_density_w_per_hz", "sat_distance_m", "sync_delay_s",
+    "glob_delay_s")
+SCALED_CLIENT_FIELDS = ("cpu_freq_hz", "cycles_per_sample", "tx_power_w", "energy_budget_j")
+
+
+class TestRandomScenarios:
+    def test_optimize_solves_or_reports_infeasible(self, tmp_path, capsys):
+        """A scenario that validates either solves with every constraint
+        met, or fails as one InfeasibleError JSON line: never an internal
+        error or a traceback. The builders' physical fields are scaled by up
+        to three decades each way, one factor per field."""
+        runs = itertools.count()
+
+        @settings(max_examples=300)
+        @given(st.sampled_from([case1_instance, multiwindow_instance, mixed_instance]),
+               st.integers(0, 2 ** 32 - 1),
+               st.dictionaries(st.sampled_from(SCALED_CLUSTER_FIELDS + SCALED_CLIENT_FIELDS
+                                                + ("sample_bits", "param_count")),
+                               st.floats(-3.0, 3.0)))
+        def check(build, seed, decades):
+            def scale(field):
+                return 10.0 ** decades.get(field, 0.0)
+
+            raw = scenario_to_dict(build(np.random.default_rng([7070, seed])))
+            raw["model"]["sample_bits"] *= scale("sample_bits")
+            raw["model"]["param_count"] = max(1, round(raw["model"]["param_count"]
+                                                       * scale("param_count")))
+            for c in raw["clusters"]:
+                for key in SCALED_CLUSTER_FIELDS:
+                    c[key] *= scale(key)
+                for p in c["clients"]:
+                    for key in SCALED_CLIENT_FIELDS:
+                        p[key] *= scale(key)
+            run = tmp_path / f"run{next(runs)}"
+            run.mkdir()
+            (run / "scenario.json").write_text(json.dumps(raw))
+            rc = main(["--mode", "optimize", "--scenario", str(run / "scenario.json"),
+                       "--out", str(run / "out")])
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            if rc == 0:
+                assert json.loads((run / "out" / "decision.json").read_text())["feasible"]
+            else:
+                lines = err.strip().splitlines()
+                assert len(lines) == 1
+                assert json.loads(lines[0])["error"] == "InfeasibleError", lines[0]
+
+        check()
 
 
 class TestConsoleScript:
