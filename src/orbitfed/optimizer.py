@@ -1,29 +1,24 @@
 """Per-round resource allocation: offload split, satellite frequency, bandwidth.
 
-The round objective max_j[max(client path, satellite path) + glob] is driven
-by three coupled blocks, each solved exactly given the others:
+No constraint couples two clusters and the round time is the largest
+cluster total, so `optimize` solves each cluster alone and exactly. The
+cluster problem is quasiconvex in its path time t: a target is reachable
+when the least offload whose client path ends by t has a satellite chain, at
+the battery-optimal frequency, that ends by t too. Regula falsi brackets the
+least reachable t and `bisect` closes the bracket (`_solve_cluster`).
 
-  - offload fractions: an outer bisection balances the client path against
-    the satellite path in total offloaded samples A_j, with an inner min-max
-    equalization distributing A_j across clients in closed form
-    (water-filling);
+  - client side: at a target t the least offload is a separable convex
+    problem with one price on the bandwidth budget (`_Solve`);
   - satellite frequency: the battery-constrained maximum in closed form,
     the root of a quadratic (dark) or a cubic (sunlit) in f when the work
-    fits one coverage window and of the full-window energy model otherwise;
-  - bandwidth: per-client floors from the energy budget, then safeguarded
-    Newton steps on the equalized completion value until the slices fill
-    the cluster budget.
+    fits one coverage window and of the full-window energy model otherwise.
 
-A block-coordinate loop cycles the offload and bandwidth blocks. Because A_j
-changes the relay time and hence the battery headroom, the offload block
-evaluates the satellite path at the battery-optimal frequency for each trial
-A_j, and a kept offload split always carries that frequency.
+The same search with the slices pinned is `solve_alpha`, and with the
+offload and frequency pinned `solve_bandwidth`. Every bandwidth for a target
+upload time comes from the closed-form inversion of the uplink curve through
+the lower branch of Lambert W (`upload_bandwidth`).
 
-Every bandwidth for a target upload time comes from the closed-form
-inversion of the uplink curve through the lower branch of Lambert W
-(`upload_bandwidth`); no bisection runs on the uplink itself.
-
-`grid_search_cluster` is the exhaustive check of the descent on small
+`grid_search_cluster` is the exhaustive check of the solve on small
 single-window clusters: it prunes its offload lattice with a bisection-free
 lower bound before it equalizes bandwidth on the profiles that can win.
 """
@@ -36,24 +31,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cost
-from .cost import cluster_client_path
 
 BISECT_EPS = 1e-6
 BISECT_MAX_ITER = 200
 BAND_EPS = 1e-6  # bandwidth budget band (1 - eps) * B_j <= sum b <= B_j
-# the bandwidth block's Newton steps stop when the slices above their floors
-# miss the budget by at most this share of their sum, well inside the band
-BAND_AIM = 1e-4 * BAND_EPS
 # a round whose offloaded work needs more satellites than this is refused:
 # the cost breakdown and decision.json list every satellite of the chain
 MAX_HANDOFFS = 10_000
-DESCENT_RTOL = 1e-6  # stop the descent when an iteration gains less than this
-# The bandwidth block stops within BAND_EPS of the budget, so a profile's real
-# decision can sit up to that far above its exact grid total: the grid keeps
-# and re-scores profiles within that window of the best. Lattices with many
-# near ties (thousands on three clients) re-score only the first 20.
+# the grid keeps every profile whose lower bound comes within this share of
+# an upper bound on the best, and the best profile's real decision must
+# match its lattice total to it
 GRID_RTOL = BAND_EPS
-GRID_RESCORE_MAX = 20
 
 
 class InfeasibleError(RuntimeError):
@@ -153,6 +141,17 @@ def _lambert_wm1(z: np.ndarray) -> np.ndarray:
     return w
 
 
+def _slice_closed_form(state_bits: float, c: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """`upload_bandwidth` before its ulp correction: exact to rounding,
+    inf for an unattainable target and 0 for an infinite one."""
+    with np.errstate(divide="ignore"):
+        q = state_bits * math.log(2.0) / (t * c)
+    ok = (t > 0.0) & (q < 1.0) & (q > 0.0)
+    q = np.where(ok, q, 0.5)
+    u = -_lambert_wm1(-q * np.exp(-q)) / q
+    return np.where(ok, c / (u - 1.0), np.where(t == math.inf, 0.0, math.inf))
+
+
 def upload_bandwidth(state_bits: float, snr_num, target_s):
     """Smallest uplink slice b whose upload time state_bits / (b log2(1 +
     snr_num / b)) is at most target_s, elementwise over broadcast arrays (a
@@ -167,12 +166,7 @@ def upload_bandwidth(state_bits: float, snr_num, target_s):
     """
     t = np.asarray(target_s, dtype=float)
     c = np.asarray(snr_num, dtype=float)
-    with np.errstate(divide="ignore"):
-        q = state_bits * math.log(2.0) / (t * c)
-    ok = (t > 0.0) & (q < 1.0)
-    q = np.where(ok, q, 0.5)
-    u = -_lambert_wm1(-q * np.exp(-q)) / q
-    b = np.where(ok, c / (u - 1.0), math.inf)
+    b = _slice_closed_form(state_bits, c, t)
     # each pass raises a missing b by at least one ulp and doubles the step
     rel = np.finfo(float).eps
     with np.errstate(invalid="ignore"):
@@ -198,16 +192,22 @@ class _Ctx(cost.ClusterModel):
         self.budgets = np.array([p.energy_budget_j for p in self.profiles])
         self.f_max = cluster.sat_max_freq_hz
         self.budget_hz = cluster.bandwidth_hz
-        self.a_cap = min(cluster.max_offload_samples, float(np.sum(self.alpha_max * self.sizes)))
-        # reciprocal of per-client total work; zero for dataless clients so
-        # the offload expressions stay finite (their mass is zero anyway)
-        work = self.cycles_per_sample * self.sizes
-        self.inv_work = np.divide(1.0, work, out=np.zeros_like(work), where=work > 0)
-        self.e_full = self.e_locals(np.zeros(len(self.sizes)))  # compute energy at alpha = 0
+        self.a_max = self.alpha_max * self.sizes  # offloadable samples per client
+        self.a_cap = min(cluster.max_offload_samples, float(np.sum(self.a_max)))
         self.tau_budget = self.tau_agg(self.budget_hz)  # upload times on the whole budget
-        # offload total -> battery-optimal frequency, or the InfeasibleError it
-        # raised: the offload block's two bisections revisit most totals
-        self.freq_at = {}
+        # a client's least offload is a max of affine functions of its upload
+        # time: each second the upload takes must come off its local time, at
+        # `rate` samples a second, and each joule it spends off its compute
+        # energy, at `per_joule` samples a joule
+        self.rate = self.cpu_freq_hz / self.cycles_per_sample
+        per_joule = 1.0 / (cluster.energy_coeff * self.cycles_per_sample * self.cpu_freq_hz ** 2)
+        self.energy_slope = per_joule * self.tx_power_w
+        self.energy_need = self.sizes - per_joule * self.budgets  # the energy line at tau = 0
+        # upload time that the budget allows at full offload
+        self.tau_energy = (self.a_max - self.energy_need) / self.energy_slope
+        self.local_min = (self.sizes - self.a_max) / self.rate  # local time at full offload
+        # upload time on unbounded bandwidth
+        self.tau_floor = self.footprint.state_bits * math.log(2.0) / self.snr_num
 
     def invert_tau_agg(self, targets, b_hi: float) -> np.ndarray:
         """Per client, the smallest slice with tau_agg <= target, capped at
@@ -216,24 +216,6 @@ class _Ctx(cost.ClusterModel):
         b = upload_bandwidth(self.footprint.state_bits, self.snr_num, targets)
         tau_hi = self.tau_budget if b_hi == self.budget_hz else self.tau_agg(b_hi)
         return np.where(tau_hi > targets, math.inf, np.minimum(b, b_hi))
-
-    def alpha_floor(self, e_aggs) -> np.ndarray:
-        """Least offload per client that fits its energy budget after uploads
-        costing e_aggs. Local compute is the only knob once the slice is
-        fixed, so the budget turns into a lower bound on offload."""
-        head = self.budgets - e_aggs
-        lo = np.zeros(len(self.sizes))
-        pos = self.e_full > 0
-        lo[pos] = 1.0 - head[pos] / self.e_full[pos]
-        lo[~pos & (head < 0)] = math.inf  # upload alone busts the budget
-        if np.any(lo > self.alpha_max + 1e-9):
-            k = int(np.argmax(lo - self.alpha_max))
-            raise InfeasibleError(
-                f"client {self.ids[k]}: energy budget cannot be met even at "
-                "full offload with its current bandwidth slice",
-                slack=float(self.alpha_max[k] - lo[k]),
-            )
-        return np.clip(lo, 0.0, self.alpha_max)
 
 
 def _contexts(scenario) -> list:
@@ -250,22 +232,14 @@ def _contexts(scenario) -> list:
 def _best_freq(ctx: _Ctx, a: float) -> float:
     """Battery-feasible frequency maximizing satellite progress for offload a,
     for a relay chain of at most MAX_HANDOFFS handoffs."""
-    if a not in ctx.freq_at:
-        try:
-            f = _battery_freq(ctx, a)
-            n = ctx.n_handoffs(a, f)
-            if n > MAX_HANDOFFS:
-                raise InfeasibleError(
-                    f"cluster {ctx.cluster.id}: offloading {a:.6g} samples needs "
-                    f"{n} satellite handoffs, more than {MAX_HANDOFFS}",
-                    slack=float(MAX_HANDOFFS - n),
-                )
-            ctx.freq_at[a] = f
-        except InfeasibleError as err:
-            ctx.freq_at[a] = err
-    f = ctx.freq_at[a]
-    if isinstance(f, InfeasibleError):
-        raise f.with_traceback(None)  # a kept traceback would grow on each raise
+    f = _battery_freq(ctx, a)
+    n = ctx.n_handoffs(a, f)
+    if n > MAX_HANDOFFS:
+        raise InfeasibleError(
+            f"cluster {ctx.cluster.id}: offloading {a:.6g} samples needs "
+            f"{n} satellite handoffs, more than {MAX_HANDOFFS}",
+            slack=float(MAX_HANDOFFS - n),
+        )
     return f
 
 
@@ -297,20 +271,26 @@ def _battery_freq(ctx: _Ctx, a: float) -> float:
         # charges over its actual dwell
         if margin(ctx.f_max) >= 0.0:
             return ctx.f_max
-        lo_slack = margin(thresh)
+        # at thresh itself the chain can read one handoff, a second satellite
+        # that only relays; the slowest single-window frequency is the least
+        # one whose chain has none
+        slow = thresh
+        while ctx.n_handoffs(a, slow) and slow < ctx.f_max:
+            slow = math.nextafter(slow, math.inf)
+        lo_slack = margin(slow)
         if lo_slack < 0.0:
             raise InfeasibleError(
                 f"cluster {c.id}: battery short by {-lo_slack:.6g} J even "
                 "at the slowest single-window frequency", slack=lo_slack,
             )
-        f = max(thresh, min(ctx.f_max, ctx.f_max * _single_window_root(
+        f = max(slow, min(ctx.f_max, ctx.f_max * _single_window_root(
             c.sat_initial_energy_j - e_tr + ctx.p_charge * tau_tr - c.sat_min_residual_j,
             c.energy_coeff * cyc * ctx.f_max ** 2, ctx.p_charge * cyc / ctx.f_max)))
         # the root is exact to rounding; lower it a few ulps where needed so
-        # the chain's own margin holds (it holds at thresh)
+        # the chain's own margin holds (it holds at slow)
         rel = math.ulp(1.0)
         while margin(f) < 0.0:
-            f = max(thresh, f * (1.0 - rel))
+            f = max(slow, f * (1.0 - rel))
             rel *= 2.0
         return f
 
@@ -332,6 +312,15 @@ def _battery_freq(ctx: _Ctx, a: float) -> float:
             f"{-worst:.6g} J under shortened-dwell charging", slack=worst,
         )
     return f
+
+
+def _battery_short(ctx: _Ctx, a: float):
+    """The InfeasibleError `_best_freq` raises for offload a, or None."""
+    try:
+        _best_freq(ctx, a)
+    except InfeasibleError as err:
+        return err.with_traceback(None)
+    return None
 
 
 def _single_window_root(head: float, e_max: float, charge: float) -> float:
@@ -371,265 +360,6 @@ def solve_freq(scenario, alpha, ctxs=None) -> dict:
     for ctx in ctxs or _contexts(scenario):
         a = float(sum(alpha[p.id] * p.size for p in ctx.profiles))
         out[ctx.cluster.id] = _best_freq(ctx, a)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# offload block
-
-
-def _equalize_local(ctx: _Ctx, a: float, lo: np.ndarray) -> np.ndarray:
-    """Distribute offload mass a, at least lo per client, to minimize the
-    worst client compute time.
-
-    At water level nu client k keeps clip(1 - nu / full_k, lo_k, alpha_max_k),
-    full_k its compute time at alpha = 0, so need(nu) = sum_k s_k alpha_k(nu)
-    is piecewise linear and nonincreasing, with breakpoints full_k (1 -
-    alpha_max_k) and full_k (1 - lo_k). need is evaluated at every
-    breakpoint, and the level with need(nu) = a is solved on the linear
-    piece that holds a (water-filling: Boyd & Vandenberghe, Convex
-    Optimization, 2004, section 5.5.3). Dataless clients have no breakpoint
-    and keep alpha_max; their mass is zero."""
-    rate = ctx.cpu_freq_hz * ctx.inv_work  # 1 / full_k
-    pos = rate > 0
-    knots = np.concatenate(([0.0], (1.0 - ctx.alpha_max[pos]) / rate[pos],
-                            (1.0 - lo[pos]) / rate[pos]))
-    knots.sort()
-    need = np.clip(1.0 - knots[:, None] * rate, lo, ctx.alpha_max) @ ctx.sizes
-    j = int(np.argmax(need <= a))
-    if need[j] > a:  # a sits below need at the last knot by rounding only
-        nu = knots[-1]
-    elif j == 0:
-        nu = 0.0
-    else:
-        nu = knots[j - 1] + (knots[j] - knots[j - 1]) * (need[j - 1] - a) / (need[j - 1] - need[j])
-    alpha = np.clip(1.0 - nu * rate, lo, ctx.alpha_max)
-    # 1 - nu * rate drops the low bits of a small share, up to eps * sum(s)
-    # of mass in all; the clients on the water line take the residual back
-    wet = (alpha > lo) & (alpha < ctx.alpha_max)
-    if wet.any():
-        alpha[wet] += (a - float(alpha @ ctx.sizes)) / float(np.sum(ctx.sizes[wet]))
-        np.clip(alpha, lo, ctx.alpha_max, out=alpha)
-    return alpha
-
-
-def _alpha_within(ctx: _Ctx, a: float, e_aggs: np.ndarray) -> np.ndarray:
-    """Split total offload a across the cluster to minimize the worst client
-    compute time, above the per-client energy floors."""
-    lo = ctx.alpha_floor(e_aggs)
-    a_floor = float(np.sum(lo * ctx.sizes))
-    if a < a_floor - 1e-9 * max(1.0, a_floor):
-        raise InfeasibleError(
-            f"cluster {ctx.cluster.id}: client energy budgets need at least "
-            f"{a_floor:.6g} offloaded samples at this split, got {a:.6g}"
-        )
-    a = max(a, a_floor)
-    if a <= 0.0:
-        return np.zeros(len(ctx.sizes))
-    if a > ctx.a_cap * (1.0 + 1e-9) + 1e-9:
-        raise InfeasibleError(
-            f"cluster {ctx.cluster.id}: offload {a} exceeds capacity {ctx.a_cap}"
-        )
-    return _equalize_local(ctx, min(a, ctx.a_cap), lo)
-
-
-def solve_alpha_within_cluster(scenario, cluster_id: int, a: float,
-                               bandwidth: dict) -> dict:
-    """Public per-cluster inner solver; returns client id -> alpha."""
-    ctx = _Ctx(scenario, scenario.cluster(cluster_id))
-    alpha = _alpha_within(ctx, a, ctx.uplink(ctx.per_client(bandwidth))[1])
-    return dict(zip(ctx.ids, alpha.tolist()))
-
-
-def _cluster_alpha(ctx: _Ctx, b: np.ndarray) -> np.ndarray:
-    """Choose the cluster's total offload A by balancing the two paths, with
-    the satellite at its battery-optimal frequency for each trial A, for
-    the clients' bandwidth slices b."""
-    tau_aggs, e_aggs = ctx.uplink(b)
-    lo_vec = ctx.alpha_floor(e_aggs)
-    a_lo = float(np.sum(lo_vec * ctx.sizes))
-    if a_lo > ctx.a_cap * (1.0 + 1e-9):
-        raise InfeasibleError(
-            f"cluster {ctx.cluster.id}: client energy budgets need "
-            f"{a_lo:.6g} offloaded samples, above the cap {ctx.a_cap:.6g}"
-        )
-    a_lo = min(a_lo, ctx.a_cap)
-
-    def m_star(a):
-        return float(np.max(ctx.tau_locals(
-            _equalize_local(ctx, max(a, a_lo), lo_vec))))
-
-    def gap(a):
-        # positive while the worst client still outlasts the chain build-up
-        try:
-            f = _best_freq(ctx, a)
-        except InfeasibleError:
-            return -math.inf
-        return m_star(a) - ctx.T * ctx.n_handoffs(a, f)
-
-    r = bisect(gap, a_lo, ctx.a_cap)
-    a_up = r.hi if gap(r.hi) <= 0 or r.status == "boundary_hi" else r.x
-    if r.status == "boundary_lo":
-        a_up = a_lo
-    if r.status == "boundary_hi":
-        a_up = ctx.a_cap
-
-    # balance client path against satellite path on [a_lo, a_up]
-    lo, hi = a_lo, a_up
-    tol = BISECT_EPS * max(1.0, a_up)
-    it = 0
-
-    def paths(a):
-        try:
-            f = _best_freq(ctx, a)
-        except InfeasibleError:
-            return math.inf, math.inf, None
-        alpha = _alpha_within(ctx, a, e_aggs)
-        _, n, rep, _, _ = ctx.chain(a, f)
-        y, _ = cluster_client_path(ctx.tau_locals(alpha), tau_aggs, ctx.T, n)
-        return y, rep, f
-
-    while hi - lo > tol and it < BISECT_MAX_ITER:
-        mid = 0.5 * (lo + hi)
-        y, rep, _ = paths(mid)
-        if y >= rep:
-            lo = mid
-        else:
-            hi = mid
-        it += 1
-
-    best_a, best_val = None, math.inf
-    for a in (lo, 0.5 * (lo + hi), hi):
-        y, rep, f = paths(a)
-        val = max(y, rep)
-        if val < best_val - 1e-15:
-            best_a, best_val = a, val
-    if best_val == math.inf:
-        # no trial offload is battery-feasible; fall back to the floor
-        y, rep, f = paths(a_lo)
-        if f is None:
-            raise InfeasibleError(
-                f"cluster {ctx.cluster.id}: no battery-feasible offload level"
-            )
-        best_a = a_lo
-    return _alpha_within(ctx, best_a, e_aggs)
-
-
-def solve_alpha(scenario, bandwidth: dict, ctxs=None) -> dict:
-    """Per-client offload fractions balancing client and satellite paths."""
-    out = {}
-    for ctx in ctxs or _contexts(scenario):
-        out.update(zip(ctx.ids, _cluster_alpha(ctx, ctx.per_client(bandwidth)).tolist()))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# bandwidth block
-
-
-def _bandwidth_cluster(ctx: _Ctx, alpha: np.ndarray, freq: float) -> np.ndarray:
-    tl = ctx.tau_locals(alpha)
-    n = ctx.n_handoffs(ctx.offloaded(alpha), freq)
-    e_loc = ctx.e_locals(alpha)
-
-    targets = (ctx.budgets - e_loc) / ctx.tx_power_w
-    b_min = ctx.invert_tau_agg(targets, ctx.budget_hz)
-    short = np.flatnonzero(np.isinf(b_min))
-    if len(short):
-        k = int(short[0])
-        if targets[k] <= 0:
-            raise InfeasibleError(
-                f"client {ctx.ids[k]}: energy budget {ctx.budgets[k]} J is below "
-                f"its compute draw {e_loc[k]:.6g} J", slack=float(targets[k]),
-            )
-        raise InfeasibleError(
-            f"client {ctx.ids[k]}: cannot meet the energy budget within the "
-            "cluster bandwidth", slack=float(targets[k] - ctx.tau_budget[k]),
-        )
-
-    x = np.zeros_like(tl)
-    floors = b_min
-    m, x2, deadline = cost.regime_geometry(tl, ctx.T)
-    if m > ctx.T * n:
-        # an unattainable deadline reads inf and fails the budget test
-        floors2 = np.maximum(b_min, ctx.invert_tau_agg(deadline - x2, ctx.budget_hz))
-        if float(np.sum(floors2)) <= ctx.budget_hz:
-            x = x2
-            floors = floors2
-
-    if float(np.sum(floors)) > ctx.budget_hz:
-        raise InfeasibleError(
-            f"cluster {ctx.cluster.id}: bandwidth floors sum to "
-            f"{float(np.sum(floors)):.6g} Hz over the budget {ctx.budget_hz:.6g} Hz",
-            slack=ctx.budget_hz - float(np.sum(floors)),
-        )
-
-    return _equalize_slices(ctx, floors, x)
-
-
-def _equalize_slices(ctx: _Ctx, floors: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The slices max(floor_k, b_k(nu - x_k)) at the least common completion
-    nu whose sum S(nu) fits the budget B; b_k(t) is client k's smallest
-    slice uploading within t.
-
-    The slices above their floors sum to A(nu), convex and decreasing, with
-    a pole where one slice takes all of B and close to a hyperbola near it,
-    so 1 / A is close to linear in nu. Newton steps on 1 / A(nu) - 1 / R,
-    R what the floored slices leave of B less half of BAND_AIM A, reach
-    B - BAND_AIM A <= S <= B in a few inversions from either side: A, and
-    with it the completion, is then within BAND_AIM of the equalized split.
-    Each active slice has the analytic slope db/dt = -r^2 / (Q r'), r(b) =
-    b log2(1 + c/b) its rate. The bracket costs no inversion: below
-    max_k(x_k + tau_k(B)) a slice would exceed B, and at max_k(x_k +
-    tau_k(c_k)) for a split c_k >= floor_k of B every slice is at most c_k,
-    so the first step starts there with c_k the floors plus equal shares of
-    what they leave. A step that leaves the bracket bisects it instead. The
-    kept split is the last one that fits the budget: the floors, if no
-    other does."""
-    budget = ctx.budget_hz
-    total = float(np.sum(floors))
-    if total >= budget:
-        return floors
-    lo = float(np.max(x + ctx.tau_budget))
-    hi = float(np.max(x + ctx.tau_agg(floors)))  # the floors-only end: S = total
-    nu = float(np.max(x + ctx.tau_agg(floors + (budget - total) / len(floors))))
-    best = floors
-    # a backstop for a bracket that closes before the aim is met; it has to
-    # be near machine tight or the split lands visibly short of B
-    tol = 1e-13 * max(1.0, hi)
-    for _ in range(BISECT_MAX_ITER):
-        b = np.maximum(floors, ctx.invert_tau_agg(nu - x, budget))
-        s = float(np.sum(b))
-        on = b > floors
-        b_on, c_on = b[on], ctx.snr_num[on]
-        active = float(np.sum(b_on))
-        if s > budget:
-            lo = nu
-        else:
-            best = b
-            if budget - s <= BAND_AIM * active:
-                break
-            hi = min(hi, nu)
-        if hi - lo <= tol:
-            break
-        if math.isfinite(s):  # a slice past the bracket's low end reads inf
-            room = budget - (s - active) - 0.5 * BAND_AIM * active
-            r = cost.slice_rate(c_on, b_on)
-            dr = r / b_on - c_on / ((b_on + c_on) * math.log(2.0))
-            slope = -float(np.sum(r * r / dr)) / ctx.footprint.state_bits
-            if slope < 0.0 and room > 0.0:
-                nu += active * (1.0 - active / room) / slope
-        if not lo < nu < hi:
-            nu = 0.5 * (lo + hi)
-    return best
-
-
-def solve_bandwidth(scenario, alpha: dict, sat_freq: dict, ctxs=None) -> dict:
-    """Per-client bandwidth slices equalizing completion under the budget."""
-    out = {}
-    for ctx in ctxs or _contexts(scenario):
-        b = _bandwidth_cluster(ctx, ctx.per_client(alpha), sat_freq[ctx.cluster.id])
-        out.update(zip(ctx.ids, b.tolist()))
     return out
 
 
@@ -726,15 +456,356 @@ def check_feasibility(scenario, decision, bound_value=None, bound_cap=None) -> F
 
 
 # ---------------------------------------------------------------------------
-# block-coordinate descent
+# per-cluster solve: bisection on the path time
+
+# the path-time bracket closes to one or two ulps of t, so that an upload
+# that is a small part of a long round is exact too
+T_RTOL = math.ulp(1.0)
+# the price solve stops when the slices miss the budget by this share
+FILL_RTOL = 1e-13
+# a final satellite busy for all but this share of its window counts as
+# handing off: the simulator hands off within 1e-9 of a full window, and an
+# exact optimum can sit right on a window boundary
+FULL_WINDOW_RTOL = 1e-8
+# uploads that wait for a later satellite try at most this many windows,
+# the latest first: the local floor of an earlier one only grows
+MAX_WAIT_WINDOWS = 64
+
+
+def _chain_end(ctx, a: float, f: float) -> tuple:
+    """(handoffs, end) of the relay chain at offload a and frequency f, with
+    a final window used to within FULL_WINDOW_RTOL counted as full."""
+    tau_tr, n, end, _, (dwell, _) = ctx.chain(a, f)
+    if dwell - tau_tr > (1.0 - FULL_WINDOW_RTOL) * (ctx.T - tau_tr):
+        return n + 1, ctx.T * (n + 1) + tau_tr
+    return n, end
+
+
+def _rate_terms(c, b):
+    """ln(R^2 / R') and its slope in ln b, for R(b) = b ln(1 + c / b) a
+    slice's rate in nats a second. R' is summed as its series for a small
+    c / b, where the closed form cancels."""
+    u = c / b
+    l1 = np.log1p(u)
+    v = u / (1.0 + u)
+    d1 = l1 - v
+    small = u < 1e-3
+    if small.any():
+        us = u[small]
+        d1[small] = us * us * (0.5 - us * (2.0 / 3.0 - us * (0.75 - 0.8 * us)))
+    return 2.0 * np.log(b * l1) - np.log(d1), 2.0 * d1 / l1 + v * v / d1
+
+
+class _Solve:
+    """One cluster's problem at a path target t: the least offload that lets
+    the client path end by t (over the bandwidth budget or for pinned
+    slices), or for a pinned offload and chain the least slices.
+
+    In an upload window (g, L, D) client k starts its upload at max(g, l_k),
+    keeps its local time l_k <= L and ends by D. For a chain of at most n
+    handoffs the three regimes of `cluster_client_path` are the windows (Tn,
+    Tn, t) and, for straggler windows h >= n, (Th, T(h+1), min(t, T(h+1)))
+    and (T(h+1), T(h+1), t). There client k needs at least max(floor_k, s_k -
+    rate_k (D - tau_k), energy line at tau_k) samples offloaded, a max of
+    affine functions of its upload time, and at most a_max_k. The least
+    total over slices within the budget is separable and convex: one price
+    mu gives each client the slice where r^2 / (Q r') = w_k / mu, w_k the
+    slope of its active piece (Boyd & Vandenberghe, Convex Optimization,
+    2004, section 5.5.3); t only shifts the pieces.
+
+    The client path never falls as the chain gets longer, so windows for n
+    handoffs are safe for any chain of n or fewer; n is raised from below to
+    the least offload's own chain until the two agree.
+    """
+
+    def __init__(self, ctx, tau=None, alpha=None, a_battery=0.0):
+        self.ctx = ctx
+        self.tau = tau  # pinned upload times
+        self.alpha = alpha  # pinned offload
+        if alpha is not None:  # its local times and the uploads its budgets allow
+            self.local = ctx.tau_locals(alpha)
+            self.tau_e = (ctx.budgets - ctx.e_locals(alpha)) / ctx.tx_power_w
+        self.a_battery = a_battery  # the least offload the battery carries
+        # slopes of the shallower and the steeper sloped piece
+        slopes = np.concatenate((np.minimum(ctx.rate, ctx.energy_slope),
+                                 np.maximum(ctx.rate, ctx.energy_slope)))
+        self.targets = np.log(slopes) + math.log(math.log(2.0) * ctx.footprint.state_bits)
+        self.c2 = np.concatenate((ctx.snr_num, ctx.snr_num))
+        # straggler windows past h_full hold every client's local pass
+        local = ctx.sizes / ctx.rate if alpha is None else self.local
+        self.h_full = math.ceil(float(np.max(local)) / ctx.T) - 1
+        self.z = None  # ln mu and the priced slices of the last budget fill
+        self.priced = None
+
+    def _fill(self, b_hi, b_flat, b_kink):
+        """Slices max(b_hi, min(b_flat, max(K_lo, b_kink), K_hi)) at the
+        price where they fill the budget, K_lo and K_hi the priced slices of
+        the shallower and steeper piece and b_hi, b_flat and b_kink those at
+        the longest upload, the flat piece's end and the kink. Bracketed
+        Newton steps on the log of the sum in ln mu, each after Newton steps
+        on ln K; None when even the longest uploads overfill the budget."""
+        budget = self.ctx.budget_hz
+        if float(np.sum(b_hi)) > budget:
+            return None
+        top = np.maximum(b_hi, b_flat)
+        if float(np.sum(top)) <= budget:
+            return top  # every client at its least offload
+        k = len(b_hi)
+        if self.z is None:
+            self.priced = np.full(2 * k, budget / k)
+            self.z = float(np.mean(_rate_terms(self.c2, self.priced)[0] - self.targets))
+        z, lo, hi, best = self.z, -math.inf, math.inf, None
+        for _ in range(BISECT_MAX_ITER):
+            for _ in range(BISECT_MAX_ITER):
+                val, slope = _rate_terms(self.c2, self.priced)
+                step = (val - self.targets - z) / slope
+                self.priced = self.priced * np.exp(-step)
+                if np.max(np.abs(step)) <= 1e-7:  # the error left is near its square
+                    break
+            k_lo, k_hi = self.priced[:k], self.priced[k:]
+            b = np.maximum(b_hi, np.minimum(np.minimum(b_flat, np.maximum(k_lo, b_kink)), k_hi))
+            s = float(np.sum(b))
+            if abs(budget - s) <= FILL_RTOL * budget:
+                best = b * min(1.0, budget / s)  # a hair over reads as full
+                break
+            if s < budget:
+                best, lo = b, z
+            else:
+                hi = z
+            if hi - lo <= FILL_RTOL * max(1.0, abs(z)):
+                break
+            free = (float(np.sum(np.where(b == k_lo, k_lo / slope[:k], 0.0)))
+                    + float(np.sum(np.where(b == k_hi, k_hi / slope[k:], 0.0))))
+            step = math.log(budget / s) * s / free if free > 0.0 else math.nan
+            if lo < z + step < hi:
+                z += step
+            elif math.isfinite(lo) and math.isfinite(hi):
+                z = 0.5 * (lo + hi)
+            else:
+                z += 2.0 if s < budget else -2.0
+        self.z = z
+        return best
+
+    def window(self, g, L, D, bound):
+        """(score, need, slices) in the window (g, L, D), or None when no
+        split fits or the local floors alone reach bound. The score is the
+        least offload total, or with the offload pinned (need None) the
+        least slices' total, which may pass the budget; the slices are None
+        when they are pinned."""
+        ctx = self.ctx
+        if self.alpha is not None:
+            if np.any(self.local > L):
+                return None
+            b = ctx.invert_tau_agg(np.minimum(D - np.maximum(g, self.local), self.tau_e),
+                                   ctx.budget_hz)
+            return float(np.sum(b)), None, b
+        floor = np.maximum(0.0, ctx.sizes - ctx.rate * L)
+        line = ctx.sizes - ctx.rate * D  # the deadline line at tau = 0
+        if np.any(floor > ctx.a_max) or float(np.sum(floor)) >= bound:
+            return None
+        tau_hi = np.minimum(D - g, np.minimum(D - ctx.local_min, ctx.tau_energy))
+        tau, b = self.tau, None
+        if tau is None:
+            # where the need leaves its floor, and where the steeper sloped
+            # piece takes over from the shallower (parallel lines cross at
+            # +-inf or nowhere: the lower one never binds)
+            x1 = np.minimum((floor - line) / ctx.rate, (floor - ctx.energy_need) / ctx.energy_slope)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                cross = (line - ctx.energy_need) / (ctx.energy_slope - ctx.rate)
+            k = len(floor)
+            ends = _slice_closed_form(ctx.footprint.state_bits, np.concatenate((self.c2, ctx.snr_num)),
+                                      np.concatenate((tau_hi, x1, np.fmax(x1, cross))))
+            b = self._fill(ends[:k], ends[k:2 * k], ends[2 * k:])
+            if b is None:
+                return None
+            tau = ctx.tau_agg(b)
+        elif np.any(tau > tau_hi):
+            return None
+        need = np.maximum(line + ctx.rate * tau, ctx.energy_need + ctx.energy_slope * tau)
+        need = np.minimum(np.maximum(floor, need), ctx.a_max)
+        return float(np.sum(need)), need, b
+
+    def least(self, t, n):
+        """(alpha, slices, f, n, score) at the least score over the windows
+        of target t, with the battery-optimal frequency and the chain's
+        handoff count, raising the chain from n; alpha is None when no
+        offload up to the cap fits."""
+        ctx, T = self.ctx, self.ctx.T
+        while True:
+            last = math.ceil(t / T) - 1  # the last window that opens before t
+            windows = [(T * h, T * (h + 1), min(t, T * (h + 1)))
+                       for h in range(max(n, last - 1), last + 1)]
+            top = min(last - 2, max(self.h_full, n - 1))
+            bottom = max(n - 1, top - MAX_WAIT_WINDOWS + 1)
+            windows += [(T * (h + 1), T * (h + 1), t) for h in range(top, bottom - 1, -1)]
+            best, pick = math.inf, None
+            for g, L, D in windows:
+                got = self.window(g, L, D, best)
+                if got is not None and got[0] < best:
+                    best, pick = got[0], got
+            if pick is None:
+                return None, None, None, n, best
+            _, need, b = pick
+            if self.alpha is not None:
+                return self.alpha, b, None, n, best
+            short = self.a_battery - best
+            if short > 0.0:
+                # raise every client toward its cap by one share
+                need = need + (ctx.a_max - need) * (short / float(np.sum(ctx.a_max - need)))
+            alpha = np.minimum(np.divide(need, ctx.sizes, out=np.zeros_like(need),
+                                         where=ctx.sizes > 0), ctx.alpha_max)
+            a = ctx.offloaded(alpha)
+            if a > ctx.a_cap * (1.0 + 1e-12):
+                return None, None, None, n, best
+            f = _best_freq(ctx, a)
+            n_a = _chain_end(ctx, a, f)[0]
+            if n_a <= n:
+                return alpha, b, f, n_a, best
+            n = n_a
+
+
+def _solve_cluster(ctx: _Ctx, b=None, alpha=None, f=None):
+    """The least path time of one cluster, by bisection on it, and what
+    reaches it: (alpha, slices, f, trials). With slices b pinned it is the
+    least offload at the battery-optimal frequency; with the offload alpha
+    and frequency f pinned it is the least slices, and only the client path
+    counts.
+
+    A target t is reachable when the least offload whose client path ends by
+    t has a satellite chain that ends by t too, at the battery-optimal
+    frequency: that chain's end rises with the offload, and the least
+    offload falls as t grows, so reachability is monotone in t and the
+    problem is quasiconvex in it (Boyd & Vandenberghe, Convex Optimization,
+    2004, section 4.2.5)."""
+    c = ctx.cluster
+    tau = None if b is None else ctx.tau_agg(b)
+    a_battery, n = 0.0, 0 if alpha is None else ctx.n_handoffs(ctx.offloaded(alpha), f)
+    if alpha is None:
+        # the least offload any target allows: each client's budget with its
+        # upload on the whole band, or on its pinned slice
+        need = ctx.energy_need + ctx.energy_slope * (ctx.tau_budget if b is None else tau)
+        k = int(np.argmax(need - ctx.a_max))
+        if need[k] > ctx.a_max[k] + 1e-9 * ctx.sizes[k]:
+            with np.errstate(divide="ignore"):  # a dataless client's slack is -inf
+                slack = float(ctx.alpha_max[k] - need[k] / ctx.sizes[k])
+            raise InfeasibleError(f"client {ctx.ids[k]}: energy budget cannot be met even at "
+                                  "full offload with the bandwidth it can get", slack=slack)
+        a_battery = min(float(np.sum(np.clip(need, 0.0, ctx.a_max))), ctx.a_cap)
+        err = _battery_short(ctx, a_battery)
+        if err is not None:
+            # in sunlight a longer compute dwell charges for the relay, so the
+            # battery can carry a larger offload than it carries this one
+            r = bisect(lambda a: 1.0 if _battery_short(ctx, a) else -1.0,
+                       a_battery, ctx.a_cap, eps=T_RTOL)
+            if r.status != "converged":
+                raise err
+            a_battery = r.hi
+    solve = _Solve(ctx, tau, alpha, a_battery)
+    tau_most = solve.tau_e if alpha is not None else ctx.tau_energy if b is None else tau
+    # past this target no window grows, so only a late chain can still be
+    # cured by waiting longer
+    settled = ctx.T * (max(solve.h_full, MAX_HANDOFFS) + 2) + float(np.max(tau_most))
+    # no closure refers to itself or keeps a traceback: such a cycle would
+    # hold the cluster's data until the next garbage collection
+    gaps, kept, n_lo, why = {}, {}, [n], [None]
+
+    def gap(t):
+        # the chain's end less t for the least offload at t, or with the
+        # offload pinned 1 - B / (the slices' sum), close to linear in t as
+        # the sum grows like a hyperbola: at most 0 when t is reachable; inf
+        # when nothing fits, with the error kept
+        if t not in gaps:
+            why[0] = None
+            try:
+                a_t, b_t, f_t, n_t, score = solve.least(t, n_lo[0])
+            except InfeasibleError as err:
+                a_t, why[0] = None, err.with_traceback(None)
+            if a_t is None:
+                gaps[t] = math.inf
+            elif alpha is not None:
+                gaps[t] = 1.0 - ctx.budget_hz / score
+            else:
+                gaps[t] = _chain_end(ctx, ctx.offloaded(a_t), f_t)[1] - t
+            if gaps[t] <= 0.0:
+                # the least offload at t bounds the chain of every earlier t
+                kept[t], n_lo[0] = (a_t, b_t, f if alpha is not None else f_t), n_t
+        return gaps[t]
+
+    # Bracket the least reachable t by regula falsi (Illinois) on the gap,
+    # which falls as t grows; a t without a gap takes a bisection step. No t
+    # comes before a client's least local pass and fastest upload, or the relay.
+    lo = max(float(np.max((ctx.local_min if alpha is None else solve.local)
+                          + (ctx.tau_floor if b is None else tau))),
+             ctx.tau_trans(0.0) if alpha is None else 0.0)
+    hi, d_lo, d_hi, moved, t = math.inf, None, None, None, 2.0 * lo
+    if alpha is not None:  # start where an equal split of the band ends
+        t = float(np.max(solve.local + ctx.tau_agg(ctx.budget_hz / len(solve.local))))
+    for _ in range(BISECT_MAX_ITER):
+        d = gap(t)
+        if d <= 0.0:
+            hi, d_hi = t, d
+            if d == 0.0:
+                lo = t  # t is the root
+            elif moved == "hi" and d_lo is not None:
+                d_lo *= 0.5  # lo kept twice running
+            moved = "hi"
+        else:
+            if math.isinf(hi) and t > settled and (math.isinf(d) or alpha is not None):
+                raise why[0] or InfeasibleError(
+                    f"cluster {c.id}: no round time meets the client energy budgets "
+                    "and the offload cap within the bandwidth budget")
+            lo, d_lo = t, d if math.isfinite(d) else None
+            if moved == "lo" and d_hi is not None:
+                d_hi *= 0.5  # hi kept twice running
+            moved = "lo"
+        if hi - lo <= 8.0 * T_RTOL * hi < math.inf:
+            break
+        if math.isinf(hi):  # a late chain's end is a reachable target
+            t = t + d if alpha is None and math.isfinite(d) else 2.0 * t
+        elif d_lo is not None and d_hi is not None:
+            # at least a few ulps from either end, so that a root next to
+            # one end closes the bracket
+            step = 2.0 * T_RTOL * hi
+            t = min(max(lo + (hi - lo) * d_lo / (d_lo - d_hi), lo + step), hi - step)
+        if not lo < t < hi:
+            t = 0.5 * (lo + hi)
+    if math.isinf(hi):
+        raise InfeasibleError(f"cluster {c.id}: no round time is reachable")
+    # then close the bracket to a near machine-tight one
+    r = bisect(lambda t: -1.0 if gap(t) <= 0.0 else 1.0, lo, hi, eps=T_RTOL)
+    alpha_t, b_t, f_t = kept[r.hi if r.status == "converged" else r.x]
+    return alpha_t, b_t, f_t, len(gaps)
+
+
+def solve_alpha(scenario, bandwidth: dict, ctxs=None) -> dict:
+    """Per-client offload fractions for pinned bandwidth slices: the least
+    offload that reaches the least path time."""
+    out = {}
+    for ctx in ctxs or _contexts(scenario):
+        out.update(zip(ctx.ids, _solve_cluster(ctx, b=ctx.per_client(bandwidth))[0].tolist()))
+    return out
+
+
+def solve_bandwidth(scenario, alpha: dict, sat_freq: dict, ctxs=None) -> dict:
+    """Per-client bandwidth slices for a pinned offload and frequency: the
+    least slices that reach the least client path time."""
+    out = {}
+    for ctx in ctxs or _contexts(scenario):
+        b = _solve_cluster(ctx, alpha=ctx.per_client(alpha), f=sat_freq[ctx.cluster.id])[1]
+        out.update(zip(ctx.ids, b.tolist()))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the optimizer
 
 
 @dataclass(frozen=True)
 class OptimizeResult:
     decision: DecisionVector
-    trace: tuple  # (stage, iteration, tau_round_s)
+    trace: tuple  # (stage, iteration, tau_round_s): one ("solve", 0, tau) row
     report: FeasibilityReport
-    iterations: int
+    iterations: int  # the most path-time trials any cluster's solve took
 
     def trace_values(self):
         return [t[2] for t in self.trace]
@@ -748,91 +819,22 @@ class OptimizeResult:
         }
 
 
-def default_init(scenario, ctxs=None) -> DecisionVector:
-    """Half-max offload (projected into the cluster cap), battery-max
-    frequency at that offload, equal bandwidth split."""
-    ctxs = ctxs or _contexts(scenario)
-    alpha = {}
-    for ctx in ctxs:
-        cluster = ctx.cluster
-        base = ctx.alpha_max * 0.5
-        total = float(np.sum(base * ctx.sizes))
-        if total > cluster.max_offload_samples > 0:
-            base = base * (cluster.max_offload_samples / total)
-        elif cluster.max_offload_samples == 0:
-            base = base * 0.0
-        share = cluster.bandwidth_hz / len(ctx.ids)
-        try:
-            base = np.maximum(base, ctx.alpha_floor(ctx.uplink(share)[1]))
-        except InfeasibleError:
-            pass  # equal split can't cover some budget; later blocks resolve it
-        for k, pid in enumerate(ctx.ids):
-            alpha[pid] = float(base[k])
-    freq = solve_freq(scenario, alpha, ctxs)
-    bandwidth = {}
-    for ctx in ctxs:
-        share = ctx.cluster.bandwidth_hz / len(ctx.ids)
-        for pid in ctx.ids:
-            bandwidth[pid] = share
-    return DecisionVector(alpha=alpha, sat_freq_hz=freq, bandwidth_hz=bandwidth)
-
-
-def _tau(scenario, decision) -> float:
-    return cost.round_latency(scenario, decision).tau_round_s
-
-def _client_energy_ok(ctxs, alpha, bandwidth) -> bool:
-    for ctx in ctxs:
-        e = ctx.e_locals(ctx.per_client(alpha)) + ctx.uplink(ctx.per_client(bandwidth))[1]
-        if np.any(e > ctx.budgets * (1.0 + 1e-12)):
-            return False
-    return True
-
-
-def optimize(scenario, iters: int = 10) -> OptimizeResult:
-    """Cycle the three blocks, keeping the incumbent when a block candidate
-    does not strictly improve the exact round time."""
-    ctxs = _contexts(scenario)
-    decision = default_init(scenario, ctxs)
-    tau = _tau(scenario, decision)
-    trace = [("init", 0, tau)]
-
-    for i in range(iters):
-        tau_before = tau
-
-        # offload block, with the frequency it balanced the paths at
-        alpha_new = solve_alpha(scenario, decision.bandwidth_hz, ctxs)
-        candidate = DecisionVector(alpha_new, solve_freq(scenario, alpha_new, ctxs),
-                                   decision.bandwidth_hz)
-        # a block that returns the incumbent (the descent's last pass often
-        # does) keeps its round time
-        tau_cand = tau if candidate == decision else _tau(scenario, candidate)
-        if tau_cand <= tau:
-            decision, tau = candidate, tau_cand
-        trace.append(("alpha", i, tau))
-
-        # frequency block: the kept frequency is already
-        # solve_freq(scenario, decision.alpha), since default_init and the
-        # offload block set it and the bandwidth block leaves it, so the block
-        # has nothing to change and only its trace row remains
-        trace.append(("freq", i, tau))
-
-        # bandwidth block
-        b_new = solve_bandwidth(scenario, decision.alpha, decision.sat_freq_hz, ctxs)
-        candidate = DecisionVector(decision.alpha, decision.sat_freq_hz, b_new)
-        tau_cand = tau if candidate == decision else _tau(scenario, candidate)
-        incumbent_ok = _client_energy_ok(ctxs, decision.alpha, decision.bandwidth_hz)
-        if tau_cand <= tau or not incumbent_ok:
-            decision, tau = candidate, tau_cand
-        trace.append(("bandwidth", i, tau))
-
-        if tau_before - tau <= DESCENT_RTOL * max(1.0, tau_before):
-            break
-
-    report = check_feasibility(scenario, decision)
-    return OptimizeResult(
-        decision=decision, trace=tuple(trace), report=report,
-        iterations=trace[-1][1] + 1 if iters else 0,
-    )
+def optimize(scenario) -> OptimizeResult:
+    """Solve each cluster exactly and alone: no constraint couples two
+    clusters, and the round time is the largest cluster total. A cluster
+    keeps the least offload that reaches its least path time, the slices of
+    that solve, and the battery-optimal frequency for the offload."""
+    alpha, freq, bandwidth, steps = {}, {}, {}, 0
+    for ctx in _contexts(scenario):
+        a, b, f, it = _solve_cluster(ctx)
+        alpha.update(zip(ctx.ids, a.tolist()))
+        freq[ctx.cluster.id] = f
+        bandwidth.update(zip(ctx.ids, b.tolist()))
+        steps = max(steps, it)
+    decision = DecisionVector(alpha=alpha, sat_freq_hz=freq, bandwidth_hz=bandwidth)
+    tau = cost.round_latency(scenario, decision).tau_round_s
+    return OptimizeResult(decision=decision, trace=(("solve", 0, tau),),
+                          report=check_feasibility(scenario, decision), iterations=steps)
 
 
 def optimize_pinned_alpha(scenario, alpha: dict) -> DecisionVector:
@@ -870,8 +872,10 @@ class _Lattice:
         if k_count > 3:
             raise ValueError("grid comparator is for at most 3 clients")
 
+        # a lattice point past a client's offload cap is no decision at all
         axes = [np.arange(0.0, ctx.alpha_max[k] + alpha_step / 2, alpha_step)
                 for k in range(k_count)]
+        axes = [ax[ax <= ctx.alpha_max[k] * (1.0 + 1e-12)] for k, ax in enumerate(axes)]
         mesh = np.meshgrid(*[np.arange(len(ax)) for ax in axes], indexing="ij")
         pos = np.stack([m.ravel() for m in mesh], axis=1)  # (P, K) axis positions
         alphas = np.stack([axes[k][pos[:, k]] for k in range(k_count)], axis=1)
@@ -964,27 +968,18 @@ class _Lattice:
                 + self.cluster.glob_delay_s)
 
     def best(self, sel: np.ndarray, totals: np.ndarray):
-        """Re-score the profiles of sel whose total is within GRID_RTOL of the
-        least: each gets the bandwidth block's own split and the cost model's
-        round time, and the fastest real decision wins."""
-        t_min = float(np.min(totals))
-        near = np.flatnonzero(totals <= t_min * (1.0 + GRID_RTOL))
-        near = near[np.argsort(totals[near], kind="stable")[:GRID_RESCORE_MAX]]
-        best_exact, best_decision = math.inf, None
-        for i in near:
-            idx = sel[i]
-            alpha_pt = {pid: float(self.alphas[idx, k]) for k, pid in enumerate(self.ctx.ids)}
-            freq_map = {self.cluster.id: float(self.freq[idx])}
-            b_map = solve_bandwidth(self.scenario, alpha_pt, freq_map, [self.ctx])
-            decision = DecisionVector(alpha=alpha_pt, sat_freq_hz=freq_map, bandwidth_hz=b_map)
-            tau = _tau(self.scenario, decision)
-            if tau < best_exact:
-                best_exact, best_decision = tau, decision
-        if best_exact > t_min * (1.0 + GRID_RTOL):
+        """The profile of sel with the least total as a real decision: the
+        slices of `solve_bandwidth` and the cost model's round time."""
+        i = int(np.argmin(totals))
+        alpha_pt = {pid: float(self.alphas[sel[i], k]) for k, pid in enumerate(self.ctx.ids)}
+        freq_map = {self.cluster.id: float(self.freq[sel[i]])}
+        b_map = solve_bandwidth(self.scenario, alpha_pt, freq_map, [self.ctx])
+        decision = DecisionVector(alpha=alpha_pt, sat_freq_hz=freq_map, bandwidth_hz=b_map)
+        tau = cost.round_latency(self.scenario, decision).tau_round_s
+        if tau > totals[i] * (1.0 + GRID_RTOL):
             raise AssertionError(
-                f"grid comparator internal mismatch: exact {best_exact} vs grid {t_min}"
-            )
-        return best_exact, best_decision
+                f"grid comparator internal mismatch: exact {tau} vs grid {totals[i]}")
+        return tau, decision
 
 
 def grid_search_cluster(scenario, alpha_step: float = 1e-3):

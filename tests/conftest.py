@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 from hypothesis import settings
 
+from orbitfed.optimizer import DecisionVector, _contexts, solve_freq
 from orbitfed.scenario import validate_scenario
 
 settings.register_profile("orbitfed", derandomize=True, deadline=None)
@@ -201,3 +202,35 @@ def mixed_instance(rng):
             rng, cid, pid, n_clients, size_bits, qb, False, facing, None, ratio))
         pid += n_clients
     return validate_scenario(scenario_dict(clusters, param_count=pc, sample_bits=qb))
+
+
+def default_init(scenario):
+    """A plain feasible-looking decision for tests that need one: half-max
+    offload (projected into the cluster cap), battery-max frequency at that
+    offload, equal bandwidth split."""
+    ctxs = _contexts(scenario)
+    alpha = {}
+    for ctx in ctxs:
+        cluster = ctx.cluster
+        base = ctx.alpha_max * 0.5
+        total = float(np.sum(base * ctx.sizes))
+        if total > cluster.max_offload_samples > 0:
+            base = base * (cluster.max_offload_samples / total)
+        elif cluster.max_offload_samples == 0:
+            base = base * 0.0
+        share = cluster.bandwidth_hz / len(ctx.ids)
+        # the least offload each energy budget allows with an equal split,
+        # unless the split busts some budget even at full offload
+        need = ctx.energy_need + ctx.energy_slope * ctx.tau_agg(share)
+        if np.all(need <= ctx.a_max + 1e-9 * ctx.sizes):
+            base = np.maximum(base, np.clip(np.divide(need, ctx.sizes, out=np.zeros_like(need),
+                                                      where=ctx.sizes > 0), 0.0, ctx.alpha_max))
+        for k, pid in enumerate(ctx.ids):
+            alpha[pid] = float(base[k])
+    freq = solve_freq(scenario, alpha, ctxs)
+    bandwidth = {}
+    for ctx in ctxs:
+        share = ctx.cluster.bandwidth_hz / len(ctx.ids)
+        for pid in ctx.ids:
+            bandwidth[pid] = share
+    return DecisionVector(alpha=alpha, sat_freq_hz=freq, bandwidth_hz=bandwidth)

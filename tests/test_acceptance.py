@@ -21,9 +21,9 @@ from orbitfed.cli import main
 from orbitfed.cost import IslLinkParams, ModelFootprint
 from orbitfed.fl import ModelLayout, TrainConfig
 from orbitfed.optimizer import (
+    BAND_EPS,
     DecisionVector,
     check_feasibility,
-    default_init,
     grid_search_cluster,
     battery_freq_closed_form,
     optimize,
@@ -37,6 +37,7 @@ from conftest import (
     case1_instance,
     client_dict,
     cluster_dict,
+    default_init,
     mixed_instance,
     multiwindow_instance,
     scenario_dict,
@@ -279,6 +280,7 @@ def test_bcd_matches_exhaustive_search():
             tau_bcd = cost.round_latency(sc, optimize(sc).decision).tau_round_s
             tau_grid, _ = grid_search_cluster(sc, alpha_step=1e-3)
             assert abs(tau_bcd - tau_grid) <= 0.02 * tau_grid
+            assert tau_bcd <= tau_grid * (1.0 + BAND_EPS)
             checked += 1
         for i in range(5):
             # three-client lattices only stay enumerable with a tighter
@@ -288,6 +290,7 @@ def test_bcd_matches_exhaustive_search():
             tau_bcd = cost.round_latency(sc, optimize(sc).decision).tau_round_s
             tau_grid, _ = grid_search_cluster(sc, alpha_step=1e-3)
             assert abs(tau_bcd - tau_grid) <= 0.02 * tau_grid
+            assert tau_bcd <= tau_grid * (1.0 + BAND_EPS)
             checked += 1
         assert checked == 20
 

@@ -395,6 +395,58 @@ class TestRandomScenarios:
         check()
 
 
+def random_passes(rng, dwell_s, count):
+    """count [start, end] coverage passes with gaps; about one in four is a
+    short one of 3-15 s, and the rest last about dwell_s."""
+    rows, t = [], float(rng.uniform(0.0, 30.0))
+    for _ in range(count):
+        short = rng.random() < 0.25
+        dwell = float(rng.uniform(3.0, 15.0) if short else dwell_s * rng.uniform(0.8, 1.2))
+        rows.append([t, t + dwell])
+        t += dwell + float(rng.uniform(5.0, 90.0))
+    return rows
+
+
+class TestRandomScheduleReplay:
+    def test_simulate_solves_or_reports_one_error(self, tmp_path, capsys):
+        """A timing-only simulate over builder scenarios, about half of whose
+        clusters follow a random explicit coverage schedule, either runs its
+        rounds or fails as one InfeasibleError or SimError JSON line: never
+        an internal error or a traceback. Physical fields are scaled by up to
+        two decades each way, one factor per field."""
+        runs = itertools.count()
+
+        @settings(max_examples=300)
+        @given(st.sampled_from([case1_instance, multiwindow_instance, mixed_instance]),
+               st.integers(0, 2 ** 32 - 1),
+               st.dictionaries(st.sampled_from(SCALED_CLUSTER_FIELDS + SCALED_CLIENT_FIELDS),
+                               st.floats(-2.0, 2.0)))
+        def check(build, seed, decades):
+            rng = np.random.default_rng([7171, seed])
+            raw = scenario_to_dict(build(rng))
+            for c in raw["clusters"]:
+                for key in SCALED_CLUSTER_FIELDS:
+                    c[key] *= 10.0 ** decades.get(key, 0.0)
+                for p in c["clients"]:
+                    for key in SCALED_CLIENT_FIELDS:
+                        p[key] *= 10.0 ** decades.get(key, 0.0)
+                if rng.random() < 0.5:
+                    c["coverage_intervals"] = random_passes(rng, c["coverage_s"], 40)
+            run = tmp_path / f"run{next(runs)}"
+            run.mkdir()
+            (run / "scenario.json").write_text(json.dumps(raw))
+            rc = main(["--mode", "simulate", "--scenario", str(run / "scenario.json"),
+                       "--rounds", "5", "--out", str(run / "out")])
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            if rc != 0:
+                lines = err.strip().splitlines()
+                assert len(lines) == 1
+                assert json.loads(lines[0])["error"] in ("InfeasibleError", "SimError"), lines[0]
+
+        check()
+
+
 class TestConsoleScript:
     def test_installed_entry_point(self, spec_path, tmp_path):
         # Run the console script declared in pyproject.toml the way a

@@ -1,4 +1,4 @@
-"""Resource allocation blocks and the block-coordinate loop."""
+"""Resource allocation blocks and the per-cluster solve."""
 
 import json
 import math
@@ -14,20 +14,16 @@ from orbitfed.optimizer import (
     InfeasibleError,
     _Ctx,
     _Lattice,
-    _bandwidth_cluster,
     _battery_freq,
     _contexts,
-    _equalize_local,
-    _equalize_slices,
+    _solve_cluster,
     bisect,
     check_feasibility,
-    default_init,
     grid_search_cluster,
     battery_freq_closed_form,
     optimize,
     optimize_pinned_alpha,
     solve_alpha,
-    solve_alpha_within_cluster,
     solve_bandwidth,
     solve_freq,
     upload_bandwidth,
@@ -39,6 +35,7 @@ from conftest import (
     case1_instance,
     client_dict,
     cluster_dict,
+    default_init,
     mixed_instance,
     multiwindow_instance,
     scenario_dict,
@@ -159,152 +156,6 @@ class TestBisect:
     def test_reversed_bracket_rejected(self):
         with pytest.raises(ValueError):
             bisect(lambda x: x, 1.0, 0.0)
-
-
-class TestAlphaWithinCluster:
-    def test_zero_total_gives_zero_vector(self):
-        sc = two_client_scenario()
-        out = solve_alpha_within_cluster(sc, 0, 0.0, {0: 5e5, 1: 5e5})
-        assert out == {0: 0.0, 1: 0.0}
-
-    def test_identical_clients_split_evenly(self):
-        sc = two_client_scenario()
-        out = solve_alpha_within_cluster(sc, 0, 800.0, {0: 5e5, 1: 5e5})
-        assert out[0] == pytest.approx(out[1], rel=1e-9)
-        assert out[0] * 1000 + out[1] * 1000 == pytest.approx(800.0, rel=1e-9)
-
-    def test_slower_client_offloads_more(self):
-        sc = two_client_scenario(freqs=(1e8, 3e8))
-        out = solve_alpha_within_cluster(sc, 0, 800.0, {0: 5e5, 1: 5e5})
-        assert out[0] > out[1]
-
-    def test_matches_fine_grid(self):
-        # exhaustive per-client split at fixed total offload, 1e-3 steps
-        sc = two_client_scenario(freqs=(1e8, 3e8))
-        cluster = sc.clusters[0]
-        freq, a_total = 1e9, 800.0
-        bw = {0: 5e5, 1: 5e5}
-        out = solve_alpha_within_cluster(sc, 0, a_total, bw)
-
-        tau_aggs = []
-        for p in sc.clients:
-            tau, _ = cost.uplink_agg_latency_energy(
-                p, bw[p.id], sc.footprint, cluster.sat_distance_m,
-                cluster.pathloss_exponent, cluster.noise_density_w_per_hz)
-            tau_aggs.append(tau)
-        tau_tr = cost.isl_transfer_latency(sc.footprint, a_total, cluster.isl_rate_bps)
-        n = cost.handoff_count(a_total, cluster.sat_cycles_per_sample,
-                               cluster.coverage_s, tau_tr, freq)
-
-        def client_path(alphas):
-            tl = [p.cycles_per_sample * (1 - a) * p.size / p.cpu_freq_hz
-                  for p, a in zip(sc.clients, alphas)]
-            return cost.cluster_client_path(tl, tau_aggs, cluster.coverage_s, n)[0]
-
-        best = math.inf
-        for a0 in np.arange(0.0, 0.8 + 1e-12, 1e-3):
-            a1 = (a_total - a0 * 1000) / 1000
-            if not 0.0 <= a1 <= 0.8:
-                continue
-            best = min(best, client_path([a0, a1]))
-        got = client_path([out[0], out[1]])
-        assert got <= best * (1 + 1e-6)
-
-
-def split_context(sizes, freqs, alpha_max):
-    clients = [client_dict(k, f, s, cycles_per_sample=3e7, max_offload_fraction=m)
-               for k, (s, f, m) in enumerate(zip(sizes, freqs, alpha_max))]
-    sc = validate_scenario(scenario_dict([cluster_dict(0, clients)]))
-    return _Ctx(sc, sc.clusters[0])
-
-
-def bisected_split(ctx, a, lo):
-    """The split by a near machine-tight bisection on the water level, kept
-    on the side whose mass does not exceed a."""
-    rate = ctx.cpu_freq_hz * ctx.inv_work
-
-    def need(nu):
-        return float(np.clip(1.0 - nu * rate, lo, ctx.alpha_max) @ ctx.sizes)
-
-    full = ctx.cycles_per_sample * ctx.sizes / ctx.cpu_freq_hz
-    r = bisect(lambda nu: need(nu) - a, 0.0, float(np.max(full)), eps=1e-15, max_iter=2000)
-    return np.clip(1.0 - r.hi * rate, lo, ctx.alpha_max)
-
-
-def assert_valid_split(ctx, alpha, a, lo):
-    assert np.all(alpha >= lo) and np.all(alpha <= ctx.alpha_max)
-    assert abs(float(alpha @ ctx.sizes) - a) <= 1e-12 * max(1.0, a)
-
-
-class TestEqualizeLocal:
-    """The closed-form water-filling split against a tight bisection."""
-
-    @settings(max_examples=150)
-    @given(st.lists(st.tuples(st.integers(0, 3000), st.floats(1e8, 1e9),
-                              st.floats(0.05, 1.0), st.floats(0.0, 1.0), st.booleans()),
-                    min_size=1, max_size=8),
-           st.floats(0.0, 1.0))
-    def test_matches_bisection(self, clients, u):
-        sizes, freqs, amax, lo_frac, has_floor = zip(*clients)
-        ctx = split_context(sizes, freqs, amax)
-        lo = ctx.alpha_max * np.array(lo_frac) * np.array(has_floor)
-        a_floor = float(lo @ ctx.sizes)
-        a = a_floor + u * (float(ctx.alpha_max @ ctx.sizes) - a_floor)
-        alpha = _equalize_local(ctx, a, lo)
-        assert_valid_split(ctx, alpha, a, lo)
-        worst = float(np.max(ctx.tau_locals(alpha)))
-        ref = float(np.max(ctx.tau_locals(bisected_split(ctx, a, lo))))
-        assert worst <= ref * (1.0 + 1e-9)
-
-    def test_total_at_the_floors(self):
-        ctx = split_context((400, 900, 650), (1e8, 3e8, 2e8), (0.8, 0.6, 0.7))
-        lo = np.array([0.2, 0.0, 0.5])
-        a = float(lo @ ctx.sizes)
-        alpha = _equalize_local(ctx, a, lo)
-        assert_valid_split(ctx, alpha, a, lo)
-        assert alpha == pytest.approx(lo, abs=1e-12)
-
-    def test_total_at_the_cap(self):
-        ctx = split_context((400, 900, 650), (1e8, 3e8, 2e8), (0.8, 0.6, 0.7))
-        lo = np.array([0.2, 0.0, 0.5])
-        a = float(ctx.alpha_max @ ctx.sizes)
-        alpha = _equalize_local(ctx, a, lo)
-        assert_valid_split(ctx, alpha, a, lo)
-        assert np.array_equal(alpha, ctx.alpha_max)
-
-    def test_dataless_client(self):
-        ctx = split_context((0, 500, 500), (2e8, 1e8, 3e8), (0.8, 0.8, 0.8))
-        assert ctx.inv_work[0] == 0.0
-        lo = np.zeros(3)
-        alpha = _equalize_local(ctx, 400.0, lo)  # water level 45 s: alpha 0.7 and 0.1
-        assert_valid_split(ctx, alpha, 400.0, lo)
-        assert alpha[1:] == pytest.approx([0.7, 0.1], rel=1e-12)
-        tl = ctx.tau_locals(alpha)
-        assert tl[1] == pytest.approx(tl[2], rel=1e-12)  # both on the water line
-        assert tl[0] == 0.0
-
-    def test_small_total_over_many_shares(self):
-        # ten equal clients share half a sample: each share 1 - nu / full_k
-        # is about 1.7e-5, left by a difference of two numbers near 1, and
-        # the rounding error of that difference over 30,000 samples would
-        # miss the total by 6.6e-12 without the residual fix
-        ctx = split_context((3000,) * 10, (3.7e8,) * 10, (0.8,) * 10)
-        lo = np.zeros(10)
-        alpha = _equalize_local(ctx, 0.5, lo)
-        assert_valid_split(ctx, alpha, 0.5, lo)
-
-    def test_tied_breakpoints(self):
-        # two identical clients share both breakpoints, and the third's
-        # floor meets its cap, so its two breakpoints coincide
-        ctx = split_context((600, 600, 300), (2e8, 2e8, 1e8), (0.7, 0.7, 0.5))
-        lo = np.array([0.1, 0.1, 0.5])
-        for a in (float(lo @ ctx.sizes), 500.0, 700.0, float(ctx.alpha_max @ ctx.sizes)):
-            alpha = _equalize_local(ctx, a, lo)
-            assert_valid_split(ctx, alpha, a, lo)
-            assert alpha[0] == pytest.approx(alpha[1], abs=1e-15)
-            assert alpha[2] == 0.5
-            ref = float(np.max(ctx.tau_locals(bisected_split(ctx, a, lo))))
-            assert float(np.max(ctx.tau_locals(alpha))) <= ref * (1.0 + 1e-9)
 
 
 class TestSolveAlpha:
@@ -438,6 +289,22 @@ class TestBatteryFreqSingleWindow:
         with pytest.raises(InfeasibleError, match="slowest single-window"):
             _battery_freq(_Ctx(sc, sc.clusters[0]), 800.0)
 
+    def test_threshold_chain_with_a_relay_only_satellite_is_not_refused(self):
+        # exactly at the threshold the chain counts a handoff, a second
+        # satellite that only relays, and its margin is short; just above it
+        # the single-window margin is positive, and the root lies between
+        raw = scenario_to_dict(case1_instance(np.random.default_rng([9, 0])))
+        raw["clusters"][0]["sat_initial_energy_j"] -= 2900.0
+        sc = validate_scenario(raw)
+        ctx, a = _Ctx(sc, sc.clusters[0]), 2035.8
+        thresh = ctx.cluster.sat_cycles_per_sample * a / (ctx.T - ctx.tau_trans(a))
+        assert ctx.n_handoffs(a, thresh) == 1
+        assert ctx.battery_margin(a, thresh) < 0.0 < ctx.battery_margin(a, thresh * (1.0 + 1e-12))
+        assert ctx.battery_margin(a, ctx.f_max) < 0.0
+        f = _battery_freq(ctx, a)
+        assert thresh < f <= ctx.f_max
+        assert ctx.battery_margin(a, f) >= 0.0 and ctx.n_handoffs(a, f) == 0
+
 
 def bandwidth_floors(ctx, alpha, freq):
     """The bandwidth block's floors and upload offsets, recomputed: the
@@ -465,18 +332,6 @@ def bisected_completion(ctx, floors, x):
     r = bisect(lambda nu: float(np.sum(alloc(nu))) - ctx.budget_hz, float(np.max(x)),
                float(np.max(x + ctx.tau_agg(floors))), eps=1e-15, max_iter=2000)
     return float(np.max(x + ctx.tau_agg(alloc(r.hi))))
-
-
-def count_inversions(monkeypatch):
-    calls = []
-    inner = optimizer.upload_bandwidth
-
-    def counted(*args):
-        calls.append(1)
-        return inner(*args)
-
-    monkeypatch.setattr(optimizer, "upload_bandwidth", counted)
-    return calls
 
 
 class TestSolveBandwidth:
@@ -510,7 +365,7 @@ class TestSolveBandwidth:
             for ctx in _contexts(sc):
                 a, f = ctx.per_client(alpha), freq[ctx.cluster.id]
                 try:
-                    b = _bandwidth_cluster(ctx, a, f)
+                    b = _solve_cluster(ctx, alpha=a, f=f)[1]
                 except InfeasibleError:
                     continue
                 floors, x, n = bandwidth_floors(ctx, a, f)
@@ -523,38 +378,31 @@ class TestSolveBandwidth:
         check()
         assert seen == {1, 2, 3}
 
-    def test_one_client_takes_the_budget(self, monkeypatch):
+    def test_one_client_takes_the_budget(self):
         sc = validate_scenario(scenario_dict([cluster_dict(0, [client_dict(0, 2e8, 1000)])]))
-        ctx = _Ctx(sc, sc.clusters[0])
-        calls = count_inversions(monkeypatch)
-        b = _equalize_slices(ctx, np.array([1e3]), np.zeros(1))
-        assert len(calls) == 1
-        assert b[0] <= ctx.budget_hz
-        assert b[0] == pytest.approx(ctx.budget_hz, rel=1e-12)
+        alpha = {0: 0.0}
+        b = solve_bandwidth(sc, alpha, solve_freq(sc, alpha))[0]
+        assert b <= sc.clusters[0].bandwidth_hz
+        assert b == pytest.approx(sc.clusters[0].bandwidth_hz, rel=1e-9)
 
-    def test_floors_that_fill_the_budget_are_kept(self, monkeypatch):
+    def test_floors_that_fill_the_budget_are_kept(self):
+        # each client's energy budget leaves it a floor of a quarter and
+        # three quarters of the band, less a part in 1e9
         sc = two_client_scenario()
         ctx = _Ctx(sc, sc.clusters[0])
-        floors = np.array([0.25, 0.75]) * ctx.budget_hz  # sums to B exactly
-        calls = count_inversions(monkeypatch)
-        b = _equalize_slices(ctx, floors, np.array([3.0, 0.0]))
-        assert np.array_equal(b, floors)
-        assert calls == []
-
-    def test_bracket_end_in_the_band_takes_one_inversion(self, monkeypatch):
-        # identical clients: the first trial point gives each half the budget
-        sc = two_client_scenario()
-        ctx = _Ctx(sc, sc.clusters[0])
-        calls = count_inversions(monkeypatch)
-        b = _equalize_slices(ctx, np.full(2, 10.0), np.full(2, 4.0))
-        assert len(calls) == 1
-        assert (1.0 - BAND_EPS) * ctx.budget_hz <= float(np.sum(b)) <= ctx.budget_hz
-        assert b == pytest.approx(np.full(2, 0.5 * ctx.budget_hz), rel=1e-12)
+        floors = np.array([0.25, 0.75]) * ctx.budget_hz * (1.0 - 1e-9)
+        raw = scenario_to_dict(sc)
+        for p, e in zip(raw["clusters"][0]["clients"], ctx.e_locals(np.zeros(2)) + ctx.uplink(floors)[1]):
+            p["energy_budget_j"] = float(e)
+        sc = validate_scenario(raw)
+        alpha = {0: 0.0, 1: 0.0}
+        b = solve_bandwidth(sc, alpha, solve_freq(sc, alpha))
+        assert [b[0], b[1]] == pytest.approx(floors, rel=1e-8)
 
     def test_reference_optimize_inverts_at_most_150_times(self, monkeypatch):
         # a count, so no wall-clock bound; a plain nu bisection makes 555
         sc = validate_scenario(json.loads(REFERENCE_SCENARIO.read_text()))
-        calls = count_inversions(monkeypatch)
+        calls = count_calls(monkeypatch, "upload_bandwidth")
         optimize(sc)
         assert len(calls) <= 150
 
@@ -627,15 +475,60 @@ class TestSolveBandwidth:
             solve_bandwidth(sc, alpha, solve_freq(sc, alpha))
 
 
+def solo_scenario(sc, cluster_id):
+    raw = scenario_to_dict(sc)
+    raw["clusters"] = [c for c in raw["clusters"] if c["id"] == cluster_id]
+    return validate_scenario(raw)
+
+
+def count_calls(monkeypatch, name):
+    calls = []
+    inner = getattr(optimizer, name)
+
+    def counted(*args):
+        calls.append(1)
+        return inner(*args)
+
+    monkeypatch.setattr(optimizer, name, counted)
+    return calls
+
+
 class TestOptimize:
-    def test_zero_iterations_returns_init(self):
-        rng = np.random.default_rng(5)
-        sc = case1_instance(rng)
-        init = default_init(sc)
-        res = optimize(sc, iters=0)
-        assert res.decision == init
-        assert len(res.trace) == 1
-        assert res.iterations == 0
+    def test_each_cluster_total_equals_its_solo_solve(self):
+        # no constraint couples two clusters, so each one's total is the
+        # one it gets as a one-cluster scenario
+        reference = validate_scenario(json.loads(REFERENCE_SCENARIO.read_text()))
+        mixed = [mixed_instance(np.random.default_rng([1204, i])) for i in range(12)]
+        checked = 0
+        for sc in [reference, handoff_scenario()] + mixed:
+            joint = cost.round_latency(sc, optimize(sc).decision)
+            for cluster in sc.clusters:
+                alone = solo_scenario(sc, cluster.id)
+                total = cost.round_latency(alone, optimize(alone).decision).clusters[0].total_s
+                assert joint.cluster(cluster.id).total_s == pytest.approx(total, rel=1e-9)
+                checked += 1
+        assert checked >= 20
+
+    @pytest.mark.parametrize("scale", [1.0 - 1e-9, 1.0 + 1e-9])
+    def test_round_time_is_stable_under_solver_tolerances(self, monkeypatch, scale):
+        # an exact solve does not move with its stopping rules
+        reference = validate_scenario(json.loads(REFERENCE_SCENARIO.read_text()))
+        scenarios = (reference, handoff_scenario())
+        before = [optimize(sc).trace_values()[-1] for sc in scenarios]
+        monkeypatch.setattr(optimizer, "T_RTOL", optimizer.T_RTOL * scale)
+        after = [optimize(sc).trace_values()[-1] for sc in scenarios]
+        assert after == pytest.approx(before, rel=1e-8)
+
+    def test_reference_solve_call_counts(self, monkeypatch):
+        # counts, so no wall-clock bound: the measured counts plus 20%
+        sc = validate_scenario(json.loads(REFERENCE_SCENARIO.read_text()))
+        freq_calls = count_calls(monkeypatch, "_battery_freq")
+        slice_calls = count_calls(monkeypatch, "upload_bandwidth")
+        closed_calls = count_calls(monkeypatch, "_slice_closed_form")
+        optimize(sc)
+        assert len(freq_calls) <= 76  # 64 measured
+        assert len(closed_calls) <= 70  # 59 measured
+        assert slice_calls == []  # no ulp-corrected inversion at all
 
     def test_trace_never_increases(self):
         rng = np.random.default_rng(6)
@@ -658,19 +551,11 @@ class TestOptimize:
         assert breakdown.clusters[0].n_handoffs > 0
 
     def test_kept_frequency_is_battery_optimal_for_kept_offload(self):
-        # default_init and the offload block set the frequency from the
-        # offload split, and the bandwidth block leaves it, so the frequency
-        # block has nothing to change at any iteration
+        # each cluster keeps the battery-optimal frequency of its kept offload
         reference = validate_scenario(json.loads(REFERENCE_SCENARIO.read_text()))
         for sc in (reference, handoff_scenario()):
-            res = optimize(sc)
-            for iters in range(res.iterations + 1):
-                dec = optimize(sc, iters=iters).decision
-                assert dec.sat_freq_hz == solve_freq(sc, dec.alpha)
-            rows = res.trace
-            for before, row in zip(rows, rows[1:]):
-                if row[0] == "freq":
-                    assert before[0] == "alpha" and row[2] == before[2]
+            dec = optimize(sc).decision
+            assert dec.sat_freq_hz == solve_freq(sc, dec.alpha)
 
     def test_close_to_exhaustive_search(self):
         rng = np.random.default_rng(7)
@@ -679,6 +564,7 @@ class TestOptimize:
         tau_bcd = res.trace_values()[-1]
         tau_grid, _ = grid_search_cluster(sc, alpha_step=1e-3)
         assert tau_bcd <= tau_grid * 1.02
+        assert tau_bcd <= tau_grid * (1.0 + BAND_EPS)
 
     def test_chain_beyond_the_handoff_limit_is_infeasible(self):
         # half the offload cap takes 2.4e10 cycles; at 1 kHz that is about
@@ -686,8 +572,12 @@ class TestOptimize:
         sc = validate_scenario(scenario_dict([cluster_dict(
             0, [client_dict(k, 2e8, 1000) for k in range(2)], sat_max_freq_hz=1e3)]))
         with pytest.raises(InfeasibleError, match="handoffs, more than 10000") as exc:
-            optimize(sc)
+            optimize_pinned_alpha(sc, {0: 0.4, 1: 0.4})
         assert exc.value.slack < 0
+        # the optimizer hands such a satellite only what it finishes inside
+        # one window
+        kept = cost.round_latency(sc, optimize(sc).decision).clusters[0]
+        assert kept.n_handoffs == 0 and kept.offloaded_samples < 0.01
 
     def test_pinned_alpha_out_of_range_rejected(self):
         sc = two_client_scenario()
