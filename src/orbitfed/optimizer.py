@@ -25,6 +25,7 @@ lower bound before it equalizes bandwidth on the profiles that can win.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -463,13 +464,12 @@ def check_feasibility(scenario, decision, bound_value=None, bound_cap=None) -> F
 T_RTOL = math.ulp(1.0)
 # the price solve stops when the slices miss the budget by this share
 FILL_RTOL = 1e-13
+# and each price's Newton steps on the slices when no log step passes this
+SLICE_STEP_TOL = 1e-7
 # a final satellite busy for all but this share of its window counts as
 # handing off: the simulator hands off within 1e-9 of a full window, and an
 # exact optimum can sit right on a window boundary
 FULL_WINDOW_RTOL = 1e-8
-# uploads that wait for a later satellite try at most this many windows,
-# the latest first: the local floor of an earlier one only grows
-MAX_WAIT_WINDOWS = 64
 
 
 def _chain_end(ctx, a: float, f: float) -> tuple:
@@ -560,7 +560,7 @@ class _Solve:
                 val, slope = _rate_terms(self.c2, self.priced)
                 step = (val - self.targets - z) / slope
                 self.priced = self.priced * np.exp(-step)
-                if np.max(np.abs(step)) <= 1e-7:  # the error left is near its square
+                if np.max(np.abs(step)) <= SLICE_STEP_TOL:  # the error left is near its square
                     break
             k_lo, k_hi = self.priced[:k], self.priced[k:]
             b = np.maximum(b_hi, np.minimum(np.minimum(b_flat, np.maximum(k_lo, b_kink)), k_hi))
@@ -586,23 +586,29 @@ class _Solve:
         self.z = z
         return best
 
-    def window(self, g, L, D, bound):
-        """(score, need, slices) in the window (g, L, D), or None when no
-        split fits or the local floors alone reach bound. The score is the
+    def ruled_out(self, L, bound):
+        """Whether local passes that end by L miss on their own: a pinned
+        pass longer than L, or local floors past a cap or totalling bound.
+        Every earlier L misses too."""
+        ctx = self.ctx
+        if self.alpha is not None:
+            return bool(np.any(self.local > L))
+        floor = np.maximum(0.0, ctx.sizes - ctx.rate * L)
+        return bool(np.any(floor > ctx.a_max)) or float(np.sum(floor)) >= bound
+
+    def window(self, g, L, D):
+        """(score, need, slices) in the window (g, L, D), whose local passes
+        are not ruled out, or None when no split fits. The score is the
         least offload total, or with the offload pinned (need None) the
         least slices' total, which may pass the budget; the slices are None
         when they are pinned."""
         ctx = self.ctx
         if self.alpha is not None:
-            if np.any(self.local > L):
-                return None
             b = ctx.invert_tau_agg(np.minimum(D - np.maximum(g, self.local), self.tau_e),
                                    ctx.budget_hz)
             return float(np.sum(b)), None, b
         floor = np.maximum(0.0, ctx.sizes - ctx.rate * L)
         line = ctx.sizes - ctx.rate * D  # the deadline line at tau = 0
-        if np.any(floor > ctx.a_max) or float(np.sum(floor)) >= bound:
-            return None
         tau_hi = np.minimum(D - g, np.minimum(D - ctx.local_min, ctx.tau_energy))
         tau, b = self.tau, None
         if tau is None:
@@ -633,14 +639,17 @@ class _Solve:
         ctx, T = self.ctx, self.ctx.T
         while True:
             last = math.ceil(t / T) - 1  # the last window that opens before t
-            windows = [(T * h, T * (h + 1), min(t, T * (h + 1)))
-                       for h in range(max(n, last - 1), last + 1)]
+            # uploads that end in one of the last two windows, then uploads
+            # that wait for a later satellite: L falls down the list
+            ends = [(T * h, T * (h + 1), min(t, T * (h + 1)))
+                    for h in range(last, max(n, last - 1) - 1, -1)]
             top = min(last - 2, max(self.h_full, n - 1))
-            bottom = max(n - 1, top - MAX_WAIT_WINDOWS + 1)
-            windows += [(T * (h + 1), T * (h + 1), t) for h in range(top, bottom - 1, -1)]
+            waits = ((T * (h + 1), T * (h + 1), t) for h in range(top, n - 2, -1))
             best, pick = math.inf, None
-            for g, L, D in windows:
-                got = self.window(g, L, D, best)
+            for g, L, D in itertools.chain(ends, waits):
+                if self.ruled_out(L, best):
+                    break
+                got = self.window(g, L, D)
                 if got is not None and got[0] < best:
                     best, pick = got[0], got
             if pick is None:
@@ -694,12 +703,17 @@ def _solve_cluster(ctx: _Ctx, b=None, alpha=None, f=None):
         err = _battery_short(ctx, a_battery)
         if err is not None:
             # in sunlight a longer compute dwell charges for the relay, so the
-            # battery can carry a larger offload than it carries this one
-            r = bisect(lambda a: 1.0 if _battery_short(ctx, a) else -1.0,
-                       a_battery, ctx.a_cap, eps=T_RTOL)
-            if r.status != "converged":
-                raise err
-            a_battery = r.hi
+            # battery can carry a larger offload than it carries this one.
+            # Steps that double from a_battery find one ahead of the offloads
+            # whose chains pass the handoff limit, and bisect then finds the
+            # least one above the last step that failed
+            lo, step = a_battery, T_RTOL * max(1.0, ctx.a_cap)
+            while _battery_short(ctx, a := min(a_battery + step, ctx.a_cap)):
+                if a >= ctx.a_cap:
+                    raise err
+                lo, step = a, 2.0 * step
+            a_battery = bisect(lambda x: 1.0 if _battery_short(ctx, x) else -1.0,
+                               lo, a, eps=T_RTOL).hi
     solve = _Solve(ctx, tau, alpha, a_battery)
     tau_most = solve.tau_e if alpha is not None else ctx.tau_energy if b is None else tau
     # past this target no window grows, so only a late chain can still be
@@ -774,6 +788,14 @@ def _solve_cluster(ctx: _Ctx, b=None, alpha=None, f=None):
     # then close the bracket to a near machine-tight one
     r = bisect(lambda t: -1.0 if gap(t) <= 0.0 else 1.0, lo, hi, eps=T_RTOL)
     alpha_t, b_t, f_t = kept[r.hi if r.status == "converged" else r.x]
+    if alpha is not None:
+        # the least slices at the least path time fill the budget; at the
+        # bracket's reachable end they miss it by its width times the ratio
+        # of the path to the upload time
+        b_t = b_t * (ctx.budget_hz / float(np.sum(b_t)))
+        rel = math.ulp(1.0)
+        while float(np.sum(b_t)) > ctx.budget_hz:
+            b_t, rel = b_t * (1.0 - rel), 2.0 * rel
     return alpha_t, b_t, f_t, len(gaps)
 
 
