@@ -92,21 +92,20 @@ def _batch_term(lam: float, pool: int, rho: float, variance: float) -> float:
     return (1.0 - lam / pool) * ((pool - 1) * rho / lam) * variance
 
 
-def omega(inputs: BoundInputs, scenario=None) -> float:
+def _variances(scenario) -> tuple:
+    """Sample variance of each client's retained data and of each cluster's
+    satellite pool, by id (0 below two samples)."""
+    def var(samples):
+        return sample_variance(samples) if len(samples) >= 2 else 0.0
+    return ({p.id: var(p.dataset.retained) for p in scenario.clients},
+            {c.id: var(satellite_pool(scenario, c.id)) for c in scenario.clusters})
+
+
+def omega(inputs: BoundInputs) -> float:
     """Batching penalty: 2/(sum |D_k|) times the round sum of per-client and
     per-satellite variance terms. Zero iff every batch is full."""
-    v_c = dict(inputs.v_client or {})
-    v_s = dict(inputs.v_sat or {})
-    if scenario is not None:
-        for p in scenario.clients:
-            if p.id not in v_c and p.dataset is not None:
-                retained = p.dataset.retained
-                v_c[p.id] = sample_variance(retained) if len(retained) >= 2 else 0.0
-        for c in scenario.clusters:
-            if c.id not in v_s:
-                pool = satellite_pool(scenario, c.id)
-                v_s[c.id] = sample_variance(pool) if len(pool) >= 2 else 0.0
-
+    v_c = inputs.v_client or {}
+    v_s = inputs.v_sat or {}
     d_tot = float(sum(inputs.dataset_sizes.values()))
     if d_tot <= 0:
         raise ValueError("no dataset mass")
@@ -271,18 +270,16 @@ def verify_bound_empirically(scenario, layout, rounds: int, seeds: int = 10,
         for x, y in cluster_data
     ])
     l_hat, rho_hat = estimate_smoothness_and_rho(layout, merged_all, trials=BOUND_TRIALS)
-    lrs = [
-        eta0 / (1 + r) if lr_schedule == "inv" else eta0
-        for r in range(rounds)
-    ]
-    inputs = build_bound_inputs(
-        scenario, lrs, l_hat, rho_hat,
-        lambda_client=lambda_client, lambda_sat=lambda_sat)
-    om = omega(inputs, scenario)
+    config = TrainConfig(eta0=eta0, lr_schedule=lr_schedule, single_step=True)
+    lrs = [config.learning_rate(r) for r in range(rounds)]
+    v_client, v_sat = _variances(scenario)
+    inputs = replace(build_bound_inputs(scenario, lrs, l_hat, rho_hat, lambda_client=lambda_client,
+                                        lambda_sat=lambda_sat), v_client=v_client, v_sat=v_sat)
+    om = omega(inputs)
 
     per_seed = []
     for s in range(seeds):
-        cfg = TrainConfig(eta0=eta0, lr_schedule=lr_schedule, single_step=True, seed=s)
+        cfg = replace(config, seed=s)
         model = init_model(layout, seed=s)
         f0 = _global_objective(model, layout, cluster_data)
         f_star = f0
@@ -317,4 +314,6 @@ def verify_bound_empirically(scenario, layout, rounds: int, seeds: int = 10,
         "lhs_mean": float(np.mean([r["lhs"] for r in per_seed])),
         "bound_mean": float(np.mean([r["bound"] for r in per_seed])),
         "certified": False,  # L and rho are empirical lower bounds
+        "v_client": {str(k): v for k, v in v_client.items()},
+        "v_sat": {str(k): v for k, v in v_sat.items()},
     }

@@ -12,12 +12,12 @@ import csv
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from . import __version__, cost
-from .analysis import sample_variance, verify_bound_empirically
-from .fl import ModelLayout, TrainConfig
+from .analysis import verify_bound_empirically
+from .fl import ModelLayout
 from .optimizer import (
     DecisionVector,
     InfeasibleError,
@@ -30,7 +30,6 @@ from .scenario import (
     ScenarioError,
     apply_offload,
     prepare_data,
-    satellite_pool,
     scenario_to_dict,
     validate_scenario,
 )
@@ -141,37 +140,18 @@ def _resolve_decision(scenario, baseline: str, alpha_fixed):
 
 
 def _resolve_layout(scenario, test_set) -> ModelLayout:
-    cfg = scenario.data_config or {}
-    m = cfg.get("model", {})
-    kind = m.get("kind", "mlp")
-    dim = test_set.feature_dim
-    classes = int(cfg.get("classes", int(test_set.labels.max()) + 1))
-    if kind == "logistic":
-        layout = ModelLayout("logistic", (dim, classes))
-    elif kind == "mlp":
-        layout = ModelLayout("mlp", (dim, int(m.get("hidden", 32)), classes))
-    else:
-        raise CliError(f"unknown model kind {kind!r}")
+    cfg = scenario.data
+    kind, dim = cfg["model"]["kind"], test_set.feature_dim
+    # a synthetic corpus has the classes it was drawn with; files, their labels
+    classes = cfg["classes"] if cfg["source"] == "synthetic" else int(test_set.labels.max()) + 1
+    dims = (dim, cfg["model"]["hidden"], classes) if kind == "mlp" else (dim, classes)
+    layout = ModelLayout(kind, dims)
     if layout.param_count != scenario.footprint.param_count:
         raise CliError(
             f"model.param_count in the scenario is {scenario.footprint.param_count} "
             f"but the {kind} layout has {layout.param_count}; align them"
         )
     return layout
-
-
-def _train_config(train_raw: dict, plan: ExperimentPlan, seed: int) -> TrainConfig:
-    mu = plan.prox_mu if plan.algorithm == "fedprox" else 0.0
-    return TrainConfig(
-        eta0=float(train_raw.get("eta0", 0.1)),
-        lr_schedule=str(train_raw.get("lr_schedule", "inv")),
-        momentum=float(train_raw.get("momentum", 0.9)),
-        prox_mu=mu,
-        batch_size=int(train_raw.get("batch_size", 32)),
-        sat_batch_size=train_raw.get("sat_batch_size"),
-        single_step=plan.single_step,
-        seed=seed,
-    )
 
 
 def _first_crossing(metrics, target):
@@ -186,21 +166,20 @@ def _first_crossing(metrics, target):
 # mode implementations
 
 
-def _prepare(raw: dict, seed: int):
-    spec = dict(raw)
-    spec["seed"] = seed
-    scenario = validate_scenario(spec)
-    if scenario.data_config is None:
+def _prepare(scenario, seed: int):
+    scenario = replace(scenario, seed=seed)
+    if scenario.data is None:
         return scenario, None
     return prepare_data(scenario)
 
 
-def _simulate_leg(prepared, plan, decision, seed, leg_dir: Path, train_raw):
+def _simulate_leg(prepared, plan, decision, seed, leg_dir: Path):
     scenario, test = prepared
     layout = _resolve_layout(scenario, test) if test is not None else None
     if layout is not None:
         scenario = apply_offload(scenario, decision.alpha)
-    cfg = _train_config(train_raw, plan, seed)
+    cfg = replace(scenario.train, prox_mu=plan.prox_mu if plan.algorithm == "fedprox" else 0.0,
+                  single_step=plan.single_step, seed=seed)
     result = run_experiment(
         scenario, decision, plan.rounds, config=cfg, layout=layout,
         test_set=test, persistent_battery=plan.persistent_battery,
@@ -220,11 +199,11 @@ def _simulate_leg(prepared, plan, decision, seed, leg_dir: Path, train_raw):
     }
 
 
-def _run_series(raw, plan, series, out: Path, train_raw):
+def _run_series(scenario, plan, series, out: Path):
     """Solve each (name, baseline, alpha_fixed) series on the first seed's
     data, then simulate every series on every seed. Each seed's data is
     prepared once and shared by its legs."""
-    base = _prepare(raw, plan.seeds[0])
+    base = _prepare(scenario, plan.seeds[0])
     base_scenario = base[0]
     decisions = []
     for name, baseline, alpha_fixed in series:
@@ -240,10 +219,9 @@ def _run_series(raw, plan, series, out: Path, train_raw):
         decisions.append((name, decision))
     rows = []
     for seed in plan.seeds:
-        prepared = base if seed == plan.seeds[0] else _prepare(raw, seed)
+        prepared = base if seed == plan.seeds[0] else _prepare(scenario, seed)
         for name, decision in decisions:
-            leg = _simulate_leg(prepared, plan, decision, seed,
-                                out / name / f"seed{seed}", train_raw)
+            leg = _simulate_leg(prepared, plan, decision, seed, out / name / f"seed{seed}")
             rows.append({"series": name, **leg})
     return rows
 
@@ -267,8 +245,8 @@ def _series_summary(rows, target_acc):
     return {"target_accuracy": target_acc, "rows": rows, "per_series": out}
 
 
-def _mode_optimize(raw, plan, out: Path):
-    scenario, _ = _prepare(raw, plan.seeds[0])
+def _mode_optimize(scenario, plan, out: Path):
+    scenario, _ = _prepare(scenario, plan.seeds[0])
     decision, meta = _resolve_decision(scenario, plan.baseline, plan.alpha_fixed)
     breakdown = cost.round_latency(scenario, decision)
     report = check_feasibility(scenario, decision)
@@ -292,49 +270,38 @@ def _mode_optimize(raw, plan, out: Path):
     print(f"wrote {out / 'decision.json'}")
 
 
-def _mode_simulate(raw, plan, out: Path, train_raw):
+def _mode_simulate(scenario, plan, out: Path):
     name = {
         "terrestrial_only": "alpha_0.0",
         "full_offload": "alpha_max",
         "fixed_ratio": f"alpha_{plan.alpha_fixed:g}" if plan.alpha_fixed is not None else "alpha_fixed",
         "optimized": "optimized",
     }[plan.baseline]
-    rows = _run_series(raw, plan, [(name, plan.baseline, plan.alpha_fixed)], out, train_raw)
+    rows = _run_series(scenario, plan, [(name, plan.baseline, plan.alpha_fixed)], out)
     _write_json(out / "summary.json", _series_summary(rows, plan.target_acc))
     print(f"wrote {out / 'summary.json'} ({len(rows)} legs)")
 
 
-def _mode_sweep(raw, plan, out: Path, train_raw):
-    rows = _run_series(raw, plan, SWEEP_SERIES, out, train_raw)
+def _mode_sweep(scenario, plan, out: Path):
+    rows = _run_series(scenario, plan, SWEEP_SERIES, out)
     rows.sort(key=lambda r: (r["series"], r["seed"]))
     _write_json(out / "summary.json", _series_summary(rows, plan.target_acc))
     print(f"wrote {out / 'summary.json'} ({len(rows)} legs)")
 
 
-def _mode_analyze(raw, plan, out: Path, train_raw):
-    scenario, test = _prepare(raw, plan.seeds[0])
+def _mode_analyze(scenario, plan, out: Path):
+    scenario, test = _prepare(scenario, plan.seeds[0])
     if test is None:
         raise CliError("analyze mode needs a data section in the scenario")
     decision, _ = _resolve_decision(scenario, plan.baseline, plan.alpha_fixed)
     offloaded = apply_offload(scenario, decision.alpha)
     layout = _resolve_layout(offloaded, test)
-    lam = int(train_raw["batch_size"]) if plan.single_step and "batch_size" in train_raw else None
+    train = scenario.train
+    lam = train.batch_size if plan.single_step else None
     report = verify_bound_empirically(
         offloaded, layout, rounds=plan.rounds, seeds=len(plan.seeds),
-        eta0=float(train_raw.get("eta0", 0.1)),
-        lr_schedule=str(train_raw.get("lr_schedule", "inv")),
-        lambda_client=lam, lambda_sat=lam,
+        eta0=train.eta0, lr_schedule=train.lr_schedule, lambda_client=lam, lambda_sat=lam,
     )
-    v_client = {}
-    for p in offloaded.clients:
-        retained = p.dataset.retained
-        v_client[str(p.id)] = sample_variance(retained) if len(retained) >= 2 else 0.0
-    v_sat = {}
-    for c in offloaded.clusters:
-        pool = satellite_pool(offloaded, c.id)
-        v_sat[str(c.id)] = sample_variance(pool) if len(pool) >= 2 else 0.0
-    report["v_client"] = v_client
-    report["v_sat"] = v_sat
     report["decision"] = decision.as_dict()
     _write_json(out / "bounds.json", report)
     print(f"bound = {report['bound_mean']:.6g}  measured = {report['lhs_mean']:.6g}  "
@@ -387,25 +354,18 @@ def run(plan: ExperimentPlan) -> int:
     if not plan.scenario_path:
         raise CliError(f"mode {plan.mode} needs --scenario")
     with open(plan.scenario_path) as fh:
-        raw = json.load(fh)
-    scenario = validate_scenario(raw)
-    train_raw = raw.get("train") or {}
+        scenario = validate_scenario(json.load(fh))
     _write_json(out / "manifest.json", {
         "version": __version__,
         "plan": {**asdict(plan), "seeds": list(plan.seeds)},
         "scenario": scenario_to_dict(scenario),
     })
 
-    if plan.mode == "optimize":
-        _mode_optimize(raw, plan, out)
-    elif plan.mode == "simulate":
-        _mode_simulate(raw, plan, out, train_raw)
-    elif plan.mode == "sweep":
-        _mode_sweep(raw, plan, out, train_raw)
-    elif plan.mode == "analyze":
-        _mode_analyze(raw, plan, out, train_raw)
-    else:
+    modes = {"optimize": _mode_optimize, "simulate": _mode_simulate,
+             "sweep": _mode_sweep, "analyze": _mode_analyze}
+    if plan.mode not in modes:
         raise CliError(f"unknown mode {plan.mode!r}")
+    modes[plan.mode](scenario, plan, out)
     return 0
 
 

@@ -28,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .cost import IslLinkParams, ModelFootprint, isl_rate
+from .fl import TrainConfig
 
 
 class ScenarioError(ValueError):
@@ -143,15 +144,11 @@ class ClientProfile:
 
 @dataclass(frozen=True)
 class CoverageSchedule:
-    """Satellite visibility over the cluster: fixed-period or explicit windows."""
+    """Satellite visibility over the cluster: explicit pass windows."""
 
-    mode: str  # "fixed" | "explicit"
-    period_s: float = 0.0
-    intervals: tuple = ()  # (satellite_index, start_s, end_s) rows
+    intervals: tuple  # (satellite_index, start_s, end_s) rows
 
     def mean_dwell_s(self) -> float:
-        if self.mode == "fixed":
-            return self.period_s
         return float(np.mean([e - s for _, s, e in self.intervals]))
 
 
@@ -176,7 +173,6 @@ class ClusterSpec:
     pathloss_exponent: float
     noise_density_w_per_hz: float
     energy_coeff: float
-    isl_link: IslLinkParams | None = None
     schedule: CoverageSchedule | None = None
 
 
@@ -187,7 +183,8 @@ class Scenario:
     clients: tuple
     footprint: ModelFootprint
     seed: int = 0
-    data_config: dict | None = None
+    data: dict | None = None  # the data section, every field filled in
+    train: TrainConfig = TrainConfig()  # the train section
     # cluster id -> the cluster's offloaded samples, set by apply_offload; the
     # members' offloaded sets are row slices of it, so the pool costs no copy
     sat_pools: dict | None = field(default=None, repr=False, compare=False)
@@ -211,77 +208,231 @@ class Scenario:
 
 
 # ---------------------------------------------------------------------------
-# validation
+# validation: one table per section, mapping each field to (default, rule)
 
-_CLUSTER_DEFAULTS = {
-    "sat_max_freq_hz": 1e10,
-    "sat_cycles_per_sample": 3e7,
-    "sat_tx_power_w": 10.0,
-    "sat_initial_energy_j": 500.0,
-    "sat_min_residual_j": 100.0,
-    "sun_facing": False,
-    "sun_power_w": 5.0,
-    "coverage_s": 360.0,
-    "glob_delay_s": 1.0,
-    "sync_delay_s": 1.0,
-    "max_offload_samples": math.inf,
-    "sat_distance_m": 784e3,
-    "pathloss_exponent": 2.0,
-    "noise_density_w_per_hz": 3.98e-21,
-    "energy_coeff": 1e-28,
-}
-
-_CLIENT_DEFAULTS = {
-    "cycles_per_sample": 3e7,
-    "tx_power_w": 0.2,
-    "max_offload_fraction": 0.8,
-    "energy_budget_j": 1.0,
-    "dataset_size": 0,
-}
+_REQUIRED = object()  # the default of a field that has to be given
 
 
-def _positive(value) -> bool:
-    # NaN fails every comparison, so a bare `<= 0` test would let it through
-    v = float(value)
-    return math.isfinite(v) and v > 0
+class _Broken(ValueError):
+    """A value that breaks its rule; the message says what it must be."""
 
 
-def _nonnegative(value) -> bool:
-    v = float(value)
-    return math.isfinite(v) and v >= 0
-
-
-def _number(value, name: str, errors: list, fallback):
-    """A finite real number, as given; anything else (strings, lists, null,
-    booleans, NaN, inf) is reported under the field's name and replaced by
-    fallback, so validation goes on to the next field."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        errors.append(f"{name} must be a number")
-        return fallback
-    if not math.isfinite(value):
-        errors.append(f"{name} must be finite")
-        return fallback
+def _finite(value, inf_ok=False):
+    # JSON has no NaN and no booleans among its numbers, but Python's json
+    # reads NaN and counts True as a Real; NaN fails every comparison, so a
+    # range test alone would let it through. The exact-type test spares the
+    # json reader's own int and float the slower abstract-class test.
+    if type(value) not in (float, int) and (isinstance(value, bool)
+                                            or not isinstance(value, numbers.Real)):
+        raise _Broken("be a number")
+    if not math.isfinite(value) and (not inf_ok or math.isnan(value)):
+        raise _Broken('be a number or "inf"' if inf_ok else "be finite")
     return value
 
 
-def _count(value, name: str, errors: list, fallback: int = 0) -> int:
-    """A whole-number field as an int; a fraction is reported, not truncated."""
-    value = _number(value, name, errors, fallback)
-    if value != int(value):
-        errors.append(f"{name} must be a whole number")
-        return fallback
+def _positive(value):
+    if _finite(value) <= 0:
+        raise _Broken("be positive")
+    return float(value)
+
+
+def _nonnegative(value):
+    if _finite(value) < 0:
+        raise _Broken("be nonnegative")
+    return float(value)
+
+
+def _fraction(value):
+    if not 0 <= _finite(value) <= 1:
+        raise _Broken("be in [0, 1]")
+    return float(value)
+
+
+def _size(value):
+    """Positive, and kept as given: bits per sample may be fractional."""
+    if _finite(value) <= 0:
+        raise _Broken("be positive")
+    return value
+
+
+def _whole(value):
+    if _finite(value) != int(value):
+        raise _Broken("be a whole number")
     return int(value)
 
 
-def _section(spec: dict, key: str, errors: list) -> dict:
-    """The object under a top-level key; {} when absent or null."""
-    value = spec.get(key)
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        errors.append(f"{key} must be an object")
-        return {}
+def _tally(value):
+    """A whole number, zero included."""
+    if _whole(value) < 0:
+        raise _Broken("be nonnegative")
+    return int(value)
+
+
+def _count(value):
+    """A whole number above zero."""
+    if _whole(value) <= 0:
+        raise _Broken("be positive")
+    return int(value)
+
+
+def _cap(value):
+    """A nonnegative number; "inf" is no cap."""
+    if value == "inf":
+        return math.inf
+    if _finite(value, inf_ok=True) < 0:
+        raise _Broken("be nonnegative")
+    return float(value)
+
+
+def _flag(value):
+    if not isinstance(value, bool):
+        raise _Broken("be true or false")
     return value
+
+
+def _text(value):
+    if not isinstance(value, str):
+        raise _Broken("be a string")
+    return value
+
+
+def _list(value):
+    if not isinstance(value, list):
+        raise _Broken("be a list")
+    return value
+
+
+def _one_of(*choices):
+    def rule(value):
+        if not isinstance(value, str) or value not in choices:
+            raise _Broken("be one of " + ", ".join(map(repr, choices)))
+        return value
+    return rule
+
+
+_ISL_LINK = {
+    "bandwidth_hz": (_REQUIRED, _positive),
+    "tx_power_w": (_REQUIRED, _positive),
+    "gain_tx": (1.0, _positive),
+    "gain_rx": (1.0, _positive),
+    "pathloss": (_REQUIRED, _positive),
+    "noise_density_w_per_hz": (_REQUIRED, _positive),
+}
+
+_CLUSTER = {
+    "bandwidth_hz": (_REQUIRED, _positive),
+    "sat_max_freq_hz": (1e10, _positive),
+    "sat_cycles_per_sample": (3e7, _positive),
+    "sat_tx_power_w": (10.0, _positive),
+    "isl_rate_bps": (3.125e6, _positive),
+    "isl_link": (None, _ISL_LINK),  # sets isl_rate_bps from the link budget
+    "sat_initial_energy_j": (500.0, _nonnegative),
+    "sat_min_residual_j": (100.0, _nonnegative),
+    "sun_facing": (False, _flag),
+    "sun_power_w": (5.0, _nonnegative),
+    "coverage_s": (360.0, _positive),
+    "coverage_intervals": (None, _list),  # sets coverage_s to the mean dwell
+    "coverage_file": (None, _text),  # the same rows in a file; wins over the list
+    "glob_delay_s": (1.0, _nonnegative),
+    "sync_delay_s": (1.0, _nonnegative),
+    "max_offload_samples": (math.inf, _cap),
+    "sat_distance_m": (784e3, _positive),
+    "pathloss_exponent": (2.0, _positive),
+    "noise_density_w_per_hz": (3.98e-21, _positive),
+    "energy_coeff": (1e-28, _positive),
+    "clients": ([], _list),
+}
+
+_CLIENT = {
+    "cpu_freq_hz": (_REQUIRED, _positive),
+    "cycles_per_sample": (3e7, _positive),
+    "tx_power_w": (0.2, _positive),
+    "max_offload_fraction": (0.8, _fraction),
+    "energy_budget_j": (1.0, _positive),
+    "dataset_size": (0, _tally),  # samples_per_client when a data section is given
+}
+
+_DATA = {
+    "source": ("synthetic", _one_of("synthetic", "idx", "csv")),
+    "seed": (None, _tally),  # None: the scenario seed
+    "samples_per_client": (200, _count),
+    "classes": (10, _count),
+    "dim": (32, _count),
+    "noise": (0.6, _nonnegative),
+    "test_samples": (1000, _count),
+    "images": (None, _text),
+    "labels": (None, _text),
+    "test_images": (None, _text),
+    "test_labels": (None, _text),
+    "path": (None, _text),
+    "test_path": (None, _text),
+    "partition": ("iid", _one_of("iid", "shard_noniid")),
+    "shards_per_client": (2, _count),
+    "sensitive_fraction": (0.2, _fraction),
+    "model": ({}, {"kind": ("mlp", _one_of("mlp", "logistic")), "hidden": (32, _count)}),
+}
+_SOURCE_FILES = {"synthetic": (), "idx": ("images", "labels"), "csv": ("path",)}
+
+# the defaults are TrainConfig's; its other fields come from the command line
+_TRAIN = {
+    "eta0": (TrainConfig.eta0, _positive),
+    "lr_schedule": (TrainConfig.lr_schedule, _one_of("inv", "constant")),
+    "momentum": (TrainConfig.momentum, _fraction),
+    "batch_size": (TrainConfig.batch_size, _count),
+    "sat_batch_size": (TrainConfig.sat_batch_size, _count),  # None: batch_size
+}
+
+_MODEL = {
+    "param_count": (100000, _count),
+    "bits_per_param": (ModelFootprint.bits_per_param, _count),
+    "sample_bits": (ModelFootprint.sample_bits, _size),
+}
+
+_SCENARIO = {
+    "name": ("scenario", _text),
+    "seed": (0, _tally),  # seeds numpy generators, which take no negative seed
+    "model": ({}, _MODEL),
+    "clusters": ([], _list),
+    "data": (None, _DATA),  # None: timing and energy only
+    "train": ({}, _TRAIN),
+}
+
+
+def _read(raw: dict, table: dict, prefix: str, errors: list) -> dict:
+    """Every field of table from raw, checked, or its default when absent.
+
+    A broken rule is reported as "<prefix><field> must ..." and the default
+    stands in, so reading goes on to the next field. A null field is
+    accepted where the default is None. A nested table reads an object;
+    null or absent is its default.
+    """
+    out = {}
+    for key, (default, rule) in table.items():
+        value = raw.get(key)
+        if isinstance(rule, dict):
+            if value is None:
+                value = default
+            elif not isinstance(value, dict):
+                errors.append(f"{prefix}{key} must be an object")
+                value = default
+            out[key] = None if value is None else _read(value, rule, f"{prefix}{key}.", errors)
+        elif value is None and (default is None or key not in raw):
+            if default is _REQUIRED:
+                errors.append(f"{prefix}{key} must be given")
+            out[key] = default
+        else:
+            try:
+                out[key] = rule(value)
+            except _Broken as broken:
+                errors.append(f"{prefix}{key} must {broken}")
+                out[key] = default
+    return out
+
+
+def _file_fields(values: dict, table: dict) -> dict:
+    """The table's fields among values, as a scenario file spells them."""
+    return {key: "inf" if values[key] == math.inf else values[key]
+            for key in table if values.get(key) is not None}
 
 
 def validate_scenario(spec: dict) -> Scenario:
@@ -289,193 +440,77 @@ def validate_scenario(spec: dict) -> Scenario:
 
     Raises ScenarioError listing every problem found.
     """
-    errors = []
     if not isinstance(spec, dict):
         raise ScenarioError(["scenario description must be a mapping"])
-
-    model_spec = _section(spec, "model", errors)
-    param_count = _count(model_spec.get("param_count", 100000), "model.param_count", errors, 1)
-    bits_per_param = _count(model_spec.get("bits_per_param", 32), "model.bits_per_param", errors, 1)
-    # bits per offloaded sample is a size, not a count: a fraction is kept
-    sample_bits = _number(model_spec.get("sample_bits", 6272), "model.sample_bits", errors, 1)
-    if param_count <= 0:
-        errors.append("model.param_count must be positive")
-    if bits_per_param <= 0:
-        errors.append("model.bits_per_param must be positive")
-    if sample_bits <= 0:
-        errors.append("model.sample_bits must be positive")
-    footprint = ModelFootprint(param_count, bits_per_param, sample_bits)
-
-    raw_clusters = spec.get("clusters", [])
-    if not isinstance(raw_clusters, list):
-        errors.append("clusters must be a list")
-        raw_clusters = []
-    elif not raw_clusters:
+    errors = []
+    top = _read(spec, _SCENARIO, "", errors)
+    data = top["data"]
+    client_table = _CLIENT
+    if data is not None:
+        for key in _SOURCE_FILES[data["source"]]:
+            if data[key] is None:
+                errors.append(f"data.{key} must be given for source {data['source']!r}")
+        if (data["test_images"] is None) != (data["test_labels"] is None):
+            errors.append("data.test_images and data.test_labels must be given together")
+        # clients that omit dataset_size inherit the planned per-client count,
+        # so cost and resource questions work before any data is materialized
+        client_table = {**_CLIENT, "dataset_size": (data["samples_per_client"], _tally)}
+    if not top["clusters"]:
         errors.append("scenario has no clusters")
 
-    # clients that omit dataset_size inherit the planned per-client count, so
-    # cost and resource questions work before any data is materialized
-    data_spec = _section(spec, "data", errors)
-    _section(spec, "train", errors)  # read by the command line, checked here
-    default_size = _count(data_spec.get("samples_per_client", 0), "data.samples_per_client", errors)
-
-    clusters = []
-    clients = []
-    seen_clients = set()
-    seen_clusters = set()
-    for ci, raw in enumerate(raw_clusters):
+    clusters, clients = [], []
+    seen_clusters, seen_clients = set(), set()
+    for ci, raw in enumerate(top["clusters"]):
         if not isinstance(raw, dict):
             errors.append(f"clusters[{ci}] must be an object")
             continue
-        cid = int(raw.get("id", ci))
+        cid = _read(raw, {"id": (ci, _whole)}, f"clusters[{ci}]: ", errors)["id"]
         if cid in seen_clusters:
             errors.append(f"duplicate cluster id {cid}")
         seen_clusters.add(cid)
-        vals = dict(_CLUSTER_DEFAULTS)
-        vals.update({k: raw[k] for k in _CLUSTER_DEFAULTS if k in raw})
-
-        link = None
-        rate = raw.get("isl_rate_bps", None)
-        if "isl_link" in raw:
-            lk = raw["isl_link"]
+        before = len(errors)
+        vals = _read(raw, _CLUSTER, f"cluster {cid}: ", errors)
+        link, members = vals.pop("isl_link"), vals.pop("clients")
+        if link is not None and len(errors) == before:
+            vals["isl_rate_bps"] = isl_rate(IslLinkParams(**link))
+            if not 0 < vals["isl_rate_bps"] < math.inf:
+                errors.append(f"cluster {cid}: isl_link must give a positive finite rate")
+        path, rows, schedule = vals.pop("coverage_file"), vals.pop("coverage_intervals"), None
+        if path is not None or rows is not None:
             try:
-                link = IslLinkParams(
-                    bandwidth_hz=float(lk["bandwidth_hz"]),
-                    tx_power_w=float(lk["tx_power_w"]),
-                    gain_tx=float(lk.get("gain_tx", 1.0)),
-                    gain_rx=float(lk.get("gain_rx", 1.0)),
-                    pathloss=float(lk["pathloss"]),
-                    noise_density_w_per_hz=float(lk["noise_density_w_per_hz"]),
-                )
-                if not all(_positive(v) for v in (link.bandwidth_hz, link.tx_power_w,
-                                                  link.pathloss, link.noise_density_w_per_hz)):
-                    errors.append(f"cluster {cid}: ISL link parameters must be positive and finite")
-                else:
-                    rate = isl_rate(link)
-            except KeyError as missing:
-                errors.append(f"cluster {cid}: isl_link missing field {missing}")
-        if rate is None:
-            rate = 3.125e6
-        if not _positive(rate):
-            errors.append(f"cluster {cid}: ISL rate must be positive and finite")
-
-        schedule = None
-        if "coverage_file" in raw:
-            try:
-                schedule = load_coverage_schedule(raw["coverage_file"])
+                schedule = load_coverage_schedule(rows if path is None else path)
                 vals["coverage_s"] = schedule.mean_dwell_s()
             except (OSError, ValueError) as exc:
-                errors.append(f"cluster {cid}: coverage schedule: {exc}")
-        elif "coverage_intervals" in raw:
-            try:
-                schedule = load_coverage_schedule(raw["coverage_intervals"])
-                vals["coverage_s"] = schedule.mean_dwell_s()
-            except ValueError as exc:
-                errors.append(f"cluster {cid}: coverage schedule: {exc}")
+                field_name = "coverage_intervals" if path is None else "coverage_file"
+                errors.append(f"cluster {cid}: {field_name}: {exc}")
 
-        for key in ("bandwidth_hz",):
-            if key not in raw:
-                errors.append(f"cluster {cid}: missing {key}")
-        for key, val in (
-            ("bandwidth_hz", raw.get("bandwidth_hz", 0.0)),
-            ("sat_max_freq_hz", vals["sat_max_freq_hz"]),
-            ("sat_cycles_per_sample", vals["sat_cycles_per_sample"]),
-            ("sat_tx_power_w", vals["sat_tx_power_w"]),
-            ("coverage_s", vals["coverage_s"]),
-            ("sat_distance_m", vals["sat_distance_m"]),
-            ("noise_density_w_per_hz", vals["noise_density_w_per_hz"]),
-            ("energy_coeff", vals["energy_coeff"]),
-        ):
-            if not _positive(val):
-                errors.append(f"cluster {cid}: {key} must be positive and finite")
-        for key in ("sat_initial_energy_j", "sat_min_residual_j", "sun_power_w",
-                    "glob_delay_s", "sync_delay_s"):
-            if not _nonnegative(vals[key]):
-                errors.append(f"cluster {cid}: {key} must be nonnegative and finite")
-        # an unlimited offload budget is spelled +inf
-        cap = float(vals["max_offload_samples"])
-        if math.isnan(cap) or cap < 0:
-            errors.append(f"cluster {cid}: max_offload_samples must be nonnegative")
-
-        raw_members = raw.get("clients", [])
-        if not isinstance(raw_members, list):
-            errors.append(f"cluster {cid}: clients must be a list")
-            raw_members = []
-        elif not raw_members:
+        if not members:
             errors.append(f"empty cluster {cid}")
         member_ids = []
-        for ki, rk in enumerate(raw_members):
+        for ki, rk in enumerate(members):
             if not isinstance(rk, dict):
                 errors.append(f"cluster {cid}: clients[{ki}] must be an object")
                 continue
-            kid = int(rk.get("id", len(clients)))
+            kid = _read(rk, {"id": (len(clients), _whole)},
+                        f"cluster {cid}: clients[{ki}]: ", errors)["id"]
             if kid in seen_clients:
                 errors.append(f"duplicate client id {kid}")
             seen_clients.add(kid)
             member_ids.append(kid)
-            cv = dict(_CLIENT_DEFAULTS)
-            cv["dataset_size"] = default_size
-            cv.update({k: rk[k] for k in _CLIENT_DEFAULTS if k in rk})
-            if "cpu_freq_hz" not in rk:
-                errors.append(f"client {kid}: missing cpu_freq_hz")
-            cpu = float(rk.get("cpu_freq_hz", 0.0))
-            for key, val in (("cpu_freq_hz", cpu),
-                             ("cycles_per_sample", cv["cycles_per_sample"]),
-                             ("tx_power_w", cv["tx_power_w"]),
-                             ("energy_budget_j", cv["energy_budget_j"])):
-                if not _positive(val):
-                    errors.append(f"client {kid}: {key} must be positive and finite")
-            amax = float(cv["max_offload_fraction"])
-            if not 0.0 <= amax <= 1.0:
-                errors.append(f"client {kid}: offload fraction out of range ({amax})")
-            dataset_size = _count(cv["dataset_size"], f"client {kid}: dataset_size", errors)
-            if dataset_size < 0:
-                errors.append(f"client {kid}: dataset_size must be nonnegative")
-            clients.append(ClientProfile(
-                id=kid,
-                cluster_id=cid,
-                cpu_freq_hz=cpu,
-                cycles_per_sample=float(cv["cycles_per_sample"]),
-                tx_power_w=float(cv["tx_power_w"]),
-                max_offload_fraction=amax,
-                energy_budget_j=float(cv["energy_budget_j"]),
-                dataset_size=dataset_size,
-            ))
-
-        clusters.append(ClusterSpec(
-            id=cid,
-            client_ids=tuple(member_ids),
-            bandwidth_hz=float(raw.get("bandwidth_hz", 0.0)),
-            sat_max_freq_hz=float(vals["sat_max_freq_hz"]),
-            sat_cycles_per_sample=float(vals["sat_cycles_per_sample"]),
-            sat_tx_power_w=float(vals["sat_tx_power_w"]),
-            isl_rate_bps=float(rate),
-            sat_initial_energy_j=float(vals["sat_initial_energy_j"]),
-            sat_min_residual_j=float(vals["sat_min_residual_j"]),
-            sun_facing=bool(vals["sun_facing"]),
-            sun_power_w=float(vals["sun_power_w"]),
-            coverage_s=float(vals["coverage_s"]),
-            glob_delay_s=float(vals["glob_delay_s"]),
-            sync_delay_s=float(vals["sync_delay_s"]),
-            max_offload_samples=float(vals["max_offload_samples"]),
-            sat_distance_m=float(vals["sat_distance_m"]),
-            pathloss_exponent=float(vals["pathloss_exponent"]),
-            noise_density_w_per_hz=float(vals["noise_density_w_per_hz"]),
-            energy_coeff=float(vals["energy_coeff"]),
-            isl_link=link,
-            schedule=schedule,
-        ))
+            clients.append(ClientProfile(id=kid, cluster_id=cid,
+                                         **_read(rk, client_table, f"client {kid}: ", errors)))
+        clusters.append(ClusterSpec(id=cid, client_ids=tuple(member_ids), schedule=schedule, **vals))
 
     if errors:
         raise ScenarioError(errors)
-
     return Scenario(
-        name=str(spec.get("name", "scenario")),
+        name=top["name"],
         clusters=tuple(clusters),
         clients=tuple(clients),
-        footprint=footprint,
-        seed=int(spec.get("seed", 0)),
-        data_config=spec.get("data"),
+        footprint=ModelFootprint(**top["model"]),
+        seed=top["seed"],
+        data=data,
+        train=TrainConfig(**top["train"]),
     )
 
 
@@ -485,54 +520,25 @@ def load_scenario(path) -> Scenario:
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
-    """Reverse serialization used for run manifests (datasets omitted)."""
+    """The scenario as a file, written from the validation tables, for run
+    manifests; a coverage schedule is written inline as its intervals.
+    Datasets and the train section are left out."""
     out = {
         "name": scenario.name,
         "seed": scenario.seed,
-        "model": {
-            "param_count": scenario.footprint.param_count,
-            "bits_per_param": scenario.footprint.bits_per_param,
-            "sample_bits": scenario.footprint.sample_bits,
-        },
+        "model": _file_fields(vars(scenario.footprint), _MODEL),
         "clusters": [],
     }
-    if scenario.data_config is not None:
-        out["data"] = scenario.data_config
+    if scenario.data is not None:
+        out["data"] = _file_fields(scenario.data, _DATA)
     for c in scenario.clusters:
-        row = {
-            "id": c.id,
-            "bandwidth_hz": c.bandwidth_hz,
-            "sat_max_freq_hz": c.sat_max_freq_hz,
-            "sat_cycles_per_sample": c.sat_cycles_per_sample,
-            "sat_tx_power_w": c.sat_tx_power_w,
-            "isl_rate_bps": c.isl_rate_bps,
-            "sat_initial_energy_j": c.sat_initial_energy_j,
-            "sat_min_residual_j": c.sat_min_residual_j,
-            "sun_facing": c.sun_facing,
-            "sun_power_w": c.sun_power_w,
-            "coverage_s": c.coverage_s,
-            "glob_delay_s": c.glob_delay_s,
-            "sync_delay_s": c.sync_delay_s,
-            "max_offload_samples": (
-                "inf" if math.isinf(c.max_offload_samples) else c.max_offload_samples
-            ),
-            "sat_distance_m": c.sat_distance_m,
-            "pathloss_exponent": c.pathloss_exponent,
-            "noise_density_w_per_hz": c.noise_density_w_per_hz,
-            "energy_coeff": c.energy_coeff,
-            "clients": [
-                {
-                    "id": p.id,
-                    "cpu_freq_hz": p.cpu_freq_hz,
-                    "cycles_per_sample": p.cycles_per_sample,
-                    "tx_power_w": p.tx_power_w,
-                    "max_offload_fraction": p.max_offload_fraction,
-                    "energy_budget_j": p.energy_budget_j,
-                    "dataset_size": p.size,
-                }
-                for p in scenario.cluster_clients(c.id)
-            ],
-        }
+        row = {"id": c.id, **_file_fields(vars(c), _CLUSTER)}
+        if c.schedule is not None:
+            # a row numbered by its position is written as the pair it reads back from
+            row["coverage_intervals"] = [[s, e] if i == k else [i, s, e]
+                                         for k, (i, s, e) in enumerate(c.schedule.intervals)]
+        row["clients"] = [{"id": p.id, **_file_fields(vars(p), _CLIENT)}
+                          for p in scenario.cluster_clients(c.id)]
         out["clusters"].append(row)
     return out
 
@@ -542,21 +548,15 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 
 def load_coverage_schedule(source) -> CoverageSchedule:
-    """Build a schedule from a fixed period, interval rows, or an interval file.
+    """Build a schedule from interval rows or an interval file.
 
     File rows are whitespace-separated ``satellite_index start_s end_s``,
     sorted by start time. In-memory rows may drop the index ([start, end]
     pairs are numbered by position).
     """
-    if isinstance(source, (int, float)):
-        if source <= 0:
-            raise ValueError("fixed coverage period must be positive")
-        return CoverageSchedule(mode="fixed", period_s=float(source))
-    if isinstance(source, dict):
-        return load_coverage_schedule(source.get("period_s", 0.0))
-
+    items = source
     if isinstance(source, (str, Path)):
-        rows = []
+        items = []
         with open(source, "r", encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, 1):
                 text = line.strip()
@@ -565,16 +565,16 @@ def load_coverage_schedule(source) -> CoverageSchedule:
                 parts = text.split()
                 if len(parts) != 3:
                     raise ValueError(f"line {line_no}: expected 'index start_s end_s'")
-                rows.append((int(parts[0]), float(parts[1]), float(parts[2])))
-    else:
-        rows = []
-        for k, item in enumerate(source):
-            item = tuple(item)
-            if len(item) == 2:
-                rows.append((k, float(item[0]), float(item[1])))
-            else:
-                i, s, e = item
-                rows.append((int(i), float(s), float(e)))
+                items.append((int(parts[0]), float(parts[1]), float(parts[2])))
+    rows = []
+    for k, item in enumerate(items):
+        if not isinstance(item, (list, tuple)) or len(item) not in (2, 3):
+            raise ValueError(f"interval {k}: expected [start, end] or [index, start, end]")
+        try:
+            *index, start, end = map(_finite, item)
+        except _Broken as broken:
+            raise ValueError(f"interval {k}: each entry must {broken}") from None
+        rows.append((int(index[0]) if index else k, float(start), float(end)))
 
     if not rows:
         raise ValueError("empty coverage schedule")
@@ -588,7 +588,7 @@ def load_coverage_schedule(source) -> CoverageSchedule:
         if start < prev_end:
             raise ValueError(f"interval {idx}: overlaps the previous interval")
         prev_start, prev_end = start, end
-    return CoverageSchedule(mode="explicit", intervals=tuple(rows))
+    return CoverageSchedule(intervals=tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -830,42 +830,27 @@ def prepare_data(scenario: Scenario) -> tuple:
     fresh corpus; idx/csv sources read files. The corpus is partitioned over
     all clients in scenario order.
     """
-    cfg = scenario.data_config
+    cfg = scenario.data
     if cfg is None:
         raise ValueError("scenario has no data section")
-    source = cfg.get("source", "synthetic")
-    n_clients = len(scenario.clients)
-    seed = int(cfg.get("seed", scenario.seed))
-
-    if source == "synthetic":
-        spc = int(cfg.get("samples_per_client", 200))
-        n_classes = int(cfg.get("classes", 10))
-        dim = int(cfg.get("dim", 32))
-        noise = float(cfg.get("noise", 0.6))
-        corpus = synthetic_dataset(spc * n_clients, n_classes, dim, noise, seed=seed)
+    seed = scenario.seed if cfg["seed"] is None else cfg["seed"]
+    if cfg["source"] == "synthetic":
+        shape = (cfg["classes"], cfg["dim"], cfg["noise"])
+        corpus = synthetic_dataset(cfg["samples_per_client"] * len(scenario.clients), *shape,
+                                   seed=seed)
         # fresh draws for test, same class means as the training corpus
-        test = synthetic_dataset(
-            int(cfg.get("test_samples", 1000)), n_classes, dim, noise,
-            seed=seed + 1, mean_seed=seed,
-        )
-    elif source == "idx":
+        test = synthetic_dataset(cfg["test_samples"], *shape, seed=seed + 1, mean_seed=seed)
+    elif cfg["source"] == "idx":
         corpus = load_idx(cfg["images"], cfg["labels"])
-        test = load_idx(cfg["test_images"], cfg["test_labels"]) if "test_images" in cfg else corpus
-    elif source == "csv":
-        corpus = load_csv_dataset(cfg["path"])
-        test = load_csv_dataset(cfg["test_path"]) if "test_path" in cfg else corpus
+        test = corpus if cfg["test_images"] is None else load_idx(cfg["test_images"],
+                                                                   cfg["test_labels"])
     else:
-        raise ValueError(f"unknown data source {source!r}")
+        corpus = load_csv_dataset(cfg["path"])
+        test = corpus if cfg["test_path"] is None else load_csv_dataset(cfg["test_path"])
 
-    mode = cfg.get("partition", "iid")
-    parts = partition_dataset(
-        corpus, n_clients, mode=mode,
-        shards_per_client=int(cfg.get("shards_per_client", 2)), seed=seed,
-    )
+    parts = partition_dataset(corpus, len(scenario.clients), mode=cfg["partition"],
+                              shards_per_client=cfg["shards_per_client"], seed=seed)
     per_client = {p.id: parts[i] for i, p in enumerate(scenario.clients)}
-    attached = attach_datasets(
-        scenario, per_client,
-        sensitive_fraction=float(cfg.get("sensitive_fraction", 0.2)),
-        seed=seed,
-    )
+    attached = attach_datasets(scenario, per_client,
+                               sensitive_fraction=cfg["sensitive_fraction"], seed=seed)
     return attached, test

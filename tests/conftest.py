@@ -86,6 +86,18 @@ def scenario_dict(clusters, param_count=1000, sample_bits=6272, name="test", see
     return out
 
 
+def random_passes(rng, dwell_s, count):
+    """count [start, end] coverage passes with gaps; about one in four is a
+    short one of 3-15 s, and the rest last about dwell_s."""
+    rows, t = [], float(rng.uniform(0.0, 30.0))
+    for _ in range(count):
+        short = rng.random() < 0.25
+        dwell = float(rng.uniform(3.0, 15.0) if short else dwell_s * rng.uniform(0.8, 1.2))
+        rows.append([t, t + dwell])
+        t += dwell + float(rng.uniform(5.0, 90.0))
+    return rows
+
+
 def _uplink_tau(size_bits, b, p_tx):
     snr_num = p_tx * DIST_M ** (-PATHLOSS) / NOISE_W_HZ
     return size_bits / (b * math.log2(1.0 + snr_num / b))

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 import orbitfed
 from orbitfed.cli import CliError, _parse_seeds, _prepare, main
 from orbitfed.optimizer import InfeasibleError, optimize
-from orbitfed.scenario import scenario_to_dict
+from orbitfed.scenario import scenario_to_dict, validate_scenario
 
 from conftest import (
     REFERENCE_SCENARIO,
@@ -25,6 +25,7 @@ from conftest import (
     cluster_dict,
     mixed_instance,
     multiwindow_instance,
+    random_passes,
     scenario_dict,
 )
 
@@ -315,7 +316,7 @@ class TestErrorReporting:
         spec["clusters"][0]["clients"][0]["energy_budget_j"] = 1e-3
         err = self.run_infeasible(spec, tmp_path, capsys)
         with pytest.raises(InfeasibleError) as exc:
-            optimize(_prepare(spec, 0)[0])
+            optimize(_prepare(validate_scenario(spec), 0)[0])
         assert exc.value.slack < 0
         assert err["slack"] == exc.value.slack
 
@@ -393,18 +394,6 @@ class TestRandomScenarios:
                 assert json.loads(lines[0])["error"] == "InfeasibleError", lines[0]
 
         check()
-
-
-def random_passes(rng, dwell_s, count):
-    """count [start, end] coverage passes with gaps; about one in four is a
-    short one of 3-15 s, and the rest last about dwell_s."""
-    rows, t = [], float(rng.uniform(0.0, 30.0))
-    for _ in range(count):
-        short = rng.random() < 0.25
-        dwell = float(rng.uniform(3.0, 15.0) if short else dwell_s * rng.uniform(0.8, 1.2))
-        rows.append([t, t + dwell])
-        t += dwell + float(rng.uniform(5.0, 90.0))
-    return rows
 
 
 class TestRandomScheduleReplay:

@@ -1,15 +1,22 @@
 """Scenario validation, data partitioning, offload materialization, and
 coverage schedules."""
 
+import itertools
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orbitfed.cli import main
+from orbitfed.fl import TrainConfig
 from orbitfed.scenario import (
+    _CLIENT,
+    _CLUSTER,
+    _SCENARIO,
     SampleSet,
     ScenarioError,
     apply_offload,
@@ -18,11 +25,23 @@ from orbitfed.scenario import (
     partition_dataset,
     prepare_data,
     satellite_pool,
+    scenario_to_dict,
     synthetic_dataset,
     validate_scenario,
 )
 
-from conftest import REFERENCE_SCENARIO, client_dict, cluster_dict, scenario_dict
+from conftest import (
+    REFERENCE_SCENARIO,
+    case1_instance,
+    client_dict,
+    cluster_dict,
+    mixed_instance,
+    multiwindow_instance,
+    random_passes,
+    scenario_dict,
+)
+
+README = REFERENCE_SCENARIO.parent.parent / "README.md"
 
 
 def small_scenario(n_clients=2, **client_kw):
@@ -47,7 +66,7 @@ class TestValidate:
         spec = scenario_dict(
             [cluster_dict(0, [client_dict(0, 2e8, 100, max_offload_fraction=1.2)])]
         )
-        with pytest.raises(ScenarioError, match="offload fraction out of range"):
+        with pytest.raises(ScenarioError, match=r"client 0: max_offload_fraction must be in \[0, 1\]"):
             validate_scenario(spec)
 
     def test_duplicate_client_ids(self):
@@ -92,6 +111,11 @@ NON_FINITE_CASES = [
     ("model", "param_count", math.nan),
     ("model", "bits_per_param", math.inf),
     ("data", "samples_per_client", math.inf),
+    # fields no check read: a NaN pathloss exponent failed in the solver, an
+    # infinite link gain was reported as an "ISL rate", a NaN eta0 reached training
+    ("cluster", "pathloss_exponent", math.nan),
+    ("isl_link", "gain_tx", math.inf),
+    ("train", "eta0", math.nan),
 ]
 
 
@@ -103,7 +127,7 @@ def spec_with(where, field, value):
         cluster[field] = value
     elif where == "client":
         cluster["clients"][1][field] = value
-    elif where in ("model", "data"):
+    elif where in ("model", "data", "train"):
         spec.setdefault(where, {})[field] = value
     else:
         cluster["isl_link"] = {"bandwidth_hz": 1e6, "tx_power_w": 1.0,
@@ -117,8 +141,7 @@ class TestNonFiniteRejected:
     def test_validate_names_the_field(self, where, field, value):
         with pytest.raises(ScenarioError) as err:
             validate_scenario(spec_with(where, field, value))
-        name = "ISL link" if where == "isl_link" else "ISL rate" if field == "isl_rate_bps" else field
-        assert any(name in e for e in err.value.errors), err.value.errors
+        assert any(field in e for e in err.value.errors), err.value.errors
 
     @pytest.mark.parametrize("where,field,value", NON_FINITE_CASES)
     def test_cli_reports_one_json_line(self, where, field, value, tmp_path, capsys):
@@ -188,8 +211,8 @@ class TestMisshapenRejected:
         assert any(SHAPE_CASES[case] in e for e in err["details"]), err["details"]
 
 
-# values of the wrong JSON type in count fields and top-level sections; each
-# escaped as a bare ValueError, TypeError or AttributeError, or was read as 1
+# values of the wrong JSON type; each escaped as a bare ValueError, TypeError
+# or AttributeError, was read as some other value, or was not read at all
 WRONG_TYPE_CASES = [
     (("model", "sample_bits", "x"), "model.sample_bits must be a number"),
     (("model", "sample_bits", [1]), "model.sample_bits must be a number"),
@@ -201,6 +224,20 @@ WRONG_TYPE_CASES = [
     (("model", None, "abc"), "model must be an object"),
     (("data", None, [1]), "data must be an object"),
     (("train", None, 3), "train must be an object"),
+    (("cluster", "sat_max_freq_hz", "fast"), "cluster 0: sat_max_freq_hz must be a number"),
+    (("cluster", "sat_max_freq_hz", "1e10"), "cluster 0: sat_max_freq_hz must be a number"),
+    (("cluster", "isl_link", 5), "cluster 0: isl_link must be an object"),
+    (("data", "noise", None), "data.noise must be a number"),
+    (("train", "eta0", None), "train.eta0 must be a number"),
+    (("data", "model", [1]), "data.model must be an object"),
+    (("cluster", "sun_facing", "no"), "cluster 0: sun_facing must be true or false"),
+    (("cluster", "glob_delay_s", True), "cluster 0: glob_delay_s must be a number"),
+    (("cluster", "id", 1.5), "clusters[0]: id must be a whole number"),
+    (("train", "batch_size", "x"), "train.batch_size must be a number"),
+    (("train", "sat_batch_size", "x"), "train.sat_batch_size must be a number"),
+    (("train", "lr_schedule", "cosine"), "train.lr_schedule must be one of 'inv', 'constant'"),
+    (("cluster", "coverage_intervals", 360), "cluster 0: coverage_intervals must be a list"),
+    (("cluster", "coverage_file", 3), "cluster 0: coverage_file must be a string"),
 ]
 WRONG_TYPE_IDS = [f"{w}.{f}={v!r}" for (w, f, v), _ in WRONG_TYPE_CASES]
 
@@ -235,6 +272,19 @@ class TestWrongTypeRejected:
     def test_fractional_sample_bits_are_kept(self):
         sc = validate_scenario(spec_with("model", "sample_bits", 6272.5))
         assert sc.footprint.sample_bits == 6272.5
+
+    def test_data_and_train_defaults_are_filled_in(self):
+        sc = validate_scenario(spec_with("data", "source", "synthetic"))
+        assert sc.data["samples_per_client"] == 200 and sc.data["model"]["kind"] == "mlp"
+        assert sc.data["seed"] is None  # the scenario seed
+        assert sc.train == TrainConfig()
+
+    def test_samples_per_client_default_is_the_materialized_count(self):
+        spec = spec_with("data", "dim", 4)
+        del spec["clusters"][0]["clients"][0]["dataset_size"]
+        sc = validate_scenario(spec)
+        prepared, _ = prepare_data(sc)
+        assert sc.clients[0].dataset_size == prepared.clients[0].size == 200
 
     def test_whole_float_counts_are_read_as_ints(self):
         sc = validate_scenario(spec_with("client", "dataset_size", 100.0))
@@ -364,8 +414,16 @@ class TestApplyOffload:
 
 class TestCoverage:
     def test_fixed_period_intervals(self):
-        sched = load_coverage_schedule(360.0)
-        assert sched.mean_dwell_s() == 360.0
+        # a fixed period is coverage_s; as a schedule it is rejected by name
+        for field, value in (("coverage_intervals", 360), ("coverage_file", 3),
+                             ("coverage_intervals", {"period_s": 360.0})):
+            with pytest.raises(ScenarioError, match=f"cluster 0: {field} must be"):
+                validate_scenario(spec_with("cluster", field, value))
+
+    @pytest.mark.parametrize("rows", [[5], [[0.0, math.nan]], [[0.0, True]], [[1, 2, 3, 4]]])
+    def test_malformed_rows_are_named(self, rows):
+        with pytest.raises(ScenarioError, match="cluster 0: coverage_intervals: interval 0"):
+            validate_scenario(spec_with("cluster", "coverage_intervals", rows))
 
     def test_empty_file_rejected(self, tmp_path):
         f = tmp_path / "cov.txt"
@@ -391,6 +449,62 @@ class TestCoverage:
     def test_nonmonotone_rejected(self):
         with pytest.raises(ValueError, match="monotone"):
             load_coverage_schedule([(0, 50.0, 100.0), (1, 0.0, 40.0)])
+
+
+class TestManifestRoundTrip:
+    def test_builder_scenarios_with_schedules_validate_back(self, tmp_path):
+        """scenario_to_dict writes what validate_scenario reads back to an
+        equal scenario; about a third of the clusters follow explicit
+        passes given inline, and a third passes from a coverage file."""
+        files = itertools.count()
+
+        @settings(max_examples=100)
+        @given(st.sampled_from([case1_instance, multiwindow_instance, mixed_instance]),
+               st.integers(0, 2 ** 32 - 1))
+        def check(build, seed):
+            rng = np.random.default_rng([7272, seed])
+            raw = scenario_to_dict(build(rng))
+            for c in raw["clusters"]:
+                kind, rows = int(rng.integers(0, 3)), random_passes(rng, c["coverage_s"], 6)
+                if kind == 1:
+                    c["coverage_intervals"] = rows
+                elif kind == 2:
+                    path = tmp_path / f"passes{next(files)}.txt"
+                    path.write_text("".join(f"{k} {a!r} {b!r}\n" for k, (a, b) in enumerate(rows)))
+                    c["coverage_file"] = str(path)
+            sc = validate_scenario(raw)
+            assert validate_scenario(scenario_to_dict(sc)) == sc
+
+        check()
+
+    def test_reference_with_a_schedule_keeps_it(self):
+        spec = json.loads(REFERENCE_SCENARIO.read_text())
+        spec["clusters"][0]["coverage_intervals"] = [[0, 300], [320, 700], [710, 1000], [1100, 1500]]
+        sc = validate_scenario(spec)
+        back = validate_scenario(scenario_to_dict(sc))
+        assert back == sc
+        assert back.clusters[0].schedule.intervals[3] == (3, 1100.0, 1500.0)
+        assert back.clusters[0].coverage_s == 342.5  # the mean dwell
+
+
+def table_fields(table):
+    for key, (_, rule) in table.items():
+        yield key
+        if isinstance(rule, dict):
+            yield from table_fields(rule)
+
+
+class TestReadme:
+    def test_jsonc_example_validates(self):
+        block = README.read_text().split("```jsonc\n", 1)[1].split("```", 1)[0]
+        sc = validate_scenario(json.loads(re.sub(r"//[^\n]*", "", block)))
+        assert sc.data["model"]["kind"] == "mlp"
+
+    def test_every_table_field_is_named(self):
+        text = README.read_text()
+        fields = {*table_fields(_SCENARIO), *table_fields(_CLUSTER), *table_fields(_CLIENT)}
+        missing = sorted(f for f in fields if f"`{f}`" not in text and f'"{f}"' not in text)
+        assert not missing
 
 
 class TestPrepareData:
