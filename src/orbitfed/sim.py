@@ -146,6 +146,43 @@ class _Feed:
             self.pos = self._round_pos + len(self._windows)
 
 
+@dataclass(frozen=True)
+class _ClusterConstants:
+    """One cluster's path under the run's fixed decision, priced once per run
+    in Python scalars: the satellite side's offload, relay and target
+    cycles, and each client's local-compute and upload seconds."""
+
+    members: tuple  # client ids, in cluster order
+    offloaded: float
+    freq_hz: float
+    tau_trans_s: float
+    relay_energy_j: float
+    target_cycles: float
+    p_charge_w: float
+    tau_locals: tuple
+    tau_aggs: tuple
+    local_max: float
+    agg_max: float
+
+
+def _cluster_constants(scenario, cluster, decision) -> _ClusterConstants:
+    model = cost.ClusterModel(scenario, cluster)
+    alphas = model.per_client(decision.alpha)
+    # numpy's pairwise sum, which orders 8 or more terms unlike Python's sum
+    a = float(np.sum(alphas * model.sizes))
+    tau_tr = cost.isl_transfer_latency(scenario.footprint, a, cluster.isl_rate_bps)
+    tau_locals = tuple(model.tau_locals(alphas).tolist())
+    tau_aggs = tuple(model.tau_agg(model.per_client(decision.bandwidth_hz)).tolist())
+    return _ClusterConstants(
+        members=tuple(model.ids), offloaded=a,
+        freq_hz=float(decision.sat_freq_hz[cluster.id]), tau_trans_s=tau_tr,
+        relay_energy_j=cost.isl_transfer_energy(tau_tr, cluster.sat_tx_power_w),
+        target_cycles=cluster.sat_cycles_per_sample * a,
+        p_charge_w=model.p_charge, tau_locals=tau_locals, tau_aggs=tau_aggs,
+        local_max=max(tau_locals), agg_max=max(tau_aggs),
+    )
+
+
 @dataclass
 class SimState:
     scenario: object
@@ -158,15 +195,7 @@ class SimState:
     feeds: dict
     battery: dict
     persistent_battery: bool
-    client_times: dict  # cluster id -> (tau_locals, tau_aggs) from the cost model
-
-
-def _client_times(scenario, cluster, decision) -> tuple:
-    """Per-client local-compute and upload seconds of one cluster; the
-    decision is fixed for the run, so they are priced once."""
-    model = cost.ClusterModel(scenario, cluster)
-    return (model.tau_locals(model.per_client(decision.alpha)),
-            model.tau_agg(model.per_client(decision.bandwidth_hz)))
+    constants: dict  # cluster id -> _ClusterConstants
 
 
 def init_state(scenario, decision, config: TrainConfig = None, layout=None,
@@ -184,28 +213,20 @@ def init_state(scenario, decision, config: TrainConfig = None, layout=None,
         feeds={c.id: _Feed(c) for c in scenario.clusters},
         battery={c.id: c.sat_initial_energy_j for c in scenario.clusters},
         persistent_battery=persistent_battery,
-        client_times={c.id: _client_times(scenario, c, decision) for c in scenario.clusters},
+        constants={c.id: _cluster_constants(scenario, c, decision) for c in scenario.clusters},
     )
 
 
 def _cluster_path(state, cluster, feed, path_start, events):
     """Run one cluster's satellite chain and client uploads; returns the log
     plus the absolute completion times of both paths."""
-    scenario = state.scenario
-    decision = state.decision
-    members = scenario.cluster_clients(cluster.id)
-    alphas = np.array([decision.alpha[p.id] for p in members])
-    sizes = np.array([float(p.size) for p in members])
-    a = float(np.sum(alphas * sizes))
-    f = decision.sat_freq_hz[cluster.id]
-
-    tau_tr = cost.isl_transfer_latency(scenario.footprint, a, cluster.isl_rate_bps)
-    e_tr = cost.isl_transfer_energy(tau_tr, cluster.sat_tx_power_w)
-    target_cycles = cluster.sat_cycles_per_sample * a
-    p_charge = cluster.sun_power_w if cluster.sun_facing else 0.0
+    consts = state.constants[cluster.id]
+    f = consts.freq_hz
+    tau_tr = consts.tau_trans_s
+    e_tr = consts.relay_energy_j
 
     feed.start_round(path_start)
-    remaining = target_cycles
+    remaining = consts.target_cycles
     done_cycles = 0.0
     energy = []
     i = 0
@@ -226,17 +247,22 @@ def _cluster_path(state, cluster, feed, path_start, events):
                 "t_s": s + tau_tr, "cluster": cluster.id, "kind": "sat_compute",
                 "window": i, "duration_s": take / f, "cycles": take,
             })
+        # a window is used up when it cannot fit the relay, or when cycles
+        # remain and it has no room left after them; a relay-only chain
+        # ends on the first window that fits its relay
+        used_up = cap_s <= 0.0 or (
+            remaining > 0.0 and (cap_cycles - take) <= _CYC_EPS * max(1.0, cap_cycles))
         remaining -= take
         done_cycles += take
-        full_use = (cap_cycles - take) <= _CYC_EPS * max(1.0, cap_cycles)
-        if full_use:
-            if cap_cycles <= 0.0 and remaining > 0.0 and feed.intervals is None:
+        if used_up:
+            if take <= 0.0 and feed.intervals is None:
                 raise SimError(
-                    f"cluster {cluster.id}: fixed coverage window cannot fit the relay"
+                    f"cluster {cluster.id}: a fixed coverage window computes none of the "
+                    "offloaded cycles, so the relay chain never ends"
                 )
             dwell = d
             consumed = cluster.energy_coeff * take * f ** 2 + e_tr
-            energy.append((i, dwell, consumed, dwell * p_charge))
+            energy.append((i, dwell, consumed, dwell * consts.p_charge_w))
             events.append({
                 "t_s": e, "cluster": cluster.id, "kind": "handoff",
                 "from_sat": i, "to_sat": i + 1,
@@ -247,47 +273,46 @@ def _cluster_path(state, cluster, feed, path_start, events):
             continue
         dwell = tau_tr + take / f if f > 0 else tau_tr
         consumed = cluster.energy_coeff * take * f ** 2 + e_tr
-        energy.append((i, dwell, consumed, dwell * p_charge))
+        energy.append((i, dwell, consumed, dwell * consts.p_charge_w))
         finish = s + tau_tr + (take / f if f > 0 else 0.0)
         break
 
     n_windows = i + 1
     gate = feed.window(i)[0]  # arrival of the final chain satellite
 
-    # client path
-    tau_locals, tau_aggs = state.client_times[cluster.id]
-    for p, tl in zip(members, tau_locals):
+    # client path; rounding is monotone, so path_start + the slowest local
+    # time is the latest of the clients' ready times
+    for pid, tl in zip(consts.members, consts.tau_locals):
         events.append({
             "t_s": path_start, "cluster": cluster.id, "kind": "client_compute",
-            "client": p.id, "duration_s": tl,
+            "client": pid, "duration_s": tl,
         })
-    ready = path_start + tau_locals
-    m_abs = float(np.max(ready)) if len(ready) else path_start
+    m_abs = path_start + consts.local_max
 
     if m_abs <= gate:
         y_case = 1
-        starts = np.full(len(members), gate)
-        y_abs = gate + float(np.max(tau_aggs))
+        starts = (gate,) * len(consts.members)
+        y_abs = gate + consts.agg_max
     else:
         j = 0
         while feed.window(j)[1] <= m_abs:
             j += 1
         s_star, e_star = feed.window(j)
-        v = float(np.max(np.maximum(s_star, ready) + tau_aggs))
+        starts = [max(s_star, path_start + tl) for tl in consts.tau_locals]
+        v = max([st + ta for st, ta in zip(starts, consts.tau_aggs)])
         if v <= e_star:
             y_case = 2
-            starts = np.maximum(s_star, ready)
             y_abs = v
         else:
             y_case = 3
             s_next = feed.window(j + 1)[0]
-            starts = np.full(len(members), s_next)
-            y_abs = s_next + float(np.max(tau_aggs))
+            starts = (s_next,) * len(consts.members)
+            y_abs = s_next + consts.agg_max
 
-    for p, st, ta in zip(members, starts, tau_aggs):
+    for pid, st, ta in zip(consts.members, starts, consts.tau_aggs):
         events.append({
-            "t_s": float(st), "cluster": cluster.id, "kind": "upload",
-            "client": p.id, "duration_s": float(ta),
+            "t_s": st, "cluster": cluster.id, "kind": "upload",
+            "client": pid, "duration_s": ta,
         })
 
     # battery ledger
@@ -309,7 +334,7 @@ def _cluster_path(state, cluster, feed, path_start, events):
     feed.end_round()
     log = ClusterRoundLog(
         cluster_id=cluster.id,
-        offloaded_samples=a,
+        offloaded_samples=consts.offloaded,
         tau_trans_s=tau_tr,
         n_windows=n_windows,
         n_handoffs=n_windows - 1,
@@ -317,7 +342,7 @@ def _cluster_path(state, cluster, feed, path_start, events):
         y_s=y_abs - path_start,
         y_case=y_case,
         sat_cycles=done_cycles,
-        target_cycles=target_cycles,
+        target_cycles=consts.target_cycles,
         energy=tuple(ledger),
     )
     return log, y_abs, finish
@@ -339,9 +364,11 @@ def protocol_round(scenario, model, config: TrainConfig, round_index: int, alpha
     for cluster in scenario.clusters:
         members = scenario.cluster_clients(cluster.id)
         pool = satellite_pool(scenario, cluster.id)
-        alphas = [alpha[p.id] for p in members]
+        # an offload that rounds to 0 samples on every client leaves the pool
+        # empty; the cluster then aggregates with the fractions realised, all 0
+        alphas = [alpha[p.id] if len(pool) else 0.0 for p in members]
         sizes = [p.size for p in members]
-        has_sat = len(pool) > 0 and sum(al * s for al, s in zip(alphas, sizes)) > 0
+        has_sat = sum(al * s for al, s in zip(alphas, sizes)) > 0
         if has_sat:
             sets.append(pool)
             batches.append(sat_batch[cluster.id] if sat_batch is not None

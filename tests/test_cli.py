@@ -4,6 +4,7 @@ baseline wiring, and the summarize table."""
 import csv
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,9 +15,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import orbitfed
-from orbitfed.cli import CliError, _parse_seeds, _prepare, main
+from orbitfed.cli import (
+    _FLOAT_MEMO,
+    CliError,
+    _parse_seeds,
+    _prepare,
+    _timeline_lines,
+    _write_timeline,
+    main,
+)
 from orbitfed.optimizer import InfeasibleError, optimize
 from orbitfed.scenario import scenario_to_dict, validate_scenario
+from orbitfed.sim import run_experiment
 
 from conftest import (
     REFERENCE_SCENARIO,
@@ -180,6 +190,110 @@ class TestSimulateMode:
                    "--out", str(out)])
         assert rc == 0
         assert (out / "alpha_max" / "seed0" / "metrics.csv").exists()
+
+
+    def test_offload_that_rounds_to_no_samples_trains_clients_only(self, tmp_path):
+        """A cluster cap of half a sample rounds every client's offload to
+        0 samples, so the satellite pool is empty; the cluster aggregates
+        with the fractions realised, all 0, where it raised "positive
+        offload weight but no satellite model"."""
+        spec = tiny_spec(n_clients=2)
+        spec["clusters"][0]["max_offload_samples"] = 0.5
+        spec["data"]["samples_per_client"] = 30
+        path = tmp_path / "sliver.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / "run"
+        rc = main(["--mode", "simulate", "--scenario", str(path), "--rounds", "2",
+                   "--out", str(out)])
+        assert rc == 0
+        alpha = json.loads((out / "optimized" / "decision.json").read_text())["decision"]["alpha"]
+        assert sum(alpha.values()) > 0.0
+        assert all(round(a * 30) == 0 for a in alpha.values())
+        with open(out / "optimized" / "seed0" / "metrics.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2 and all(0.0 <= float(r["accuracy"]) <= 1.0 for r in rows)
+
+
+def dumps_lines(events):
+    return "".join(json.dumps(e, sort_keys=True) + "\n" for e in events)
+
+
+EVENT_KEY_SETS = (
+    ("t_s", "cluster", "kind", "duration_s"),
+    ("t_s", "cluster", "kind", "window", "duration_s", "relay_only"),
+    ("t_s", "cluster", "kind", "window", "duration_s", "cycles"),
+    ("t_s", "cluster", "kind", "from_sat", "to_sat"),
+    ("t_s", "cluster", "kind", "client", "duration_s"),
+    ("t_s", "cluster", "kind"),
+    ("a%s", "quote\"key", "\u00e9t\u00e9", "tab\tkey", "100%"),
+    (),
+)
+SPECIAL_FLOATS = (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 2.2e-308 / 3,
+                  -1e-310, 1e300, -1e300, 1.0, 0.1)
+PLAIN_FLOATS = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                         st.sampled_from(SPECIAL_FLOATS))
+EVENT_VALUES = st.one_of(
+    PLAIN_FLOATS,
+    PLAIN_FLOATS.map(np.float64),
+    st.booleans(),
+    st.integers(-2 ** 70, 2 ** 70),
+    st.sampled_from([-1, 0, 1]),
+    st.text(),
+    st.sampled_from(["relay", "sat_compute", "caf\u00e9", "\u2603\U0001f6f0", "a\"b\\c\n"]),
+    st.none(),
+)
+
+
+@st.composite
+def timeline_events(draw):
+    keys = draw(st.permutations(draw(st.sampled_from(EVENT_KEY_SETS))))
+    return {k: draw(EVENT_VALUES) for k in keys}
+
+
+class TestTimelineWriter:
+    def test_lines_equal_json_dumps(self):
+        """Each line is json.dumps(e, sort_keys=True) over events of several
+        shapes, in any key order, holding signed zeros, NaN, infinities,
+        subnormals, np.float64, bools, negative and big ints, and strings
+        that need escapes or are not ASCII."""
+        @settings(max_examples=400)
+        @given(st.lists(timeline_events(), max_size=40))
+        def check(events):
+            assert "".join(_timeline_lines(events)) == dumps_lines(events)
+
+        check()
+
+    def test_more_distinct_floats_than_the_memo_holds(self):
+        # the memo restarts when full: repeats across restarts, with zeros
+        # of both signs and bools equal to 1.0 and 0.0 in between
+        rng = np.random.default_rng(31)
+        values = rng.standard_normal(3 * _FLOAT_MEMO).tolist()
+        events = []
+        for k, v in enumerate(values + values[::-1] + values[: _FLOAT_MEMO]):
+            events.append({"t_s": v, "cluster": -1, "kind": "global_agg",
+                           "zero": -0.0 if k % 2 else 0.0, "one": 1.0, "flag": k % 3 == 0,
+                           "off": k % 2 == 0 and 0.0 or False})
+        assert "".join(_timeline_lines(events)) == dumps_lines(events)
+
+    def test_real_timelines(self, tmp_path):
+        """The writer on the events of reference `simulate --rounds 3` and
+        of a builder scenario that follows explicit coverage schedules."""
+        out = tmp_path / "ref"
+        assert main(["--mode", "simulate", "--scenario", str(REFERENCE_SCENARIO),
+                     "--rounds", "3", "--out", str(out)]) == 0
+        lines = (out / "optimized" / "seed0" / "timeline.jsonl").read_text()
+        assert lines == dumps_lines(json.loads(line) for line in lines.splitlines())
+
+        rng = np.random.default_rng([7272, 1])
+        raw = scenario_to_dict(mixed_instance(rng))
+        for c in raw["clusters"]:
+            c["coverage_intervals"] = random_passes(rng, c["coverage_s"], 40)
+        sc = validate_scenario(raw)
+        events = run_experiment(sc, optimize(sc).decision, rounds=5).timeline
+        assert {e["kind"] for e in events} >= {"relay", "sat_compute", "upload", "handoff"}
+        path = tmp_path / "timeline.jsonl"
+        _write_timeline(path, events)
+        assert path.read_text() == dumps_lines(events)
 
 
 class TestSweepMode:

@@ -15,12 +15,14 @@ from orbitfed.scenario import apply_offload, prepare_data, validate_scenario
 from orbitfed.sim import SimError, run_experiment, run_round, init_state
 
 from conftest import (
+    REFERENCE_SCENARIO,
     case1_instance,
     client_dict,
     cluster_dict,
     default_init,
     mixed_instance,
     multiwindow_instance,
+    random_passes,
     scenario_dict,
 )
 
@@ -181,6 +183,74 @@ class TestEvents:
         assert res.metrics == ()
         assert res.timeline == ()
         assert math.isnan(res.final_accuracy)
+
+
+    def test_relay_only_chain_on_a_crawling_clock_keeps_its_window(self):
+        """At 1e-300 Hz a window holds under 1e-9 cycles. A chain with
+        nothing offloaded still ends in the first window, as
+        cost.relay_chain prices it; it used to hand off on every window up
+        to its 10,000,000-window guard."""
+        clients = [client_dict(k, 2e8, 600) for k in range(2)]
+        sc = validate_scenario(scenario_dict(
+            [cluster_dict(0, clients, sat_max_freq_hz=1e-300)]))
+        d = DecisionVector(alpha={0: 0.0, 1: 0.0}, sat_freq_hz={0: 1e-300},
+                           bandwidth_hz={0: 5e5, 1: 5e5})
+        res = run_experiment(sc, d, rounds=3)
+        assert not any(e["kind"] == "handoff" for e in res.timeline)
+        want = cost.round_latency(sc, d).tau_round_s
+        for rec in res.records:
+            assert (rec.clusters[0].n_windows, rec.clusters[0].n_handoffs) == (1, 0)
+            assert rec.tau_round_s == pytest.approx(want, abs=1e-9, rel=1e-12)
+
+    def test_relay_only_chain_hands_off_a_window_too_short_for_the_relay(self):
+        # the 10.24 ms relay does not fit the first 5 ms pass
+        clients = [client_dict(k, 2e8, 600) for k in range(2)]
+        sc = validate_scenario(scenario_dict([cluster_dict(
+            0, clients, sat_max_freq_hz=1e-300,
+            coverage_intervals=[[0, 0.005], [10, 370], [380, 740]])]))
+        d = DecisionVector(alpha={0: 0.0, 1: 0.0}, sat_freq_hz={0: 1e-300},
+                           bandwidth_hz={0: 5e5, 1: 5e5})
+        events = []
+        rec = run_round(init_state(sc, d), events_out=events)
+        assert (rec.clusters[0].n_windows, rec.clusters[0].n_handoffs) == (2, 1)
+        relays = [e for e in events if e["kind"] == "relay"]
+        assert [e["relay_only"] for e in relays] == [True, False]
+
+    def test_fixed_window_shorter_than_the_relay_is_reported(self):
+        # every fixed window is alike, so a relay-only chain on 5 ms windows
+        # and its 10.24 ms relay would be handed off forever
+        clients = [client_dict(k, 2e8, 600) for k in range(2)]
+        sc = validate_scenario(scenario_dict(
+            [cluster_dict(0, clients, coverage_s=0.005)]))
+        d = DecisionVector(alpha={0: 0.0, 1: 0.0}, sat_freq_hz={0: 1e9},
+                           bandwidth_hz={0: 5e5, 1: 5e5})
+        with pytest.raises(SimError, match="never ends"):
+            run_round(init_state(sc, d))
+
+    def test_event_values_are_plain_python(self):
+        """Every event value is a Python float, int, bool or str, the types
+        the timeline writer formats without its json.dumps fallback. Slices
+        scaled down stretch the uploads, so all three regimes are replayed."""
+        rng = np.random.default_rng(27)
+        ref = validate_scenario(json.loads(REFERENCE_SCENARIO.read_text()))
+        runs = [(ref, optimize(ref).decision)]
+        for squeeze in (0.0, -3.0, -5.0, -7.0):
+            for build in (case1_instance, multiwindow_instance, mixed_instance):
+                sc = build(rng)
+                d = default_init(sc)
+                runs.append((sc, DecisionVector(
+                    d.alpha, d.sat_freq_hz,
+                    {k: b * 10.0 ** squeeze for k, b in d.bandwidth_hz.items()})))
+        explicit = validate_scenario(scenario_dict([chain_cluster(
+            coverage_intervals=random_passes(rng, 360.0, 40))], param_count=100000))
+        runs.append((explicit, chain_decision(explicit)))
+        regimes = set()
+        for sc, d in runs:
+            res = run_experiment(sc, d, rounds=3)
+            regimes |= {log.y_case for rec in res.records for log in rec.clusters.values()}
+            types = {type(v) for e in res.timeline for v in e.values()}
+            assert types <= {float, int, bool, str}, types
+        assert regimes == {1, 2, 3}
 
 
 class TestCoverageReplay:
