@@ -25,6 +25,7 @@ lower bound before it equalizes bandwidth on the profiles that can win.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -882,7 +883,16 @@ class _Lattice:
     lattice, with what its round time needs: the satellite path at the
     battery-optimal frequency, the per-client bandwidth floors from the
     energy budgets, the local-compute offsets, and a lower bound on the
-    round time that costs no bisection."""
+    round time that costs no bisection.
+
+    The lattice is the product of the clients' alpha axes. What depends on
+    one client's offload alone (its alpha, local time, energy-floor slice
+    and share of the offload total) is computed once per axis value and
+    broadcast over the K-dimensional grid; only what couples the clients
+    (the straggler's window, the offsets, the floors' sum and the bound) is
+    computed per profile. Each profile array is that grid flattened in the
+    C order of meshgrid(indexing="ij"), less the profiles past the
+    cluster's offload cap."""
 
     def __init__(self, scenario, alpha_step: float):
         if len(scenario.clusters) != 1:
@@ -898,63 +908,101 @@ class _Lattice:
         axes = [np.arange(0.0, ctx.alpha_max[k] + alpha_step / 2, alpha_step)
                 for k in range(k_count)]
         axes = [ax[ax <= ctx.alpha_max[k] * (1.0 + 1e-12)] for k, ax in enumerate(axes)]
-        mesh = np.meshgrid(*[np.arange(len(ax)) for ax in axes], indexing="ij")
-        pos = np.stack([m.ravel() for m in mesh], axis=1)  # (P, K) axis positions
-        alphas = np.stack([axes[k][pos[:, k]] for k in range(k_count)], axis=1)
-        a_vec = alphas @ ctx.sizes
-        keep = a_vec <= ctx.a_cap * (1.0 + 1e-12)
-        # column-major, like every (P, K) array derived from it: numpy
-        # reduces over the 2-3 clients of a row about 40x faster so
-        self.alphas = np.asfortranarray(alphas[keep])
-        pos = pos[keep]
-        a_vec = a_vec[keep]
-
-        # --- satellite-path inner minimum per distinct offload total -----
-        size_gcd = math.gcd(*[int(round(s)) for s in ctx.sizes]) if k_count > 1 else int(round(ctx.sizes[0]))
+        # offload totals are whole multiples of quant: axis value i of client
+        # k offloads i * units[k] of them
+        sizes = [int(round(s)) for s in ctx.sizes]
+        size_gcd = math.gcd(*sizes)
         quant = alpha_step * size_gcd
-        a_idx = np.rint(a_vec / quant).astype(np.int64)
-        uniq_idx, inverse = np.unique(a_idx, return_inverse=True)
-        uniq_a = uniq_idx * quant
+        units = [s // size_gcd for s in sizes]
+        # the totals under the cluster cap are 0 .. n_keep - 1, and an axis
+        # value that passes the cap on its own is in no kept profile
+        top = sum((len(ax) - 1) * u for ax, u in zip(axes, units))
+        n_keep = int(np.count_nonzero(np.arange(top + 1) * quant <= ctx.a_cap * (1.0 + 1e-12)))
+        axes = [ax[:(n_keep - 1) // u + 1] for ax, u in zip(axes, units)]
+        shape = tuple(len(ax) for ax in axes)
 
-        best_rep = np.empty(len(uniq_a))
-        best_f = np.empty(len(uniq_a))
-        for i, a in enumerate(uniq_a.tolist()):
+        def along(k, v):
+            # client k's per-axis-value vector, shaped to broadcast over the grid
+            return np.reshape(v, [-1 if j == k else 1 for j in range(k_count)])
+
+        total = sum(along(k, np.arange(n) * units[k]) for k, n in enumerate(shape))
+        keep = None
+        if sum((n - 1) * u for n, u in zip(shape, units)) >= n_keep:
+            keep = total < n_keep
+
+        def flat(grid):
+            # one value per kept profile
+            grid = np.broadcast_to(grid, shape)
+            return grid.reshape(-1) if keep is None else grid[keep]
+
+        def columns(grids):
+            # (P, K) column-major, like every (P, K) array here: numpy
+            # reduces over the 2-3 clients of a row about 40x faster so
+            out = np.empty((math.prod(shape) if keep is None else int(keep.sum()), k_count),
+                           order="F")
+            for k, grid in enumerate(grids):
+                if keep is None:
+                    out[:, k].reshape(shape)[...] = grid
+                else:
+                    out[:, k] = np.broadcast_to(grid, shape)[keep]
+            return out
+
+        self.alphas = columns([along(k, ax) for k, ax in enumerate(axes)])
+
+        # --- satellite-path inner minimum per offload total that occurs --
+        a_idx = flat(total)
+        seen = np.zeros(n_keep, dtype=bool)
+        seen[a_idx] = True
+        best_rep = np.empty(n_keep)
+        best_f = np.empty(n_keep)
+        for i in np.flatnonzero(seen).tolist():
+            a = i * quant
             f = _battery_freq(ctx, a)  # each total once, so no memo
             _, n, best_rep[i], _, _ = ctx.chain(a, f)
             if n != 0:
                 raise ValueError("grid comparator expects single-window instances")
             best_f[i] = f
-        self.rep = best_rep[inverse]
-        self.freq = best_f[inverse]
+        self.rep = best_rep[a_idx]
+        self.freq = best_f[a_idx]
 
-        # --- client side: exact energy floors on the slices, per axis value;
-        # column k holds client k's axis, padded with its first value (0)
-        axis_alpha = np.zeros((max(len(ax) for ax in axes), k_count))
+        # --- client side: exact energy floors on the slices and local
+        # times, per axis value; column k holds client k's axis, padded with
+        # its first value (0)
+        axis_alpha = np.zeros((max(shape), k_count))
         for k, ax in enumerate(axes):
             axis_alpha[:len(ax), k] = ax
         targets = (ctx.budgets - ctx.e_locals(axis_alpha)) / ctx.tx_power_w
         if np.any(targets <= 0):
             raise InfeasibleError("grid instance has an unmeetable client energy budget")
         b_axis = upload_bandwidth(ctx.footprint.state_bits, ctx.snr_num, targets)
-        b_min = np.empty_like(self.alphas)
-        for k in range(k_count):
-            b_min[:, k] = b_axis[pos[:, k], k]
-        total_min = b_min.sum(axis=1)
-        if np.any(np.isinf(b_min)) or np.any(total_min > ctx.budget_hz):
+        b_min = [along(k, b_axis[:n, k]) for k, n in enumerate(shape)]
+        total_min = sum(b_min)
+        if np.any(np.isinf(b_axis)) or np.any(flat(total_min) > ctx.budget_hz):
             raise InfeasibleError("grid instance has an unmeetable client energy budget")
-        self.b_min = b_min
+        self.b_min = columns(b_min)
 
-        tl = ctx.tau_locals(self.alphas)  # (P, K)
-        m, self.x, self.deadline = cost.regime_geometry(tl, ctx.T)
-        self.case1 = m <= 0.0
+        # `cost.regime_geometry` on the grid: the straggler's local time m,
+        # the start of its serving window, and each client's upload offset
+        tl_axis = ctx.tau_locals(axis_alpha)
+        tl = [along(k, tl_axis[:n, k]) for k, n in enumerate(shape)]
+        m = functools.reduce(np.maximum, tl)
+        h = np.floor(m / ctx.T)
+        start = ctx.T * h
+        x = [np.maximum(start, t) for t in tl]
+        self.x = columns(x)
+        self.deadline = flat(ctx.T * (h + 1.0))
+        self.case1 = flat(m <= 0.0)
 
         # client k gets at most the budget the other floors leave, so its
         # upload ends no sooner than reach_k; that bounds the equalized
         # completion and with it every regime: the first has zero offsets,
         # and the third (deadline plus equalized upload) lies past the
         # second because the deadline is past every offset
-        reach = self.x + ctx.tau_agg(ctx.budget_hz - (total_min[:, None] - b_min))
-        self.lower = (cluster.sync_delay_s + np.maximum(self.rep, reach.max(axis=1))
+        reach = functools.reduce(np.maximum, [
+            x[k] + cost.upload_time(ctx.footprint.state_bits, ctx.snr_num[k],
+                                    ctx.budget_hz - (total_min - b_min[k]))
+            for k in range(k_count)])
+        self.lower = (cluster.sync_delay_s + np.maximum(self.rep, flat(reach))
                       + cluster.glob_delay_s)
 
     def totals(self, sel: np.ndarray) -> np.ndarray:
@@ -1007,17 +1055,22 @@ class _Lattice:
 def grid_search_cluster(scenario, alpha_step: float = 1e-3):
     """Exhaustive offload-profile search for a single-cluster scenario.
 
-    The offload profile is enumerated on a per-client alpha lattice. For each
-    profile the two inner minimizations are independent: the satellite path
-    wants the largest battery-feasible frequency, and the client path wants
-    the bandwidth split that equalizes per-client completion, found by
-    bisection on the completion time with the uplink inverted in closed form.
-    A bisection-free lower bound prunes the lattice first: the profile with
+    The offload profile is enumerated on a per-client alpha lattice
+    (`_Lattice`), built from per-client axis tables broadcast over the grid.
+    For each profile the two inner minimizations are independent: the
+    satellite path wants the largest battery-feasible frequency, solved once
+    per distinct offload total, and the client path wants the bandwidth
+    split that equalizes per-client completion, found by bisection on the
+    completion time with the uplink inverted in closed form. A
+    bisection-free lower bound prunes the lattice first: the profile with
     the least bound gives an upper bound on the optimum, and only profiles
-    whose bound comes within GRID_RTOL of it are evaluated. Returns
-    (tau_round_s, DecisionVector). Intended for <= 3 clients.
+    whose bound comes within GRID_RTOL of it are evaluated (when that is the
+    bound profile alone, its score is reused). Returns (tau_round_s,
+    DecisionVector). Intended for <= 3 clients.
     """
     lattice = _Lattice(scenario, alpha_step)
-    ub = float(lattice.totals(np.array([np.argmin(lattice.lower)]))[0])
-    sel = np.flatnonzero(lattice.lower <= ub * (1.0 + GRID_RTOL))
-    return lattice.best(sel, lattice.totals(sel))
+    ub = lattice.totals(np.array([np.argmin(lattice.lower)]))
+    sel = np.flatnonzero(lattice.lower <= ub[0] * (1.0 + GRID_RTOL))
+    # the bound profile's lower bound is under its total, so a selection of
+    # one profile is that profile, already scored
+    return lattice.best(sel, ub if len(sel) == 1 else lattice.totals(sel))

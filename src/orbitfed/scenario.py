@@ -724,7 +724,8 @@ def partition_dataset(samples: SampleSet, n_clients: int, mode: str = "iid",
 
 def attach_datasets(scenario: Scenario, per_client: dict,
                     sensitive_fraction: float = 0.2, seed=None) -> Scenario:
-    """Attach materialized sample sets, marking a seeded sensitive fraction."""
+    """Attach materialized sample sets, marking a seeded sensitive fraction.
+    A client's `max_offload_fraction` is capped at its nonsensitive share."""
     if not 0.0 <= sensitive_fraction <= 1.0:
         raise ValueError("sensitive_fraction outside [0, 1]")
     base_seed = scenario.seed if seed is None else seed
@@ -738,7 +739,11 @@ def attach_datasets(scenario: Scenario, per_client: dict,
         mask = np.zeros(n, dtype=bool)
         mask[picks] = True
         handle = DatasetHandle.fresh(ss.take(np.where(mask)[0]), ss.take(np.where(~mask)[0]))
-        new_clients.append(replace(p, dataset=handle, dataset_size=n))
+        # only nonsensitive samples leave the client, so round(alpha * n)
+        # stays within the pool when alpha does within its share
+        alpha_max = min(p.max_offload_fraction, (n - n_sens) / n)
+        new_clients.append(replace(p, dataset=handle, dataset_size=n,
+                                   max_offload_fraction=alpha_max))
     return scenario.with_clients(new_clients)
 
 

@@ -32,6 +32,7 @@ from .fl import (
     intra_cluster_aggregate,
     local_update_stack,
 )
+from .optimizer import MAX_HANDOFFS
 from .scenario import satellite_pool
 
 _CYC_EPS = 1e-9  # relative tolerance for "window fully used"
@@ -171,11 +172,24 @@ def _cluster_constants(scenario, cluster, decision) -> _ClusterConstants:
     # numpy's pairwise sum, which orders 8 or more terms unlike Python's sum
     a = float(np.sum(alphas * model.sizes))
     tau_tr = cost.isl_transfer_latency(scenario.footprint, a, cluster.isl_rate_bps)
+    f = float(decision.sat_freq_hz[cluster.id])
+    if cluster.schedule is None and a > 0.0 and f > 0.0 and cluster.coverage_s > tau_tr:
+        # fixed windows give the chain in closed form; refuse, as the solver
+        # does, a chain too long to walk two events a window
+        try:
+            n = cost.relay_chain(a, cluster.sat_cycles_per_sample, cluster.coverage_s,
+                                 tau_tr, f)[0]
+        except OverflowError:  # more handoffs than a float counts
+            n = math.inf
+        if n > MAX_HANDOFFS:
+            raise SimError(
+                f"cluster {cluster.id}: offloading {a:.6g} samples at {f:.6g} Hz needs "
+                f"{float(n):.6g} satellite handoffs on fixed coverage windows, more than "
+                f"{MAX_HANDOFFS}")
     tau_locals = tuple(model.tau_locals(alphas).tolist())
     tau_aggs = tuple(model.tau_agg(model.per_client(decision.bandwidth_hz)).tolist())
     return _ClusterConstants(
-        members=tuple(model.ids), offloaded=a,
-        freq_hz=float(decision.sat_freq_hz[cluster.id]), tau_trans_s=tau_tr,
+        members=tuple(model.ids), offloaded=a, freq_hz=f, tau_trans_s=tau_tr,
         relay_energy_j=cost.isl_transfer_energy(tau_tr, cluster.sat_tx_power_w),
         target_cycles=cluster.sat_cycles_per_sample * a,
         p_charge_w=model.p_charge, tau_locals=tau_locals, tau_aggs=tau_aggs,

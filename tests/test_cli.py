@@ -213,6 +213,25 @@ class TestSimulateMode:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 2 and all(0.0 <= float(r["accuracy"]) <= 1.0 for r in rows)
 
+    def test_offload_stays_within_the_nonsensitive_pool(self, tmp_path, capsys):
+        """With half of each client's samples sensitive, the plan offloads
+        at most the other half, where the default `max_offload_fraction` of
+        0.8 planned 23 of 30 samples against a pool of 15 and `apply_offload`
+        raised."""
+        spec = json.loads(REFERENCE_SCENARIO.read_text())
+        spec["data"].update(sensitive_fraction=0.5, samples_per_client=30)
+        path = tmp_path / "sensitive.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / "run"
+        rc = main(["--mode", "simulate", "--scenario", str(path), "--rounds", "2",
+                   "--out", str(out)])
+        assert rc == 0, capsys.readouterr().err
+        alpha = json.loads((out / "optimized" / "decision.json").read_text())["decision"]["alpha"]
+        assert max(alpha.values()) > 0.0
+        assert all(round(a * 30) <= 15 for a in alpha.values())
+        with open(out / "optimized" / "seed0" / "metrics.csv") as fh:
+            assert len(list(csv.DictReader(fh))) == 2
+
 
 def dumps_lines(events):
     return "".join(json.dumps(e, sort_keys=True) + "\n" for e in events)

@@ -1,5 +1,6 @@
 """Resource allocation blocks and the per-cluster solve."""
 
+import dataclasses
 import json
 import math
 
@@ -120,17 +121,88 @@ class TestUploadBandwidth:
         assert mixed[0] < b_hi and mixed[1] == math.inf
 
 
+def lattice_instance(n_clients, capped, slow=False):
+    # a cluster cap at half the clients' own caps drops about half the
+    # lattice; slow client k keeps its full local pass for 2.5 + 0.7 k
+    # coverage windows, so the straggler's window varies over the lattice
+    sc = case1_instance(np.random.default_rng([4204, 0]), n_clients=n_clients,
+                        grid_sizes=True, alpha_max=0.12 if n_clients == 3 else None)
+    if slow:
+        T = sc.clusters[0].coverage_s
+        sc = sc.with_clients([dataclasses.replace(
+            p, cpu_freq_hz=p.cycles_per_sample * p.size / ((2.5 + 0.7 * k) * T))
+            for k, p in enumerate(sc.clients)])
+    if capped:
+        c = sc.clusters[0]
+        cap = sum(p.max_offload_fraction * p.size for p in sc.cluster_clients(c.id))
+        sc = dataclasses.replace(
+            sc, clusters=(dataclasses.replace(c, max_offload_samples=cap / 2),))
+    return sc
+
+
 class TestGridPruning:
-    @pytest.mark.parametrize("n_clients,seed", [(2, 0), (2, 1), (3, 0), (3, 1)])
-    def test_pruned_search_matches_every_profile(self, n_clients, seed):
-        # the 3-client lattice stays small with a tight offload range
-        sc = case1_instance(np.random.default_rng([4204, seed]), n_clients=n_clients,
-                            grid_sizes=True, alpha_max=0.12 if n_clients == 3 else None)
+    @staticmethod
+    def check_every_profile(sc):
         lattice = _Lattice(sc, 1e-2)
         every = np.arange(len(lattice.lower))
         totals = lattice.totals(every)
         assert np.all(lattice.lower <= totals)
         assert lattice.best(every, totals) == grid_search_cluster(sc, alpha_step=1e-2)
+
+    @pytest.mark.parametrize("n_clients,seed", [(2, 0), (2, 1), (3, 0), (3, 1)])
+    def test_pruned_search_matches_every_profile(self, n_clients, seed):
+        # the 3-client lattice stays small with a tight offload range
+        self.check_every_profile(case1_instance(
+            np.random.default_rng([4204, seed]), n_clients=n_clients, grid_sizes=True,
+            alpha_max=0.12 if n_clients == 3 else None))
+
+    @pytest.mark.parametrize("n_clients,capped,slow", [(2, True, False), (3, True, False),
+                                                       (2, False, True), (2, True, True)])
+    def test_capped_or_slow_search_matches_every_profile(self, n_clients, capped, slow):
+        self.check_every_profile(lattice_instance(n_clients, capped, slow))
+
+
+class TestLattice:
+    """The lattice's per-axis build against the per-profile formulas it
+    broadcasts, with and without a binding cluster cap."""
+
+    @pytest.fixture(params=[(2, False), (2, True), (3, False), (3, True), (2, False, True),
+                            (2, True, True)],
+                    ids=["2-clients", "2-clients-capped", "3-clients", "3-clients-capped",
+                         "2-slow-clients", "2-slow-clients-capped"])
+    def lattice(self, request):
+        return _Lattice(lattice_instance(*request.param), 1e-2)
+
+    def test_profiles_are_the_capped_product_in_meshgrid_order(self, lattice):
+        ctx = lattice.ctx
+        axes = [np.arange(0.0, a + 5e-3, 1e-2) for a in ctx.alpha_max]
+        axes = [ax[ax <= a * (1.0 + 1e-12)] for ax, a in zip(axes, ctx.alpha_max)]
+        every = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+        kept = every[every @ ctx.sizes <= ctx.a_cap * (1.0 + 1e-12)]
+        assert (len(kept) < len(every)) == (ctx.a_cap < ctx.a_max.sum())
+        np.testing.assert_array_equal(lattice.alphas, kept)
+
+    def test_satellite_path_per_quantised_total(self, lattice):
+        ctx = lattice.ctx
+        quant = 1e-2 * math.gcd(*[int(s) for s in ctx.sizes])
+        totals = np.rint(lattice.alphas @ ctx.sizes / quant) * quant
+        for a in np.unique(totals).tolist():
+            f = _battery_freq(ctx, a)
+            at = totals == a
+            assert np.all(lattice.freq[at] == f)
+            assert np.all(lattice.rep[at] == ctx.chain(a, f)[2])
+
+    def test_client_path_per_profile(self, lattice):
+        ctx = lattice.ctx
+        m, x, deadline = cost.regime_geometry(ctx.tau_locals(lattice.alphas), ctx.T)
+        slow = ctx.T < ctx.local_min.max()
+        assert (np.unique(deadline).size > 1) == slow
+        np.testing.assert_array_equal(lattice.x, x)
+        np.testing.assert_array_equal(lattice.deadline, deadline)
+        np.testing.assert_array_equal(lattice.case1, m <= 0.0)
+        targets = (ctx.budgets - ctx.e_locals(lattice.alphas)) / ctx.tx_power_w
+        np.testing.assert_array_equal(
+            lattice.b_min, upload_bandwidth(ctx.footprint.state_bits, ctx.snr_num, targets))
 
 
 class TestBisect:

@@ -3,6 +3,7 @@ coverage replay, energy ledger, and training reproducibility."""
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -226,6 +227,22 @@ class TestEvents:
                            bandwidth_hz={0: 5e5, 1: 5e5})
         with pytest.raises(SimError, match="never ends"):
             run_round(init_state(sc, d))
+
+    @pytest.mark.parametrize("freq", [1e-300, 1e-310, 1.0])
+    def test_fixed_chain_past_the_handoff_limit_is_refused_before_the_walk(self, freq):
+        """Offloading 600 samples to a crawling clock needs far more handoffs
+        than the solver allows: about 5e7 at 1 Hz, 5e307 at 1e-300 Hz, and
+        more than a float holds at 1e-310 Hz. At 1e-300 Hz the walk used to
+        take two events a window for about 10 minutes."""
+        clients = [client_dict(k, 2e8, 600) for k in range(2)]
+        sc = validate_scenario(scenario_dict(
+            [cluster_dict(0, clients, sat_max_freq_hz=1e-300)]))
+        d = DecisionVector(alpha={0: 0.5, 1: 0.5}, sat_freq_hz={0: freq},
+                           bandwidth_hz={0: 5e5, 1: 5e5})
+        t0 = time.perf_counter()
+        with pytest.raises(SimError, match=r"cluster 0: .* satellite handoffs .* more than 10000"):
+            run_experiment(sc, d, rounds=2)
+        assert time.perf_counter() - t0 < 1.0
 
     def test_event_values_are_plain_python(self):
         """Every event value is a Python float, int, bool or str, the types
