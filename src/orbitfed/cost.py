@@ -162,6 +162,11 @@ def isl_transfer_energy(tau_trans_s: float, tx_power_w: float) -> float:
     return tx_power_w * tau_trans_s
 
 
+# a round whose offloaded work needs more satellites than this is refused:
+# the cost breakdown and decision.json list every satellite of the chain
+MAX_HANDOFFS = 10_000
+
+
 def relay_chain(
     offloaded_samples: float,
     cycles_per_sample: float,
@@ -204,13 +209,18 @@ def handoff_count(
     coverage_s: float,
     tau_trans_s: float,
     freq_hz: float,
-) -> int:
-    """Number of satellites that exhaust a full coverage window on compute.
+) -> int | float:
+    """Number of satellites that exhaust a full coverage window on compute,
+    inf when there are more than a float counts.
 
     The chain needs this count plus one satellite in total; the final one
     finishes the residual cycles inside a partial window.
     """
-    return relay_chain(offloaded_samples, cycles_per_sample, coverage_s, tau_trans_s, freq_hz)[0]
+    try:
+        return relay_chain(offloaded_samples, cycles_per_sample, coverage_s, tau_trans_s,
+                           freq_hz)[0]
+    except OverflowError:  # relay_chain floors an infinite quotient
+        return math.inf
 
 
 def satellite_dwell_and_energy(

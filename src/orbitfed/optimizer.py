@@ -37,9 +37,6 @@ from . import cost
 BISECT_EPS = 1e-6
 BISECT_MAX_ITER = 200
 BAND_EPS = 1e-6  # bandwidth budget band (1 - eps) * B_j <= sum b <= B_j
-# a round whose offloaded work needs more satellites than this is refused:
-# the cost breakdown and decision.json list every satellite of the chain
-MAX_HANDOFFS = 10_000
 # the grid keeps every profile whose lower bound comes within this share of
 # an upper bound on the best, and the best profile's real decision must
 # match its lattice total to it
@@ -233,14 +230,14 @@ def _contexts(scenario) -> list:
 
 def _best_freq(ctx: _Ctx, a: float) -> float:
     """Battery-feasible frequency maximizing satellite progress for offload a,
-    for a relay chain of at most MAX_HANDOFFS handoffs."""
+    for a relay chain of at most cost.MAX_HANDOFFS handoffs."""
     f = _battery_freq(ctx, a)
     n = ctx.n_handoffs(a, f)
-    if n > MAX_HANDOFFS:
+    if n > cost.MAX_HANDOFFS:
         raise InfeasibleError(
             f"cluster {ctx.cluster.id}: offloading {a:.6g} samples needs "
-            f"{n} satellite handoffs, more than {MAX_HANDOFFS}",
-            slack=float(MAX_HANDOFFS - n),
+            f"{n} satellite handoffs, more than {cost.MAX_HANDOFFS}",
+            slack=float(cost.MAX_HANDOFFS - n),
         )
     return f
 
@@ -719,7 +716,7 @@ def _solve_cluster(ctx: _Ctx, b=None, alpha=None, f=None):
     tau_most = solve.tau_e if alpha is not None else ctx.tau_energy if b is None else tau
     # past this target no window grows, so only a late chain can still be
     # cured by waiting longer
-    settled = ctx.T * (max(solve.h_full, MAX_HANDOFFS) + 2) + float(np.max(tau_most))
+    settled = ctx.T * (max(solve.h_full, cost.MAX_HANDOFFS) + 2) + float(np.max(tau_most))
     # no closure refers to itself or keeps a traceback: such a cycle would
     # hold the cluster's data until the next garbage collection
     gaps, kept, n_lo, why = {}, {}, [n], [None]
@@ -909,16 +906,23 @@ class _Lattice:
                 for k in range(k_count)]
         axes = [ax[ax <= ctx.alpha_max[k] * (1.0 + 1e-12)] for k, ax in enumerate(axes)]
         # offload totals are whole multiples of quant: axis value i of client
-        # k offloads i * units[k] of them
+        # k offloads i * units[k] of them, none for a client without data
         sizes = [int(round(s)) for s in ctx.sizes]
-        size_gcd = math.gcd(*sizes)
+        size_gcd = math.gcd(*sizes) or 1  # every client without data: all totals 0
         quant = alpha_step * size_gcd
         units = [s // size_gcd for s in sizes]
-        # the totals under the cluster cap are 0 .. n_keep - 1, and an axis
-        # value that passes the cap on its own is in no kept profile
+        # the totals under the cluster cap are 0 .. n_keep - 1: the last is
+        # the largest i with i * quant (as the float product) under the cap
         top = sum((len(ax) - 1) * u for ax, u in zip(axes, units))
-        n_keep = int(np.count_nonzero(np.arange(top + 1) * quant <= ctx.a_cap * (1.0 + 1e-12)))
-        axes = [ax[:(n_keep - 1) // u + 1] for ax, u in zip(axes, units)]
+        limit = ctx.a_cap * (1.0 + 1e-12)
+        last = top if top * quant <= limit else min(top, math.floor(limit / quant))
+        while last * quant > limit:
+            last -= 1
+        while last < top and (last + 1) * quant <= limit:
+            last += 1
+        n_keep = last + 1
+        # an axis value that passes the cap on its own is in no kept profile
+        axes = [ax[:last // u + 1] if u else ax for ax, u in zip(axes, units)]
         shape = tuple(len(ax) for ax in axes)
 
         def along(k, v):
@@ -926,44 +930,45 @@ class _Lattice:
             return np.reshape(v, [-1 if j == k else 1 for j in range(k_count)])
 
         total = sum(along(k, np.arange(n) * units[k]) for k, n in enumerate(shape))
-        keep = None
-        if sum((n - 1) * u for n, u in zip(shape, units)) >= n_keep:
-            keep = total < n_keep
+        # the largest total is the last profile's; while it is under the cap
+        # the grid flattens as it lies, with no gather
+        every = slice(None) if total.flat[-1] < n_keep else total.reshape(-1) < n_keep
 
         def flat(grid):
             # one value per kept profile
-            grid = np.broadcast_to(grid, shape)
-            return grid.reshape(-1) if keep is None else grid[keep]
+            return np.broadcast_to(grid, shape).reshape(-1)[every]
 
         def columns(grids):
             # (P, K) column-major, like every (P, K) array here: numpy
             # reduces over the 2-3 clients of a row about 40x faster so
-            out = np.empty((math.prod(shape) if keep is None else int(keep.sum()), k_count),
-                           order="F")
+            out = np.empty((k_count,) + shape)
             for k, grid in enumerate(grids):
-                if keep is None:
-                    out[:, k].reshape(shape)[...] = grid
-                else:
-                    out[:, k] = np.broadcast_to(grid, shape)[keep]
-            return out
+                out[k] = grid
+            return np.asfortranarray(out.reshape(k_count, -1)[:, every].T)
 
         self.alphas = columns([along(k, ax) for k, ax in enumerate(axes)])
 
-        # --- satellite-path inner minimum per offload total that occurs --
+        # --- satellite-path inner minimum per offload total that occurs:
+        # marked in a table over the totals' range when that range is no
+        # longer than the lattice, else sorted out of the profiles' totals
         a_idx = flat(total)
-        seen = np.zeros(n_keep, dtype=bool)
-        seen[a_idx] = True
-        best_rep = np.empty(n_keep)
-        best_f = np.empty(n_keep)
-        for i in np.flatnonzero(seen).tolist():
-            a = i * quant
+        if n_keep <= a_idx.size:
+            seen = np.zeros(n_keep, dtype=bool)
+            seen[a_idx] = True
+            uniq = np.flatnonzero(seen)
+            inverse = (np.cumsum(seen) - 1)[a_idx]
+        else:
+            uniq, inverse = np.unique(a_idx, return_inverse=True)
+        best_rep = np.empty(len(uniq))
+        best_f = np.empty(len(uniq))
+        for i, a in enumerate((uniq * quant).tolist()):
             f = _battery_freq(ctx, a)  # each total once, so no memo
             _, n, best_rep[i], _, _ = ctx.chain(a, f)
             if n != 0:
                 raise ValueError("grid comparator expects single-window instances")
             best_f[i] = f
-        self.rep = best_rep[a_idx]
-        self.freq = best_f[a_idx]
+        self.rep = best_rep[inverse]
+        self.freq = best_f[inverse]
 
         # --- client side: exact energy floors on the slices and local
         # times, per axis value; column k holds client k's axis, padded with

@@ -32,7 +32,6 @@ from .fl import (
     intra_cluster_aggregate,
     local_update_stack,
 )
-from .optimizer import MAX_HANDOFFS
 from .scenario import satellite_pool
 
 _CYC_EPS = 1e-9  # relative tolerance for "window fully used"
@@ -176,16 +175,12 @@ def _cluster_constants(scenario, cluster, decision) -> _ClusterConstants:
     if cluster.schedule is None and a > 0.0 and f > 0.0 and cluster.coverage_s > tau_tr:
         # fixed windows give the chain in closed form; refuse, as the solver
         # does, a chain too long to walk two events a window
-        try:
-            n = cost.relay_chain(a, cluster.sat_cycles_per_sample, cluster.coverage_s,
-                                 tau_tr, f)[0]
-        except OverflowError:  # more handoffs than a float counts
-            n = math.inf
-        if n > MAX_HANDOFFS:
+        n = cost.handoff_count(a, cluster.sat_cycles_per_sample, cluster.coverage_s, tau_tr, f)
+        if n > cost.MAX_HANDOFFS:
             raise SimError(
                 f"cluster {cluster.id}: offloading {a:.6g} samples at {f:.6g} Hz needs "
                 f"{float(n):.6g} satellite handoffs on fixed coverage windows, more than "
-                f"{MAX_HANDOFFS}")
+                f"{cost.MAX_HANDOFFS}")
     tau_locals = tuple(model.tau_locals(alphas).tolist())
     tau_aggs = tuple(model.tau_agg(model.per_client(decision.bandwidth_hz)).tolist())
     return _ClusterConstants(

@@ -128,6 +128,14 @@ class TestHandoffChain:
         with pytest.raises(ValueError):
             handoff_count(6000, 3e7, 10.0, 13.0, 2e8)
 
+    def test_count_past_a_float_reads_inf(self):
+        # relay_chain itself floors the infinite quotient and overflows
+        with pytest.raises(OverflowError):
+            cost.relay_chain(6000, 3e7, 360, CHAIN_TAU_TRANS, 1e-310)
+        assert handoff_count(6000, 3e7, 360, CHAIN_TAU_TRANS, 1e-310) == math.inf
+        assert handoff_count(6000, 3e7, 360, CHAIN_TAU_TRANS, 1e-300) == pytest.approx(
+            6000 * 3e7 / ((360 - CHAIN_TAU_TRANS) * 1e-300))
+
     def test_worked_last_dwell(self):
         dwell, energy = satellite_dwell_and_energy(
             "last", 6000, 3e7, 360, CHAIN_TAU_TRANS, 2e8, 1e-28, 10.0 * CHAIN_TAU_TRANS

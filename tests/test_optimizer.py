@@ -121,12 +121,16 @@ class TestUploadBandwidth:
         assert mixed[0] < b_hi and mixed[1] == math.inf
 
 
-def lattice_instance(n_clients, capped, slow=False):
+def lattice_instance(n_clients, capped, slow=False, sizes=None):
     # a cluster cap at half the clients' own caps drops about half the
     # lattice; slow client k keeps its full local pass for 2.5 + 0.7 k
-    # coverage windows, so the straggler's window varies over the lattice
+    # coverage windows, so the straggler's window varies over the lattice;
+    # sizes replaces the clients' dataset sizes (1000 and 1200 on 2 clients)
     sc = case1_instance(np.random.default_rng([4204, 0]), n_clients=n_clients,
                         grid_sizes=True, alpha_max=0.12 if n_clients == 3 else None)
+    if sizes is not None:
+        sc = sc.with_clients([dataclasses.replace(p, dataset_size=n)
+                              for p, n in zip(sc.clients, sizes)])
     if slow:
         T = sc.clusters[0].coverage_s
         sc = sc.with_clients([dataclasses.replace(
@@ -161,15 +165,27 @@ class TestGridPruning:
     def test_capped_or_slow_search_matches_every_profile(self, n_clients, capped, slow):
         self.check_every_profile(lattice_instance(n_clients, capped, slow))
 
+    @pytest.mark.parametrize("capped", [False, True])
+    @pytest.mark.parametrize("sizes", [(1000, 0), (0, 0), (1000, 1201)],
+                             ids=["one-without-data", "none-with-data", "coprime"])
+    def test_odd_sizes_search_matches_every_profile(self, sizes, capped):
+        self.check_every_profile(lattice_instance(2, capped, sizes=sizes))
+
 
 class TestLattice:
     """The lattice's per-axis build against the per-profile formulas it
-    broadcasts, with and without a binding cluster cap."""
+    broadcasts, with and without a binding cluster cap. A client without
+    data adds nothing to any offload total; coprime sizes spread the totals
+    over more values than the lattice has profiles."""
 
     @pytest.fixture(params=[(2, False), (2, True), (3, False), (3, True), (2, False, True),
-                            (2, True, True)],
+                            (2, True, True), (2, False, False, (1000, 0)),
+                            (2, True, False, (1000, 0)), (2, False, False, (0, 0)),
+                            (2, False, False, (1000, 1201)), (2, True, False, (1000, 1201))],
                     ids=["2-clients", "2-clients-capped", "3-clients", "3-clients-capped",
-                         "2-slow-clients", "2-slow-clients-capped"])
+                         "2-slow-clients", "2-slow-clients-capped", "one-without-data",
+                         "one-without-data-capped", "none-with-data", "coprime",
+                         "coprime-capped"])
     def lattice(self, request):
         return _Lattice(lattice_instance(*request.param), 1e-2)
 
@@ -184,7 +200,7 @@ class TestLattice:
 
     def test_satellite_path_per_quantised_total(self, lattice):
         ctx = lattice.ctx
-        quant = 1e-2 * math.gcd(*[int(s) for s in ctx.sizes])
+        quant = 1e-2 * (math.gcd(*[int(s) for s in ctx.sizes]) or 1)
         totals = np.rint(lattice.alphas @ ctx.sizes / quant) * quant
         for a in np.unique(totals).tolist():
             f = _battery_freq(ctx, a)
