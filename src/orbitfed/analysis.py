@@ -138,27 +138,25 @@ def build_bound_inputs(scenario, learning_rates, smoothness, rho,
                        f0=math.nan, f_star=math.nan,
                        lambda_client=None, lambda_sat=None) -> BoundInputs:
     """Assemble BoundInputs from an offloaded scenario. Batch sizes default
-    to the full pools (the protocol processes everything each round);
-    lambda_client/lambda_sat may be an int or a per-id dict to model
-    mini-batching."""
+    to the full pools (the protocol processes everything each round); an int
+    lambda_client/lambda_sat models mini-batching, clamped to each pool."""
 
-    def resolve(spec_value, key, full):
-        if spec_value is None:
+    def resolve(lam, full):
+        if lam is None:
             return full
-        v = spec_value.get(key, full) if isinstance(spec_value, dict) else spec_value
-        return max(1, min(int(v), full)) if full > 0 else full
+        return max(1, min(int(lam), full)) if full > 0 else full
 
     client_batch, client_pool, dataset_sizes = {}, {}, {}
     for p in scenario.clients:
         retained = len(p.dataset.retained) if p.dataset is not None else p.size
         client_pool[p.id] = retained
-        client_batch[p.id] = resolve(lambda_client, p.id, retained)
+        client_batch[p.id] = resolve(lambda_client, retained)
         dataset_sizes[p.id] = p.size
     sat_batch, sat_pool, groups = {}, {}, {}
     for c in scenario.clusters:
         pool = len(satellite_pool(scenario, c.id))
         sat_pool[c.id] = pool
-        sat_batch[c.id] = resolve(lambda_sat, c.id, pool)
+        sat_batch[c.id] = resolve(lambda_sat, pool)
         groups[c.id] = tuple(p.id for p in scenario.cluster_clients(c.id))
     return BoundInputs(
         learning_rates=tuple(learning_rates), smoothness=smoothness,
@@ -168,8 +166,7 @@ def build_bound_inputs(scenario, learning_rates, smoothness, rho,
     )
 
 
-def estimate_smoothness_and_rho(model, samples, trials: int = 10000,
-                                seed: int = 0, param_dim: int = None):
+def estimate_smoothness_and_rho(layout, samples, trials: int = 10000, seed: int = 0):
     """Empirical maxima of the gradient Lipschitz ratio over random weight
     pairs (L) and over sample pairs at random weights (rho). Zero-distance
     pairs are skipped. Lower bounds on the true constants.
@@ -177,16 +174,7 @@ def estimate_smoothness_and_rho(model, samples, trials: int = 10000,
     The rho pairs' single-row gradients run RHO_BLOCK pairs per stacked
     call; each pair's weights and rows are drawn in the same order as one
     pair at a time."""
-    if callable(model):
-        grad = model
-        dim = param_dim
-        if dim is None:
-            raise ValueError("param_dim is required with a gradient callable")
-        grads = lambda W, X, Y: np.array([grad(w, xx, yy) for w, xx, yy in zip(W, X, Y)])
-    else:
-        layout = model
-        grad = grads = lambda w, xx, yy: gradient(w, layout, xx, yy)
-        dim = layout.param_count
+    dim = layout.param_count
     x = samples.features
     y = samples.labels
     rng = np.random.default_rng([int(seed), 23])
@@ -199,7 +187,7 @@ def estimate_smoothness_and_rho(model, samples, trials: int = 10000,
         d = float(np.linalg.norm(w - v))
         if d == 0.0:
             continue
-        g = float(np.linalg.norm(grad(w, x, y) - grad(v, x, y)))
+        g = float(np.linalg.norm(gradient(w, layout, x, y) - gradient(v, layout, x, y)))
         l_hat = max(l_hat, g / d)
 
     rho_hat = 0.0
@@ -216,7 +204,7 @@ def estimate_smoothness_and_rho(model, samples, trials: int = 10000,
         if not keep.any():
             continue
         rows = ij[keep].ravel()
-        g = grads(np.repeat(ws[keep], 2, axis=0), x[rows][:, None], y[rows][:, None])
+        g = gradient(np.repeat(ws[keep], 2, axis=0), layout, x[rows][:, None], y[rows][:, None])
         g = g.reshape(-1, 2, dim)
         rho_hat = max(rho_hat, float(np.max(np.linalg.norm(g[:, 0] - g[:, 1], axis=1) / d[keep])))
     return l_hat, rho_hat
@@ -234,15 +222,11 @@ def certified_smoothness(layout, samples):
     return float(np.linalg.eigvalsh(xt.T @ xt)[-1]) / (2.0 * len(samples))
 
 
-def _global_objective(model, layout, cluster_data):
-    """F(w): unweighted mean over clusters of the per-sample mean loss."""
-    losses = [loss_and_grad(model.values, layout, x, y)[0] for x, y in cluster_data]
-    return float(np.mean(losses))
-
-
-def _global_grad(values, layout, cluster_data):
-    grads = [loss_and_grad(values, layout, x, y)[1] for x, y in cluster_data]
-    return np.mean(grads, axis=0)
+def _global_loss_and_grad(values, layout, cluster_data):
+    """F(w), the unweighted mean over clusters of the per-sample mean loss,
+    and its gradient, from one pass over each cluster's data."""
+    parts = [loss_and_grad(values, layout, x, y) for x, y in cluster_data]
+    return float(np.mean([loss for loss, _ in parts])), np.mean([g for _, g in parts], axis=0)
 
 
 def verify_bound_empirically(scenario, layout, rounds: int, seeds: int = 10,
@@ -281,16 +265,16 @@ def verify_bound_empirically(scenario, layout, rounds: int, seeds: int = 10,
     for s in range(seeds):
         cfg = replace(config, seed=s)
         model = init_model(layout, seed=s)
-        f0 = _global_objective(model, layout, cluster_data)
+        f0, g = _global_loss_and_grad(model.values, layout, cluster_data)
         f_star = f0
         lhs_acc = 0.0
         for r in range(rounds):
-            g = _global_grad(model.values, layout, cluster_data)
             lhs_acc += lrs[r] * float(np.dot(g, g))
             model = protocol_round(scenario, model, cfg, r, eff_alpha,
                                    client_batch=inputs.client_batch,
                                    sat_batch=inputs.sat_batch)
-            f_star = min(f_star, _global_objective(model, layout, cluster_data))
+            f, g = _global_loss_and_grad(model.values, layout, cluster_data)
+            f_star = min(f_star, f)
         lhs = lhs_acc / inputs.gamma_r
         bound = convergence_bound(replace(inputs, f0=f0, f_star=f_star), om)
         per_seed.append({

@@ -30,9 +30,9 @@ from .optimizer import (
 from .scenario import (
     ScenarioError,
     apply_offload,
+    load_scenario,
     prepare_data,
     scenario_to_dict,
-    validate_scenario,
 )
 from .sim import SimError, run_experiment
 
@@ -411,8 +411,7 @@ def run(plan: ExperimentPlan) -> int:
 
     if not plan.scenario_path:
         raise CliError(f"mode {plan.mode} needs --scenario")
-    with open(plan.scenario_path) as fh:
-        scenario = validate_scenario(json.load(fh))
+    scenario = load_scenario(plan.scenario_path)
     _write_json(out / "manifest.json", {
         "version": __version__,
         "plan": {**asdict(plan), "seeds": list(plan.seeds)},

@@ -120,18 +120,8 @@ def _retained(gamma):
 def client_local_latency(profile, gamma, dataset_size):
     """Seconds one client spends computing on its retained share;
     elementwise over arrays of clients (a `ClusterModel` passes as the
-    profile) and over a leading batch axis of gamma."""
-    gamma = _retained(gamma)
-    if (np.asarray(dataset_size) < 0).any():
-        raise ValueError("negative dataset size")
-    if (np.asarray(profile.cpu_freq_hz) <= 0).any():
-        raise ValueError("client CPU frequency must be positive")
-    return _local_latency(profile, gamma, dataset_size)
-
-
-def _local_latency(profile, gamma, dataset_size):
-    # unchecked: a ClusterModel's solvers call it on validated clients and
-    # shares they keep in [0, 1]
+    profile) and over a leading batch axis of gamma. Unchecked: a
+    `ClusterModel` calls it on validated clients and shares in [0, 1]."""
     return profile.cycles_per_sample * gamma * dataset_size / profile.cpu_freq_hz
 
 
@@ -223,40 +213,6 @@ def handoff_count(
         return math.inf
 
 
-def satellite_dwell_and_energy(
-    role: str,
-    offloaded_samples: float,
-    cycles_per_sample: float,
-    coverage_s: float,
-    tau_trans_s: float,
-    freq_hz: float,
-    energy_coeff: float,
-    transfer_energy_j: float,
-) -> tuple:
-    """Participation time and energy draw of one satellite in the chain.
-
-    role "first" covers any satellite that spends its whole window computing;
-    role "last" covers the one that finishes the residual and serves
-    aggregation.
-    """
-    if role not in ("first", "last"):
-        raise ValueError(f"unknown satellite role {role!r}")
-    _, _, first, last = relay_chain(offloaded_samples, cycles_per_sample, coverage_s,
-                                    tau_trans_s, freq_hz, energy_coeff, transfer_energy_j)
-    return first if role == "first" else last
-
-
-def satellite_step_latency(
-    offloaded_samples: float,
-    cycles_per_sample: float,
-    coverage_s: float,
-    tau_trans_s: float,
-    freq_hz: float,
-) -> float:
-    """Seconds from path start until the satellite side finishes its pass."""
-    return relay_chain(offloaded_samples, cycles_per_sample, coverage_s, tau_trans_s, freq_hz)[1]
-
-
 def uplink_snr_num(tx_power_w, distance_m: float, pathloss_exponent: float,
                    noise_density_w_per_hz: float):
     """p d^-xi / N0: the uplink SNR times the slice width, so a slice of b Hz
@@ -272,47 +228,9 @@ def slice_rate(snr_num, bandwidth_hz):
 
 
 def upload_time(state_bits: float, snr_num, bandwidth_hz):
-    """Seconds to upload state_bits on slice(s) of b Hz, elementwise. Unchecked:
-    the validated entry point is `uplink_agg_latency_energy`."""
+    """Seconds to upload state_bits on slice(s) of b Hz, elementwise.
+    Unchecked: a `ClusterModel` calls it on validated clients and slices."""
     return state_bits / slice_rate(snr_num, bandwidth_hz)
-
-
-def _check_uplink(tx_power_w, bandwidth_hz):
-    if (np.asarray(bandwidth_hz) <= 0).any():
-        raise ValueError("bandwidth must be positive")
-    if (np.asarray(tx_power_w) <= 0).any():
-        raise ValueError("transmit power must be positive")
-
-
-def uplink_rate(
-    tx_power_w,
-    bandwidth_hz,
-    distance_m: float,
-    pathloss_exponent: float,
-    noise_density_w_per_hz: float,
-):
-    """Client-to-satellite uplink rate for bandwidth slice(s), bits/second,
-    elementwise over arrays of clients and slices."""
-    _check_uplink(tx_power_w, bandwidth_hz)
-    snr_num = uplink_snr_num(tx_power_w, distance_m, pathloss_exponent, noise_density_w_per_hz)
-    return slice_rate(snr_num, bandwidth_hz)
-
-
-def uplink_agg_latency_energy(
-    profile,
-    bandwidth_hz,
-    model: ModelFootprint,
-    distance_m: float,
-    pathloss_exponent: float,
-    noise_density_w_per_hz: float,
-) -> tuple:
-    """Seconds and joules of each client's aggregation upload, elementwise
-    like `uplink_rate`."""
-    _check_uplink(profile.tx_power_w, bandwidth_hz)
-    snr_num = uplink_snr_num(profile.tx_power_w, distance_m, pathloss_exponent,
-                             noise_density_w_per_hz)
-    tau = upload_time(model.state_bits, snr_num, bandwidth_hz)
-    return tau, profile.tx_power_w * tau
 
 
 def regime_geometry(tau_locals, coverage_s: float) -> tuple:
@@ -423,7 +341,7 @@ class ClusterModel:
 
     # --- client path, elementwise over clients --------------------------
     def tau_locals(self, alpha):
-        return _local_latency(self, 1.0 - alpha, self.sizes)
+        return client_local_latency(self, 1.0 - alpha, self.sizes)
 
     def e_locals(self, alpha):
         return client_local_energy(self, 1.0 - alpha, self.sizes, self.cluster.energy_coeff)

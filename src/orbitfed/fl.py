@@ -20,8 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import ModelFootprint
-
 
 @dataclass(frozen=True)
 class ModelLayout:
@@ -57,7 +55,6 @@ class ModelLayout:
 class ModelParams:
     values: np.ndarray  # flat float64 vector
     layout: ModelLayout
-    footprint: ModelFootprint
 
     def __post_init__(self):
         if self.values.shape != (self.layout.param_count,):
@@ -86,15 +83,10 @@ class TrainConfig:
         raise ValueError(f"unknown lr schedule {self.lr_schedule!r}")
 
 
-def init_model(layout: ModelLayout, seed: int = 0, sample_bits: int = 6272) -> ModelParams:
+def init_model(layout: ModelLayout, seed: int = 0) -> ModelParams:
     """Small-uniform deterministic initialization."""
     rng = np.random.default_rng(seed)
-    values = rng.uniform(-0.05, 0.05, size=layout.param_count)
-    return ModelParams(
-        values=values,
-        layout=layout,
-        footprint=ModelFootprint(layout.param_count, 32, sample_bits),
-    )
+    return ModelParams(rng.uniform(-0.05, 0.05, size=layout.param_count), layout)
 
 
 def _views(values: np.ndarray, layout: ModelLayout):
@@ -307,7 +299,7 @@ def local_update(
     bs = batch_size if batch_size is not None else config.batch_size
     values = local_update_stack(model.values, model.layout, [samples], config,
                                 round_index, [bs], [stream])
-    return ModelParams(values[0], model.layout, model.footprint)
+    return ModelParams(values[0], model.layout)
 
 
 def intra_cluster_aggregate(sat_model, client_models, alphas, sizes) -> ModelParams:
@@ -332,7 +324,7 @@ def intra_cluster_aggregate(sat_model, client_models, alphas, sizes) -> ModelPar
         if m.layout != ref.layout:
             raise ValueError("mismatched layouts in aggregation")
         acc += (1.0 - a) * s * m.values
-    return ModelParams(acc / denom, ref.layout, ref.footprint)
+    return ModelParams(acc / denom, ref.layout)
 
 
 def global_aggregate(cluster_models) -> ModelParams:
@@ -345,4 +337,4 @@ def global_aggregate(cluster_models) -> ModelParams:
         if m.layout != ref.layout:
             raise ValueError("mismatched layouts in aggregation")
         acc += m.values
-    return ModelParams(acc / len(cluster_models), ref.layout, ref.footprint)
+    return ModelParams(acc / len(cluster_models), ref.layout)

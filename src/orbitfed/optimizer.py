@@ -65,14 +65,6 @@ class DecisionVector:
             "bandwidth_hz": {str(k): v for k, v in sorted(self.bandwidth_hz.items())},
         }
 
-    @staticmethod
-    def from_dict(d) -> "DecisionVector":
-        return DecisionVector(
-            alpha={int(k): float(v) for k, v in d["alpha"].items()},
-            sat_freq_hz={int(k): float(v) for k, v in d["sat_freq_hz"].items()},
-            bandwidth_hz={int(k): float(v) for k, v in d["bandwidth_hz"].items()},
-        )
-
 
 @dataclass(frozen=True)
 class BisectResult:
@@ -228,21 +220,9 @@ def _contexts(scenario) -> list:
 # satellite frequency block (battery-limited maximum)
 
 
-def _best_freq(ctx: _Ctx, a: float) -> float:
+def _battery_freq(ctx: _Ctx, a: float) -> float:
     """Battery-feasible frequency maximizing satellite progress for offload a,
     for a relay chain of at most cost.MAX_HANDOFFS handoffs."""
-    f = _battery_freq(ctx, a)
-    n = ctx.n_handoffs(a, f)
-    if n > cost.MAX_HANDOFFS:
-        raise InfeasibleError(
-            f"cluster {ctx.cluster.id}: offloading {a:.6g} samples needs "
-            f"{n} satellite handoffs, more than {cost.MAX_HANDOFFS}",
-            slack=float(cost.MAX_HANDOFFS - n),
-        )
-    return f
-
-
-def _battery_freq(ctx: _Ctx, a: float) -> float:
     c = ctx.cluster
     tau_tr = ctx.tau_trans(a)
     if tau_tr >= ctx.T:
@@ -302,6 +282,15 @@ def _battery_freq(ctx: _Ctx, a: float) -> float:
         )
     f = battery_freq_closed_form(c.sat_initial_energy_j, e_tr, ctx.T, tau_tr, ctx.p_charge,
                                  c.sat_min_residual_j, c.energy_coeff, ctx.f_max)
+    # only this regime hands off more than once; the count is asked first,
+    # as pricing a chain past a float's count overflows
+    n = cost.handoff_count(a, c.sat_cycles_per_sample, ctx.T, tau_tr, f)
+    if n > cost.MAX_HANDOFFS:
+        raise InfeasibleError(
+            f"cluster {c.id}: offloading {a:.6g} samples needs "
+            f"{float(n):.6g} satellite handoffs, more than {cost.MAX_HANDOFFS}",
+            slack=cost.MAX_HANDOFFS - float(n),
+        )
     worst = margin(f)
     if worst < -1e-9 * max(1.0, c.sat_min_residual_j):
         # charging over a shortened final dwell can undercut the full-window
@@ -314,9 +303,9 @@ def _battery_freq(ctx: _Ctx, a: float) -> float:
 
 
 def _battery_short(ctx: _Ctx, a: float):
-    """The InfeasibleError `_best_freq` raises for offload a, or None."""
+    """The InfeasibleError `_battery_freq` raises for offload a, or None."""
     try:
-        _best_freq(ctx, a)
+        _battery_freq(ctx, a)
     except InfeasibleError as err:
         return err.with_traceback(None)
     return None
@@ -358,7 +347,7 @@ def solve_freq(scenario, alpha, ctxs=None) -> dict:
     out = {}
     for ctx in ctxs or _contexts(scenario):
         a = float(sum(alpha[p.id] * p.size for p in ctx.profiles))
-        out[ctx.cluster.id] = _best_freq(ctx, a)
+        out[ctx.cluster.id] = _battery_freq(ctx, a)
     return out
 
 
@@ -372,13 +361,9 @@ class ConstraintCheck:
     scope: str
     ok: bool
     slack: float
-    informational: bool = False
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name, "scope": self.scope, "ok": self.ok,
-            "slack": self.slack, "informational": self.informational,
-        }
+        return {"name": self.name, "scope": self.scope, "ok": self.ok, "slack": self.slack}
 
 
 @dataclass(frozen=True)
@@ -387,10 +372,10 @@ class FeasibilityReport:
 
     @property
     def ok(self) -> bool:
-        return all(c.ok or c.informational for c in self.checks)
+        return all(c.ok for c in self.checks)
 
     def failed(self):
-        return [c for c in self.checks if not c.ok and not c.informational]
+        return [c for c in self.checks if not c.ok]
 
     def as_dict(self) -> dict:
         return {"ok": self.ok, "checks": [c.as_dict() for c in self.checks]}
@@ -400,7 +385,7 @@ def _rel_ok(slack: float, scale: float) -> bool:
     return slack >= -1e-9 * max(1.0, abs(scale))
 
 
-def check_feasibility(scenario, decision, bound_value=None, bound_cap=None) -> FeasibilityReport:
+def check_feasibility(scenario, decision) -> FeasibilityReport:
     """Evaluate every operating constraint with numeric slack."""
     checks = []
     breakdown = cost.round_latency(scenario, decision)
@@ -445,11 +430,6 @@ def check_feasibility(scenario, decision, bound_value=None, bound_cap=None) -> F
         scale_a = cc.offloaded_samples if math.isinf(cluster.max_offload_samples) else cluster.max_offload_samples
         checks.append(ConstraintCheck(
             "offload_budget", f"cluster {cluster.id}", _rel_ok(slack_a, scale_a), slack_a))
-
-    if bound_value is not None and bound_cap is not None:
-        checks.append(ConstraintCheck(
-            "convergence_bound", "global", bound_value <= bound_cap,
-            bound_cap - bound_value, informational=True))
 
     return FeasibilityReport(checks=tuple(checks))
 
@@ -664,7 +644,7 @@ class _Solve:
             a = ctx.offloaded(alpha)
             if a > ctx.a_cap * (1.0 + 1e-12):
                 return None, None, None, n, best
-            f = _best_freq(ctx, a)
+            f = _battery_freq(ctx, a)
             n_a = _chain_end(ctx, a, f)[0]
             if n_a <= n:
                 return alpha, b, f, n_a, best
@@ -826,17 +806,6 @@ class OptimizeResult:
     trace: tuple  # (stage, iteration, tau_round_s): one ("solve", 0, tau) row
     report: FeasibilityReport
     iterations: int  # the most path-time trials any cluster's solve took
-
-    def trace_values(self):
-        return [t[2] for t in self.trace]
-
-    def as_dict(self) -> dict:
-        return {
-            "decision": self.decision.as_dict(),
-            "trace": [list(t) for t in self.trace],
-            "feasible": self.report.ok,
-            "iterations": self.iterations,
-        }
 
 
 def optimize(scenario) -> OptimizeResult:

@@ -601,7 +601,6 @@ def synthetic_dataset(
     feature_dim: int = 32,
     noise: float = 0.6,
     seed: int = 0,
-    class_scale: float = 3.0,
     mean_seed: int | None = None,
 ) -> SampleSet:
     """Balanced Gaussian-mixture corpus with one mean per class.
@@ -613,7 +612,7 @@ def synthetic_dataset(
         raise ValueError("n_samples must be positive")
     mean_rng = np.random.default_rng(seed if mean_seed is None else mean_seed)
     rng = np.random.default_rng(seed)
-    means = mean_rng.standard_normal((n_classes, feature_dim)) * (class_scale / math.sqrt(feature_dim))
+    means = mean_rng.standard_normal((n_classes, feature_dim)) * (3.0 / math.sqrt(feature_dim))
     labels = np.tile(np.arange(n_classes, dtype=np.int64), n_samples // n_classes + 1)[:n_samples]
     labels = labels[rng.permutation(n_samples)]
     # Drawn into an anonymous mapping of its own and shifted by the class
@@ -750,13 +749,10 @@ def attach_datasets(scenario: Scenario, per_client: dict,
 def apply_offload(scenario: Scenario, alpha) -> Scenario:
     """Materialize per-client offloaded/retained sets for an offload vector.
 
-    alpha is a mapping from client id to fraction (a sequence in scenario
-    client order also works). Selection is uniform over the nonsensitive pool
-    under a seed fixed by (scenario seed, client id), so reapplication is
-    idempotent.
+    alpha maps client id to fraction. Selection is uniform over the
+    nonsensitive pool under a seed fixed by (scenario seed, client id), so
+    reapplication is idempotent.
     """
-    if not isinstance(alpha, dict):
-        alpha = {p.id: a for p, a in zip(scenario.clients, alpha)}
     picks, retained = {}, {}
     for p in scenario.clients:
         a = float(alpha[p.id])

@@ -393,8 +393,8 @@ def protocol_round(scenario, model, config: TrainConfig, round_index: int, alpha
                                       round_index, batches, streams))
     cluster_models = []
     for has_sat, n_members, alphas, sizes in plan:
-        sat_model = ModelParams(next(trained), model.layout, model.footprint) if has_sat else None
-        client_models = [ModelParams(next(trained), model.layout, model.footprint)
+        sat_model = ModelParams(next(trained), model.layout) if has_sat else None
+        client_models = [ModelParams(next(trained), model.layout)
                          for _ in range(n_members)]
         cluster_models.append(
             intra_cluster_aggregate(sat_model, client_models, alphas, sizes))
@@ -460,13 +460,6 @@ class SimResult:
     @property
     def final_accuracy(self) -> float:
         return self.metrics[-1]["accuracy"] if self.metrics else math.nan
-
-    @property
-    def final_loss(self) -> float:
-        return self.metrics[-1]["loss"] if self.metrics else math.nan
-
-    def accuracy_series(self):
-        return [(m["clock_s"], m["accuracy"]) for m in self.metrics]
 
 
 def run_experiment(scenario, decision, rounds: int, config: TrainConfig = None,

@@ -170,29 +170,33 @@ def test_cost_formulas_match_independent_recomputation():
             n = math.floor(work / ((T - tau_tr) * f_s))
             rem = work - n * (T - tau_tr) * f_s
             assert cost.handoff_count(a_off, m_s, T, tau_tr, f_s) == n
-            assert cost.satellite_step_latency(
-                a_off, m_s, T, tau_tr, f_s) == pytest.approx(
-                T * n + rem / f_s + tau_tr, rel=1e-9)
-            d, e = cost.satellite_dwell_and_energy(
-                "first", a_off, m_s, T, tau_tr, f_s, kappa, e_tr)
+            got_n, tau_rep, (d, e), last = cost.relay_chain(
+                a_off, m_s, T, tau_tr, f_s, kappa, e_tr)
+            assert got_n == n
+            assert tau_rep == pytest.approx(T * n + rem / f_s + tau_tr, rel=1e-9)
             assert d == pytest.approx(T, rel=1e-9)
             assert e == pytest.approx(
                 kappa * (T - tau_tr) * f_s ** 3 + e_tr, rel=1e-9)
-            d, e = cost.satellite_dwell_and_energy(
-                "last", a_off, m_s, T, tau_tr, f_s, kappa, e_tr)
+            d, e = last
             assert d == pytest.approx(rem / f_s + tau_tr, rel=1e-9)
             assert e == pytest.approx(kappa * rem * f_s ** 2 + e_tr, rel=1e-9)
 
-            # uplink
+            # uplink, priced by the cost model of a one-client cluster
             b = float(rng.uniform(1e4, 2e6))
             dist = float(rng.uniform(3e5, 2e6))
             xi = float(rng.uniform(1.8, 3.0))
             n0 = 10.0 ** float(rng.uniform(-21, -19.5))
             snr = prof.tx_power_w * dist ** (-xi) / (b * n0)
             rate_up = b * math.log2(1.0 + snr)
-            assert cost.uplink_rate(prof.tx_power_w, b, dist, xi, n0) == \
-                pytest.approx(rate_up, rel=1e-9)
-            ta, ea = cost.uplink_agg_latency_energy(prof, b, fp, dist, xi, n0)
+            client = client_dict(0, prof.cpu_freq_hz, dsz, tx_power_w=prof.tx_power_w,
+                                 cycles_per_sample=prof.cycles_per_sample)
+            sc = validate_scenario(scenario_dict(
+                [cluster_dict(0, [client], sat_distance_m=dist, pathloss_exponent=xi,
+                              noise_density_w_per_hz=n0)],
+                param_count=fp.param_count, sample_bits=fp.sample_bits))
+            model = cost.ClusterModel(sc, sc.clusters[0])
+            assert cost.slice_rate(model.snr_num, b)[0] == pytest.approx(rate_up, rel=1e-9)
+            (ta,), (ea,) = model.uplink(b)
             assert ta == pytest.approx(fp.state_bits / rate_up, rel=1e-9)
             assert ea == pytest.approx(
                 prof.tx_power_w * fp.state_bits / rate_up, rel=1e-9)
@@ -263,7 +267,7 @@ def test_cost_formulas_match_independent_recomputation():
         tau_tr = cost.isl_transfer_latency(fp, 6000, 3.125e6)
         assert tau_tr == pytest.approx(13.06624, abs=1e-12)
         assert cost.handoff_count(6000, 3e7, 360.0, tau_tr, 2e8) == 2
-        tau_rep = cost.satellite_step_latency(6000, 3e7, 360.0, tau_tr, 2e8)
+        tau_rep = cost.relay_chain(6000, 3e7, 360.0, tau_tr, 2e8)[1]
         assert tau_rep == pytest.approx(939.19872, abs=1e-9)
 
 
@@ -341,7 +345,7 @@ def test_descent_trace_monotone_and_feasible():
         for i in range(100):
             sc = mixed_instance(np.random.default_rng([1204, i]))
             res = optimize(sc)
-            vals = res.trace_values()
+            vals = [tau for _, _, tau in res.trace]
             for a, b in zip(vals, vals[1:]):
                 assert b <= a + 1e-9
             report = check_feasibility(sc, res.decision)

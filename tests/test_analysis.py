@@ -165,18 +165,6 @@ class TestConvergenceBound:
 
 
 class TestEstimation:
-    def test_quadratic_smoothness_is_one(self):
-        data = synthetic_dataset(30, n_classes=2, feature_dim=4, seed=0)
-        l_hat, rho_hat = estimate_smoothness_and_rho(
-            lambda w, x, y: w, data, trials=200, param_dim=4)
-        assert l_hat == 1.0
-        assert rho_hat == 0.0
-
-    def test_callable_needs_dimension(self):
-        data = synthetic_dataset(10, n_classes=2, feature_dim=4, seed=0)
-        with pytest.raises(ValueError, match="param_dim"):
-            estimate_smoothness_and_rho(lambda w, x, y: w, data, trials=10)
-
     def test_logistic_estimate_stable_across_seeds(self):
         layout = ModelLayout("logistic", (6, 3))
         data = synthetic_dataset(60, n_classes=3, feature_dim=6, seed=4)

@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -432,11 +433,11 @@ class TestErrorReporting:
         assert rc == 1
         assert "no seeds" in json.loads(capsys.readouterr().err)["message"]
 
-    def run_infeasible(self, spec, tmp_path, capsys):
+    def run_infeasible(self, spec, tmp_path, capsys, extra=()):
         path = tmp_path / "tight.json"
         path.write_text(json.dumps(spec))
         rc = main(["--mode", "optimize", "--scenario", str(path),
-                   "--out", str(tmp_path / "run")])
+                   "--out", str(tmp_path / "run"), *extra])
         assert rc == 1
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1
@@ -460,6 +461,26 @@ class TestErrorReporting:
             client_dict(0, 2e8, 0, energy_budget_j=1e-9), client_dict(1, 2e8, 100)])])
         err = self.run_infeasible(spec, tmp_path, capsys)
         assert "slack" in err and err["slack"] is None
+
+    @pytest.mark.parametrize("freq", [1e-310, 1e-300])
+    def test_crawling_satellite_clock_offloads_nothing(self, tmp_path, capsys, freq):
+        """Any offload to a satellite at 1e-310 Hz needs more handoffs than a
+        float counts, and pricing that chain overflowed into an internal
+        error. The solver keeps every sample on the ground; the full-offload
+        baseline is refused, with the count printed as a float, not the
+        300-digit integer it is at 1e-300 Hz."""
+        clients = [client_dict(k, 2e8, 600) for k in range(2)]
+        spec = scenario_dict([cluster_dict(0, clients, sat_max_freq_hz=freq)])
+        path = tmp_path / "crawl.json"
+        path.write_text(json.dumps(spec))
+        args = ["--mode", "optimize", "--scenario", str(path), "--out", str(tmp_path / "run")]
+        assert main(args) == 0
+        out = json.loads((tmp_path / "run" / "decision.json").read_text())
+        assert out["feasible"] and set(out["decision"]["alpha"].values()) == {0.0}
+        capsys.readouterr()
+        err = self.run_infeasible(spec, tmp_path, capsys, ["--baseline", "full_offload"])
+        assert re.fullmatch(r"cluster 0: offloading 960 samples needs (inf|8\.04328e\+307) "
+                            r"satellite handoffs, more than 10000", err["message"])
 
     def test_internal_fault_is_one_json_line(self, spec_path, tmp_path, capsys, monkeypatch):
         def diverge(plan):

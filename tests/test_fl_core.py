@@ -34,8 +34,7 @@ def sample_set(n, dim, classes, seed=0):
 
 def scalarish(value, layout=ModelLayout("logistic", (1, 1))):
     # 2-parameter stand-in for a scalar model: every entry equals value
-    return ModelParams(np.full(layout.param_count, float(value)), layout,
-                       init_model(layout).footprint)
+    return ModelParams(np.full(layout.param_count, float(value)), layout)
 
 
 class TestInit:
@@ -141,7 +140,7 @@ class TestClassMajorKernel:
             loss, g1 = loss_and_grad(values[i], layout, X[i], y[i])
             assert_rel(g1, want_grad)
             assert_rel(loss, want_loss)
-            acc, ev_loss = evaluate(ModelParams(values[i], layout, init_model(layout).footprint),
+            acc, ev_loss = evaluate(ModelParams(values[i], layout),
                                     SampleSet(X[i], y[i], np.arange(rows)))
             assert_rel(ev_loss, want_loss)
             assert acc == np.mean(np.argmax(z, axis=1) == y[i])
@@ -309,11 +308,10 @@ class TestIntraClusterAggregate:
 
     def test_affine_equivariance(self):
         rng = np.random.default_rng(1)
-        models = [ModelParams(rng.standard_normal(84), ModelLayout("logistic", (20, 4)),
-                              init_model(ModelLayout("logistic", (20, 4))).footprint)
+        models = [ModelParams(rng.standard_normal(84), ModelLayout("logistic", (20, 4)))
                   for _ in range(3)]
         shift = 2.75
-        shifted = [ModelParams(m.values + shift, m.layout, m.footprint) for m in models]
+        shifted = [ModelParams(m.values + shift, m.layout) for m in models]
         base = intra_cluster_aggregate(models[0], models[1:], [0.4, 0.2], [50, 150])
         moved = intra_cluster_aggregate(shifted[0], shifted[1:], [0.4, 0.2], [50, 150])
         assert np.allclose(moved.values, base.values + shift, atol=1e-12)

@@ -524,17 +524,12 @@ class TestSolveBandwidth:
         alpha = {0: 0.0, 1: 0.0}
         freq = solve_freq(sc, alpha)
         out = solve_bandwidth(sc, alpha, freq)
+        model = cost.ClusterModel(sc, cluster)
+        tl = [p.cycles_per_sample * p.size / p.cpu_freq_hz for p in sc.clients]
 
         def completion(b0):
-            b = {0: b0, 1: cluster.bandwidth_hz - b0}
-            worst = 0.0
-            for p in sc.clients:
-                tl = p.cycles_per_sample * p.size / p.cpu_freq_hz
-                ta, _ = cost.uplink_agg_latency_energy(
-                    p, b[p.id], sc.footprint, cluster.sat_distance_m,
-                    cluster.pathloss_exponent, cluster.noise_density_w_per_hz)
-                worst = max(worst, tl + ta)
-            return worst
+            ta = model.tau_agg(np.array([b0, cluster.bandwidth_hz - b0]))
+            return max(t + a for t, a in zip(tl, ta.tolist()))
 
         grid = np.arange(1e3, cluster.bandwidth_hz, 1e3)
         best = min(completion(b0) for b0 in grid)
@@ -550,10 +545,8 @@ class TestSolveBandwidth:
         p1 = sc.client(1)
         e_loc = cost.client_local_energy(p1, 1.0, p1.size, cluster.energy_coeff)
         b_pin = 0.7 * cluster.bandwidth_hz
-        tau_pin, e_pin = cost.uplink_agg_latency_energy(
-            p1, b_pin, sc.footprint, cluster.sat_distance_m,
-            cluster.pathloss_exponent, cluster.noise_density_w_per_hz)
-        pin["energy_budget_j"] = e_loc + e_pin
+        _, e_up = cost.ClusterModel(sc, cluster).uplink(b_pin)  # both clients on b_pin
+        pin["energy_budget_j"] = e_loc + e_up[1]
         sc = validate_scenario(scenario_dict([cluster_dict(0, [base, pin])]))
         alpha = {0: 0.0, 1: 0.0}
         out = solve_bandwidth(sc, alpha, solve_freq(sc, alpha))
@@ -607,7 +600,7 @@ class TestOptimize:
     def stable_rounds(self):
         reference = validate_scenario(json.loads(REFERENCE_SCENARIO.read_text()))
         scenarios = (reference, handoff_scenario())
-        return scenarios, [optimize(sc).trace_values()[-1] for sc in scenarios]
+        return scenarios, [optimize(sc).trace[-1][2] for sc in scenarios]
 
     # the path-time bracket, the budget fill and the slices' Newton steps;
     # a part in 1e9, and a factor that moves where each one stops
@@ -618,7 +611,7 @@ class TestOptimize:
         # an exact solve does not move with its stopping rules
         scenarios, before = stable_rounds
         monkeypatch.setattr(optimizer, name, getattr(optimizer, name) * scale)
-        after = [optimize(sc).trace_values()[-1] for sc in scenarios]
+        after = [optimize(sc).trace[-1][2] for sc in scenarios]
         assert after == pytest.approx(before, rel=1e-8)
 
     def test_reference_solve_call_counts(self, monkeypatch):
@@ -637,7 +630,7 @@ class TestOptimize:
         for _ in range(5):
             sc = mixed_instance(rng)
             res = optimize(sc)
-            vals = res.trace_values()
+            vals = [tau for _, _, tau in res.trace]
             for a, b in zip(vals, vals[1:]):
                 assert b <= a + 1e-9
             assert res.report.ok
@@ -649,7 +642,7 @@ class TestOptimize:
         for sc in (reference, handoff_scenario()):
             res = optimize(sc)
             breakdown = cost.round_latency(sc, res.decision)
-            assert res.trace_values()[-1] == breakdown.tau_round_s
+            assert res.trace[-1][2] == breakdown.tau_round_s
         assert breakdown.clusters[0].n_handoffs > 0
 
     def test_kept_frequency_is_battery_optimal_for_kept_offload(self):
@@ -663,7 +656,7 @@ class TestOptimize:
         rng = np.random.default_rng(7)
         sc = case1_instance(rng, n_clients=2, grid_sizes=True)
         res = optimize(sc)
-        tau_bcd = res.trace_values()[-1]
+        tau_bcd = res.trace[-1][2]
         tau_grid, _ = grid_search_cluster(sc, alpha_step=1e-3)
         assert tau_bcd <= tau_grid * 1.02
         assert tau_bcd <= tau_grid * (1.0 + BAND_EPS)
@@ -705,7 +698,7 @@ class TestOptimize:
             isl_rate_bps=1e9, bandwidth_hz=20.0)]))
         ctx = _Ctx(sc, sc.clusters[0])
         assert ctx.tau_budget[0] > 64 * ctx.T
-        tau = optimize(sc).trace_values()[-1]
+        tau = optimize(sc).trace[-1][2]
         # with one client the slice is the whole band: a lattice on the offload
         lattice = math.inf
         for a in np.linspace(0.0, 0.8, 401):
@@ -761,8 +754,3 @@ class TestFeasibilityReport:
         assert not report.ok
         bad = [c for c in report.failed() if c.name.startswith("sat_energy")]
         assert bad and bad[0].slack < 0
-
-    def test_round_trip_through_dict(self):
-        sc = two_client_scenario()
-        d = self.base_decision(sc)
-        assert DecisionVector.from_dict(d.as_dict()) == d

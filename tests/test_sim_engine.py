@@ -1,6 +1,7 @@
 """Event-level simulation: timing agreement with the closed-form costs,
 coverage replay, energy ledger, and training reproducibility."""
 
+import dataclasses
 import json
 import math
 import time
@@ -341,6 +342,45 @@ class TestConservation:
             for w in rec.clusters[cluster.id].energy:
                 want = cluster.sat_initial_energy_j - w.consumed_j + w.charged_j
                 assert w.residual_j == pytest.approx(want, rel=1e-9)
+
+    def test_battery_ledger_identity(self):
+        """Every window's residual is the charge it starts from (the initial
+        one, or with a persistent battery the level the last window left)
+        less what it consumed plus what it charged, capped at the initial
+        charge when the battery persists; battery_ok says whether it stays
+        at psi. A floor psi raised anywhere up to the initial charge and up
+        to 6 rounds leave some windows below it, and the sunlit persistent
+        ones also meet the cap."""
+        seen = set()
+
+        @settings(max_examples=120)
+        @given(st.sampled_from([case1_instance, multiwindow_instance, mixed_instance]),
+               st.integers(0, 2 ** 32 - 1), st.booleans(), st.floats(0.0, 1.0),
+               st.integers(1, 6))
+        def check(build, seed, persistent, floor, rounds):
+            sc = build(np.random.default_rng([5252, seed]))
+            d = default_init(sc)
+            sc = dataclasses.replace(sc, clusters=tuple(
+                dataclasses.replace(c, sat_min_residual_j=floor * c.sat_initial_energy_j)
+                for c in sc.clusters))
+            res = run_experiment(sc, d, rounds=rounds, persistent_battery=persistent)
+            for c in sc.clusters:
+                e0, psi = c.sat_initial_energy_j, c.sat_min_residual_j
+                level = e0
+                for rec in res.records:
+                    for w in rec.clusters[c.id].energy:
+                        want = (level if persistent else e0) - w.consumed_j + w.charged_j
+                        if persistent:
+                            seen.add(("capped", want > e0))
+                            want = min(want, e0)
+                            level = w.residual_j
+                        assert w.residual_j == pytest.approx(want, rel=1e-12, abs=1e-9)
+                        assert w.battery_ok == (w.residual_j >= psi - 1e-9 * max(1.0, psi))
+                        seen.add(("ok", persistent, w.battery_ok))
+
+        check()
+        assert seen == {("capped", True), ("capped", False),
+                        *(("ok", p, ok) for p in (False, True) for ok in (False, True))}
 
     def test_persistent_battery_drains(self):
         spec = scenario_dict([chain_cluster(sat_initial_energy_j=4000.0,
