@@ -315,10 +315,19 @@ class ClusterModel:
     def chain(self, a: float, f: float) -> tuple:
         """`relay_chain` at offload a and frequency f, after the relay time:
         (tau_trans, n_handoffs, tau_rep, first, last). The last chain is
-        kept: solvers read it right after the battery check priced it."""
+        kept: solvers read it right after the battery check priced it.
+
+        A chain of more than MAX_HANDOFFS handoffs is a ValueError that
+        names the cluster: its count is asked first, since pricing it can
+        overflow a float or the satellite list of its breakdown."""
         if self._chain_at != (a, f):
             c = self.cluster
             tau_tr = self.tau_trans(a)
+            n = handoff_count(a, c.sat_cycles_per_sample, self.T, tau_tr, f)
+            if n > MAX_HANDOFFS:
+                raise ValueError(
+                    f"cluster {c.id}: offloading {a:.6g} samples at {f:.6g} Hz needs "
+                    f"{float(n):.6g} satellite handoffs, more than {MAX_HANDOFFS}")
             self._chain = (tau_tr,) + relay_chain(
                 a, c.sat_cycles_per_sample, self.T, tau_tr, f, c.energy_coeff,
                 isl_transfer_energy(tau_tr, c.sat_tx_power_w))

@@ -13,10 +13,14 @@ least reachable t and `bisect` closes the bracket (`_solve_cluster`).
     the root of a quadratic (dark) or a cubic (sunlit) in f when the work
     fits one coverage window and of the full-window energy model otherwise.
 
-The same search with the slices pinned is `solve_alpha`, and with the
-offload and frequency pinned `solve_bandwidth`. Every bandwidth for a target
-upload time comes from the closed-form inversion of the uplink curve through
-the lower branch of Lambert W (`upload_bandwidth`).
+The same search with the slices pinned is `solve_alpha`. With the offload
+pinned only the bandwidth split is left, and one vectorised equalizer
+(`_client_paths`) finds it for rows of offloads: the least common upload
+completion the budget buys in the timing regime the offload's local times
+and chain select. `solve_bandwidth` runs it on one row per cluster, and the
+grid oracle's re-scoring on every profile that can win. Every bandwidth for
+a target upload time comes from the closed-form inversion of the uplink
+curve through the lower branch of Lambert W (`upload_bandwidth`).
 
 `grid_search_cluster` is the exhaustive check of the solve on small
 single-window clusters: it prunes its offload lattice with a bisection-free
@@ -199,14 +203,6 @@ class _Ctx(cost.ClusterModel):
         self.local_min = (self.sizes - self.a_max) / self.rate  # local time at full offload
         # upload time on unbounded bandwidth
         self.tau_floor = self.footprint.state_bits * math.log(2.0) / self.snr_num
-
-    def invert_tau_agg(self, targets, b_hi: float) -> np.ndarray:
-        """Per client, the smallest slice with tau_agg <= target, capped at
-        b_hi; inf where even b_hi misses the target."""
-        targets = np.asarray(targets, dtype=float)
-        b = upload_bandwidth(self.footprint.state_bits, self.snr_num, targets)
-        tau_hi = self.tau_budget if b_hi == self.budget_hz else self.tau_agg(b_hi)
-        return np.where(tau_hi > targets, math.inf, np.minimum(b, b_hi))
 
 
 def _contexts(scenario) -> list:
@@ -476,8 +472,9 @@ def _rate_terms(c, b):
 
 class _Solve:
     """One cluster's problem at a path target t: the least offload that lets
-    the client path end by t (over the bandwidth budget or for pinned
-    slices), or for a pinned offload and chain the least slices.
+    the client path end by t, over the bandwidth budget or for pinned
+    slices. (With the offload pinned instead, `_client_paths` prices the
+    slices.)
 
     In an upload window (g, L, D) client k starts its upload at max(g, l_k),
     keeps its local time l_k <= L and ends by D. For a chain of at most n
@@ -496,13 +493,9 @@ class _Solve:
     the least offload's own chain until the two agree.
     """
 
-    def __init__(self, ctx, tau=None, alpha=None, a_battery=0.0):
+    def __init__(self, ctx, tau=None, a_battery=0.0):
         self.ctx = ctx
         self.tau = tau  # pinned upload times
-        self.alpha = alpha  # pinned offload
-        if alpha is not None:  # its local times and the uploads its budgets allow
-            self.local = ctx.tau_locals(alpha)
-            self.tau_e = (ctx.budgets - ctx.e_locals(alpha)) / ctx.tx_power_w
         self.a_battery = a_battery  # the least offload the battery carries
         # slopes of the shallower and the steeper sloped piece
         slopes = np.concatenate((np.minimum(ctx.rate, ctx.energy_slope),
@@ -510,8 +503,7 @@ class _Solve:
         self.targets = np.log(slopes) + math.log(math.log(2.0) * ctx.footprint.state_bits)
         self.c2 = np.concatenate((ctx.snr_num, ctx.snr_num))
         # straggler windows past h_full hold every client's local pass
-        local = ctx.sizes / ctx.rate if alpha is None else self.local
-        self.h_full = math.ceil(float(np.max(local)) / ctx.T) - 1
+        self.h_full = math.ceil(float(np.max(ctx.sizes / ctx.rate)) / ctx.T) - 1
         self.z = None  # ln mu and the priced slices of the last budget fill
         self.priced = None
 
@@ -565,26 +557,17 @@ class _Solve:
         return best
 
     def ruled_out(self, L, bound):
-        """Whether local passes that end by L miss on their own: a pinned
-        pass longer than L, or local floors past a cap or totalling bound.
-        Every earlier L misses too."""
+        """Whether local passes that end by L miss on their own: local
+        floors past a cap or totalling bound. Every earlier L misses too."""
         ctx = self.ctx
-        if self.alpha is not None:
-            return bool(np.any(self.local > L))
         floor = np.maximum(0.0, ctx.sizes - ctx.rate * L)
         return bool(np.any(floor > ctx.a_max)) or float(np.sum(floor)) >= bound
 
     def window(self, g, L, D):
         """(score, need, slices) in the window (g, L, D), whose local passes
         are not ruled out, or None when no split fits. The score is the
-        least offload total, or with the offload pinned (need None) the
-        least slices' total, which may pass the budget; the slices are None
-        when they are pinned."""
+        least offload total; the slices are None when they are pinned."""
         ctx = self.ctx
-        if self.alpha is not None:
-            b = ctx.invert_tau_agg(np.minimum(D - np.maximum(g, self.local), self.tau_e),
-                                   ctx.budget_hz)
-            return float(np.sum(b)), None, b
         floor = np.maximum(0.0, ctx.sizes - ctx.rate * L)
         line = ctx.sizes - ctx.rate * D  # the deadline line at tau = 0
         tau_hi = np.minimum(D - g, np.minimum(D - ctx.local_min, ctx.tau_energy))
@@ -633,8 +616,6 @@ class _Solve:
             if pick is None:
                 return None, None, None, n, best
             _, need, b = pick
-            if self.alpha is not None:
-                return self.alpha, b, None, n, best
             short = self.a_battery - best
             if short > 0.0:
                 # raise every client toward its cap by one share
@@ -651,12 +632,11 @@ class _Solve:
             n = n_a
 
 
-def _solve_cluster(ctx: _Ctx, b=None, alpha=None, f=None):
+def _solve_cluster(ctx: _Ctx, b=None):
     """The least path time of one cluster, by bisection on it, and what
-    reaches it: (alpha, slices, f, trials). With slices b pinned it is the
-    least offload at the battery-optimal frequency; with the offload alpha
-    and frequency f pinned it is the least slices, and only the client path
-    counts.
+    reaches it: (alpha, slices, f, trials), the least offload at the
+    battery-optimal frequency over the bandwidth budget, or with slices b
+    pinned over those.
 
     A target t is reachable when the least offload whose client path ends by
     t has a satellite chain that ends by t too, at the battery-optimal
@@ -666,72 +646,60 @@ def _solve_cluster(ctx: _Ctx, b=None, alpha=None, f=None):
     2004, section 4.2.5)."""
     c = ctx.cluster
     tau = None if b is None else ctx.tau_agg(b)
-    a_battery, n = 0.0, 0 if alpha is None else ctx.n_handoffs(ctx.offloaded(alpha), f)
-    if alpha is None:
-        # the least offload any target allows: each client's budget with its
-        # upload on the whole band, or on its pinned slice
-        need = ctx.energy_need + ctx.energy_slope * (ctx.tau_budget if b is None else tau)
-        k = int(np.argmax(need - ctx.a_max))
-        if need[k] > ctx.a_max[k] + 1e-9 * ctx.sizes[k]:
-            with np.errstate(divide="ignore"):  # a dataless client's slack is -inf
-                slack = float(ctx.alpha_max[k] - need[k] / ctx.sizes[k])
-            raise InfeasibleError(f"client {ctx.ids[k]}: energy budget cannot be met even at "
-                                  "full offload with the bandwidth it can get", slack=slack)
-        a_battery = min(float(np.sum(np.clip(need, 0.0, ctx.a_max))), ctx.a_cap)
-        err = _battery_short(ctx, a_battery)
-        if err is not None:
-            # in sunlight a longer compute dwell charges for the relay, so the
-            # battery can carry a larger offload than it carries this one.
-            # Steps that double from a_battery find one ahead of the offloads
-            # whose chains pass the handoff limit, and bisect then finds the
-            # least one above the last step that failed
-            lo, step = a_battery, T_RTOL * max(1.0, ctx.a_cap)
-            while _battery_short(ctx, a := min(a_battery + step, ctx.a_cap)):
-                if a >= ctx.a_cap:
-                    raise err
-                lo, step = a, 2.0 * step
-            a_battery = bisect(lambda x: 1.0 if _battery_short(ctx, x) else -1.0,
-                               lo, a, eps=T_RTOL).hi
-    solve = _Solve(ctx, tau, alpha, a_battery)
-    tau_most = solve.tau_e if alpha is not None else ctx.tau_energy if b is None else tau
+    # the least offload any target allows: each client's budget with its
+    # upload on the whole band, or on its pinned slice
+    need = ctx.energy_need + ctx.energy_slope * (ctx.tau_budget if b is None else tau)
+    k = int(np.argmax(need - ctx.a_max))
+    if need[k] > ctx.a_max[k] + 1e-9 * ctx.sizes[k]:
+        with np.errstate(divide="ignore"):  # a dataless client's slack is -inf
+            slack = float(ctx.alpha_max[k] - need[k] / ctx.sizes[k])
+        raise InfeasibleError(f"client {ctx.ids[k]}: energy budget cannot be met even at "
+                              "full offload with the bandwidth it can get", slack=slack)
+    a_battery = min(float(np.sum(np.clip(need, 0.0, ctx.a_max))), ctx.a_cap)
+    err = _battery_short(ctx, a_battery)
+    if err is not None:
+        # in sunlight a longer compute dwell charges for the relay, so the
+        # battery can carry a larger offload than it carries this one.
+        # Steps that double from a_battery find one ahead of the offloads
+        # whose chains pass the handoff limit, and bisect then finds the
+        # least one above the last step that failed
+        lo, step = a_battery, T_RTOL * max(1.0, ctx.a_cap)
+        while _battery_short(ctx, a := min(a_battery + step, ctx.a_cap)):
+            if a >= ctx.a_cap:
+                raise err
+            lo, step = a, 2.0 * step
+        a_battery = bisect(lambda x: 1.0 if _battery_short(ctx, x) else -1.0,
+                           lo, a, eps=T_RTOL).hi
+    solve = _Solve(ctx, tau, a_battery)
     # past this target no window grows, so only a late chain can still be
     # cured by waiting longer
-    settled = ctx.T * (max(solve.h_full, cost.MAX_HANDOFFS) + 2) + float(np.max(tau_most))
+    settled = (ctx.T * (max(solve.h_full, cost.MAX_HANDOFFS) + 2)
+               + float(np.max(ctx.tau_energy if b is None else tau)))
     # no closure refers to itself or keeps a traceback: such a cycle would
     # hold the cluster's data until the next garbage collection
-    gaps, kept, n_lo, why = {}, {}, [n], [None]
+    gaps, kept, n_lo, why = {}, {}, [0], [None]
 
     def gap(t):
-        # the chain's end less t for the least offload at t, or with the
-        # offload pinned 1 - B / (the slices' sum), close to linear in t as
-        # the sum grows like a hyperbola: at most 0 when t is reachable; inf
-        # when nothing fits, with the error kept
+        # the chain's end less t for the least offload at t: at most 0 when
+        # t is reachable; inf when nothing fits, with the error kept
         if t not in gaps:
             why[0] = None
             try:
-                a_t, b_t, f_t, n_t, score = solve.least(t, n_lo[0])
+                a_t, b_t, f_t, n_t, _ = solve.least(t, n_lo[0])
             except InfeasibleError as err:
                 a_t, why[0] = None, err.with_traceback(None)
-            if a_t is None:
-                gaps[t] = math.inf
-            elif alpha is not None:
-                gaps[t] = 1.0 - ctx.budget_hz / score
-            else:
-                gaps[t] = _chain_end(ctx, ctx.offloaded(a_t), f_t)[1] - t
+            gaps[t] = math.inf if a_t is None else _chain_end(ctx, ctx.offloaded(a_t), f_t)[1] - t
             if gaps[t] <= 0.0:
                 # the least offload at t bounds the chain of every earlier t
-                kept[t], n_lo[0] = (a_t, b_t, f if alpha is not None else f_t), n_t
+                kept[t], n_lo[0] = (a_t, b_t, f_t), n_t
         return gaps[t]
 
     # Bracket the least reachable t by regula falsi (Illinois) on the gap,
     # which falls as t grows; a t without a gap takes a bisection step. No t
     # comes before a client's least local pass and fastest upload, or the relay.
-    lo = max(float(np.max((ctx.local_min if alpha is None else solve.local)
-                          + (ctx.tau_floor if b is None else tau))),
-             ctx.tau_trans(0.0) if alpha is None else 0.0)
+    lo = max(float(np.max(ctx.local_min + (ctx.tau_floor if b is None else tau))),
+             ctx.tau_trans(0.0))
     hi, d_lo, d_hi, moved, t = math.inf, None, None, None, 2.0 * lo
-    if alpha is not None:  # start where an equal split of the band ends
-        t = float(np.max(solve.local + ctx.tau_agg(ctx.budget_hz / len(solve.local))))
     for _ in range(BISECT_MAX_ITER):
         d = gap(t)
         if d <= 0.0:
@@ -742,7 +710,7 @@ def _solve_cluster(ctx: _Ctx, b=None, alpha=None, f=None):
                 d_lo *= 0.5  # lo kept twice running
             moved = "hi"
         else:
-            if math.isinf(hi) and t > settled and (math.isinf(d) or alpha is not None):
+            if math.isinf(hi) and t > settled and math.isinf(d):
                 raise why[0] or InfeasibleError(
                     f"cluster {c.id}: no round time meets the client energy budgets "
                     "and the offload cap within the bandwidth budget")
@@ -753,7 +721,7 @@ def _solve_cluster(ctx: _Ctx, b=None, alpha=None, f=None):
         if hi - lo <= 8.0 * T_RTOL * hi < math.inf:
             break
         if math.isinf(hi):  # a late chain's end is a reachable target
-            t = t + d if alpha is None and math.isfinite(d) else 2.0 * t
+            t = t + d if math.isfinite(d) else 2.0 * t
         elif d_lo is not None and d_hi is not None:
             # at least a few ulps from either end, so that a root next to
             # one end closes the bracket
@@ -766,15 +734,98 @@ def _solve_cluster(ctx: _Ctx, b=None, alpha=None, f=None):
     # then close the bracket to a near machine-tight one
     r = bisect(lambda t: -1.0 if gap(t) <= 0.0 else 1.0, lo, hi, eps=T_RTOL)
     alpha_t, b_t, f_t = kept[r.hi if r.status == "converged" else r.x]
-    if alpha is not None:
-        # the least slices at the least path time fill the budget; at the
-        # bracket's reachable end they miss it by its width times the ratio
-        # of the path to the upload time
-        b_t = b_t * (ctx.budget_hz / float(np.sum(b_t)))
-        rel = math.ulp(1.0)
-        while float(np.sum(b_t)) > ctx.budget_hz:
-            b_t, rel = b_t * (1.0 - rel), 2.0 * rel
     return alpha_t, b_t, f_t, len(gaps)
+
+
+def _row_sums(b):
+    """Each row's sum, added in client order: a row sums alike alone and in
+    a batch."""
+    return functools.reduce(np.add, b.T)
+
+
+def _equalize(ctx: _Ctx, floors, x):
+    """Per row of slice floors and upload offsets x, the least completion t
+    whose slices max(b_k(t - x_k), floor_k) fit the budget, b_k(s) the least
+    slice that uploads in s, and those slices scaled up to fill it.
+
+    Regula falsi (Illinois) on g(t) = 1 - B / sum_k max(b_k(t - x_k),
+    floor_k), which falls as t grows and is close to linear in it as the
+    sum grows like a hyperbola. The bracket runs from the end of the fastest
+    uploads, where g is 1, to the end of the floors' uploads, where every
+    slice is its floor; each row stops on its own once its bracket is about
+    an ulp wide."""
+    budget = ctx.budget_hz
+    lo = np.max(x + ctx.tau_floor, axis=1)
+    hi = np.max(x + ctx.tau_agg(floors), axis=1)
+    g_lo, g_hi = np.ones(len(lo)), 1.0 - budget / _row_sums(floors)
+    b_hi, moved = floors.copy(), np.zeros(len(lo))  # the slices at hi; +1 when hi moved last
+    live = np.flatnonzero(hi - lo > T_RTOL * hi)
+    for _ in range(BISECT_MAX_ITER):
+        if not live.size:
+            break
+        l, h, gl, gh, mv = lo[live], hi[live], g_lo[live], g_hi[live], moved[live]
+        # at least a few ulps from either end, so that a root next to one
+        # end closes the bracket
+        step = 2.0 * T_RTOL * h
+        t = np.minimum(np.maximum(l + (h - l) * gl / (gl - gh), l + step), h - step)
+        t = np.where((l < t) & (t < h), t, 0.5 * (l + h))
+        b = np.maximum(upload_bandwidth(ctx.footprint.state_bits, ctx.snr_num,
+                                        t[:, None] - x[live]), floors[live])
+        g = 1.0 - budget / _row_sums(b)
+        reach = g <= 0.0
+        # an end kept twice running has its value halved
+        g_lo[live] = np.where(reach, np.where(mv > 0.0, 0.5 * gl, gl), g)
+        g_hi[live] = np.where(reach, g, np.where(mv < 0.0, 0.5 * gh, gh))
+        lo[live] = np.where(g < 0.0, l, t)  # where g is 0, t is the root
+        hi[live] = np.where(reach, t, h)
+        b_hi[live] = np.where(reach[:, None], b, b_hi[live])
+        moved[live] = np.where(reach, 1.0, -1.0)
+        live = live[hi[live] - lo[live] > T_RTOL * hi[live]]
+    # the least slices at the least completion fill the budget; at the
+    # bracket's reachable end they miss it by its width times the ratio of
+    # the path to the upload time. Scaling them up keeps every floor, and
+    # the ulp steps that undo an overfill stop at the floors, which fit
+    b = b_hi * (budget / _row_sums(b_hi))[:, None]
+    rel = math.ulp(1.0)
+    while (over := _row_sums(b) > budget).any():
+        b[over] = np.maximum(b[over] * (1.0 - rel), floors[over])
+        rel *= 2.0
+    return hi, b
+
+
+def _client_paths(ctx: _Ctx, alphas, n):
+    """The least client path time of each row of pinned offloads alphas (P
+    x K) with relay chains of n handoffs (one count, or one per row), and
+    the slices that reach it.
+
+    Every slice keeps at least its energy floor, the least one whose upload
+    the client's budget pays for after its local pass. The regime is the one
+    `cost.cluster_client_path` prices, on the offsets and deadline of
+    `cost.regime_geometry`:
+      1. every local pass ends by the final satellite's arrival T n: the
+         uploads start there, and the path is T n plus the equalized upload
+         U, on zero offsets;
+      2. else the uploads start at the offsets of the straggler's window,
+         and the equalized completion is the path while it meets the
+         window's deadline;
+      3. past it every upload waits for the next satellite: the deadline
+         plus U."""
+    floors = upload_bandwidth(ctx.footprint.state_bits, ctx.snr_num,
+                              (ctx.budgets - ctx.e_locals(alphas)) / ctx.tx_power_w)
+    spare = ctx.budget_hz - _row_sums(floors)
+    if not np.all(spare >= 0.0):
+        raise InfeasibleError(
+            f"cluster {ctx.cluster.id}: the client energy budgets need more than the "
+            "bandwidth budget at this offload", slack=float(np.min(spare)))
+    m, x, deadline = cost.regime_geometry(ctx.tau_locals(alphas), ctx.T)
+    gate = ctx.T * n
+    first = m <= gate
+    y, b = _equalize(ctx, floors, np.where(first[:, None], 0.0, x))
+    late = ~first & (y > deadline)
+    if late.any():
+        u, b[late] = _equalize(ctx, floors[late], np.zeros_like(x[late]))
+        y[late] = deadline[late] + u
+    return np.where(first, gate + y, y), b
 
 
 def solve_alpha(scenario, bandwidth: dict, ctxs=None) -> dict:
@@ -788,11 +839,13 @@ def solve_alpha(scenario, bandwidth: dict, ctxs=None) -> dict:
 
 def solve_bandwidth(scenario, alpha: dict, sat_freq: dict, ctxs=None) -> dict:
     """Per-client bandwidth slices for a pinned offload and frequency: the
-    least slices that reach the least client path time."""
+    slices that reach the least client path time (`_client_paths`, one row
+    per cluster)."""
     out = {}
     for ctx in ctxs or _contexts(scenario):
-        b = _solve_cluster(ctx, alpha=ctx.per_client(alpha), f=sat_freq[ctx.cluster.id])[1]
-        out.update(zip(ctx.ids, b.tolist()))
+        a = ctx.per_client(alpha)
+        n = ctx.n_handoffs(ctx.offloaded(a), sat_freq[ctx.cluster.id])
+        out.update(zip(ctx.ids, _client_paths(ctx, a[None], n)[1][0].tolist()))
     return out
 
 
@@ -848,8 +901,9 @@ class _Lattice:
     """Every offload profile of a single-window cluster on a per-client alpha
     lattice, with what its round time needs: the satellite path at the
     battery-optimal frequency, the per-client bandwidth floors from the
-    energy budgets, the local-compute offsets, and a lower bound on the
-    round time that costs no bisection.
+    energy budgets, and a lower bound on the round time that costs no
+    bisection. `totals` prices the client path of chosen profiles with the
+    pinned-offload equalizer `_client_paths`.
 
     The lattice is the product of the clients' alpha axes. What depends on
     one client's offload alone (its alpha, local time, energy-floor slice
@@ -955,17 +1009,12 @@ class _Lattice:
             raise InfeasibleError("grid instance has an unmeetable client energy budget")
         self.b_min = columns(b_min)
 
-        # `cost.regime_geometry` on the grid: the straggler's local time m,
-        # the start of its serving window, and each client's upload offset
+        # `cost.regime_geometry` on the grid: the start of the straggler's
+        # serving window, and each client's upload offset
         tl_axis = ctx.tau_locals(axis_alpha)
         tl = [along(k, tl_axis[:n, k]) for k, n in enumerate(shape)]
-        m = functools.reduce(np.maximum, tl)
-        h = np.floor(m / ctx.T)
-        start = ctx.T * h
+        start = ctx.T * np.floor(functools.reduce(np.maximum, tl) / ctx.T)
         x = [np.maximum(start, t) for t in tl]
-        self.x = columns(x)
-        self.deadline = flat(ctx.T * (h + 1.0))
-        self.case1 = flat(m <= 0.0)
 
         # client k gets at most the budget the other floors leave, so its
         # upload ends no sooner than reach_k; that bounds the equalized
@@ -980,34 +1029,9 @@ class _Lattice:
                       + cluster.glob_delay_s)
 
     def totals(self, sel: np.ndarray) -> np.ndarray:
-        """Round time of the profiles at indices sel, with the client path
-        from the two equalization bisections."""
-        ctx = self.ctx
-        b_min = self.b_min[sel]
-        x = self.x[sel]
-        tau_floor = ctx.tau_agg(b_min)
-
-        def least_target(lo, hi, offset):
-            # least common completion time the bandwidth budget can buy
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                need = np.maximum(
-                    upload_bandwidth(ctx.footprint.state_bits, ctx.snr_num, mid[:, None] - offset),
-                    b_min)
-                feas = need.sum(axis=1) <= ctx.budget_hz
-                hi = np.where(feas, mid, hi)
-                lo = np.where(feas, lo, mid)
-            return hi
-
-        # equalized completion of the straggler path
-        val2 = least_target(x.max(axis=1), (x + tau_floor).max(axis=1), x)
-        # when that misses the serving window, uploads wait for the next
-        # satellite and the upload times alone are re-equalized
-        # the slowest infinite-bandwidth upload: rate tends to snr_num / ln 2
-        floor = float(np.max(ctx.footprint.state_bits * math.log(2.0) / ctx.snr_num))
-        hi3 = least_target(np.full(len(sel), floor), tau_floor.max(axis=1), 0.0)
-        deadline = self.deadline[sel]
-        y = np.where(self.case1[sel], hi3, np.where(val2 <= deadline, val2, deadline + hi3))
+        """Round time of the profiles at indices sel, with the client path of
+        the pinned-offload equalizer."""
+        y = _client_paths(self.ctx, self.alphas[sel], 0)[0]
         return (self.cluster.sync_delay_s + np.maximum(y, self.rep[sel])
                 + self.cluster.glob_delay_s)
 
@@ -1034,8 +1058,8 @@ def grid_search_cluster(scenario, alpha_step: float = 1e-3):
     For each profile the two inner minimizations are independent: the
     satellite path wants the largest battery-feasible frequency, solved once
     per distinct offload total, and the client path wants the bandwidth
-    split that equalizes per-client completion, found by bisection on the
-    completion time with the uplink inverted in closed form. A
+    split that equalizes per-client completion, found by the pinned-offload
+    equalizer `_client_paths` with the uplink inverted in closed form. A
     bisection-free lower bound prunes the lattice first: the profile with
     the least bound gives an upper bound on the optimum, and only profiles
     whose bound comes within GRID_RTOL of it are evaluated (when that is the
