@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, replace
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from . import __version__, cost
+from . import __version__
 from .analysis import verify_bound_empirically
 from .fl import ModelLayout
 from .optimizer import (
@@ -182,11 +182,12 @@ def _pinned_alpha(scenario, baseline: str, alpha_fixed):
 
 
 def _resolve_decision(scenario, baseline: str, alpha_fixed):
-    """Decision vector for a series; baselines keep alpha pinned but still get
-    frequency and bandwidth optimized."""
+    """Decision vector for a series, its feasibility report (which carries
+    the decision's cost breakdown) and the solve's record; baselines keep
+    alpha pinned but still get frequency and bandwidth optimized."""
     if baseline == "optimized":
         res = optimize(scenario)
-        return res.decision, {
+        return res.decision, res.report, {
             "trace": [list(t) for t in res.trace],
             "iterations": res.iterations,
             "feasible": res.report.ok,
@@ -194,7 +195,7 @@ def _resolve_decision(scenario, baseline: str, alpha_fixed):
     alpha = _pinned_alpha(scenario, baseline, alpha_fixed)
     dec = optimize_pinned_alpha(scenario, alpha)
     report = check_feasibility(scenario, dec)
-    return dec, {"trace": None, "iterations": 0, "feasible": report.ok}
+    return dec, report, {"trace": None, "iterations": 0, "feasible": report.ok}
 
 
 def _resolve_layout(scenario, test_set) -> ModelLayout:
@@ -236,8 +237,7 @@ def _simulate_leg(prepared, plan, decision, seed, leg_dir: Path):
     layout = _resolve_layout(scenario, test) if test is not None else None
     if layout is not None:
         scenario = apply_offload(scenario, decision.alpha)
-    cfg = replace(scenario.train, prox_mu=plan.prox_mu if plan.algorithm == "fedprox" else 0.0,
-                  single_step=plan.single_step, seed=seed)
+    cfg = replace(scenario.train, prox_mu=plan.prox_mu, single_step=plan.single_step, seed=seed)
     result = run_experiment(
         scenario, decision, plan.rounds, config=cfg, layout=layout,
         test_set=test, persistent_battery=plan.persistent_battery,
@@ -265,12 +265,12 @@ def _run_series(scenario, plan, series, out: Path):
     base_scenario = base[0]
     decisions = []
     for name, baseline, alpha_fixed in series:
-        decision, meta = _resolve_decision(base_scenario, baseline, alpha_fixed)
+        decision, report, meta = _resolve_decision(base_scenario, baseline, alpha_fixed)
         (out / name).mkdir(parents=True, exist_ok=True)
         _write_json(out / name / "decision.json", {
             "baseline": baseline,
             "alpha_fixed": alpha_fixed,
-            "tau_round_s": cost.round_latency(base_scenario, decision).tau_round_s,
+            "tau_round_s": report.breakdown.tau_round_s,
             "decision": decision.as_dict(),
             **meta,
         })
@@ -305,15 +305,14 @@ def _series_summary(rows, target_acc):
 
 def _mode_optimize(scenario, plan, out: Path):
     scenario, _ = _prepare(scenario, plan.seeds[0])
-    decision, meta = _resolve_decision(scenario, plan.baseline, plan.alpha_fixed)
-    breakdown = cost.round_latency(scenario, decision)
-    report = check_feasibility(scenario, decision)
+    decision, report, meta = _resolve_decision(scenario, plan.baseline, plan.alpha_fixed)
+    tau = report.breakdown.tau_round_s
     obj = {
         "baseline": plan.baseline,
-        "tau_round_s": breakdown.tau_round_s,
+        "tau_round_s": tau,
         "decision": decision.as_dict(),
         "feasibility": report.as_dict(),
-        "clusters": breakdown.as_dict()["clusters"],
+        "clusters": [asdict(c) for c in report.breakdown.clusters],
         **meta,
     }
     if plan.grid_oracle:
@@ -321,10 +320,10 @@ def _mode_optimize(scenario, plan, out: Path):
         obj["grid"] = {
             "tau_round_s": tau_grid,
             "decision": grid_dec.as_dict(),
-            "gap_rel": (breakdown.tau_round_s - tau_grid) / tau_grid,
+            "gap_rel": (tau - tau_grid) / tau_grid,
         }
     _write_json(out / "decision.json", obj)
-    print(f"tau_round = {breakdown.tau_round_s:.6f} s  feasible = {report.ok}")
+    print(f"tau_round = {tau:.6f} s  feasible = {report.ok}")
     print(f"wrote {out / 'decision.json'}")
 
 
@@ -351,7 +350,7 @@ def _mode_analyze(scenario, plan, out: Path):
     scenario, test = _prepare(scenario, plan.seeds[0])
     if test is None:
         raise CliError("analyze mode needs a data section in the scenario")
-    decision, _ = _resolve_decision(scenario, plan.baseline, plan.alpha_fixed)
+    decision = _resolve_decision(scenario, plan.baseline, plan.alpha_fixed)[0]
     offloaded = apply_offload(scenario, decision.alpha)
     layout = _resolve_layout(offloaded, test)
     train = scenario.train
@@ -404,6 +403,12 @@ def _mode_summarize(plan, out: Path):
 
 
 def run(plan: ExperimentPlan) -> int:
+    if plan.rounds < 1:
+        raise CliError(f"--rounds {plan.rounds} is not a positive count")
+    if not 0.0 <= plan.prox_mu < math.inf:
+        raise CliError(f"--prox-mu {plan.prox_mu} is not a finite nonnegative coefficient")
+    if plan.prox_mu and plan.algorithm != "fedprox":
+        raise CliError(f"--prox-mu {plan.prox_mu} needs --algorithm fedprox")
     out = Path(plan.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if plan.mode == "summarize":
@@ -447,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="orbitfed",
         description="Optimize and simulate satellite-assisted federated training.",
     )
-    p.add_argument("--scenario", default=None, help="scenario JSON file")
+    p.add_argument("--scenario", dest="scenario_path", default=None, help="scenario JSON file")
     p.add_argument("--mode", required=True,
                    choices=["optimize", "simulate", "analyze", "sweep", "summarize"])
     p.add_argument("--baseline", default="optimized",
@@ -461,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", default="0",
                    help="comma list and/or ranges, e.g. 0,1,2 or 0-9")
     p.add_argument("--target-acc", type=float, default=None)
-    p.add_argument("--out", default="orbitfed_run", help="output directory")
+    p.add_argument("--out", dest="out_dir", default="orbitfed_run", help="output directory")
     p.add_argument("--single-step", action="store_true",
                    help="one SGD step per round (analysis mode of the protocol)")
     p.add_argument("--persistent-battery", action="store_true",
@@ -474,22 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        plan = ExperimentPlan(
-            scenario_path=args.scenario,
-            mode=args.mode,
-            baseline=args.baseline,
-            alpha_fixed=args.alpha_fixed,
-            algorithm=args.algorithm,
-            prox_mu=args.prox_mu,
-            rounds=args.rounds,
-            seeds=_parse_seeds(args.seeds),
-            target_acc=args.target_acc,
-            out_dir=args.out,
-            single_step=args.single_step,
-            persistent_battery=args.persistent_battery,
-            grid_oracle=args.grid_oracle,
-        )
-        return run(plan)
+        return run(ExperimentPlan(**{**vars(args), "seeds": _parse_seeds(args.seeds)}))
     except (ScenarioError, InfeasibleError, SimError, CliError, ValueError, OSError) as exc:
         report = {"error": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, ScenarioError):

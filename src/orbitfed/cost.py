@@ -69,26 +69,6 @@ class ClusterCosts:
     tau_sat_path_s: float  # sync + tau_rep
     total_s: float
 
-    def as_dict(self) -> dict:
-        return {
-            "cluster_id": self.cluster_id,
-            "offloaded_samples": self.offloaded_samples,
-            "tau_trans_s": self.tau_trans_s,
-            "n_handoffs": self.n_handoffs,
-            "tau_rep_s": self.tau_rep_s,
-            "sat_dwell_s": list(self.sat_dwell_s),
-            "sat_energy_j": list(self.sat_energy_j),
-            "tau_local_s": list(self.tau_local_s),
-            "tau_agg_s": list(self.tau_agg_s),
-            "client_local_energy_j": list(self.client_local_energy_j),
-            "client_agg_energy_j": list(self.client_agg_energy_j),
-            "y_s": self.y_s,
-            "y_case": self.y_case,
-            "tau_client_path_s": self.tau_client_path_s,
-            "tau_sat_path_s": self.tau_sat_path_s,
-            "total_s": self.total_s,
-        }
-
 
 @dataclass(frozen=True)
 class CostBreakdown:
@@ -102,12 +82,6 @@ class CostBreakdown:
             if c.cluster_id == cluster_id:
                 return c
         raise KeyError(f"no cluster {cluster_id} in breakdown")
-
-    def as_dict(self) -> dict:
-        return {
-            "tau_round_s": self.tau_round_s,
-            "clusters": [c.as_dict() for c in self.clusters],
-        }
 
 
 def _retained(gamma):

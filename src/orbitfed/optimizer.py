@@ -32,7 +32,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -50,10 +50,9 @@ GRID_RTOL = BAND_EPS
 class InfeasibleError(RuntimeError):
     """A resource block has no feasible point; carries slack diagnostics."""
 
-    def __init__(self, message, slack=None, report=None):
+    def __init__(self, message, slack=None):
         super().__init__(message)
         self.slack = slack
-        self.report = report
 
 
 @dataclass(frozen=True)
@@ -358,13 +357,14 @@ class ConstraintCheck:
     ok: bool
     slack: float
 
-    def as_dict(self) -> dict:
-        return {"name": self.name, "scope": self.scope, "ok": self.ok, "slack": self.slack}
-
 
 @dataclass(frozen=True)
 class FeasibilityReport:
+    """Every operating constraint of a decision, and the cost breakdown
+    they were audited on."""
+
     checks: tuple
+    breakdown: cost.CostBreakdown
 
     @property
     def ok(self) -> bool:
@@ -374,7 +374,7 @@ class FeasibilityReport:
         return [c for c in self.checks if not c.ok]
 
     def as_dict(self) -> dict:
-        return {"ok": self.ok, "checks": [c.as_dict() for c in self.checks]}
+        return {"ok": self.ok, "checks": [asdict(c) for c in self.checks]}
 
 
 def _rel_ok(slack: float, scale: float) -> bool:
@@ -382,7 +382,8 @@ def _rel_ok(slack: float, scale: float) -> bool:
 
 
 def check_feasibility(scenario, decision) -> FeasibilityReport:
-    """Evaluate every operating constraint with numeric slack."""
+    """Evaluate every operating constraint with numeric slack, on one
+    `cost.round_latency` breakdown that the report keeps."""
     checks = []
     breakdown = cost.round_latency(scenario, decision)
 
@@ -427,7 +428,7 @@ def check_feasibility(scenario, decision) -> FeasibilityReport:
         checks.append(ConstraintCheck(
             "offload_budget", f"cluster {cluster.id}", _rel_ok(slack_a, scale_a), slack_a))
 
-    return FeasibilityReport(checks=tuple(checks))
+    return FeasibilityReport(checks=tuple(checks), breakdown=breakdown)
 
 
 # ---------------------------------------------------------------------------
@@ -874,9 +875,9 @@ def optimize(scenario) -> OptimizeResult:
         bandwidth.update(zip(ctx.ids, b.tolist()))
         steps = max(steps, it)
     decision = DecisionVector(alpha=alpha, sat_freq_hz=freq, bandwidth_hz=bandwidth)
-    tau = cost.round_latency(scenario, decision).tau_round_s
-    return OptimizeResult(decision=decision, trace=(("solve", 0, tau),),
-                          report=check_feasibility(scenario, decision), iterations=steps)
+    report = check_feasibility(scenario, decision)
+    return OptimizeResult(decision=decision, trace=(("solve", 0, report.breakdown.tau_round_s),),
+                          report=report, iterations=steps)
 
 
 def optimize_pinned_alpha(scenario, alpha: dict) -> DecisionVector:
@@ -900,10 +901,10 @@ def optimize_pinned_alpha(scenario, alpha: dict) -> DecisionVector:
 class _Lattice:
     """Every offload profile of a single-window cluster on a per-client alpha
     lattice, with what its round time needs: the satellite path at the
-    battery-optimal frequency, the per-client bandwidth floors from the
-    energy budgets, and a lower bound on the round time that costs no
-    bisection. `totals` prices the client path of chosen profiles with the
-    pinned-offload equalizer `_client_paths`.
+    battery-optimal frequency, and a lower bound on the round time that
+    costs no bisection, from the per-client bandwidth floors the energy
+    budgets set. `totals` prices the client path of chosen profiles with
+    the pinned-offload equalizer `_client_paths`.
 
     The lattice is the product of the clients' alpha axes. What depends on
     one client's offload alone (its alpha, local time, energy-floor slice
@@ -1007,7 +1008,6 @@ class _Lattice:
         total_min = sum(b_min)
         if np.any(np.isinf(b_axis)) or np.any(flat(total_min) > ctx.budget_hz):
             raise InfeasibleError("grid instance has an unmeetable client energy budget")
-        self.b_min = columns(b_min)
 
         # `cost.regime_geometry` on the grid: the start of the straggler's
         # serving window, and each client's upload offset

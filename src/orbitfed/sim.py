@@ -50,13 +50,6 @@ class SatWindowEnergy:
     residual_j: float
     battery_ok: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "window": self.window, "dwell_s": self.dwell_s,
-            "consumed_j": self.consumed_j, "charged_j": self.charged_j,
-            "residual_j": self.residual_j, "battery_ok": self.battery_ok,
-        }
-
 
 @dataclass(frozen=True)
 class ClusterRoundLog:
@@ -71,21 +64,6 @@ class ClusterRoundLog:
     sat_cycles: float
     target_cycles: float
     energy: tuple  # SatWindowEnergy per engaged window
-
-    def as_dict(self) -> dict:
-        return {
-            "cluster_id": self.cluster_id,
-            "offloaded_samples": self.offloaded_samples,
-            "tau_trans_s": self.tau_trans_s,
-            "n_windows": self.n_windows,
-            "n_handoffs": self.n_handoffs,
-            "rep_finish_s": self.rep_finish_s,
-            "y_s": self.y_s,
-            "y_case": self.y_case,
-            "sat_cycles": self.sat_cycles,
-            "target_cycles": self.target_cycles,
-            "energy": [e.as_dict() for e in self.energy],
-        }
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
 """End-to-end checks of the command-line entry point: run layout, determinism,
 baseline wiring, and the summarize table."""
 
+import collections
 import csv
+import importlib
 import itertools
 import json
 import math
@@ -16,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import orbitfed
+from orbitfed import cost
 from orbitfed.cli import (
     _FLOAT_MEMO,
     CliError,
@@ -25,7 +28,7 @@ from orbitfed.cli import (
     _write_timeline,
     main,
 )
-from orbitfed.optimizer import InfeasibleError, optimize
+from orbitfed.optimizer import InfeasibleError, check_feasibility, optimize
 from orbitfed.scenario import scenario_to_dict, validate_scenario
 from orbitfed.sim import run_experiment
 
@@ -346,6 +349,47 @@ class TestSweepMode:
         assert a == b
 
 
+class TestPricingOnce:
+    @pytest.mark.parametrize("argv, clients, calls", [
+        (["--mode", "optimize"], 3, (1, 1)),
+        (["--mode", "optimize", "--grid-oracle"], 2, (2, 1)),
+        (["--mode", "simulate", "--rounds", "1"], 3, (1, 1)),
+        (["--mode", "analyze", "--rounds", "1"], 3, (1, 1)),
+        (["--mode", "sweep", "--rounds", "1"], 3, (5, 5)),
+    ])
+    def test_each_decision_is_priced_and_audited_once(self, tmp_path, monkeypatch,
+                                                       argv, clients, calls):
+        """Every command prices and audits each decision it writes once: the
+        feasibility report carries the breakdown it audited, and the writers
+        read it. The grid oracle prices its own decision once more. Both
+        functions are wrapped at every module binding, so a call through
+        any import is counted."""
+        counts = collections.Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        mods = [orbitfed] + [importlib.import_module(f"orbitfed.{m}") for m in
+                             ("cli", "scenario", "cost", "optimizer", "sim", "fl", "analysis")]
+        for fn in (cost.round_latency, check_feasibility):
+            wrapper = counted(fn.__name__, fn)
+            for mod in mods:
+                for attr, val in list(vars(mod).items()):
+                    if val is fn:
+                        monkeypatch.setattr(mod, attr, wrapper)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(tiny_spec(n_clients=clients)))
+        assert main(argv + ["--scenario", str(path), "--out", str(tmp_path / "run")]) == 0
+        assert (counts["round_latency"], counts["check_feasibility"]) == calls
+        monkeypatch.undo()
+        sc = _prepare(validate_scenario(tiny_spec(n_clients=clients)), 0)[0]
+        res = optimize(sc)
+        assert res.report.breakdown == cost.round_latency(sc, res.decision)
+
+
 class TestAnalyzeMode:
     def test_bounds_report(self, spec_path, tmp_path):
         out = tmp_path / "run"
@@ -432,6 +476,23 @@ class TestErrorReporting:
                    "--seeds", ",", "--out", str(tmp_path / "run")])
         assert rc == 1
         assert "no seeds" in json.loads(capsys.readouterr().err)["message"]
+
+    @pytest.mark.parametrize("extra, why", [
+        (["--rounds", "-3"], "--rounds -3 is not a positive count"),
+        (["--rounds", "0"], "--rounds 0 is not a positive count"),
+        (["--rounds", "2", "--prox-mu", "-2", "--algorithm", "fedprox"],
+         "--prox-mu -2.0 is not a finite nonnegative coefficient"),
+        (["--rounds", "2", "--prox-mu", "0.5"], "--prox-mu 0.5 needs --algorithm fedprox"),
+    ])
+    def test_flag_values_the_run_would_ignore_are_refused(self, spec_path, tmp_path, capsys,
+                                                          extra, why):
+        rc = main(["--mode", "simulate", "--scenario", str(spec_path),
+                   "--out", str(tmp_path / "run"), *extra])
+        assert rc == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "CliError", "message": why}
+        assert not (tmp_path / "run").exists()
 
     def run_infeasible(self, spec, tmp_path, capsys, extra=()):
         path = tmp_path / "tight.json"

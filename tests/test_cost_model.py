@@ -2,6 +2,7 @@
 re-derivations, and structural invariants."""
 
 import math
+from dataclasses import asdict
 from types import SimpleNamespace
 
 import numpy as np
@@ -322,7 +323,7 @@ class TestRoundLatency:
         a = round_latency(sc, dec)
         b = round_latency(sc, dec)
         assert a.tau_round_s == b.tau_round_s
-        assert a.cluster(0).as_dict() == b.cluster(0).as_dict()
+        assert asdict(a.cluster(0)) == asdict(b.cluster(0))
 
 
 class TestUnitSanity:
