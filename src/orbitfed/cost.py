@@ -8,11 +8,18 @@ along the satellite chain whenever a coverage window expires). The cluster
 finishes when both paths do, plus a fixed global exchange delay.
 
 `ClusterModel` is the one per-cluster copy of this model. Built once from a
-cluster's clients, it prices the satellite chain for an offload total and a
-satellite frequency, and every client at once through the per-equation
+cluster's clients, it prices the satellite chain for offload totals and
+satellite frequencies, and every client at once through the per-equation
 functions below, which work elementwise over numpy arrays. Reporting
 (`cluster_costs`, `round_latency`), the optimizer's blocks, its feasibility
 audit and its grid oracle all read it.
+
+The satellite chain (`relay_chain`, `handoff_count`, `ClusterModel.chain`
+and `battery_margin`) takes Python floats or arrays of lanes alike: a
+scalar call runs on Python floats and returns Python ints and floats, an
+array call is elementwise and each lane reads bit for bit what the scalar
+call on it reads. Powers are taken in Python floats (`lanewise`), because
+numpy's vector power can round the last bit apart from libm's.
 """
 
 from __future__ import annotations
@@ -84,6 +91,43 @@ class CostBreakdown:
         raise KeyError(f"no cluster {cluster_id} in breakdown")
 
 
+def _any_lane(mask):
+    """Whether any lane of mask is set (mask is a bool for scalar inputs)."""
+    return mask.any() if isinstance(mask, np.ndarray) else mask
+
+
+def pick(mask, x, y):
+    """np.where over lanes; for a scalar mask, x or y as it is. pick(y > x,
+    y, x) is Python's max(x, y) lane by lane, and pick(y < x, y, x) its
+    min."""
+    return np.where(mask, x, y) if isinstance(mask, np.ndarray) else (x if mask else y)
+
+
+def _floor(x):
+    """np.floor over lanes; for a scalar math.floor, an int, which raises
+    OverflowError on inf."""
+    return np.floor(x) if isinstance(x, np.ndarray) else math.floor(x)
+
+
+def _first_lane(x, mask):
+    """x at the first set lane of mask, as a Python scalar; x itself when
+    it is a scalar. Errors over lanes name the first lane that fails."""
+    if isinstance(x, np.ndarray) or isinstance(mask, np.ndarray):
+        return np.broadcast_to(x, np.shape(mask)).flat[int(np.argmax(mask))].item()
+    return x
+
+
+def lanewise(fn, x, *args):
+    """fn(x, *args) in Python floats, lane by lane over an array, such as
+    lanewise(pow, x, 3). numpy's vector power and arccos (a 0-d or one-lane
+    array's too) can differ from libm's in the last bit, and then a lane
+    would not read what a scalar call reads; sqrt, cos and the four
+    operations agree."""
+    if isinstance(x, np.ndarray):
+        return np.array([fn(v, *args) for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
+    return fn(float(x), *args)
+
+
 def _retained(gamma):
     gamma = np.asarray(gamma, dtype=float)
     if not ((gamma >= 0.0) & (gamma <= 1.0)).all():
@@ -112,11 +156,12 @@ def isl_rate(link: IslLinkParams) -> float:
     return link.bandwidth_hz * math.log2(1.0 + snr)
 
 
-def isl_transfer_latency(model: ModelFootprint, offloaded_samples: float, rate_bps: float) -> float:
-    """Seconds to relay model state plus the offloaded pool over the ISL."""
+def isl_transfer_latency(model: ModelFootprint, offloaded_samples, rate_bps: float):
+    """Seconds to relay model state plus the offloaded pool over the ISL,
+    elementwise over offload totals."""
     if rate_bps <= 0:
         raise ValueError("ISL rate must be positive")
-    if offloaded_samples < 0:
+    if _any_lane(offloaded_samples < 0):
         raise ValueError("negative offloaded sample count")
     return (model.state_bits + model.sample_bits * offloaded_samples) / rate_bps
 
@@ -132,15 +177,16 @@ MAX_HANDOFFS = 10_000
 
 
 def relay_chain(
-    offloaded_samples: float,
+    offloaded_samples,
     cycles_per_sample: float,
     coverage_s: float,
-    tau_trans_s: float,
-    freq_hz: float,
+    tau_trans_s,
+    freq_hz,
     energy_coeff: float = 0.0,
-    transfer_energy_j: float = 0.0,
+    transfer_energy_j=0.0,
 ) -> tuple:
-    """The satellite chain that computes the offloaded pool.
+    """The satellite chain that computes the offloaded pool, elementwise
+    over lanes of offload totals, relay times and frequencies.
 
     Returns (n_handoffs, tau_rep, first, last): n satellites exhaust a full
     coverage window on compute and hand off, the final one finishes the
@@ -148,34 +194,55 @@ def relay_chain(
     satellite side finishes tau_rep seconds after path start. first and last
     are the (dwell, energy) of one window-filling satellite and of the final
     one. Energies are zero without energy_coeff and transfer_energy_j.
+
+    A scalar count is an int, and one past a float's range raises
+    OverflowError; a lane's count is a float, inf past that range.
     """
+    args = (offloaded_samples, cycles_per_sample, coverage_s, tau_trans_s, freq_hz,
+            energy_coeff, transfer_energy_j)
+    if (isinstance(offloaded_samples, np.ndarray) or isinstance(tau_trans_s, np.ndarray)
+            or isinstance(freq_hz, np.ndarray)):
+        # a lane overflows to inf as a Python float does, without a warning
+        with np.errstate(over="ignore"):
+            return _relay_chain(*args)
+    return _relay_chain(*args)
+
+
+def _relay_chain(offloaded_samples, cycles_per_sample, coverage_s, tau_trans_s, freq_hz,
+                 energy_coeff, transfer_energy_j):
     window = coverage_s - tau_trans_s  # compute time of a window-filling satellite
-    if window <= 0:
+    short = window <= 0
+    if _any_lane(short):
         raise ValueError(
-            f"coverage window {coverage_s} s does not outlast the relay time {tau_trans_s} s"
+            f"coverage window {coverage_s} s does not outlast the relay time "
+            f"{_first_lane(tau_trans_s, short)} s"
         )
-    first = (coverage_s, energy_coeff * window * freq_hz ** 3 + transfer_energy_j)
-    if offloaded_samples <= 0:
-        return 0, tau_trans_s, first, (tau_trans_s, transfer_energy_j)
-    if freq_hz <= 0:
+    first = (coverage_s, energy_coeff * window * lanewise(pow, freq_hz, 3) + transfer_energy_j)
+    # a relay-only chain computes nothing at whatever frequency: no handoff,
+    # and a final dwell of the relay alone
+    work = offloaded_samples > 0
+    f = pick(work, freq_hz, 1.0)
+    if _any_lane(f <= 0):
         raise ValueError("satellite frequency must be positive when work is offloaded")
     total_cycles = cycles_per_sample * offloaded_samples
-    n = math.floor(total_cycles / (window * freq_hz))
-    rem = max(total_cycles - n * window * freq_hz, 0.0)
-    t_rem = rem / freq_hz
+    n = pick(work, _floor(total_cycles / (window * f)), 0)
+    rem = total_cycles - n * window * f
+    rem = pick(rem < 0.0, 0.0, rem)  # rounding can leave it a hair below 0
+    t_rem = rem / f
     return (n, coverage_s * n + t_rem + tau_trans_s, first,
-            (t_rem + tau_trans_s, energy_coeff * rem * freq_hz ** 2 + transfer_energy_j))
+            (t_rem + tau_trans_s, energy_coeff * rem * lanewise(pow, freq_hz, 2) + transfer_energy_j))
 
 
 def handoff_count(
-    offloaded_samples: float,
+    offloaded_samples,
     cycles_per_sample: float,
     coverage_s: float,
-    tau_trans_s: float,
-    freq_hz: float,
-) -> int | float:
+    tau_trans_s,
+    freq_hz,
+):
     """Number of satellites that exhaust a full coverage window on compute,
-    inf when there are more than a float counts.
+    inf when there are more than a float counts; elementwise like
+    `relay_chain`.
 
     The chain needs this count plus one satellite in total; the final one
     finishes the residual cycles inside a partial window.
@@ -183,7 +250,7 @@ def handoff_count(
     try:
         return relay_chain(offloaded_samples, cycles_per_sample, coverage_s, tau_trans_s,
                            freq_hz)[0]
-    except OverflowError:  # relay_chain floors an infinite quotient
+    except OverflowError:  # relay_chain floors a scalar's infinite quotient
         return math.inf
 
 
@@ -283,44 +350,54 @@ class ClusterModel:
         return sum((alpha * self.sizes).tolist())
 
     # --- satellite path -------------------------------------------------
-    def tau_trans(self, a: float) -> float:
+    def tau_trans(self, a):
         return isl_transfer_latency(self.footprint, a, self.cluster.isl_rate_bps)
 
-    def chain(self, a: float, f: float) -> tuple:
-        """`relay_chain` at offload a and frequency f, after the relay time:
-        (tau_trans, n_handoffs, tau_rep, first, last). The last chain is
-        kept: solvers read it right after the battery check priced it.
+    def chain(self, a, f) -> tuple:
+        """`relay_chain` at offload(s) a and frequency(ies) f, after the
+        relay time: (tau_trans, n_handoffs, tau_rep, first, last),
+        elementwise over lanes. The last scalar chain is kept: solvers read
+        it right after the battery check priced it.
 
         A chain of more than MAX_HANDOFFS handoffs is a ValueError that
-        names the cluster: its count is asked first, since pricing it can
-        overflow a float or the satellite list of its breakdown."""
-        if self._chain_at != (a, f):
+        names the cluster (and the first such lane): its satellite list in
+        a breakdown would not fit, and a scalar count past a float's range
+        overflows."""
+        key = None if isinstance(a, np.ndarray) or isinstance(f, np.ndarray) else (a, f)
+        if key is None or self._chain_at != key:
             c = self.cluster
             tau_tr = self.tau_trans(a)
-            n = handoff_count(a, c.sat_cycles_per_sample, self.T, tau_tr, f)
-            if n > MAX_HANDOFFS:
+            try:
+                chain = relay_chain(a, c.sat_cycles_per_sample, self.T, tau_tr, f,
+                                    c.energy_coeff, isl_transfer_energy(tau_tr, c.sat_tx_power_w))
+            except OverflowError:  # a scalar count past a float's range
+                chain = (math.inf,)
+            n = chain[0]
+            over = n > MAX_HANDOFFS
+            if _any_lane(over):
                 raise ValueError(
-                    f"cluster {c.id}: offloading {a:.6g} samples at {f:.6g} Hz needs "
-                    f"{float(n):.6g} satellite handoffs, more than {MAX_HANDOFFS}")
-            self._chain = (tau_tr,) + relay_chain(
-                a, c.sat_cycles_per_sample, self.T, tau_tr, f, c.energy_coeff,
-                isl_transfer_energy(tau_tr, c.sat_tx_power_w))
-            self._chain_at = (a, f)
+                    f"cluster {c.id}: offloading {_first_lane(a, over):.6g} samples at "
+                    f"{_first_lane(f, over):.6g} Hz needs {float(_first_lane(n, over)):.6g} "
+                    f"satellite handoffs, more than {MAX_HANDOFFS}")
+            if key is None:
+                return (tau_tr,) + chain
+            self._chain = (tau_tr,) + chain
+            self._chain_at = key
         return self._chain
 
-    def n_handoffs(self, a: float, f: float) -> int:
+    def n_handoffs(self, a, f):
         return self.chain(a, f)[1]
 
-    def battery_margin(self, a: float, f: float) -> float:
-        """Least battery residual over the relay chain at offload a and
-        frequency f, less the floor psi: negative when a satellite ends its
-        dwell below it."""
+    def battery_margin(self, a, f):
+        """Least battery residual over the relay chain at offload(s) a and
+        frequency(ies) f, less the floor psi: negative when a satellite ends
+        its dwell below it."""
         c = self.cluster
         _, n, _, (d_first, e_first), (d, e) = self.chain(a, f)
         worst = c.sat_initial_energy_j - e + d * self.p_charge
-        if n:
-            worst = min(c.sat_initial_energy_j - e_first + d_first * self.p_charge, worst)
-        return worst - c.sat_min_residual_j
+        # a chain that hands off has window-filling satellites too
+        first = c.sat_initial_energy_j - e_first + d_first * self.p_charge
+        return pick((n > 0) & (first <= worst), first, worst) - c.sat_min_residual_j
 
     # --- client path, elementwise over clients --------------------------
     def tau_locals(self, alpha):

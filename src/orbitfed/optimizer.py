@@ -11,7 +11,9 @@ least reachable t and `bisect` closes the bracket (`_solve_cluster`).
     problem with one price on the bandwidth budget (`_Solve`);
   - satellite frequency: the battery-constrained maximum in closed form,
     the root of a quadratic (dark) or a cubic (sunlit) in f when the work
-    fits one coverage window and of the full-window energy model otherwise.
+    fits one coverage window and of the full-window energy model otherwise
+    (`_battery_freq`). It is elementwise over offload totals: the solve
+    calls it with one total, and the grid oracle once with all of its own.
 
 The same search with the slices pinned is `solve_alpha`. With the offload
 pinned only the bandwidth split is left, and one vectorised equalizer
@@ -215,126 +217,239 @@ def _contexts(scenario) -> list:
 # satellite frequency block (battery-limited maximum)
 
 
-def _battery_freq(ctx: _Ctx, a: float) -> float:
-    """Battery-feasible frequency maximizing satellite progress for offload a,
-    for a relay chain of at most cost.MAX_HANDOFFS handoffs."""
+# The block runs on lanes: an array of offload totals, one lane each, or one
+# total as a Python float. An array is split into the lanes that each regime
+# and check concerns; a float runs the same code, where a split is a branch.
+# Every lane reads bit for bit what a one-lane call on its total reads.
+
+
+def _split(mask, *xs):
+    """(xs on the lanes where mask holds, xs on the others), either None when
+    it has no lane. xs are per-lane arrays, or one lane's scalars with a
+    bool mask."""
+    if not isinstance(mask, np.ndarray):
+        return (xs, None) if mask else (None, xs)
+    if mask.all():
+        return xs, None
+    if not mask.any():
+        return None, xs
+    rest = ~mask
+    return tuple(x[mask] for x in xs), tuple(x[rest] for x in xs)
+
+
+def _head(x):
+    """The first lane of x, as a Python scalar."""
+    return x[0].item() if isinstance(x, np.ndarray) else x
+
+
+def _put(x, at, v):
+    """x with its lanes at set to v; one lane's scalar is v itself."""
+    if not isinstance(x, np.ndarray):
+        return v
+    x[at] = v
+    return x
+
+
+def _positions(x):
+    """Lane positions of x, to write walked lanes back."""
+    return np.arange(len(x)) if isinstance(x, np.ndarray) else 0
+
+
+def _battery_lanes(ctx: _Ctx, a) -> tuple:
+    """`_battery_freq` lane by lane: (freq, err), freq nan on the lanes the
+    battery refuses and err the InfeasibleError of the first of them, or
+    None. A scalar total gives a Python float."""
     c = ctx.cluster
+    many = isinstance(a, np.ndarray) and a.ndim > 0
+    a = np.asarray(a, dtype=float).reshape(-1) if many else float(a)
+    size, ids = (a.size, np.arange(a.size)) if many else (1, 0)
+    settled, refused = [], []  # (ids, freq) of the lanes solved; (id, error) of refused ones
+
+    def refuse(bad, make):
+        # bad holds the lanes a check refuses, ids first; make builds the
+        # error of the first of them from its lane of the rest
+        if bad is not None:
+            refused.append((_head(bad[0]), make(*map(_head, bad[1:]))))
+
     tau_tr = ctx.tau_trans(a)
-    if tau_tr >= ctx.T:
-        raise InfeasibleError(
-            f"cluster {c.id}: relay time {tau_tr:.3f} s exceeds the "
-            f"coverage window {ctx.T:.3f} s", slack=ctx.T - tau_tr,
-        )
-    cyc = c.sat_cycles_per_sample * a
-    if cyc <= 0:
-        slack = ctx.battery_margin(a, ctx.f_max)
-        if slack < 0:
-            raise InfeasibleError(
-                f"cluster {c.id}: battery cannot cover the relay alone",
-                slack=slack,
-            )
-        return ctx.f_max
+    bad, live = _split(tau_tr >= ctx.T, ids, tau_tr, a)
+    refuse(bad, lambda tau, _: InfeasibleError(
+        f"cluster {c.id}: relay time {tau:.3f} s exceeds the "
+        f"coverage window {ctx.T:.3f} s", slack=ctx.T - tau))
+    if live is not None:
+        ids, tau_tr, a = live
+        cyc = c.sat_cycles_per_sample * a
+        e_tr = cost.isl_transfer_energy(tau_tr, c.sat_tx_power_w)
+        relay, work = _split(cyc <= 0, ids, tau_tr, a, cyc, e_tr)
+        if relay is not None:
+            slack = ctx.battery_margin(relay[2], ctx.f_max)
+            bad, fine = _split(slack < 0, relay[0], slack)
+            refuse(bad, lambda s: InfeasibleError(
+                f"cluster {c.id}: battery cannot cover the relay alone", slack=s))
+            if fine is not None:
+                settled.append((fine[0], ctx.f_max))
+        if work is not None:
+            ids, tau_tr, a, cyc, e_tr = work
+            thresh = cyc / (ctx.T - tau_tr)
+            one, multi = _split(ctx.f_max >= thresh, ids, tau_tr, a, cyc, e_tr, thresh)
+            if one is not None:
+                _single_window_lanes(ctx, one, settled, refuse)
+            if multi is not None:
+                _multi_window_lanes(ctx, multi, settled, refuse)
 
-    def margin(f):
-        return ctx.battery_margin(a, f)
+    err = min(refused, key=lambda r: r[0])[1] if refused else None
+    if not many:
+        return (settled[0][1] if settled else math.nan), err
+    freq = np.full(size, math.nan)
+    for at, f in settled:
+        freq[at] = f
+    return freq, err
 
-    thresh = cyc / (ctx.T - tau_tr)
-    e_tr = cost.isl_transfer_energy(tau_tr, c.sat_tx_power_w)
-    if ctx.f_max >= thresh:
-        # single-window completion: the one satellite computes cyc at f and
-        # charges over its actual dwell
-        if margin(ctx.f_max) >= 0.0:
-            return ctx.f_max
-        # at thresh itself the chain can read one handoff, a second satellite
-        # that only relays; the slowest single-window frequency is the least
-        # one whose chain has none
-        slow = thresh
-        while ctx.n_handoffs(a, slow) and slow < ctx.f_max:
-            slow = math.nextafter(slow, math.inf)
-        lo_slack = margin(slow)
-        if lo_slack < 0.0:
-            raise InfeasibleError(
-                f"cluster {c.id}: battery short by {-lo_slack:.6g} J even "
-                "at the slowest single-window frequency", slack=lo_slack,
-            )
-        f = max(slow, min(ctx.f_max, ctx.f_max * _single_window_root(
-            c.sat_initial_energy_j - e_tr + ctx.p_charge * tau_tr - c.sat_min_residual_j,
-            c.energy_coeff * cyc * ctx.f_max ** 2, ctx.p_charge * cyc / ctx.f_max)))
-        # the root is exact to rounding; lower it a few ulps where needed so
-        # the chain's own margin holds (it holds at slow)
-        rel = math.ulp(1.0)
-        while margin(f) < 0.0:
-            f = max(slow, f * (1.0 - rel))
-            rel *= 2.0
-        return f
 
-    # multi-window regime: full-dwell energy model, closed form
+def _single_window_lanes(ctx: _Ctx, lanes, settled, refuse):
+    """The frequency of lanes that complete in one window: the one satellite
+    computes cyc at f and charges over its actual dwell."""
+    c = ctx.cluster
+    a = lanes[2]
+    fine, low = _split(ctx.battery_margin(a, ctx.f_max) >= 0.0, *lanes)
+    if fine is not None:
+        settled.append((fine[0], ctx.f_max))
+    if low is None:
+        return
+    ids, tau_tr, a, cyc, e_tr, slow = low
+    # at thresh itself the chain can read one handoff, a second satellite
+    # that only relays; the slowest single-window frequency is the least
+    # one whose chain has none
+    walk = (_positions(a), a, slow)
+    while (walk := _split((ctx.n_handoffs(walk[1], walk[2]) > 0) & (walk[2] < ctx.f_max),
+                          *walk)[0]) is not None:
+        at, a_w, s_w = walk
+        s_w = cost.lanewise(lambda v: math.nextafter(v, math.inf), s_w)
+        slow, walk = _put(slow, at, s_w), (at, a_w, s_w)
+    lo_slack = ctx.battery_margin(a, slow)
+    bad, ok = _split(lo_slack < 0.0, ids, lo_slack, tau_tr, a, cyc, e_tr, slow)
+    refuse(bad, lambda s, *_: InfeasibleError(
+        f"cluster {c.id}: battery short by {-s:.6g} J even "
+        "at the slowest single-window frequency", slack=s))
+    if ok is None:
+        return
+    ids, _, tau_tr, a, cyc, e_tr, slow = ok
+    f = ctx.f_max * _single_window_root(
+        c.sat_initial_energy_j - e_tr + ctx.p_charge * tau_tr - c.sat_min_residual_j,
+        c.energy_coeff * cyc * ctx.f_max ** 2, ctx.p_charge * cyc / ctx.f_max)
+    f = cost.pick(f < ctx.f_max, f, ctx.f_max)
+    f = cost.pick(f > slow, f, slow)
+    # the root is exact to rounding; lower it a few ulps where needed so the
+    # chain's own margin holds (it holds at slow)
+    walk, rel = (_positions(a), a, slow, f), math.ulp(1.0)
+    while (walk := _split(ctx.battery_margin(walk[1], walk[3]) < 0.0, *walk)[0]) is not None:
+        at, a_w, s_w, f_w = walk
+        f_w = f_w * (1.0 - rel)
+        f_w = cost.pick(f_w > s_w, f_w, s_w)
+        f, walk = _put(f, at, f_w), (at, a_w, s_w, f_w)
+        rel *= 2.0
+    settled.append((ids, f))
+
+
+def _multi_window_lanes(ctx: _Ctx, lanes, settled, refuse):
+    """The frequency of lanes that hand off: the full-dwell energy model,
+    closed form."""
+    c = ctx.cluster
+    ids, tau_tr, a, _, e_tr, _ = lanes
     num = c.sat_initial_energy_j - e_tr + ctx.T * ctx.p_charge - c.sat_min_residual_j
-    if num <= 0.0:
-        raise InfeasibleError(
-            f"cluster {c.id}: battery cannot sustain any frequency "
-            "across full coverage windows", slack=num,
-        )
+    bad, ok = _split(num <= 0.0, ids, num, tau_tr, a, e_tr)
+    refuse(bad, lambda v, *_: InfeasibleError(
+        f"cluster {c.id}: battery cannot sustain any frequency "
+        "across full coverage windows", slack=v))
+    if ok is None:
+        return
+    ids, _, tau_tr, a, e_tr = ok
     f = battery_freq_closed_form(c.sat_initial_energy_j, e_tr, ctx.T, tau_tr, ctx.p_charge,
                                  c.sat_min_residual_j, c.energy_coeff, ctx.f_max)
-    # only this regime hands off more than once; the count is asked first,
-    # as pricing a chain past a float's count overflows
+    # only this regime hands off more than once; the count is checked
+    # before the chain is priced, which refuses a chain past the limit
     n = cost.handoff_count(a, c.sat_cycles_per_sample, ctx.T, tau_tr, f)
-    if n > cost.MAX_HANDOFFS:
-        raise InfeasibleError(
-            f"cluster {c.id}: offloading {a:.6g} samples needs "
-            f"{float(n):.6g} satellite handoffs, more than {cost.MAX_HANDOFFS}",
-            slack=cost.MAX_HANDOFFS - float(n),
-        )
-    worst = margin(f)
-    if worst < -1e-9 * max(1.0, c.sat_min_residual_j):
-        # charging over a shortened final dwell can undercut the full-window
-        # model; refuse rather than return an infeasible frequency
-        raise InfeasibleError(
-            f"cluster {c.id}: final-satellite residual short by "
-            f"{-worst:.6g} J under shortened-dwell charging", slack=worst,
-        )
-    return f
+    bad, ok = _split(n > cost.MAX_HANDOFFS, ids, n, a, f)
+    refuse(bad, lambda n, a, _: InfeasibleError(
+        f"cluster {c.id}: offloading {a:.6g} samples needs "
+        f"{float(n):.6g} satellite handoffs, more than {cost.MAX_HANDOFFS}",
+        slack=cost.MAX_HANDOFFS - float(n)))
+    if ok is None:
+        return
+    ids, _, a, f = ok
+    worst = ctx.battery_margin(a, f)
+    # charging over a shortened final dwell can undercut the full-window
+    # model; refuse rather than return an infeasible frequency
+    bad, ok = _split(worst < -1e-9 * max(1.0, c.sat_min_residual_j), ids, worst, f)
+    refuse(bad, lambda w, _: InfeasibleError(
+        f"cluster {c.id}: final-satellite residual short by "
+        f"{-w:.6g} J under shortened-dwell charging", slack=w))
+    if ok is not None:
+        settled.append((ok[0], ok[2]))
+
+
+def _battery_freq(ctx: _Ctx, a):
+    """Battery-feasible frequency maximizing satellite progress for offload
+    total(s) a, for a relay chain of at most cost.MAX_HANDOFFS handoffs;
+    elementwise over an array of totals, a float for a scalar. Raises the
+    InfeasibleError of the first total the battery refuses."""
+    freq, err = _battery_lanes(ctx, a)
+    if err is not None:
+        raise err
+    return freq.reshape(np.shape(a)) if isinstance(freq, np.ndarray) else freq
 
 
 def _battery_short(ctx: _Ctx, a: float):
     """The InfeasibleError `_battery_freq` raises for offload a, or None."""
-    try:
-        _battery_freq(ctx, a)
-    except InfeasibleError as err:
-        return err.with_traceback(None)
-    return None
+    return _battery_lanes(ctx, a)[1]
 
 
-def _single_window_root(head: float, e_max: float, charge: float) -> float:
+def _single_window_root(head, e_max, charge):
     """Root s = f / f_max of the single-window battery margin head - e_max s^2
-    + charge / s, which falls in s: head = E0 - e_tr + p tau_tr - psi, e_max
-    = kappa cyc f_max^2 the compute energy at f_max, charge = p cyc / f_max
-    what the charger gains over the compute time at f_max.
+    + charge / s, which falls in s, lane by lane: head = E0 - e_tr + p
+    tau_tr - psi, e_max = kappa cyc f_max^2 the compute energy at f_max,
+    charge = p cyc / f_max what the charger gains over the compute time at
+    f_max.
 
     Without sun s = sqrt(head / e_max). With it, times s the margin is the
     cubic s^3 - (head / e_max) s - charge / e_max = 0, which has one positive
     root: Cardano's formula when it is the only real root, and the largest
     of the trigonometric form's three otherwise (Nickalls, "A new approach
     to solving the cubic", Math. Gazette 77, 1993). Scaling by f_max keeps
-    every term near 1."""
-    if charge == 0.0:
-        return math.sqrt(head / e_max)
-    p3 = head / (3.0 * e_max)
-    q2 = charge / (2.0 * e_max)
-    disc = q2 * q2 - p3 ** 3
-    if disc >= 0.0:
-        u = (q2 + math.sqrt(disc)) ** (1.0 / 3.0)
-        # u + p3 / u, written without the cancellation of a negative p3
-        return 2.0 * q2 / (u * u - p3 + (p3 / u) ** 2)
-    return 2.0 * math.sqrt(p3) * math.cos(math.acos(min(1.0, q2 / p3 ** 1.5)) / 3.0)
+    every term near 1. Roots, powers and arccos are taken in Python floats
+    (`cost.lanewise`)."""
+    s = np.empty(len(head)) if isinstance(head, np.ndarray) else None
+    dark, sun = _split(charge == 0.0, _positions(head), head, e_max, charge)
+    if dark is not None:
+        at, head_d, e_d, _ = dark
+        s = _put(s, at, cost.lanewise(math.sqrt, head_d / e_d))
+    if sun is not None:
+        at, head_s, e_s, charge_s = sun
+        p3 = head_s / (3.0 * e_s)
+        q2 = charge_s / (2.0 * e_s)
+        disc = q2 * q2 - cost.lanewise(pow, p3, 3)
+        one, three = _split(disc >= 0.0, at, p3, q2, disc)
+        if one is not None:
+            at, p3, q2, disc = one
+            u = cost.lanewise(pow, q2 + cost.lanewise(math.sqrt, disc), 1.0 / 3.0)
+            # u + p3 / u, written without the cancellation of a negative p3
+            s = _put(s, at, 2.0 * q2 / (u * u - p3 + cost.lanewise(pow, p3 / u, 2)))
+        if three is not None:
+            at, p3, q2, _ = three
+            r = q2 / cost.lanewise(pow, p3, 1.5)
+            s = _put(s, at, 2.0 * cost.lanewise(math.sqrt, p3) * cost.lanewise(
+                lambda v: math.cos(math.acos(v) / 3.0), cost.pick(r < 1.0, r, 1.0)))
+    return s
 
 
 def battery_freq_closed_form(e_orig, e_trans, coverage_s, tau_trans_s,
-                           p_charge, psi, kappa, f_max) -> float:
-    """Multi-window battery-optimal frequency, closed form with clipping."""
-    num = max(e_orig - e_trans + coverage_s * p_charge - psi, 0.0)
-    return min(f_max, (num / (kappa * (coverage_s - tau_trans_s))) ** (1.0 / 3.0))
+                             p_charge, psi, kappa, f_max):
+    """Multi-window battery-optimal frequency, closed form with clipping;
+    elementwise over lanes, a float for scalars."""
+    num = e_orig - e_trans + coverage_s * p_charge - psi
+    num = cost.pick(0.0 > num, 0.0, num)
+    f = cost.lanewise(pow, num / (kappa * (coverage_s - tau_trans_s)), 1.0 / 3.0)
+    return cost.pick(f < f_max, f, f_max)
 
 
 def solve_freq(scenario, alpha, ctxs=None) -> dict:
@@ -906,6 +1021,11 @@ class _Lattice:
     budgets set. `totals` prices the client path of chosen profiles with
     the pinned-offload equalizer `_client_paths`.
 
+    The frequency and the satellite path come from one `_battery_freq` pass
+    over every distinct offload total. A total the battery refuses keeps an
+    inf satellite path, so its profiles never win; a lattice whose totals
+    are all refused raises the first one's error.
+
     The lattice is the product of the clients' alpha axes. What depends on
     one client's offload alone (its alpha, local time, energy-floor slice
     and share of the offload total) is computed once per axis value and
@@ -983,14 +1103,16 @@ class _Lattice:
             inverse = (np.cumsum(seen) - 1)[a_idx]
         else:
             uniq, inverse = np.unique(a_idx, return_inverse=True)
-        best_rep = np.empty(len(uniq))
-        best_f = np.empty(len(uniq))
-        for i, a in enumerate((uniq * quant).tolist()):
-            f = _battery_freq(ctx, a)  # each total once, so no memo
-            _, n, best_rep[i], _, _ = ctx.chain(a, f)
-            if n != 0:
-                raise ValueError("grid comparator expects single-window instances")
-            best_f[i] = f
+        a = uniq * quant
+        best_f, err = _battery_lanes(ctx, a)
+        ok = ~np.isnan(best_f)
+        if not ok.any():
+            raise err
+        _, n, rep, _, _ = ctx.chain(a[ok], best_f[ok])
+        if np.any(n != 0):
+            raise ValueError("grid comparator expects single-window instances")
+        best_rep = np.full(len(uniq), math.inf)
+        best_rep[ok] = rep
         self.rep = best_rep[inverse]
         self.freq = best_f[inverse]
 
@@ -1056,15 +1178,16 @@ def grid_search_cluster(scenario, alpha_step: float = 1e-3):
     The offload profile is enumerated on a per-client alpha lattice
     (`_Lattice`), built from per-client axis tables broadcast over the grid.
     For each profile the two inner minimizations are independent: the
-    satellite path wants the largest battery-feasible frequency, solved once
-    per distinct offload total, and the client path wants the bandwidth
-    split that equalizes per-client completion, found by the pinned-offload
-    equalizer `_client_paths` with the uplink inverted in closed form. A
-    bisection-free lower bound prunes the lattice first: the profile with
-    the least bound gives an upper bound on the optimum, and only profiles
-    whose bound comes within GRID_RTOL of it are evaluated (when that is the
-    bound profile alone, its score is reused). Returns (tau_round_s,
-    DecisionVector). Intended for <= 3 clients.
+    satellite path wants the largest battery-feasible frequency, solved for
+    every distinct offload total in one array pass (profiles whose total
+    the battery refuses are dropped), and the client path wants the
+    bandwidth split that equalizes per-client completion, found by the
+    pinned-offload equalizer `_client_paths` with the uplink inverted in
+    closed form. A bisection-free lower bound prunes the lattice first: the
+    profile with the least bound gives an upper bound on the optimum, and
+    only profiles whose bound comes within GRID_RTOL of it are evaluated
+    (when that is the bound profile alone, its score is reused). Returns
+    (tau_round_s, DecisionVector). Intended for <= 3 clients.
     """
     lattice = _Lattice(scenario, alpha_step)
     ub = lattice.totals(np.array([np.argmin(lattice.lower)]))

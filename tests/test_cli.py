@@ -28,7 +28,14 @@ from orbitfed.cli import (
     _write_timeline,
     main,
 )
-from orbitfed.optimizer import InfeasibleError, check_feasibility, optimize
+from orbitfed.optimizer import (
+    BAND_EPS,
+    InfeasibleError,
+    _Ctx,
+    _battery_short,
+    check_feasibility,
+    optimize,
+)
 from orbitfed.scenario import scenario_to_dict, validate_scenario
 from orbitfed.sim import run_experiment
 
@@ -142,6 +149,27 @@ class TestOptimizeMode:
         dec = json.loads((out / "decision.json").read_text())
         assert dec["grid"]["tau_round_s"] > 0
         assert dec["grid"]["gap_rel"] <= 0.02
+
+    def test_grid_oracle_drops_totals_the_battery_refuses(self, tmp_path):
+        # at a third of its battery the cluster cannot compute the largest
+        # lattice totals even at the slowest single-window frequency, and the
+        # battery binds the optimum; the grid drops those totals' profiles
+        full = case1_instance(np.random.default_rng([6161, 7]), n_clients=2, grid_sizes=True)
+        raw = scenario_to_dict(full)
+        raw["clusters"][0]["sat_initial_energy_j"] *= 0.3
+        sc = validate_scenario(raw)
+        ctx = _Ctx(sc, sc.clusters[0])
+        assert "slowest single-window" in str(_battery_short(ctx, ctx.a_cap))
+        path = tmp_path / "battery.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "run"
+        rc = main(["--mode", "optimize", "--scenario", str(path),
+                   "--grid-oracle", "--out", str(out)])
+        assert rc == 0
+        dec = json.loads((out / "decision.json").read_text())
+        assert dec["tau_round_s"] > optimize(full).report.breakdown.tau_round_s
+        assert abs(dec["grid"]["gap_rel"]) <= 0.02
+        assert dec["tau_round_s"] <= dec["grid"]["tau_round_s"] * (1.0 + BAND_EPS)
 
 
 class TestSimulateMode:

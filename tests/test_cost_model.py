@@ -2,6 +2,7 @@
 re-derivations, and structural invariants."""
 
 import math
+import re
 from dataclasses import asdict
 from types import SimpleNamespace
 
@@ -132,6 +133,65 @@ class TestHandoffChain:
         assert handoff_count(6000, 3e7, 360, CHAIN_TAU_TRANS, 1e-310) == math.inf
         assert handoff_count(6000, 3e7, 360, CHAIN_TAU_TRANS, 1e-300) == pytest.approx(
             6000 * 3e7 / ((360 - CHAIN_TAU_TRANS) * 1e-300))
+
+    def test_lanes_read_what_scalar_calls_read(self):
+        """relay_chain, handoff_count and ClusterModel.chain and
+        battery_margin over arrays read, lane by lane, exactly what scalar
+        calls read, and scalar calls return Python ints and floats. Clocks
+        run from crawling (counts past a float's range) to above the
+        single-window threshold; offloads include relay-only lanes."""
+        sc = validate_scenario(scenario_dict([cluster_dict(
+            0, [client_dict(0, 2e8, 20000)], sun_facing=True, sat_initial_energy_j=3000.0)]))
+        model = cost.ClusterModel(sc, sc.clusters[0])
+        c = model.cluster
+        seen = set()
+
+        offload = st.one_of(st.just(0.0), st.floats(0.0, 16000.0))
+        # a clock that fills some windows, a crawling one, or any fast one
+        clock = st.one_of(st.tuples(st.just("windows"), st.floats(0.01, 3.0)),
+                          st.tuples(st.just("crawl"), st.floats(-310.0, -290.0)),
+                          st.tuples(st.just("clock"), st.floats(6.0, 10.5)))
+
+        @settings(max_examples=150)
+        @given(st.lists(st.tuples(offload, clock), min_size=1, max_size=8))
+        def check(rows):
+            a = np.array([r[0] for r in rows])
+            tau = model.tau_trans(a)
+            f = np.array([3e7 * ai / ((360.0 - ti) * x) if kind == "windows" and ai > 0.0
+                          else 10.0 ** (9.0 if kind == "windows" else x)
+                          for (ai, (kind, x)), ti in zip(rows, tau.tolist())])
+            e_tr = isl_transfer_energy(tau, c.sat_tx_power_w)
+            counts = handoff_count(a, 3e7, 360.0, tau, f)
+            chain = relay_chain(a, 3e7, 360.0, tau, f, 1e-28, e_tr)
+            fits = counts <= cost.MAX_HANDOFFS
+            if not fits.all():
+                k = int(np.argmin(fits))  # the first lane past the limit is named
+                with pytest.raises(ValueError, match=re.escape(
+                        f"cluster 0: offloading {a[k]:.6g} samples at {f[k]:.6g} Hz")):
+                    model.chain(a, f)
+            if fits.any():
+                priced = model.chain(a[fits], f[fits])
+                margins = model.battery_margin(a[fits], f[fits])
+            for i, (ai, fi, ti, ei) in enumerate(zip(a.tolist(), f.tolist(), tau.tolist(),
+                                                     e_tr.tolist())):
+                n = handoff_count(ai, 3e7, 360.0, ti, fi)
+                assert n == counts[i] and (type(n) is int or n == math.inf)
+                seen.add("relay" if ai == 0.0 else n if n == math.inf else min(n, 2))
+                if n == math.inf:
+                    continue
+                one = relay_chain(ai, 3e7, 360.0, ti, fi, 1e-28, ei)
+                assert type(one[0]) is int and type(one[1]) is float
+                assert one == (chain[0][i], chain[1][i], (chain[2][0], chain[2][1][i]),
+                               (chain[3][0][i], chain[3][1][i]))
+                if fits[i]:
+                    j = int(np.count_nonzero(fits[:i]))
+                    scalar = model.chain(ai, fi)
+                    assert scalar[0] == priced[0][j] and scalar[1] == priced[1][j]
+                    margin = model.battery_margin(ai, fi)
+                    assert type(margin) is float and margin == margins[j]
+
+        check()
+        assert seen == {"relay", 0, 1, 2, math.inf}
 
     def test_worked_last_dwell(self):
         dwell, energy = relay_chain(

@@ -387,6 +387,135 @@ class TestBatteryFreqSingleWindow:
         assert ctx.battery_margin(a, f) >= 0.0 and ctx.n_handoffs(a, f) == 0
 
 
+def scalar_root(head, e_max, charge):
+    """The single-window root in Python floats, as the scalar solver takes
+    it: (branch, s)."""
+    if charge == 0.0:
+        return "dark", math.sqrt(head / e_max)
+    p3 = head / (3.0 * e_max)
+    q2 = charge / (2.0 * e_max)
+    disc = q2 * q2 - p3 ** 3
+    if disc >= 0.0:
+        u = (q2 + math.sqrt(disc)) ** (1.0 / 3.0)
+        return "cardano", 2.0 * q2 / (u * u - p3 + (p3 / u) ** 2)
+    return "trig", 2.0 * math.sqrt(p3) * math.cos(math.acos(min(1.0, q2 / p3 ** 1.5)) / 3.0)
+
+
+def scalar_closed_form(e_orig, e_trans, coverage_s, tau_trans_s, p_charge, psi, kappa, f_max):
+    num = max(e_orig - e_trans + coverage_s * p_charge - psi, 0.0)
+    return min(f_max, (num / (kappa * (coverage_s - tau_trans_s))) ** (1.0 / 3.0))
+
+
+def scalar_battery_freq(ctx, a):
+    """The battery-optimal frequency of one offload total, solved in Python
+    floats step by step as a scalar solver would: (branch, freq), freq None
+    where the battery refuses the total."""
+    c = ctx.cluster
+    tau_tr = ctx.tau_trans(a)
+    if tau_tr >= ctx.T:
+        return "refused", None
+    cyc = c.sat_cycles_per_sample * a
+    if cyc <= 0:
+        return ("relay", ctx.f_max) if ctx.battery_margin(a, ctx.f_max) >= 0 else ("refused", None)
+    thresh = cyc / (ctx.T - tau_tr)
+    e_tr = c.sat_tx_power_w * tau_tr
+    if ctx.f_max >= thresh:
+        if ctx.battery_margin(a, ctx.f_max) >= 0.0:
+            return "f_max", ctx.f_max
+        slow = thresh
+        while ctx.n_handoffs(a, slow) and slow < ctx.f_max:
+            slow = math.nextafter(slow, math.inf)
+        if ctx.battery_margin(a, slow) < 0.0:
+            return "refused", None
+        branch, s = scalar_root(
+            c.sat_initial_energy_j - e_tr + ctx.p_charge * tau_tr - c.sat_min_residual_j,
+            c.energy_coeff * cyc * ctx.f_max ** 2, ctx.p_charge * cyc / ctx.f_max)
+        f = max(slow, min(ctx.f_max, ctx.f_max * s))
+        rel = math.ulp(1.0)
+        while ctx.battery_margin(a, f) < 0.0:
+            f = max(slow, f * (1.0 - rel))
+            rel *= 2.0
+        return branch, f
+    if c.sat_initial_energy_j - e_tr + ctx.T * ctx.p_charge - c.sat_min_residual_j <= 0.0:
+        return "refused", None
+    f = scalar_closed_form(c.sat_initial_energy_j, e_tr, ctx.T, tau_tr, ctx.p_charge,
+                           c.sat_min_residual_j, c.energy_coeff, ctx.f_max)
+    if cost.handoff_count(a, c.sat_cycles_per_sample, ctx.T, tau_tr, f) > cost.MAX_HANDOFFS:
+        return "refused", None
+    if ctx.battery_margin(a, f) < -1e-9 * max(1.0, c.sat_min_residual_j):
+        return "refused", None
+    return "multi", f
+
+
+def one_total(ctx, a):
+    """`_battery_freq` of one total: (freq, None), or (None, (message, slack))."""
+    try:
+        return _battery_freq(ctx, a), None
+    except InfeasibleError as err:
+        return None, (str(err), err.slack)
+
+
+class TestBatteryFreqLanes:
+    def test_lanes_match_one_total_calls(self):
+        """`_battery_freq` over an array of totals reads, lane by lane, bit
+        for bit what a one-total call reads, and that is what a step-by-step
+        solve in Python floats reads; an array with a refused total raises
+        the first one's error. The draws reach every regime and every root
+        branch, and refuse totals too."""
+        seen = set()
+
+        @settings(max_examples=200)
+        @example("bound-sun", 3, 0.0, [0.0, 1.0, 2.0, 2.4, 3.0])
+        @given(st.sampled_from(["bound-dark", "bound-sun", "case1", "multiwindow", "mixed"]),
+               st.integers(0, 2 ** 32 - 1), st.floats(-1.5, 0.5),
+               st.lists(st.floats(0.0, 3.0), min_size=1, max_size=12))
+        def check(family, seed, battery_decades, shares):
+            rng = np.random.default_rng([5151, seed])
+            if family.startswith("bound"):
+                # the battery binds between the threshold and the cap at a
+                ctx, a = battery_bound_cluster(rng, family == "bound-sun")
+                a_ref = 0.5 * a
+                # a weaker charger moves sunlit roots to the trigonometric branch
+                ctx.p_charge *= 10.0 ** battery_decades
+            else:
+                build = {"case1": case1_instance, "multiwindow": multiwindow_instance,
+                         "mixed": mixed_instance}[family]
+                raw = scenario_to_dict(build(rng))
+                for c in raw["clusters"]:
+                    c["sat_initial_energy_j"] *= 10.0 ** battery_decades
+                sc = validate_scenario(raw)
+                ctx = _contexts(sc)[int(rng.integers(len(sc.clusters)))]
+                a_ref = ctx.a_cap
+            totals = np.array([0.0] + [a_ref * x for x in shares])
+            freq = np.empty(len(totals))
+            first_refused = None
+            for i, a in enumerate(totals.tolist()):
+                branch, want = scalar_battery_freq(ctx, a)
+                got, err = one_total(ctx, a)
+                assert (got is None) == (want is None) == (err is not None)
+                if got is None:
+                    first_refused = err if first_refused is None else first_refused
+                    freq[i] = math.nan
+                else:
+                    assert type(got) is float and got == want
+                    freq[i] = got
+                seen.add(branch)
+            lanes, err = optimizer._battery_lanes(ctx, totals)
+            np.testing.assert_array_equal(lanes, freq)
+            if first_refused is None:
+                assert err is None
+                np.testing.assert_array_equal(_battery_freq(ctx, totals), freq)
+                np.testing.assert_array_equal(_battery_freq(ctx, totals[:, None]), freq[:, None])
+            else:
+                with pytest.raises(InfeasibleError) as raised:
+                    _battery_freq(ctx, totals)
+                assert (str(raised.value), raised.value.slack) == first_refused
+                assert (str(err), err.slack) == first_refused
+
+        check()
+        assert seen == {"relay", "f_max", "dark", "cardano", "trig", "multi", "refused"}
+
+
 def capped_slices(ctx, targets):
     """Per client, the least slice whose upload ends within target, capped
     at the budget: inf where even the whole budget misses the target."""
