@@ -14,6 +14,11 @@ functions below, which work elementwise over numpy arrays. Reporting
 (`cluster_costs`, `round_latency`), the optimizer's blocks, its feasibility
 audit and its grid oracle all read it.
 
+The satellite chain hands off once a window is used up to within CYC_EPS,
+the band the simulator's replay hands off in too. Its battery is checked at
+each satellite's lowest point (`ClusterModel.battery_margin`): the dwell's
+start, the relay's end or the dwell's end, whichever is lowest.
+
 The satellite chain (`relay_chain`, `handoff_count`, `ClusterModel.chain`
 and `battery_margin`) takes Python floats or arrays of lanes alike: a
 scalar call runs on Python floats and returns Python ints and floats, an
@@ -174,6 +179,10 @@ def isl_transfer_energy(tau_trans_s: float, tx_power_w: float) -> float:
 # a round whose offloaded work needs more satellites than this is refused:
 # the cost breakdown and decision.json list every satellite of the chain
 MAX_HANDOFFS = 10_000
+# a window with cycles to compute is used up, and its satellite hands off,
+# once its spare cycles are within this share of it (of one cycle, for a
+# window of less than one); the model and the simulator's replay both count so
+CYC_EPS = 1e-9
 
 
 def relay_chain(
@@ -191,9 +200,11 @@ def relay_chain(
     Returns (n_handoffs, tau_rep, first, last): n satellites exhaust a full
     coverage window on compute and hand off, the final one finishes the
     residual cycles inside a partial window and serves aggregation, and the
-    satellite side finishes tau_rep seconds after path start. first and last
-    are the (dwell, energy) of one window-filling satellite and of the final
-    one. Energies are zero without energy_coeff and transfer_energy_j.
+    satellite side finishes tau_rep seconds after path start. A final window
+    used to within CYC_EPS is used up too, and one more satellite only
+    relays. first and last are the (dwell, energy) of one window-filling
+    satellite and of the final one. Energies are zero without energy_coeff
+    and transfer_energy_j.
 
     A scalar count is an int, and one past a float's range raises
     OverflowError; a lane's count is a float, inf past that range.
@@ -228,6 +239,9 @@ def _relay_chain(offloaded_samples, cycles_per_sample, coverage_s, tau_trans_s, 
     n = pick(work, _floor(total_cycles / (window * f)), 0)
     rem = total_cycles - n * window * f
     rem = pick(rem < 0.0, 0.0, rem)  # rounding can leave it a hair below 0
+    cap = window * f
+    full = work & (cap - rem <= CYC_EPS * pick(cap > 1.0, cap, 1.0))
+    n, rem = pick(full, n + 1, n), pick(full, 0.0, rem)
     t_rem = rem / f
     return (n, coverage_s * n + t_rem + tau_trans_s, first,
             (t_rem + tau_trans_s, energy_coeff * rem * lanewise(pow, freq_hz, 2) + transfer_energy_j))
@@ -388,16 +402,33 @@ class ClusterModel:
     def n_handoffs(self, a, f):
         return self.chain(a, f)[1]
 
+    def relay_margin(self, a):
+        """The battery level at a satellite's relay's end or its dwell's
+        start, whichever is lower, less the floor psi, at offload(s) a:
+        E0 - max(0, e_tr - p tau_tr) - psi. Every satellite of the chain
+        starts full and relays alike, and this never rises with the
+        offload."""
+        c, e0 = self.cluster, self.cluster.sat_initial_energy_j
+        tau_tr = self.tau_trans(a)
+        end = e0 - isl_transfer_energy(tau_tr, c.sat_tx_power_w) + tau_tr * self.p_charge
+        return pick(end < e0, end, e0) - c.sat_min_residual_j
+
     def battery_margin(self, a, f):
-        """Least battery residual over the relay chain at offload(s) a and
-        frequency(ies) f, less the floor psi: negative when a satellite ends
-        its dwell below it."""
+        """Lowest battery level over the relay chain at offload(s) a and
+        frequency(ies) f, less the floor psi: negative when a satellite dips
+        below it.
+
+        A satellite's level changes at p - P_tx over its relay and at p -
+        kappa f^3 over its compute, so it is lowest at its dwell's start,
+        its relay's end (`relay_margin`) or its dwell's end."""
         c = self.cluster
         _, n, _, (d_first, e_first), (d, e) = self.chain(a, f)
-        worst = c.sat_initial_energy_j - e + d * self.p_charge
+        last = c.sat_initial_energy_j - e + d * self.p_charge - c.sat_min_residual_j
+        low = self.relay_margin(a)
+        low = pick(last < low, last, low)
         # a chain that hands off has window-filling satellites too
-        first = c.sat_initial_energy_j - e_first + d_first * self.p_charge
-        return pick((n > 0) & (first <= worst), first, worst) - c.sat_min_residual_j
+        first = c.sat_initial_energy_j - e_first + d_first * self.p_charge - c.sat_min_residual_j
+        return pick((n > 0) & (first < low), first, low)
 
     # --- client path, elementwise over clients --------------------------
     def tau_locals(self, alpha):

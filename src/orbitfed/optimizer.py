@@ -14,6 +14,10 @@ least reachable t and `bisect` closes the bracket (`_solve_cluster`).
     fits one coverage window and of the full-window energy model otherwise
     (`_battery_freq`). It is elementwise over offload totals: the solve
     calls it with one total, and the grid oracle once with all of its own.
+    The battery is checked at each satellite's lowest point, which falls
+    with the offload, so the totals it refuses are those past some total:
+    a battery that refuses the least offload any target allows refuses
+    the cluster.
 
 The same search with the slices pinned is `solve_alpha`. With the offload
 pinned only the bandwidth split is left, and one vectorised equalizer
@@ -282,7 +286,7 @@ def _battery_lanes(ctx: _Ctx, a) -> tuple:
         e_tr = cost.isl_transfer_energy(tau_tr, c.sat_tx_power_w)
         relay, work = _split(cyc <= 0, ids, tau_tr, a, cyc, e_tr)
         if relay is not None:
-            slack = ctx.battery_margin(relay[2], ctx.f_max)
+            slack = ctx.relay_margin(relay[2])
             bad, fine = _split(slack < 0, relay[0], slack)
             refuse(bad, lambda s: InfeasibleError(
                 f"cluster {c.id}: battery cannot cover the relay alone", slack=s))
@@ -307,8 +311,9 @@ def _battery_lanes(ctx: _Ctx, a) -> tuple:
 
 
 def _single_window_lanes(ctx: _Ctx, lanes, settled, refuse):
-    """The frequency of lanes that complete in one window: the one satellite
-    computes cyc at f and charges over its actual dwell."""
+    """The frequency of lanes that fit one window at f_max: the one
+    satellite computes cyc at f and charges over its actual dwell. Lanes
+    that one window cannot carry go on to `_multi_window_lanes`."""
     c = ctx.cluster
     a = lanes[2]
     fine, low = _split(ctx.battery_margin(a, ctx.f_max) >= 0.0, *lanes)
@@ -316,10 +321,16 @@ def _single_window_lanes(ctx: _Ctx, lanes, settled, refuse):
         settled.append((fine[0], ctx.f_max))
     if low is None:
         return
-    ids, tau_tr, a, cyc, e_tr, slow = low
-    # at thresh itself the chain can read one handoff, a second satellite
-    # that only relays; the slowest single-window frequency is the least
-    # one whose chain has none
+    ids, tau_tr, a, cyc, e_tr, _ = low
+    # from thresh up to the band cost.CYC_EPS above it the chain hands off
+    # to a second satellite that only relays. The slowest single-window
+    # frequency is the band's edge, where a window holds cyc / (1 - eps)
+    # cycles (cyc + eps when that is under one cycle): start a few ulps past
+    # it, and step up while rounding still hands off
+    edge = cyc / (1.0 - cost.CYC_EPS)
+    edge = cost.pick(edge < cyc + cost.CYC_EPS, cyc + cost.CYC_EPS, edge)
+    slow = edge / (ctx.T - tau_tr) * (1.0 + 4.0 * math.ulp(1.0))
+    slow = cost.pick(slow < ctx.f_max, slow, ctx.f_max)
     walk = (_positions(a), a, slow)
     while (walk := _split((ctx.n_handoffs(walk[1], walk[2]) > 0) & (walk[2] < ctx.f_max),
                           *walk)[0]) is not None:
@@ -327,10 +338,18 @@ def _single_window_lanes(ctx: _Ctx, lanes, settled, refuse):
         s_w = cost.lanewise(lambda v: math.nextafter(v, math.inf), s_w)
         slow, walk = _put(slow, at, s_w), (at, a_w, s_w)
     lo_slack = ctx.battery_margin(a, slow)
-    bad, ok = _split(lo_slack < 0.0, ids, lo_slack, tau_tr, a, cyc, e_tr, slow)
-    refuse(bad, lambda s, *_: InfeasibleError(
-        f"cluster {c.id}: battery short by {-s:.6g} J even "
-        "at the slowest single-window frequency", slack=s))
+    short, ok = _split(lo_slack < 0.0, ids, lo_slack, tau_tr, a, cyc, e_tr, slow)
+    if short is not None:
+        # past a relay the battery covers, cycles that cost too much in one
+        # window at the slowest clock that fits them there are spread over
+        # full windows at a slower one, as a larger total's are; so the
+        # battery refuses every total past one it refuses
+        spread, bad = _split(ctx.relay_margin(short[3]) >= 0.0, *short)
+        refuse(bad, lambda s, *_: InfeasibleError(
+            f"cluster {c.id}: battery short by {-s:.6g} J even "
+            "at the slowest single-window frequency", slack=s))
+        if spread is not None:
+            _multi_window_lanes(ctx, (spread[0],) + spread[2:], settled, refuse)
     if ok is None:
         return
     ids, _, tau_tr, a, cyc, e_tr, slow = ok
@@ -378,12 +397,13 @@ def _multi_window_lanes(ctx: _Ctx, lanes, settled, refuse):
         return
     ids, _, a, f = ok
     worst = ctx.battery_margin(a, f)
-    # charging over a shortened final dwell can undercut the full-window
-    # model; refuse rather than return an infeasible frequency
+    # the full-window model holds every dwell's end at psi or above; what
+    # it leaves out is the dip to the relay's end (a final satellite's
+    # level ends between that dip and a full window's end)
     bad, ok = _split(worst < -1e-9 * max(1.0, c.sat_min_residual_j), ids, worst, f)
     refuse(bad, lambda w, _: InfeasibleError(
-        f"cluster {c.id}: final-satellite residual short by "
-        f"{-w:.6g} J under shortened-dwell charging", slack=w))
+        f"cluster {c.id}: battery short by {-w:.6g} J at the relay's end "
+        "across full coverage windows", slack=w))
     if ok is not None:
         settled.append((ok[0], ok[2]))
 
@@ -397,11 +417,6 @@ def _battery_freq(ctx: _Ctx, a):
     if err is not None:
         raise err
     return freq.reshape(np.shape(a)) if isinstance(freq, np.ndarray) else freq
-
-
-def _battery_short(ctx: _Ctx, a: float):
-    """The InfeasibleError `_battery_freq` raises for offload a, or None."""
-    return _battery_lanes(ctx, a)[1]
 
 
 def _single_window_root(head, e_max, charge):
@@ -557,8 +572,11 @@ FILL_RTOL = 1e-13
 # and each price's Newton steps on the slices when no log step passes this
 SLICE_STEP_TOL = 1e-7
 # a final satellite busy for all but this share of its window counts as
-# handing off: the simulator hands off within 1e-9 of a full window, and an
-# exact optimum can sit right on a window boundary
+# handing off. The model and the replay hand off within cost.CYC_EPS of a
+# full window, and an exact optimum can sit right on a window boundary; the
+# wider margin keeps the solve's chains clear of that band through the
+# replay's rounding of absolute window times, and through counts that
+# floor with no band at all, as the benchmark's closed-form check does
 FULL_WINDOW_RTOL = 1e-8
 
 
@@ -609,10 +627,9 @@ class _Solve:
     the least offload's own chain until the two agree.
     """
 
-    def __init__(self, ctx, tau=None, a_battery=0.0):
+    def __init__(self, ctx, tau=None):
         self.ctx = ctx
         self.tau = tau  # pinned upload times
-        self.a_battery = a_battery  # the least offload the battery carries
         # slopes of the shallower and the steeper sloped piece
         slopes = np.concatenate((np.minimum(ctx.rate, ctx.energy_slope),
                                  np.maximum(ctx.rate, ctx.energy_slope)))
@@ -732,10 +749,6 @@ class _Solve:
             if pick is None:
                 return None, None, None, n, best
             _, need, b = pick
-            short = self.a_battery - best
-            if short > 0.0:
-                # raise every client toward its cap by one share
-                need = need + (ctx.a_max - need) * (short / float(np.sum(ctx.a_max - need)))
             alpha = np.minimum(np.divide(need, ctx.sizes, out=np.zeros_like(need),
                                          where=ctx.sizes > 0), ctx.alpha_max)
             a = ctx.offloaded(alpha)
@@ -771,22 +784,11 @@ def _solve_cluster(ctx: _Ctx, b=None):
             slack = float(ctx.alpha_max[k] - need[k] / ctx.sizes[k])
         raise InfeasibleError(f"client {ctx.ids[k]}: energy budget cannot be met even at "
                               "full offload with the bandwidth it can get", slack=slack)
-    a_battery = min(float(np.sum(np.clip(need, 0.0, ctx.a_max))), ctx.a_cap)
-    err = _battery_short(ctx, a_battery)
-    if err is not None:
-        # in sunlight a longer compute dwell charges for the relay, so the
-        # battery can carry a larger offload than it carries this one.
-        # Steps that double from a_battery find one ahead of the offloads
-        # whose chains pass the handoff limit, and bisect then finds the
-        # least one above the last step that failed
-        lo, step = a_battery, T_RTOL * max(1.0, ctx.a_cap)
-        while _battery_short(ctx, a := min(a_battery + step, ctx.a_cap)):
-            if a >= ctx.a_cap:
-                raise err
-            lo, step = a, 2.0 * step
-        a_battery = bisect(lambda x: 1.0 if _battery_short(ctx, x) else -1.0,
-                           lo, a, eps=T_RTOL).hi
-    solve = _Solve(ctx, tau, a_battery)
+    # the battery refuses every offload past one it refuses (each
+    # satellite's lowest level falls with the offload), so a battery that
+    # refuses the least offload any target allows refuses every target
+    _battery_freq(ctx, min(float(np.sum(np.clip(need, 0.0, ctx.a_max))), ctx.a_cap))
+    solve = _Solve(ctx, tau)
     # past this target no window grows, so only a late chain can still be
     # cured by waiting longer
     settled = (ctx.T * (max(solve.h_full, cost.MAX_HANDOFFS) + 2)

@@ -20,8 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import cost
 from .fl import (
     ModelParams,
@@ -33,8 +31,6 @@ from .fl import (
     local_update_stack,
 )
 from .scenario import satellite_pool
-
-_CYC_EPS = 1e-9  # relative tolerance for "window fully used"
 
 
 class SimError(RuntimeError):
@@ -48,7 +44,8 @@ class SatWindowEnergy:
     consumed_j: float
     charged_j: float
     residual_j: float
-    battery_ok: bool
+    lowest_j: float  # the lowest level over the dwell
+    battery_ok: bool  # whether that lowest level stays at the floor psi
 
 
 @dataclass(frozen=True)
@@ -146,19 +143,17 @@ class _ClusterConstants:
 def _cluster_constants(scenario, cluster, decision) -> _ClusterConstants:
     model = cost.ClusterModel(scenario, cluster)
     alphas = model.per_client(decision.alpha)
-    # numpy's pairwise sum, which orders 8 or more terms unlike Python's sum
-    a = float(np.sum(alphas * model.sizes))
-    tau_tr = cost.isl_transfer_latency(scenario.footprint, a, cluster.isl_rate_bps)
+    a = model.offloaded(alphas)
+    tau_tr = model.tau_trans(a)
     f = float(decision.sat_freq_hz[cluster.id])
     if cluster.schedule is None and a > 0.0 and f > 0.0 and cluster.coverage_s > tau_tr:
         # fixed windows give the chain in closed form; refuse, as the solver
         # does, a chain too long to walk two events a window
-        n = cost.handoff_count(a, cluster.sat_cycles_per_sample, cluster.coverage_s, tau_tr, f)
-        if n > cost.MAX_HANDOFFS:
-            raise SimError(
-                f"cluster {cluster.id}: offloading {a:.6g} samples at {f:.6g} Hz needs "
-                f"{float(n):.6g} satellite handoffs on fixed coverage windows, more than "
-                f"{cost.MAX_HANDOFFS}")
+        try:
+            model.chain(a, f)
+        except ValueError as err:
+            raise SimError(f"{err}: the replay would walk its satellite handoffs window by "
+                           f"window, and allows no more than {cost.MAX_HANDOFFS}") from None
     tau_locals = tuple(model.tau_locals(alphas).tolist())
     tau_aggs = tuple(model.tau_agg(model.per_client(decision.bandwidth_hz)).tolist())
     return _ClusterConstants(
@@ -217,7 +212,6 @@ def _cluster_path(state, cluster, feed, path_start, events):
     done_cycles = 0.0
     energy = []
     i = 0
-    finish = None
     while True:
         s, e = feed.window(i)
         d = e - s
@@ -238,31 +232,27 @@ def _cluster_path(state, cluster, feed, path_start, events):
         # remain and it has no room left after them; a relay-only chain
         # ends on the first window that fits its relay
         used_up = cap_s <= 0.0 or (
-            remaining > 0.0 and (cap_cycles - take) <= _CYC_EPS * max(1.0, cap_cycles))
+            remaining > 0.0 and (cap_cycles - take) <= cost.CYC_EPS * max(1.0, cap_cycles))
         remaining -= take
         done_cycles += take
-        if used_up:
-            if take <= 0.0 and feed.intervals is None:
-                raise SimError(
-                    f"cluster {cluster.id}: a fixed coverage window computes none of the "
-                    "offloaded cycles, so the relay chain never ends"
-                )
-            dwell = d
-            consumed = cluster.energy_coeff * take * f ** 2 + e_tr
-            energy.append((i, dwell, consumed, dwell * consts.p_charge_w))
-            events.append({
-                "t_s": e, "cluster": cluster.id, "kind": "handoff",
-                "from_sat": i, "to_sat": i + 1,
-            })
-            i += 1
-            if i > 10_000_000:
-                raise SimError("relay chain failed to terminate")
-            continue
-        dwell = tau_tr + take / f if f > 0 else tau_tr
+        dwell = d if used_up else (tau_tr + take / f if f > 0 else tau_tr)
         consumed = cluster.energy_coeff * take * f ** 2 + e_tr
         energy.append((i, dwell, consumed, dwell * consts.p_charge_w))
-        finish = s + tau_tr + (take / f if f > 0 else 0.0)
-        break
+        if not used_up:
+            finish = s + tau_tr + (take / f if f > 0 else 0.0)
+            break
+        if take <= 0.0 and feed.intervals is None:
+            raise SimError(
+                f"cluster {cluster.id}: a fixed coverage window computes none of the "
+                "offloaded cycles, so the relay chain never ends"
+            )
+        events.append({
+            "t_s": e, "cluster": cluster.id, "kind": "handoff",
+            "from_sat": i, "to_sat": i + 1,
+        })
+        i += 1
+        if i > 10_000_000:
+            raise SimError("relay chain failed to terminate")
 
     n_windows = i + 1
     gate = feed.window(i)[0]  # arrival of the final chain satellite
@@ -302,20 +292,24 @@ def _cluster_path(state, cluster, feed, path_start, events):
             "client": pid, "duration_s": ta,
         })
 
-    # battery ledger
+    # battery ledger: the level changes at p - P_tx over the relay and at
+    # p - kappa f^3 over the compute, so it is lowest at the window's start,
+    # the relay's end or the window's end (a relay that outlasts its window
+    # ends past it, above the window's end)
     ledger = []
     for idx, dwell, consumed, charged in energy:
+        level = (state.battery[cluster.id] if state.persistent_battery
+                 else cluster.sat_initial_energy_j)
+        residual = level - consumed + charged
         if state.persistent_battery:
-            level = state.battery[cluster.id]
-            residual = min(level - consumed + charged, cluster.sat_initial_energy_j)
+            residual = min(residual, cluster.sat_initial_energy_j)
             state.battery[cluster.id] = residual
-        else:
-            residual = cluster.sat_initial_energy_j - consumed + charged
-        ok = residual >= cluster.sat_min_residual_j - 1e-9 * max(
+        lowest = min(level, level - e_tr + tau_tr * consts.p_charge_w, residual)
+        ok = lowest >= cluster.sat_min_residual_j - 1e-9 * max(
             1.0, cluster.sat_min_residual_j)
         ledger.append(SatWindowEnergy(
-            window=idx, dwell_s=dwell, consumed_j=consumed,
-            charged_j=charged, residual_j=residual, battery_ok=ok,
+            window=idx, dwell_s=dwell, consumed_j=consumed, charged_j=charged,
+            residual_j=residual, lowest_j=lowest, battery_ok=ok,
         ))
 
     feed.end_round()

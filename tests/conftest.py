@@ -22,7 +22,7 @@ import numpy as np
 from hypothesis import settings
 
 from orbitfed.optimizer import DecisionVector, _contexts, solve_freq
-from orbitfed.scenario import validate_scenario
+from orbitfed.scenario import scenario_to_dict, validate_scenario
 
 settings.register_profile("orbitfed", derandomize=True, deadline=None)
 settings.load_profile("orbitfed")
@@ -214,6 +214,25 @@ def mixed_instance(rng):
             rng, cid, pid, n_clients, size_bits, qb, False, facing, None, ratio))
         pid += n_clients
     return validate_scenario(scenario_dict(clusters, param_count=pc, sample_bits=qb))
+
+
+def decades_instance(rng):
+    """A case1, multiwindow or mixed scenario whose satellites span decades:
+    sun power, relay power, clock cap, cycles per sample and battery each
+    scaled by up to a few, and each cluster sunlit or dark at random. Relays
+    that draw less than the sun gives (sat_tx_power_w < sun_power_w) and
+    clocks that draw more than the relay (kappa f^3 > sat_tx_power_w) both
+    occur."""
+    build = (case1_instance, multiwindow_instance, mixed_instance)[int(rng.integers(3))]
+    raw = scenario_to_dict(build(rng))
+    for c in raw["clusters"]:
+        c["sun_facing"] = bool(rng.integers(2))
+        c["sun_power_w"] *= 10.0 ** rng.uniform(-2.0, 2.0)
+        c["sat_tx_power_w"] *= 10.0 ** rng.uniform(-2.0, 1.0)
+        c["sat_max_freq_hz"] *= 10.0 ** rng.uniform(-1.0, 3.0)
+        c["sat_cycles_per_sample"] *= 10.0 ** rng.uniform(0.0, 3.0)
+        c["sat_initial_energy_j"] *= 10.0 ** rng.uniform(-1.0, 1.0)
+    return validate_scenario(raw)
 
 
 def default_init(scenario):

@@ -32,7 +32,7 @@ from orbitfed.optimizer import (
     BAND_EPS,
     InfeasibleError,
     _Ctx,
-    _battery_short,
+    _battery_lanes,
     check_feasibility,
     optimize,
 )
@@ -159,7 +159,7 @@ class TestOptimizeMode:
         raw["clusters"][0]["sat_initial_energy_j"] *= 0.3
         sc = validate_scenario(raw)
         ctx = _Ctx(sc, sc.clusters[0])
-        assert "slowest single-window" in str(_battery_short(ctx, ctx.a_cap))
+        assert "slowest single-window" in str(_battery_lanes(ctx, ctx.a_cap)[1])
         path = tmp_path / "battery.json"
         path.write_text(json.dumps(raw))
         out = tmp_path / "run"

@@ -16,7 +16,7 @@ from orbitfed.optimizer import (
     _Ctx,
     _Lattice,
     _battery_freq,
-    _battery_short,
+    _battery_lanes,
     _client_paths,
     _contexts,
     bisect,
@@ -31,12 +31,14 @@ from orbitfed.optimizer import (
     upload_bandwidth,
 )
 from orbitfed.scenario import scenario_to_dict, validate_scenario
+from orbitfed.sim import run_experiment
 
 from conftest import (
     REFERENCE_SCENARIO,
     case1_instance,
     client_dict,
     cluster_dict,
+    decades_instance,
     default_init,
     mixed_instance,
     multiwindow_instance,
@@ -371,20 +373,27 @@ class TestBatteryFreqSingleWindow:
             _battery_freq(_Ctx(sc, sc.clusters[0]), 800.0)
 
     def test_threshold_chain_with_a_relay_only_satellite_is_not_refused(self):
-        # exactly at the threshold the chain counts a handoff, a second
-        # satellite that only relays, and its margin is short; just above it
-        # the single-window margin is positive, and the root lies between
-        raw = scenario_to_dict(case1_instance(np.random.default_rng([9, 0])))
-        raw["clusters"][0]["sat_initial_energy_j"] -= 2900.0
-        sc = validate_scenario(raw)
-        ctx, a = _Ctx(sc, sc.clusters[0]), 2035.8
+        # from the threshold up to the band cost.CYC_EPS above it the chain
+        # hands off to a second satellite that only relays, as the replay
+        # does. A battery whose clock lies just past the band keeps it with
+        # no handoff; one whose clock lies inside it spreads the cycles over
+        # full windows, and the second satellite only relays
+        ctx, a = battery_bound_cluster(np.random.default_rng([9, 0]), False)
         thresh = ctx.cluster.sat_cycles_per_sample * a / (ctx.T - ctx.tau_trans(a))
-        assert ctx.n_handoffs(a, thresh) == 1
-        assert ctx.battery_margin(a, thresh) < 0.0 < ctx.battery_margin(a, thresh * (1.0 + 1e-12))
-        assert ctx.battery_margin(a, ctx.f_max) < 0.0
-        f = _battery_freq(ctx, a)
-        assert thresh < f <= ctx.f_max
-        assert ctx.battery_margin(a, f) >= 0.0 and ctx.n_handoffs(a, f) == 0
+        assert ctx.n_handoffs(a, thresh) == ctx.n_handoffs(a, thresh * (1.0 + 5e-10)) == 1
+        c, cyc = ctx.cluster, ctx.cluster.sat_cycles_per_sample * a
+        for rise, handoffs in ((4e-9, 0), (5e-10, 1)):
+            # the one satellite of a dark chain ends its dwell at psi at `at`
+            at = thresh * (1.0 + rise)
+            ctx.cluster = dataclasses.replace(c, sat_initial_energy_j=(
+                c.sat_min_residual_j + c.sat_tx_power_w * ctx.tau_trans(a)
+                + c.energy_coeff * cyc * at ** 2))
+            f = _battery_freq(ctx, a)
+            assert ctx.battery_margin(a, f) >= 0.0 and ctx.n_handoffs(a, f) == handoffs
+            if handoffs:
+                assert thresh < f < at
+            else:
+                assert f == pytest.approx(at, rel=1e-13)
 
 
 def scalar_root(head, e_max, charge):
@@ -422,20 +431,27 @@ def scalar_battery_freq(ctx, a):
     if ctx.f_max >= thresh:
         if ctx.battery_margin(a, ctx.f_max) >= 0.0:
             return "f_max", ctx.f_max
-        slow = thresh
+        edge = max(cyc / (1.0 - cost.CYC_EPS), cyc + cost.CYC_EPS)
+        slow = min(edge / (ctx.T - tau_tr) * (1.0 + 4.0 * math.ulp(1.0)), ctx.f_max)
         while ctx.n_handoffs(a, slow) and slow < ctx.f_max:
             slow = math.nextafter(slow, math.inf)
-        if ctx.battery_margin(a, slow) < 0.0:
+        if ctx.battery_margin(a, slow) >= 0.0:
+            branch, s = scalar_root(
+                c.sat_initial_energy_j - e_tr + ctx.p_charge * tau_tr - c.sat_min_residual_j,
+                c.energy_coeff * cyc * ctx.f_max ** 2, ctx.p_charge * cyc / ctx.f_max)
+            f = max(slow, min(ctx.f_max, ctx.f_max * s))
+            rel = math.ulp(1.0)
+            while ctx.battery_margin(a, f) < 0.0:
+                f = max(slow, f * (1.0 - rel))
+                rel *= 2.0
+            return branch, f
+        # one window cannot carry the cycles: past a relay the battery
+        # covers, they spread over full windows at a slower clock
+        if c.sat_initial_energy_j - max(0.0, e_tr - ctx.p_charge * tau_tr) < c.sat_min_residual_j:
             return "refused", None
-        branch, s = scalar_root(
-            c.sat_initial_energy_j - e_tr + ctx.p_charge * tau_tr - c.sat_min_residual_j,
-            c.energy_coeff * cyc * ctx.f_max ** 2, ctx.p_charge * cyc / ctx.f_max)
-        f = max(slow, min(ctx.f_max, ctx.f_max * s))
-        rel = math.ulp(1.0)
-        while ctx.battery_margin(a, f) < 0.0:
-            f = max(slow, f * (1.0 - rel))
-            rel *= 2.0
-        return branch, f
+        branch = "spread"
+    else:
+        branch = "multi"
     if c.sat_initial_energy_j - e_tr + ctx.T * ctx.p_charge - c.sat_min_residual_j <= 0.0:
         return "refused", None
     f = scalar_closed_form(c.sat_initial_energy_j, e_tr, ctx.T, tau_tr, ctx.p_charge,
@@ -444,7 +460,7 @@ def scalar_battery_freq(ctx, a):
         return "refused", None
     if ctx.battery_margin(a, f) < -1e-9 * max(1.0, c.sat_min_residual_j):
         return "refused", None
-    return "multi", f
+    return branch, f
 
 
 def one_total(ctx, a):
@@ -513,7 +529,48 @@ class TestBatteryFreqLanes:
                 assert (str(err), err.slack) == first_refused
 
         check()
-        assert seen == {"relay", "f_max", "dark", "cardano", "trig", "multi", "refused"}
+        assert seen == {"relay", "f_max", "dark", "cardano", "trig", "multi", "spread", "refused"}
+
+    def test_refused_totals_are_a_suffix(self):
+        """Over increasing offload totals, the totals the battery refuses
+        form a suffix: each satellite's level at its relay's end, and at its
+        dwell's end at the slowest clock that fits the work in one window,
+        falls with the offload, and work one window cannot carry is spread
+        over full windows as a larger total's is. The draws reach relays
+        that draw less than the sun gives, clocks that draw more than the
+        relay, totals spread over windows, and refusals after accepted
+        totals and from the first one on."""
+        seen = set()
+
+        @settings(max_examples=300)
+        @given(st.integers(0, 2 ** 32 - 1),
+               st.lists(st.floats(0.0, 1.5), min_size=1, max_size=24))
+        def check(seed, shares):
+            rng = np.random.default_rng([6262, seed])
+            sc = decades_instance(rng)
+            ctx = _contexts(sc)[int(rng.integers(len(sc.clusters)))]
+            c = ctx.cluster
+            totals = np.array(sorted([0.0] + [ctx.a_cap * x for x in shares]))
+            freq, _ = optimizer._battery_lanes(ctx, totals)
+            refused = np.isnan(freq)
+            first = int(np.argmax(refused)) if refused.any() else len(totals)
+            assert refused[first:].all()
+            if first < len(totals):
+                seen.add("refused from zero" if first == 0 else "refused past accepted")
+            if ctx.p_charge > c.sat_tx_power_w:
+                seen.add("relay under the sun")
+            a, f = totals[:first], freq[:first]
+            work = a > 0.0
+            if np.any(work & (c.energy_coeff * f ** 3 > c.sat_tx_power_w)):
+                seen.add("compute over the relay")
+            tau_tr = ctx.tau_trans(a)
+            if np.any(work & (ctx.f_max * (ctx.T - tau_tr) >= c.sat_cycles_per_sample * a)
+                      & (ctx.n_handoffs(a, f) > 0)):
+                seen.add("spread")
+
+        check()
+        assert seen == {"refused from zero", "refused past accepted", "relay under the sun",
+                        "compute over the relay", "spread"}
 
 
 def capped_slices(ctx, targets):
@@ -886,21 +943,25 @@ class TestOptimize:
                                              "more than 10000"):
             calls[call]()
 
-    def test_sunlit_battery_short_of_the_relay_takes_a_slow_sliver(self):
-        # the battery cannot pay for the relay alone, which charges only
-        # over the relay, nor for the offload cap, past the handoff limit at
-        # 1 kHz; a sliver computed slowly charges over the whole window
+    def test_sunlit_battery_short_of_the_relay_is_refused(self):
+        # the battery cannot pay for the relay alone, nor for the offload
+        # cap, past the handoff limit at 1 kHz. A sliver computed slowly
+        # charges over the whole window and ends its dwell far above psi,
+        # but every offload dips below it at its relay's end
         clients = [client_dict(k, 2e8, 1000) for k in range(2)]
         sc = validate_scenario(scenario_dict([cluster_dict(
             0, clients, sat_max_freq_hz=1e3, sun_facing=True, sat_initial_energy_j=100.0256)]))
         ctx = _Ctx(sc, sc.clusters[0])
-        assert "relay alone" in str(_battery_short(ctx, 0.0))
-        assert "handoffs, more than 10000" in str(_battery_short(ctx, ctx.a_cap))
-        res = optimize(sc)
-        assert res.report.ok
-        kept = cost.round_latency(sc, res.decision).clusters[0]
-        assert kept.n_handoffs == 0 and 0.0 < kept.offloaded_samples < 0.01
-        assert ctx.battery_margin(kept.offloaded_samples, res.decision.sat_freq_hz[0]) >= 0.0
+        assert "relay alone" in str(_battery_lanes(ctx, 0.0)[1])
+        assert "handoffs, more than 10000" in str(_battery_lanes(ctx, ctx.a_cap)[1])
+        with pytest.raises(InfeasibleError, match="relay alone"):
+            optimize(sc)
+        # the sliver the end-of-dwell check let through: 0.005 samples
+        sliver = DecisionVector({0: 2.5e-6, 1: 2.5e-6}, {0: 1e3}, {0: 5e5, 1: 5e5})
+        assert not check_feasibility(sc, sliver).ok
+        (window,) = run_experiment(sc, sliver, rounds=1).records[0].clusters[0].energy
+        assert window.residual_j > 849.0
+        assert window.lowest_j == pytest.approx(99.974, abs=1e-3) and not window.battery_ok
 
     def test_uploads_that_wait_many_windows(self):
         # uploads of about 73 one-second coverage windows: the best local

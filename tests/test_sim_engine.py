@@ -12,7 +12,13 @@ from hypothesis import given, settings, strategies as st
 
 from orbitfed import cost
 from orbitfed.fl import ModelLayout, TrainConfig
-from orbitfed.optimizer import DecisionVector, InfeasibleError, optimize
+from orbitfed.optimizer import (
+    DecisionVector,
+    InfeasibleError,
+    check_feasibility,
+    optimize,
+    optimize_pinned_alpha,
+)
 from orbitfed.scenario import apply_offload, prepare_data, validate_scenario
 from orbitfed.sim import SimError, run_experiment, run_round, init_state
 
@@ -21,6 +27,7 @@ from conftest import (
     case1_instance,
     client_dict,
     cluster_dict,
+    decades_instance,
     default_init,
     mixed_instance,
     multiwindow_instance,
@@ -123,6 +130,20 @@ class TestTimingAgreement:
                 assert rec.tau_round_s == pytest.approx(want.tau_round_s, abs=1e-9, rel=1e-12)
                 for cc in want.clusters:
                     assert rec.clusters[cc.cluster_id].n_handoffs == cc.n_handoffs
+
+    def test_final_window_within_the_band_hands_off_as_replayed(self):
+        # a pinned clock leaves the final window 1e-10 of its cycles short
+        # of full: the model, like the replay, counts it used up, and one
+        # more satellite only relays
+        sc = validate_scenario(scenario_dict([chain_cluster()], param_count=100000))
+        c = sc.clusters[0]
+        tau_tr = cost.isl_transfer_latency(sc.footprint, 6000.0, c.isl_rate_bps)
+        f = c.sat_cycles_per_sample * 6000.0 / ((2.0 - 1e-10) * (c.coverage_s - tau_tr))
+        d = DecisionVector({0: 0.5}, {0: f}, {0: c.bandwidth_hz})
+        want = cost.round_latency(sc, d)
+        rec = run_experiment(sc, d, rounds=1).records[0]
+        assert want.clusters[0].n_handoffs == rec.clusters[0].n_handoffs == 2
+        assert rec.tau_round_s == want.tau_round_s
 
     def test_every_round_agrees_over_many(self):
         rng = np.random.default_rng(23)
@@ -271,6 +292,72 @@ class TestEvents:
         assert regimes == {1, 2, 3}
 
 
+def priced_decisions(sc, rng):
+    """The optimized decision of a scenario and one pinned to random offloads,
+    each with its audit; a decision the solver refuses is left out."""
+    alpha = {p.id: float(rng.uniform(0.0, p.max_offload_fraction)) for p in sc.clients}
+    for solve in (lambda: optimize(sc).decision, lambda: optimize_pinned_alpha(sc, alpha)):
+        try:
+            d = solve()
+        except InfeasibleError:
+            continue
+        yield d, check_feasibility(sc, d)
+
+
+class TestLowestPointReplay:
+    """Optimized and pinned decisions on scenarios whose satellites span
+    decades of sun power, relay power, clock, work and battery."""
+
+    def test_feasible_decisions_stay_above_the_floor(self):
+        """A decision reported feasible replays no window whose lowest level
+        is below psi. The draws reach sunlit relays and clocks that draw
+        more than the relay, and chains that hand off."""
+        seen = set()
+
+        @settings(max_examples=150)
+        @given(st.integers(0, 2 ** 32 - 1))
+        def check(seed):
+            rng = np.random.default_rng([6363, seed])
+            sc = decades_instance(rng)
+            for d, report in priced_decisions(sc, rng):
+                if not report.ok:
+                    continue
+                rec = run_experiment(sc, d, rounds=1).records[0]
+                for c in sc.clusters:
+                    psi = c.sat_min_residual_j
+                    for w in rec.clusters[c.id].energy:
+                        assert w.battery_ok and w.lowest_j >= psi - 1e-9 * max(1.0, psi)
+                    f = d.sat_freq_hz[c.id]
+                    seen.add(("sunlit", c.sun_facing))
+                    seen.add(("compute over the relay", c.energy_coeff * f ** 3 > c.sat_tx_power_w))
+                    seen.add(("hands off", rec.clusters[c.id].n_handoffs > 0))
+
+        check()
+        assert seen == {(k, v) for k in ("sunlit", "compute over the relay", "hands off")
+                        for v in (False, True)}
+
+    def test_decisions_replay_the_handoffs_priced(self):
+        """Every optimized or pinned decision replays the handoff count and
+        the round time `cost.round_latency` priced."""
+        counts = set()
+
+        @settings(max_examples=150)
+        @given(st.integers(0, 2 ** 32 - 1))
+        def check(seed):
+            rng = np.random.default_rng([6464, seed])
+            sc = decades_instance(rng)
+            for d, report in priced_decisions(sc, rng):
+                rec = run_experiment(sc, d, rounds=1).records[0]
+                want = report.breakdown
+                assert rec.tau_round_s == pytest.approx(want.tau_round_s, abs=1e-9, rel=1e-12)
+                for cc in want.clusters:
+                    assert rec.clusters[cc.cluster_id].n_handoffs == cc.n_handoffs
+                    counts.add(min(cc.n_handoffs, 2))
+
+        check()
+        assert counts == {0, 1, 2}
+
+
 class TestCoverageReplay:
     def test_explicit_uniform_schedule_equals_fixed(self):
         fixed = validate_scenario(scenario_dict([chain_cluster()],
@@ -347,10 +434,11 @@ class TestConservation:
         """Every window's residual is the charge it starts from (the initial
         one, or with a persistent battery the level the last window left)
         less what it consumed plus what it charged, capped at the initial
-        charge when the battery persists; battery_ok says whether it stays
-        at psi. A floor psi raised anywhere up to the initial charge and up
-        to 6 rounds leave some windows below it, and the sunlit persistent
-        ones also meet the cap."""
+        charge when the battery persists; battery_ok says whether its
+        lowest level over the window stays at psi. A floor psi raised
+        anywhere up to the initial charge and up to 6 rounds leave some
+        windows below it, and the sunlit persistent ones also meet the
+        cap."""
         seen = set()
 
         @settings(max_examples=120)
@@ -375,7 +463,8 @@ class TestConservation:
                             want = min(want, e0)
                             level = w.residual_j
                         assert w.residual_j == pytest.approx(want, rel=1e-12, abs=1e-9)
-                        assert w.battery_ok == (w.residual_j >= psi - 1e-9 * max(1.0, psi))
+                        assert w.lowest_j <= min(e0, w.residual_j)
+                        assert w.battery_ok == (w.lowest_j >= psi - 1e-9 * max(1.0, psi))
                         seen.add(("ok", persistent, w.battery_ok))
 
         check()
