@@ -438,8 +438,10 @@ def _parse_seeds(text: str):
         if not part:
             continue
         if "-" in part and not part.startswith("-"):
-            a, b = part.split("-", 1)
-            seeds.extend(range(int(a), int(b) + 1))
+            a, b = (int(v) for v in part.split("-", 1))
+            if b < a:
+                raise CliError(f"seed range {part!r} runs backwards")
+            seeds.extend(range(a, b + 1))
         else:
             seeds.append(int(part))
     if not seeds:

@@ -29,8 +29,9 @@ a target upload time comes from the closed-form inversion of the uplink
 curve through the lower branch of Lambert W (`upload_bandwidth`).
 
 `grid_search_cluster` is the exhaustive check of the solve on small
-single-window clusters: it prunes its offload lattice with a bisection-free
-lower bound before it equalizes bandwidth on the profiles that can win.
+single-cluster instances, relay chains that hand off included: it prunes its
+offload lattice with a bisection-free lower bound before it equalizes
+bandwidth on the profiles that can win.
 """
 
 from __future__ import annotations
@@ -1016,17 +1017,21 @@ def optimize_pinned_alpha(scenario, alpha: dict) -> DecisionVector:
 
 
 class _Lattice:
-    """Every offload profile of a single-window cluster on a per-client alpha
-    lattice, with what its round time needs: the satellite path at the
-    battery-optimal frequency, and a lower bound on the round time that
-    costs no bisection, from the per-client bandwidth floors the energy
-    budgets set. `totals` prices the client path of chosen profiles with
-    the pinned-offload equalizer `_client_paths`.
+    """Every offload profile of a cluster on a per-client alpha lattice,
+    with what its round time needs: the satellite path at the
+    battery-optimal frequency and its handoff count, and a lower bound on
+    the round time that costs no bisection, from the per-client bandwidth
+    floors the energy budgets set. `totals` prices the client path of
+    chosen profiles with the pinned-offload equalizer `_client_paths`, each
+    on its own chain's count.
 
-    The frequency and the satellite path come from one `_battery_freq` pass
-    over every distinct offload total. A total the battery refuses keeps an
-    inf satellite path, so its profiles never win; a lattice whose totals
-    are all refused raises the first one's error.
+    The frequency and the chain come from one `_battery_freq` pass and one
+    `chain` call over every distinct offload total. A profile that breaks a
+    constraint gets an inf lower bound, so it never wins: one whose total
+    the battery refuses, and one whose clients' energy floors overfill the
+    band. The lattice raises only when no profile is left: the first
+    refused total's error when the battery refuses every total, and an
+    energy error when every profile breaks a budget.
 
     The lattice is the product of the clients' alpha axes. What depends on
     one client's offload alone (its alpha, local time, energy-floor slice
@@ -1110,13 +1115,10 @@ class _Lattice:
         ok = ~np.isnan(best_f)
         if not ok.any():
             raise err
-        _, n, rep, _, _ = ctx.chain(a[ok], best_f[ok])
-        if np.any(n != 0):
-            raise ValueError("grid comparator expects single-window instances")
-        best_rep = np.full(len(uniq), math.inf)
-        best_rep[ok] = rep
-        self.rep = best_rep[inverse]
-        self.freq = best_f[inverse]
+        # a refused total keeps an inf satellite path and no handoff
+        n, rep = np.zeros(len(uniq), np.min_scalar_type(cost.MAX_HANDOFFS)), np.full(len(uniq), math.inf)
+        _, n[ok], rep[ok], _, _ = ctx.chain(a[ok], best_f[ok])
+        self.rep, self.handoffs, self.freq = (np.take(v, inverse) for v in (rep, n, best_f))
 
         # --- client side: exact energy floors on the slices and local
         # times, per axis value; column k holds client k's axis, padded with
@@ -1124,13 +1126,13 @@ class _Lattice:
         axis_alpha = np.zeros((max(shape), k_count))
         for k, ax in enumerate(axes):
             axis_alpha[:len(ax), k] = ax
-        targets = (ctx.budgets - ctx.e_locals(axis_alpha)) / ctx.tx_power_w
-        if np.any(targets <= 0):
-            raise InfeasibleError("grid instance has an unmeetable client energy budget")
-        b_axis = upload_bandwidth(ctx.footprint.state_bits, ctx.snr_num, targets)
+        # (inf for an axis value whose budget no slice meets)
+        b_axis = upload_bandwidth(ctx.footprint.state_bits, ctx.snr_num,
+                                  (ctx.budgets - ctx.e_locals(axis_alpha)) / ctx.tx_power_w)
         b_min = [along(k, b_axis[:n, k]) for k, n in enumerate(shape)]
         total_min = sum(b_min)
-        if np.any(np.isinf(b_axis)) or np.any(flat(total_min) > ctx.budget_hz):
+        fits = flat(total_min) <= ctx.budget_hz
+        if not fits.any():
             raise InfeasibleError("grid instance has an unmeetable client energy budget")
 
         # `cost.regime_geometry` on the grid: the start of the straggler's
@@ -1144,18 +1146,22 @@ class _Lattice:
         # upload ends no sooner than reach_k; that bounds the equalized
         # completion and with it every regime: the first has zero offsets,
         # and the third (deadline plus equalized upload) lies past the
-        # second because the deadline is past every offset
-        reach = functools.reduce(np.maximum, [
-            x[k] + cost.upload_time(ctx.footprint.state_bits, ctx.snr_num[k],
-                                    ctx.budget_hz - (total_min - b_min[k]))
-            for k in range(k_count)])
-        self.lower = (cluster.sync_delay_s + np.maximum(self.rep, flat(reach))
-                      + cluster.glob_delay_s)
+        # second because the deadline is past every offset. A profile whose
+        # floors overfill the band reads nan here and gets an inf bound
+        with np.errstate(invalid="ignore", divide="ignore"):
+            reach = functools.reduce(np.maximum, [
+                x[k] + cost.upload_time(ctx.footprint.state_bits, ctx.snr_num[k],
+                                        ctx.budget_hz - (total_min - b_min[k]))
+                for k in range(k_count)])
+        self.lower = cluster.sync_delay_s + np.maximum(self.rep, flat(reach)) + cluster.glob_delay_s
+        self.lower[~fits] = math.inf
+        if self.lower.min() == math.inf:
+            raise InfeasibleError("grid instance has no profile within every budget")
 
     def totals(self, sel: np.ndarray) -> np.ndarray:
         """Round time of the profiles at indices sel, with the client path of
         the pinned-offload equalizer."""
-        y = _client_paths(self.ctx, self.alphas[sel], 0)[0]
+        y = _client_paths(self.ctx, self.alphas[sel], self.handoffs[sel])[0]
         return (self.cluster.sync_delay_s + np.maximum(y, self.rep[sel])
                 + self.cluster.glob_delay_s)
 
@@ -1181,11 +1187,14 @@ def grid_search_cluster(scenario, alpha_step: float = 1e-3):
     (`_Lattice`), built from per-client axis tables broadcast over the grid.
     For each profile the two inner minimizations are independent: the
     satellite path wants the largest battery-feasible frequency, solved for
-    every distinct offload total in one array pass (profiles whose total
-    the battery refuses are dropped), and the client path wants the
-    bandwidth split that equalizes per-client completion, found by the
-    pinned-offload equalizer `_client_paths` with the uplink inverted in
-    closed form. A bisection-free lower bound prunes the lattice first: the
+    every distinct offload total in one array pass, and the client path
+    wants the bandwidth split that equalizes per-client completion, found
+    by the pinned-offload equalizer `_client_paths` on the profile's own
+    handoff count, with the uplink inverted in closed form. Profiles that
+    break the battery or a client energy budget are dropped, and the search
+    raises only when none is left. A bisection-free lower bound prunes the
+    lattice first (it holds when a chain hands off: every upload offset is
+    then at most the final satellite's arrival, where the uploads start): the
     profile with the least bound gives an upper bound on the optimum, and
     only profiles whose bound comes within GRID_RTOL of it are evaluated
     (when that is the bound profile alone, its score is reused). Returns

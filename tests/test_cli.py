@@ -93,6 +93,11 @@ class TestSeedParsing:
         with pytest.raises(CliError, match="no seeds"):
             _parse_seeds(" , ")
 
+    def test_reversed_range_rejected(self):
+        # range(3, 2) is empty: the part would vanish from the list silently
+        with pytest.raises(CliError, match="seed range '3-1' runs backwards"):
+            _parse_seeds("1,3-1")
+
 
 class TestOptimizeMode:
     def test_writes_decision_and_manifest(self, spec_path, tmp_path, capsys):
@@ -504,6 +509,14 @@ class TestErrorReporting:
                    "--seeds", ",", "--out", str(tmp_path / "run")])
         assert rc == 1
         assert "no seeds" in json.loads(capsys.readouterr().err)["message"]
+
+    def test_reversed_seed_range_is_structured(self, spec_path, tmp_path, capsys):
+        rc = main(["--mode", "optimize", "--scenario", str(spec_path),
+                   "--seeds", "0,3-1", "--out", str(tmp_path / "run")])
+        assert rc == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        report = json.loads(line)
+        assert report["error"] == "CliError" and "'3-1'" in report["message"]
 
     @pytest.mark.parametrize("extra, why", [
         (["--rounds", "-3"], "--rounds -3 is not a positive count"),

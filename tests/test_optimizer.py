@@ -196,6 +196,7 @@ class TestLattice:
             at = totals == a
             assert np.all(lattice.freq[at] == f)
             assert np.all(lattice.rep[at] == ctx.chain(a, f)[2])
+            assert np.all(lattice.handoffs[at] == ctx.chain(a, f)[1])
 
     def test_client_path_per_profile(self, lattice):
         ctx = lattice.ctx
@@ -213,6 +214,73 @@ class TestLattice:
             decision = DecisionVector(alpha, freq, solve_bandwidth(lattice.scenario, alpha, freq))
             tau = cost.round_latency(lattice.scenario, decision).tau_round_s
             assert total == pytest.approx(tau, rel=1e-12)
+
+
+def grid_matches_optimize(sc, alpha_step):
+    """The two asserts of the acceptance cross-check; returns (optimized,
+    grid) breakdowns."""
+    tau_bcd = cost.round_latency(sc, optimize(sc).decision)
+    tau_grid, grid = grid_search_cluster(sc, alpha_step=alpha_step)
+    assert abs(tau_bcd.tau_round_s - tau_grid) <= 0.02 * tau_grid
+    assert tau_bcd.tau_round_s <= tau_grid * (1.0 + BAND_EPS)
+    return tau_bcd, cost.round_latency(sc, grid)
+
+
+class TestGridDropsProfiles:
+    """A profile that breaks a constraint never wins the grid, and the grid
+    raises only when no profile is left. Each lattice total prices the
+    client path on its own chain's handoff count."""
+
+    def test_multiwindow_draws_match_optimize(self):
+        handoffs = []
+        for seed in range(12):
+            sc = multiwindow_instance(np.random.default_rng([4300, seed]), n_clients=2)
+            bcd, grid = grid_matches_optimize(sc, 2e-3)
+            handoffs += [bcd.clusters[0].n_handoffs, grid.clusters[0].n_handoffs]
+        assert max(handoffs) >= 1
+
+    def test_energy_bound_offload(self):
+        # client 1's local pass alone costs 0.108 J of its 0.08 J budget, so
+        # it must offload over a quarter of its data: the lattice drops the
+        # profiles below that, about half of them
+        sc = validate_scenario(scenario_dict([cluster_dict(0, [
+            client_dict(0, 2e8, 600, max_offload_fraction=0.5, energy_budget_j=0.08),
+            client_dict(1, 3e8, 400, max_offload_fraction=0.5, energy_budget_j=0.08)],
+            sun_facing=True, sat_initial_energy_j=5000.0)], param_count=334, sample_bits=544))
+        lattice = _Lattice(sc, 2e-3)
+        dropped = np.isinf(lattice.lower)
+        assert dropped.any() and not dropped.all() and np.all(lattice.rep < math.inf)
+        grid_matches_optimize(sc, 2e-3)
+
+    def test_totals_the_battery_spreads_over_windows(self):
+        # a slow clock whose battery-optimal chain hands off for the larger
+        # totals, though the best profile's does not
+        sc = validate_scenario(scenario_dict([cluster_dict(
+            0, [client_dict(k, 2e8, 1000, energy_budget_j=1e9) for k in range(2)],
+            sat_max_freq_hz=1.6e8, energy_coeff=1e-22, sat_initial_energy_j=5000.0)]))
+        assert _Lattice(sc, 0.01).handoffs.max() >= 1
+        bcd, _ = grid_matches_optimize(sc, 0.01)
+        assert bcd.tau_round_s == pytest.approx(128.98, abs=5e-3)
+
+    def test_every_profile_over_an_energy_budget_is_refused(self):
+        sc = validate_scenario(scenario_dict([cluster_dict(
+            0, [client_dict(k, 2e8, 1000, energy_budget_j=1e-6) for k in range(2)])]))
+        with pytest.raises(InfeasibleError, match="unmeetable client energy budget"):
+            grid_search_cluster(sc, 1e-2)
+
+    def test_battery_and_energy_budgets_leave_no_profile(self):
+        # the battery carries small totals only, and the energy budgets need
+        # each client to offload half its data
+        def build(e0):
+            return validate_scenario(scenario_dict([cluster_dict(
+                0, [client_dict(k, 2e8, 1000, energy_budget_j=0.06) for k in range(2)],
+                sat_initial_energy_j=e0)]))
+        sc = build(110.0)
+        ctx = _Ctx(sc, sc.clusters[0])
+        assert not math.isnan(_battery_lanes(ctx, 0.0)[0])
+        assert np.isinf(_Lattice(build(5000.0), 1e-2).lower).any()
+        with pytest.raises(InfeasibleError, match="no profile within every budget"):
+            grid_search_cluster(sc, 1e-2)
 
 
 class TestBisect:
@@ -982,6 +1050,11 @@ class TestOptimize:
                 lattice = min(lattice, cost.round_latency(sc, decision).tau_round_s)
         assert tau <= lattice * (1.0 + 1e-12)
         assert tau == pytest.approx(lattice, rel=1e-3)
+        # the optimum hands off twice, so the grid prices that chain too
+        assert cost.round_latency(sc, optimize(sc).decision).clusters[0].n_handoffs == 2
+        tau_grid = grid_search_cluster(sc, alpha_step=2e-3)[0]
+        assert tau <= tau_grid * (1.0 + 1e-12)
+        assert tau == pytest.approx(tau_grid, rel=1e-3)
 
     def test_pinned_alpha_out_of_range_rejected(self):
         sc = two_client_scenario()
