@@ -9,6 +9,12 @@ constants are estimated as empirical maxima over random pairs, so they are
 lower bounds on the true constants and the reported bound is "reported, not
 certified". For logistic layouts a certified upper bound on the smoothness
 constant is reported beside the estimate.
+
+The smoothness estimate takes two full-data gradients per weight pair. Its
+pairs run in blocks of about L_BLOCK_ROWS model-rows through one reused
+`fl.Workspace`: each block's pairs are drawn as it runs, in the order one
+pair at a time would draw them, and a corpus too large for one pair is
+split into row blocks whose gradients are summed.
 """
 
 from __future__ import annotations
@@ -18,12 +24,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fl import TrainConfig, gradient, init_model, loss_and_grad
+from .fl import TrainConfig, Workspace, gradient, init_model, loss_and_grad
 from .scenario import SampleSet, concat_samples, satellite_pool
 from .sim import protocol_round
 
 WEIGHT_SCALE = 0.5  # std of the random weights the smoothness estimate draws
 BOUND_TRIALS = 4000  # smoothness-estimate trials behind a reported bound
+L_BLOCK_ROWS = 4096  # model-rows per gradient call of the smoothness estimate's L loop
 RHO_BLOCK = 16  # rho-estimate sample pairs per stacked gradient call; bounded by memory
 
 
@@ -166,32 +173,57 @@ def build_bound_inputs(scenario, learning_rates, smoothness, rho,
     )
 
 
+def _full_gradients(values, layout, x, y, block_rows: int, work: Workspace):
+    """Full-data gradients of a (K, P) stack of models, taken over row blocks
+    of at most `block_rows` and summed with weights n_b/n. With one block the
+    result is a view into `work`."""
+    n = len(x)
+    if block_rows >= n:
+        return gradient(values, layout, x, y, work=work)
+    total = np.zeros(values.shape)
+    for lo in range(0, n, block_rows):
+        hi = min(lo + block_rows, n)
+        g = gradient(values, layout, x[lo:hi], y[lo:hi], work=work)
+        g *= (hi - lo) / n
+        total += g
+    return total
+
+
 def estimate_smoothness_and_rho(layout, samples, trials: int = 10000, seed: int = 0):
     """Empirical maxima of the gradient Lipschitz ratio over random weight
     pairs (L) and over sample pairs at random weights (rho). Zero-distance
     pairs are skipped. Lower bounds on the true constants.
 
-    The rho pairs' single-row gradients run RHO_BLOCK pairs per stacked
-    call; each pair's weights and rows are drawn in the same order as one
-    pair at a time."""
+    The rng draws each L pair's w then its v, and all L pairs before any rho
+    pair. The L pairs run in blocks through one reused `Workspace`. A block
+    of m = max(1, L_BLOCK_ROWS // 2n) pairs, about L_BLOCK_ROWS model-rows,
+    is drawn as it runs, as one (m, 2, P) normal draw, which is the stream
+    of 2m single draws; its 2m models take their full-data gradients as one
+    stack. A corpus of more than L_BLOCK_ROWS/2 rows runs one pair per block
+    and sums its gradients over row blocks of L_BLOCK_ROWS/2 rows. The rho
+    pairs' single-row gradients run RHO_BLOCK pairs per stacked call; each
+    pair's weights and rows are drawn in the same order as one pair at a
+    time."""
     dim = layout.param_count
     x = samples.features
     y = samples.labels
+    n = len(x)
     rng = np.random.default_rng([int(seed), 23])
     n_pairs = max(1, trials // 2)
+    work = Workspace()
 
     l_hat = 0.0
-    for _ in range(n_pairs):
-        w = rng.normal(0.0, WEIGHT_SCALE, dim)
-        v = rng.normal(0.0, WEIGHT_SCALE, dim)
-        d = float(np.linalg.norm(w - v))
-        if d == 0.0:
-            continue
-        g = float(np.linalg.norm(gradient(w, layout, x, y) - gradient(v, layout, x, y)))
-        l_hat = max(l_hat, g / d)
+    per_block = max(1, L_BLOCK_ROWS // (2 * n))
+    for lo in range(0, n_pairs, per_block):
+        m = min(per_block, n_pairs - lo)
+        wv = rng.normal(0.0, WEIGHT_SCALE, (m, 2, dim))
+        g = _full_gradients(wv.reshape(2 * m, dim), layout, x, y, L_BLOCK_ROWS // 2, work)
+        for k in range(m):
+            d = float(np.linalg.norm(wv[k, 0] - wv[k, 1]))
+            if d > 0.0:
+                l_hat = max(l_hat, float(np.linalg.norm(g[2 * k] - g[2 * k + 1])) / d)
 
     rho_hat = 0.0
-    n = len(x)
     for lo in range(0, n_pairs, RHO_BLOCK):
         m = min(RHO_BLOCK, n_pairs - lo)
         ws = np.empty((m, dim))
@@ -204,7 +236,8 @@ def estimate_smoothness_and_rho(layout, samples, trials: int = 10000, seed: int 
         if not keep.any():
             continue
         rows = ij[keep].ravel()
-        g = gradient(np.repeat(ws[keep], 2, axis=0), layout, x[rows][:, None], y[rows][:, None])
+        g = gradient(np.repeat(ws[keep], 2, axis=0), layout, x[rows][:, None], y[rows][:, None],
+                     work=work)
         g = g.reshape(-1, 2, dim)
         rho_hat = max(rho_hat, float(np.max(np.linalg.norm(g[:, 0] - g[:, 1], axis=1) / d[keep])))
     return l_hat, rho_hat

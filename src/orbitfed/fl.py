@@ -11,11 +11,14 @@ The forward and backward passes are written once, over optional leading
 model axes, so one call can step a whole stack of models: a round's local
 updates run as one `local_update_stack`, of which `local_update` is the
 one-model case. They work class-major, with logits (..., classes, rows), so
-the softmax reduces along contiguous rows.
+the softmax reduces along contiguous rows. A caller that takes many
+gradients of one shape can hand them a `Workspace`, whose buffers the
+passes write into in place of fresh arrays.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,36 +110,73 @@ def _views(values: np.ndarray, layout: ModelLayout):
     return w1, b1, w2, b2
 
 
-def _forward(params, X: np.ndarray):
+def _fresh(_name, shape):
+    return np.empty(shape)
+
+
+class Workspace:
+    """Scratch arrays reused across gradient calls: `work(name, shape)` is a
+    C-contiguous view of the first prod(shape) entries of the named buffer,
+    which grows to the largest size asked of it. Each view is valid until the
+    next call that asks for the same name."""
+
+    def __init__(self):
+        self._buffers = {}
+
+    def __call__(self, name: str, shape: tuple) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self._buffers[name] = np.empty(size)
+        return buf[:size].reshape(shape)
+
+
+def _stack_shape(a: tuple, b: tuple) -> tuple:
+    """The broadcast of two leading-axis shapes. Equal or empty ones, the
+    only kinds the callers pass, skip numpy's general rule and its few
+    microseconds a call."""
+    if a == b or not b:
+        return a
+    return b if not a else np.broadcast_shapes(a, b)
+
+
+def _forward(params, X: np.ndarray, alloc=_fresh):
     """Class-major logits (..., classes, n) and the MLP's hidden activations
     (..., hidden, n), None for logistic, of the views `params` on features X
     (..., n, d): each layer is wᵀ @ Xᵀ, so that the softmax's reductions run
-    along contiguous rows."""
+    along contiguous rows. `alloc(name, shape)` gives the output arrays."""
     Xt = np.swapaxes(X, -1, -2)
+    n = X.shape[-2]
     if len(params) == 2:
         w, b = params
-        logits = np.swapaxes(w, -1, -2) @ Xt
+        wt = np.swapaxes(w, -1, -2)
+        lead = _stack_shape(wt.shape[:-2], Xt.shape[:-2])
+        logits = np.matmul(wt, Xt, out=alloc("logits", lead + (wt.shape[-2], n)))
         logits += b[..., None]
         return logits, None
     w1, b1, w2, b2 = params
-    hidden = np.swapaxes(w1, -1, -2) @ Xt
+    w1t, w2t = np.swapaxes(w1, -1, -2), np.swapaxes(w2, -1, -2)
+    lead = _stack_shape(w1t.shape[:-2], Xt.shape[:-2])
+    hidden = np.matmul(w1t, Xt, out=alloc("hidden", lead + (w1t.shape[-2], n)))
     hidden += b1[..., None]
     np.tanh(hidden, out=hidden)
-    logits = np.swapaxes(w2, -1, -2) @ hidden
+    logits = np.matmul(w2t, hidden, out=alloc("logits", lead + (w2t.shape[-2], n)))
     logits += b2[..., None]
     return logits, hidden
 
 
-def _softmax(logits: np.ndarray, label_index=None):
+def _softmax(logits: np.ndarray, label_index=None, alloc=_fresh):
     """Turn class-major logits (..., classes, n) into probabilities in place.
 
     Returns the partition sums (..., 1, n) of the shifted logits and, when
     `label_index` is given, the shifted logits of the true classes, taken
-    before the exp overwrites them."""
-    logits -= logits.max(axis=-2, keepdims=True)
+    before the exp overwrites them. The sums reuse the array that held the
+    row maxima."""
+    red = alloc("reduction", logits.shape[:-2] + (1, logits.shape[-1]))
+    logits -= logits.max(axis=-2, keepdims=True, out=red)
     true = logits[label_index] if label_index is not None else None
     np.exp(logits, out=logits)
-    den = logits.sum(axis=-2, keepdims=True)
+    den = logits.sum(axis=-2, keepdims=True, out=red)
     logits /= den
     return den, true
 
@@ -152,21 +192,27 @@ def _mean_ce(den, true) -> float:
     return float(np.mean(np.log(den[..., 0, :]) - true))
 
 
-def _loss_grad(values, layout: ModelLayout, X, y, with_loss: bool):
+def _loss_grad(values, layout: ModelLayout, X, y, with_loss: bool, work=None):
     """Mean cross-entropy gradient over any leading model axes: values
-    (..., P), X (..., n, d) and y (..., n) give a (..., P) gradient. The loss
-    is computed only when asked for, and only for one model (2-D X)."""
+    (..., P), X (..., n, d) and y (..., n), broadcast against each other over
+    those axes, give a (..., P) gradient. The loss is computed only when asked
+    for, and only for one model (2-D X).
+
+    With a `Workspace` as `work`, every array the passes write comes from it,
+    the gradient too, which then stays valid until the next call on that
+    workspace; without one each call allocates its own."""
+    alloc = _fresh if work is None else work
     n = X.shape[-2]
     params = _views(values, layout)
     # the logits become the probabilities, then dz, in place
-    dz, hidden = _forward(params, X)
-    idx = _label_index(y)
-    den, true = _softmax(dz, idx if with_loss else None)
+    dz, hidden = _forward(params, X, alloc)
+    den, true = _softmax(dz, _label_index(y) if with_loss else None, alloc)
     loss = _mean_ce(den, true) if with_loss else None
-    dz[idx] -= 1.0
+    # minus a one-hot of the labels: p - 1 at the true class, p - 0 = p elsewhere
+    dz -= y[..., None, :] == np.arange(layout.n_classes)[:, None]
     dz /= n
-    lead = values.shape[:-1]
-    g = np.empty(lead + (layout.param_count,))
+    lead = dz.shape[:-2]
+    g = alloc("grad", lead + (layout.param_count,))
     dzt = np.swapaxes(dz, -1, -2)
     if layout.kind == "logistic":
         d, c = layout.dims
@@ -177,7 +223,7 @@ def _loss_grad(values, layout: ModelLayout, X, y, with_loss: bool):
     o = d * h + h
     np.matmul(hidden, dzt, out=g[..., o:o + h * c].reshape(lead + (h, c)))
     dz.sum(axis=-1, out=g[..., o + h * c:])
-    dh = params[2] @ dz
+    dh = np.matmul(params[2], dz, out=alloc("dh", hidden.shape))
     hidden *= hidden
     np.subtract(1.0, hidden, out=hidden)
     dh *= hidden
@@ -194,10 +240,12 @@ def loss_and_grad(values: np.ndarray, layout: ModelLayout, X: np.ndarray, y: np.
     return _loss_grad(values, layout, X, y, with_loss=True)
 
 
-def gradient(values: np.ndarray, layout: ModelLayout, X: np.ndarray, y: np.ndarray):
+def gradient(values: np.ndarray, layout: ModelLayout, X: np.ndarray, y: np.ndarray,
+             work: Workspace | None = None):
     """Mean cross-entropy gradient alone, over any leading model axes:
-    values (..., P), X (..., n, d) and y (..., n) give (..., P)."""
-    return _loss_grad(values, layout, X, y, with_loss=False)[1]
+    values (..., P), X (..., n, d) and y (..., n) give (..., P). With a
+    `work`, the result is a view into it (see `_loss_grad`)."""
+    return _loss_grad(values, layout, X, y, with_loss=False, work=work)[1]
 
 
 def evaluate(model: ModelParams, test_set) -> tuple:

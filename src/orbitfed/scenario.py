@@ -521,8 +521,9 @@ def load_scenario(path) -> Scenario:
 
 def scenario_to_dict(scenario: Scenario) -> dict:
     """The scenario as a file, written from the validation tables, for run
-    manifests; a coverage schedule is written inline as its intervals.
-    Datasets and the train section are left out."""
+    manifests; a coverage schedule is written inline as its intervals. The
+    train section holds the fields a scenario file sets; the rest of
+    `TrainConfig` comes from the command line. Datasets are left out."""
     out = {
         "name": scenario.name,
         "seed": scenario.seed,
@@ -531,6 +532,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     }
     if scenario.data is not None:
         out["data"] = _file_fields(scenario.data, _DATA)
+    out["train"] = _file_fields(vars(scenario.train), _TRAIN)
     for c in scenario.clusters:
         row = {"id": c.id, **_file_fields(vars(c), _CLUSTER)}
         if c.schedule is not None:

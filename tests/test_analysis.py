@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from orbitfed.analysis import (
+    L_BLOCK_ROWS,
     WEIGHT_SCALE,
     BoundInputs,
     build_bound_inputs,
@@ -221,6 +222,19 @@ class TestBlockedEstimate:
         data = with_duplicate_row(synthetic_dataset(6, n_classes=3, feature_dim=5, seed=2))
         got = estimate_smoothness_and_rho(layout, data, trials=trials, seed=7)
         want = per_pair_estimate(layout, data, trials, seed=7)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("layout", [ModelLayout("mlp", (5, 4, 3)),
+                                        ModelLayout("logistic", (5, 3))], ids=["mlp", "logistic"])
+    @pytest.mark.parametrize("rows", [700, 5000])
+    def test_row_blocks_and_partial_pair_block(self, layout, rows):
+        # 700 rows: blocks of 2 pairs, so 3 pairs leave a partial last block;
+        # 5000 rows: 1 pair per block, its gradients summed over 3 row blocks
+        block_rows = L_BLOCK_ROWS // 2
+        assert L_BLOCK_ROWS // (2 * 700) == 2 and 2 * block_rows < 5000 <= 3 * block_rows
+        data = synthetic_dataset(rows, n_classes=3, feature_dim=5, seed=3)
+        got = estimate_smoothness_and_rho(layout, data, trials=7, seed=7)
+        want = per_pair_estimate(layout, data, 7, seed=7)
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_identical_rows_give_zero_rho(self):

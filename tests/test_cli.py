@@ -436,6 +436,15 @@ class TestAnalyzeMode:
         assert "decision" in rep and "v_sat" in rep
         assert "smoothness_certified" in rep
 
+    def test_rerun_writes_identical_bounds(self, spec_path, tmp_path):
+        runs = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            assert main(["--mode", "analyze", "--scenario", str(spec_path), "--rounds", "3",
+                         "--seeds", "0-1", "--out", str(out)]) == 0
+            runs.append((out / "bounds.json").read_bytes())
+        assert runs[0] == runs[1]
+
 
 def write_metrics(path, rows):
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -8,6 +8,8 @@ from orbitfed.fl import (
     ModelLayout,
     ModelParams,
     TrainConfig,
+    Workspace,
+    _loss_grad,
     evaluate,
     global_aggregate,
     gradient,
@@ -144,6 +146,31 @@ class TestClassMajorKernel:
                                     SampleSet(X[i], y[i], np.arange(rows)))
             assert_rel(ev_loss, want_loss)
             assert acc == np.mean(np.argmax(z, axis=1) == y[i])
+
+
+class TestWorkspace:
+    def test_reused_buffers_match_fresh_calls_bit_for_bit(self):
+        """One workspace through calls whose stack, rows and layout shrink,
+        largest first, so each later call runs on buffers an earlier one left
+        full: every loss and gradient equals a fresh-buffer call's."""
+        rng = np.random.default_rng(44)
+        work = Workspace()
+        # (layout, model axes, rows, features shared by the stack)
+        calls = [(MLP, (4,), 300, True), (MLP, (3,), 120, False), (LOGISTIC, (5,), 90, True),
+                 (MLP, (), 57, True), (LOGISTIC, (2, 2), 11, False), (MLP, (2,), 1, False),
+                 (LOGISTIC, (), 3, True), (MLP, (4,), 300, True)]
+        for layout, lead, rows, shared in calls:
+            dim, classes = layout.dims[0], layout.n_classes
+            values = rng.normal(0.0, 0.5, lead + (layout.param_count,))
+            X = rng.normal(0.0, 1.0, (() if shared else lead) + (rows, dim))
+            y = rng.integers(0, classes, (() if shared else lead) + (rows,))
+            _, got = _loss_grad(values, layout, X, y, with_loss=False, work=work)
+            assert np.array_equal(got, gradient(values, layout, X, y))
+            if not lead:
+                loss, got = _loss_grad(values, layout, X, y, with_loss=True, work=work)
+                want_loss, want = loss_and_grad(values, layout, X, y)
+                assert loss == want_loss
+                assert np.array_equal(got, want)
 
 
 class TestLocalUpdate:

@@ -455,7 +455,8 @@ class TestManifestRoundTrip:
     def test_builder_scenarios_with_schedules_validate_back(self, tmp_path):
         """scenario_to_dict writes what validate_scenario reads back to an
         equal scenario; about a third of the clusters follow explicit
-        passes given inline, and a third passes from a coverage file."""
+        passes given inline, and a third passes from a coverage file. The
+        train section is random, with some fields left to their defaults."""
         files = itertools.count()
 
         @settings(max_examples=100)
@@ -472,6 +473,12 @@ class TestManifestRoundTrip:
                     path = tmp_path / f"passes{next(files)}.txt"
                     path.write_text("".join(f"{k} {a!r} {b!r}\n" for k, (a, b) in enumerate(rows)))
                     c["coverage_file"] = str(path)
+            train = {"eta0": float(rng.uniform(1e-3, 1.0)),
+                     "lr_schedule": ("inv", "constant")[int(rng.integers(0, 2))],
+                     "momentum": float(rng.uniform(0.0, 1.0)),
+                     "batch_size": int(rng.integers(1, 257)),
+                     "sat_batch_size": None if rng.random() < 0.3 else int(rng.integers(1, 257))}
+            raw["train"] = {k: v for k, v in train.items() if rng.random() < 0.8}
             sc = validate_scenario(raw)
             assert validate_scenario(scenario_to_dict(sc)) == sc
 
@@ -485,6 +492,15 @@ class TestManifestRoundTrip:
         assert back == sc
         assert back.clusters[0].schedule.intervals[3] == (3, 1100.0, 1500.0)
         assert back.clusters[0].coverage_s == 342.5  # the mean dwell
+
+    def test_train_section_is_written(self):
+        spec = json.loads(REFERENCE_SCENARIO.read_text())
+        spec["train"] = {"eta0": 0.03, "lr_schedule": "constant", "momentum": 0.5,
+                         "batch_size": 8, "sat_batch_size": 64}
+        sc = validate_scenario(spec)
+        raw = scenario_to_dict(sc)
+        assert raw["train"] == spec["train"]
+        assert validate_scenario(raw).train == sc.train != TrainConfig()
 
 
 def table_fields(table):
