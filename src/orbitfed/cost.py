@@ -14,10 +14,14 @@ functions below, which work elementwise over numpy arrays. Reporting
 (`cluster_costs`, `round_latency`), the optimizer's blocks, its feasibility
 audit and its grid oracle all read it.
 
-The satellite chain hands off once a window is used up to within CYC_EPS,
-the band the simulator's replay hands off in too. Its battery is checked at
+The window rules live here alone. The satellite chain hands off once a
+window is used up to within CYC_EPS (`used_up`). Its battery is checked at
 each satellite's lowest point (`ClusterModel.battery_margin`): the dwell's
-start, the relay's end or the dwell's end, whichever is lowest.
+start, the relay's end (`relay_low`) or the dwell's end, whichever is
+lowest. `relay_chain` and `cluster_client_path` price the fixed period T
+in closed form; `walk_chain` and `client_path` walk any window sequence,
+such as `FixedWindows(T)` or the simulator's explicit passes, window by
+window, and the simulator's replay is those two calls.
 
 The satellite chain (`relay_chain`, `handoff_count`, `ClusterModel.chain`
 and `battery_margin`) takes Python floats or arrays of lanes alike: a
@@ -181,8 +185,14 @@ def isl_transfer_energy(tau_trans_s: float, tx_power_w: float) -> float:
 MAX_HANDOFFS = 10_000
 # a window with cycles to compute is used up, and its satellite hands off,
 # once its spare cycles are within this share of it (of one cycle, for a
-# window of less than one); the model and the simulator's replay both count so
+# window of less than one); `used_up` is the one test of it
 CYC_EPS = 1e-9
+
+
+def used_up(cap, spare):
+    """Whether a window that can compute cap cycles, with spare cycles left
+    after its work, is used up (within CYC_EPS); elementwise over lanes."""
+    return spare <= CYC_EPS * pick(cap > 1.0, cap, 1.0)
 
 
 def relay_chain(
@@ -240,7 +250,7 @@ def _relay_chain(offloaded_samples, cycles_per_sample, coverage_s, tau_trans_s, 
     rem = total_cycles - n * window * f
     rem = pick(rem < 0.0, 0.0, rem)  # rounding can leave it a hair below 0
     cap = window * f
-    full = work & (cap - rem <= CYC_EPS * pick(cap > 1.0, cap, 1.0))
+    full = work & used_up(cap, cap - rem)
     n, rem = pick(full, n + 1, n), pick(full, 0.0, rem)
     t_rem = rem / f
     return (n, coverage_s * n + t_rem + tau_trans_s, first,
@@ -266,6 +276,54 @@ def handoff_count(
                            freq_hz)[0]
     except OverflowError:  # relay_chain floors a scalar's infinite quotient
         return math.inf
+
+
+@dataclass(frozen=True)
+class FixedWindows:
+    """Back-to-back coverage windows of T seconds from time 0: the window
+    sequence the closed form prices."""
+
+    T: float
+
+    def window(self, i: int) -> tuple:
+        """(start, end) of window i."""
+        return self.T * i, self.T * (i + 1)
+
+    def serving(self, t: float) -> int:
+        """The index of the window open at time t."""
+        return math.floor(t / self.T)
+
+
+def walk_chain(windows, cycles: float, f: float, tau_tr: float) -> tuple:
+    """The satellite chain window by window, on any window sequence with
+    `window(i) -> (start, end)`, in Python floats.
+
+    Each window's satellite relays for tau_tr seconds from its start, then
+    computes at f what is left of cycles. A window is used up, and hands
+    off, when it cannot fit the relay or when cycles remain and it has no
+    room after them (`used_up`); a chain with nothing left to compute ends
+    on the first window that fits its relay. The caller sees to it that the
+    chain ends.
+
+    Returns (rows, end): a row (i, start, end, taken, dwell, cap) per
+    engaged window, with the cycles it computed, its satellite's dwell (the
+    whole window when used up, else the relay and the compute) and the
+    cycles it could compute after the relay; end is when the final
+    satellite finishes.
+    """
+    rows, remaining, i = [], cycles, 0
+    while True:
+        s, e = windows.window(i)
+        cap_s = max(e - s - tau_tr, 0.0)
+        cap = cap_s * f
+        take = min(remaining, cap)
+        full = cap_s <= 0.0 or (remaining > 0.0 and used_up(cap, cap - take))
+        remaining -= take
+        busy = take / f if take > 0.0 else 0.0
+        rows.append((i, s, e, take, e - s if full else tau_tr + busy, cap))
+        if not full:
+            return rows, s + tau_tr + busy
+        i += 1
 
 
 def uplink_snr_num(tx_power_w, distance_m: float, pathloss_exponent: float,
@@ -302,31 +360,55 @@ def regime_geometry(tau_locals, coverage_s: float) -> tuple:
     return m, np.maximum((coverage_s * h)[..., None], tau_locals), coverage_s * (h + 1.0)
 
 
-def cluster_client_path(tau_locals, tau_aggs, coverage_s: float, n_handoffs) -> tuple:
-    """Completion time of the client path relative to path start.
+def client_path(windows, n: int, ready, aggs) -> tuple:
+    """When the clients' uploads end, on any window sequence with `window(i)
+    -> (start, end)` and `serving(t)`, the index of the window open at t:
+    the one regime rule, for the closed form and the replay alike.
 
-    Returns (seconds, case) where case identifies which of the three timing
-    regimes fired: 1 when every client finishes before the final chain
-    satellite arrives, 2 when the straggler's serving satellite can still
-    collect every upload inside its window, 3 when uploads must wait for the
-    next satellite. Ties resolve to the lower case.
-
-    Rows of a leading batch axis are separate cases, with n_handoffs a
-    scalar or one count per row; they give arrays of seconds and cases.
+    The chain hands off n times, so its final satellite arrives at window
+    n's start. ready and aggs are each client's local pass end and upload
+    seconds, on the windows' clock. Returns (y, case, starts), where y is
+    when the last upload ends, starts when each upload starts, and case
+    which of the three timing regimes fired: 1 when every client is ready
+    by the final satellite's arrival and uploads on it, 2 when the
+    straggler's serving window can still collect every upload, each from
+    the later of the window's start and the client's ready time, 3 when
+    uploads must wait for the next window's start. Ties resolve to the
+    lower case.
     """
+    gate = windows.window(n)[0]
+    m = max(ready)
+    if m <= gate:
+        return gate + max(aggs), 1, (gate,) * len(ready)
+    j = windows.serving(m)
+    s, e = windows.window(j)
+    starts = [max(s, r) for r in ready]
+    v = max([st + a for st, a in zip(starts, aggs)])
+    if v <= e:
+        return v, 2, starts
+    # looking a window ahead consumes a pass of an explicit schedule
+    s = windows.window(j + 1)[0]
+    return s + max(aggs), 3, (s,) * len(ready)
+
+
+def cluster_client_path(tau_locals, tau_aggs, coverage_s: float, n_handoffs) -> tuple:
+    """Completion time of the client path relative to path start, and its
+    case: `client_path` on fixed windows of coverage_s from path start."""
     tau_locals = np.asarray(tau_locals, dtype=float)
     tau_aggs = np.asarray(tau_aggs, dtype=float)
-    if tau_locals.shape[-1:] in ((), (0,)) or tau_locals.shape != tau_aggs.shape:
+    if tau_locals.ndim != 1 or not tau_locals.size or tau_locals.shape != tau_aggs.shape:
         raise ValueError("need matching nonempty client latency lists")
-    gate = coverage_s * np.asarray(n_handoffs)
-    max_agg = tau_aggs.max(axis=-1)
-    m, offsets, deadline = regime_geometry(tau_locals, coverage_s)
-    v = (offsets + tau_aggs).max(axis=-1)
-    case = np.where(m <= gate, 1, np.where(v <= deadline, 2, 3))
-    y = np.where(case == 1, gate + max_agg, np.where(case == 2, v, deadline + max_agg))
-    if tau_locals.ndim == 1:
-        return float(y), int(case)
+    y, case, _ = client_path(FixedWindows(coverage_s), int(n_handoffs), tau_locals.tolist(),
+                             tau_aggs.tolist())
     return y, case
+
+
+def relay_low(level, e_tr, tau_tr, p):
+    """A satellite's lower level of its dwell's start and its relay's end:
+    it starts at level, and its relay of tau_tr seconds draws e_tr while
+    charging at p; elementwise over lanes."""
+    end = level - e_tr + tau_tr * p
+    return pick(end < level, end, level)
 
 
 class ClusterModel:
@@ -408,10 +490,10 @@ class ClusterModel:
         E0 - max(0, e_tr - p tau_tr) - psi. Every satellite of the chain
         starts full and relays alike, and this never rises with the
         offload."""
-        c, e0 = self.cluster, self.cluster.sat_initial_energy_j
+        c = self.cluster
         tau_tr = self.tau_trans(a)
-        end = e0 - isl_transfer_energy(tau_tr, c.sat_tx_power_w) + tau_tr * self.p_charge
-        return pick(end < e0, end, e0) - c.sat_min_residual_j
+        return (relay_low(c.sat_initial_energy_j, isl_transfer_energy(tau_tr, c.sat_tx_power_w),
+                          tau_tr, self.p_charge) - c.sat_min_residual_j)
 
     def battery_margin(self, a, f):
         """Lowest battery level over the relay chain at offload(s) a and

@@ -919,8 +919,8 @@ def _client_paths(ctx: _Ctx, alphas, n):
 
     Every slice keeps at least its energy floor, the least one whose upload
     the client's budget pays for after its local pass. The regime is the one
-    `cost.cluster_client_path` prices, on the offsets and deadline of
-    `cost.regime_geometry`:
+    `cost.cluster_client_path` prices, here on the offsets and deadline of
+    `cost.regime_geometry` over the rows:
       1. every local pass ends by the final satellite's arrival T n: the
          uploads start there, and the path is T n plus the equalized upload
          U, on zero offsets;

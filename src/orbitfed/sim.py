@@ -3,10 +3,11 @@
 Each round the cluster head uploads the model state and the offloaded batch
 to the satellite overhead; the relay chain hands work to successive passes
 while clients train locally, and uploads are gated by whichever satellite
-holds the final state. Timing follows the analytic cost model exactly when
-coverage windows are a fixed period; explicit schedules generalize it with
-the same rules (a satellite that fills its whole window always hands off, a
-window shorter than the relay time contributes no compute).
+holds the final state. The window rules are `cost`'s: the replay walks each
+round's coverage windows with `cost.walk_chain` and times the uploads with
+`cost.client_path`, on the fixed period or on the passes of an explicit
+schedule, and keeps only the events and the battery ledger. On a fixed
+period this is the analytic cost model's timing.
 
 Cost accounting uses the declared offload fractions (real-valued sample
 mass); the learning side trains on the actual integer sample sets chosen by
@@ -82,6 +83,7 @@ class _Feed:
     """
 
     def __init__(self, cluster):
+        self.cluster_id = cluster.id
         self.period = cluster.coverage_s
         self.intervals = cluster.schedule.intervals if cluster.schedule is not None else None
         self.pos = 0
@@ -106,8 +108,8 @@ class _Feed:
             else:
                 if j >= len(self.intervals):
                     raise SimError(
-                        f"coverage schedule exhausted after {len(self.intervals)} "
-                        "intervals; provide more passes or fewer rounds"
+                        f"cluster {self.cluster_id}: coverage schedule exhausted after "
+                        f"{len(self.intervals)} intervals; provide more passes or fewer rounds"
                     )
                 base = self.intervals[self._round_pos][1]
                 _, s, e = self.intervals[j]
@@ -115,6 +117,13 @@ class _Feed:
                     (self._path_start + (s - base), self._path_start + (e - base))
                 )
         return self._windows[i]
+
+    def serving(self, t: float) -> int:
+        """The index of the window open at t: the first that ends after it."""
+        j = 0
+        while self.window(j)[1] <= t:
+            j += 1
+        return j
 
     def end_round(self):
         if self.intervals is not None:
@@ -136,8 +145,6 @@ class _ClusterConstants:
     p_charge_w: float
     tau_locals: tuple
     tau_aggs: tuple
-    local_max: float
-    agg_max: float
 
 
 def _cluster_constants(scenario, cluster, decision) -> _ClusterConstants:
@@ -146,9 +153,16 @@ def _cluster_constants(scenario, cluster, decision) -> _ClusterConstants:
     a = model.offloaded(alphas)
     tau_tr = model.tau_trans(a)
     f = float(decision.sat_freq_hz[cluster.id])
-    if cluster.schedule is None and a > 0.0 and f > 0.0 and cluster.coverage_s > tau_tr:
-        # fixed windows give the chain in closed form; refuse, as the solver
-        # does, a chain too long to walk two events a window
+    if cluster.schedule is None:
+        # every fixed window is alike, so one that fits no relay, or computes
+        # nothing of a nonzero offload, is handed off forever; and the closed
+        # form refuses, as the solver does, a chain too long to walk two
+        # events a window
+        if cluster.coverage_s <= tau_tr or (a > 0.0 and f <= 0.0):
+            raise SimError(
+                f"cluster {cluster.id}: a fixed coverage window of {cluster.coverage_s:.6g} s "
+                f"fits no relay of {tau_tr:.6g} s or computes none of the offloaded cycles at "
+                f"{f:.6g} Hz, so the relay chain never ends")
         try:
             model.chain(a, f)
         except ValueError as err:
@@ -161,7 +175,6 @@ def _cluster_constants(scenario, cluster, decision) -> _ClusterConstants:
         relay_energy_j=cost.isl_transfer_energy(tau_tr, cluster.sat_tx_power_w),
         target_cycles=cluster.sat_cycles_per_sample * a,
         p_charge_w=model.p_charge, tau_locals=tau_locals, tau_aggs=tau_aggs,
-        local_max=max(tau_locals), agg_max=max(tau_aggs),
     )
 
 
@@ -200,125 +213,74 @@ def init_state(scenario, decision, config: TrainConfig = None, layout=None,
 
 
 def _cluster_path(state, cluster, feed, path_start, events):
-    """Run one cluster's satellite chain and client uploads; returns the log
-    plus the absolute completion times of both paths."""
+    """Replay one cluster's round on `cost.walk_chain` and `cost.client_path`
+    over its feed: append its events and return the log plus the absolute
+    completion times of both paths."""
     consts = state.constants[cluster.id]
     f = consts.freq_hz
     tau_tr = consts.tau_trans_s
     e_tr = consts.relay_energy_j
+    psi = cluster.sat_min_residual_j
 
     feed.start_round(path_start)
-    remaining = consts.target_cycles
+    rows, finish = cost.walk_chain(feed, consts.target_cycles, f, tau_tr)
+    n = len(rows) - 1
     done_cycles = 0.0
-    energy = []
-    i = 0
-    while True:
-        s, e = feed.window(i)
-        d = e - s
-        cap_s = max(d - tau_tr, 0.0)
-        cap_cycles = cap_s * f
-        take = min(remaining, cap_cycles)
-        relay_only = cap_cycles <= 0.0
+    ledger = []
+    for i, s, e, take, dwell, cap in rows:
         events.append({
             "t_s": s, "cluster": cluster.id, "kind": "relay",
-            "window": i, "duration_s": tau_tr, "relay_only": relay_only,
+            "window": i, "duration_s": tau_tr, "relay_only": cap <= 0.0,
         })
         if take > 0.0:
             events.append({
                 "t_s": s + tau_tr, "cluster": cluster.id, "kind": "sat_compute",
                 "window": i, "duration_s": take / f, "cycles": take,
             })
-        # a window is used up when it cannot fit the relay, or when cycles
-        # remain and it has no room left after them; a relay-only chain
-        # ends on the first window that fits its relay
-        used_up = cap_s <= 0.0 or (
-            remaining > 0.0 and (cap_cycles - take) <= cost.CYC_EPS * max(1.0, cap_cycles))
-        remaining -= take
+        if i < n:
+            events.append({
+                "t_s": e, "cluster": cluster.id, "kind": "handoff",
+                "from_sat": i, "to_sat": i + 1,
+            })
         done_cycles += take
-        dwell = d if used_up else (tau_tr + take / f if f > 0 else tau_tr)
+        # the battery is lowest at the window's start, the relay's end or the
+        # window's end (a relay that outlasts its window ends past it, above
+        # the window's end)
+        level = (state.battery[cluster.id] if state.persistent_battery
+                 else cluster.sat_initial_energy_j)
         consumed = cluster.energy_coeff * take * f ** 2 + e_tr
-        energy.append((i, dwell, consumed, dwell * consts.p_charge_w))
-        if not used_up:
-            finish = s + tau_tr + (take / f if f > 0 else 0.0)
-            break
-        if take <= 0.0 and feed.intervals is None:
-            raise SimError(
-                f"cluster {cluster.id}: a fixed coverage window computes none of the "
-                "offloaded cycles, so the relay chain never ends"
-            )
-        events.append({
-            "t_s": e, "cluster": cluster.id, "kind": "handoff",
-            "from_sat": i, "to_sat": i + 1,
-        })
-        i += 1
-        if i > 10_000_000:
-            raise SimError("relay chain failed to terminate")
+        charged = dwell * consts.p_charge_w
+        residual = level - consumed + charged
+        if state.persistent_battery:
+            residual = min(residual, cluster.sat_initial_energy_j)
+            state.battery[cluster.id] = residual
+        lowest = min(cost.relay_low(level, e_tr, tau_tr, consts.p_charge_w), residual)
+        ledger.append(SatWindowEnergy(
+            window=i, dwell_s=dwell, consumed_j=consumed, charged_j=charged,
+            residual_j=residual, lowest_j=lowest,
+            battery_ok=lowest >= psi - 1e-9 * max(1.0, psi),
+        ))
 
-    n_windows = i + 1
-    gate = feed.window(i)[0]  # arrival of the final chain satellite
-
-    # client path; rounding is monotone, so path_start + the slowest local
-    # time is the latest of the clients' ready times
     for pid, tl in zip(consts.members, consts.tau_locals):
         events.append({
             "t_s": path_start, "cluster": cluster.id, "kind": "client_compute",
             "client": pid, "duration_s": tl,
         })
-    m_abs = path_start + consts.local_max
-
-    if m_abs <= gate:
-        y_case = 1
-        starts = (gate,) * len(consts.members)
-        y_abs = gate + consts.agg_max
-    else:
-        j = 0
-        while feed.window(j)[1] <= m_abs:
-            j += 1
-        s_star, e_star = feed.window(j)
-        starts = [max(s_star, path_start + tl) for tl in consts.tau_locals]
-        v = max([st + ta for st, ta in zip(starts, consts.tau_aggs)])
-        if v <= e_star:
-            y_case = 2
-            y_abs = v
-        else:
-            y_case = 3
-            s_next = feed.window(j + 1)[0]
-            starts = (s_next,) * len(consts.members)
-            y_abs = s_next + consts.agg_max
-
+    y_abs, y_case, starts = cost.client_path(
+        feed, n, [path_start + tl for tl in consts.tau_locals], consts.tau_aggs)
     for pid, st, ta in zip(consts.members, starts, consts.tau_aggs):
         events.append({
             "t_s": st, "cluster": cluster.id, "kind": "upload",
             "client": pid, "duration_s": ta,
         })
 
-    # battery ledger: the level changes at p - P_tx over the relay and at
-    # p - kappa f^3 over the compute, so it is lowest at the window's start,
-    # the relay's end or the window's end (a relay that outlasts its window
-    # ends past it, above the window's end)
-    ledger = []
-    for idx, dwell, consumed, charged in energy:
-        level = (state.battery[cluster.id] if state.persistent_battery
-                 else cluster.sat_initial_energy_j)
-        residual = level - consumed + charged
-        if state.persistent_battery:
-            residual = min(residual, cluster.sat_initial_energy_j)
-            state.battery[cluster.id] = residual
-        lowest = min(level, level - e_tr + tau_tr * consts.p_charge_w, residual)
-        ok = lowest >= cluster.sat_min_residual_j - 1e-9 * max(
-            1.0, cluster.sat_min_residual_j)
-        ledger.append(SatWindowEnergy(
-            window=idx, dwell_s=dwell, consumed_j=consumed, charged_j=charged,
-            residual_j=residual, lowest_j=lowest, battery_ok=ok,
-        ))
-
     feed.end_round()
     log = ClusterRoundLog(
         cluster_id=cluster.id,
         offloaded_samples=consts.offloaded,
         tau_trans_s=tau_tr,
-        n_windows=n_windows,
-        n_handoffs=n_windows - 1,
+        n_windows=len(rows),
+        n_handoffs=n,
         rep_finish_s=finish - path_start,
         y_s=y_abs - path_start,
         y_case=y_case,

@@ -193,6 +193,31 @@ class TestHandoffChain:
         check()
         assert seen == {"relay", 0, 1, 2, math.inf}
 
+    def test_walk_on_fixed_windows_matches_relay_chain(self):
+        """`walk_chain` on `FixedWindows(T)` walks the chain `relay_chain`
+        prices in closed form: the same handoff count, cycles taken that sum
+        to the offloaded work, and the same end. The work fills up to 4.5
+        windows after their relays, whole windows' worth or a hair below
+        them, which the CYC_EPS band counts as whole, included."""
+        seen = set()
+
+        @settings(max_examples=200)
+        @given(st.floats(60.0, 1000.0), st.floats(0.01, 0.9), st.floats(1e6, 1e10),
+               st.one_of(st.floats(0.0, 4.5), st.integers(0, 4).map(float),
+                         st.integers(1, 4).map(lambda k: k * (1.0 - 1e-12))))
+        def check(t, relay_share, f, windows):
+            tau_tr = relay_share * t
+            a = windows * (t - tau_tr) * f / 3e7
+            n, tau_rep, _, _ = relay_chain(a, 3e7, t, tau_tr, f)
+            rows, end = cost.walk_chain(cost.FixedWindows(t), 3e7 * a, f, tau_tr)
+            assert len(rows) - 1 == n
+            assert math.fsum(r[3] for r in rows) == pytest.approx(3e7 * a, rel=1e-12)
+            assert end == pytest.approx(tau_rep, abs=1e-9, rel=0.0)
+            seen.add(n)
+
+        check()
+        assert seen == {0, 1, 2, 3, 4}
+
     def test_worked_last_dwell(self):
         dwell, energy = relay_chain(
             6000, 3e7, 360, CHAIN_TAU_TRANS, 2e8, 1e-28, 10.0 * CHAIN_TAU_TRANS
@@ -296,29 +321,12 @@ class TestClientPath:
                 assert case == 3 and y == pytest.approx(t * (h + 1) + max(ta))
         assert seen == {1, 2, 3}
 
-    def test_batched_rows_equal_scalar_calls(self):
-        """A leading batch axis prices each row exactly as its own scalar
-        call, and the drawn rows reach all three regimes."""
-        seen = set()
-
-        @settings(max_examples=200)
-        @given(st.floats(50.0, 500.0), st.integers(1, 4), st.integers(1, 6), st.data())
-        def check(t, k, rows, data):
-            # local times anywhere in three windows or on a window edge
-            local = st.one_of(st.floats(0.0, 3.0 * t), st.integers(0, 3).map(lambda h: h * t))
-            tl = data.draw(st.lists(st.lists(local, min_size=k, max_size=k),
-                                    min_size=rows, max_size=rows))
-            ta = data.draw(st.lists(st.lists(st.floats(1e-3, t), min_size=k, max_size=k),
-                                    min_size=rows, max_size=rows))
-            n = data.draw(st.lists(st.integers(0, 3), min_size=rows, max_size=rows))
-            y, case = cluster_client_path(np.array(tl), np.array(ta), t, np.array(n))
-            assert y.shape == case.shape == (rows,)
-            for i in range(rows):
-                assert (y[i], case[i]) == cluster_client_path(tl[i], ta[i], t, n[i])
-            seen.update(case.tolist())
-
-        check()
-        assert seen == {1, 2, 3}
+    def test_unmatched_or_empty_lists_rejected(self):
+        """One nonempty list of each, of equal length: a leading batch axis
+        is refused too."""
+        for tl, ta in (([], []), ([1.0, 2.0], [0.5]), ([[1.0]], [[0.5]])):
+            with pytest.raises(ValueError, match="matching nonempty"):
+                cluster_client_path(tl, ta, 360.0, 0)
 
 
 def chain_scenario(alpha_max=0.95):

@@ -250,6 +250,16 @@ class TestEvents:
         with pytest.raises(SimError, match="never ends"):
             run_round(init_state(sc, d))
 
+    def test_fixed_windows_that_compute_nothing_are_refused_up_front(self):
+        """An offload at a stopped clock would hand every fixed window off
+        unused: the state refuses it before a round is walked."""
+        clients = [client_dict(k, 2e8, 600) for k in range(2)]
+        sc = validate_scenario(scenario_dict([cluster_dict(0, clients)]))
+        d = DecisionVector(alpha={0: 0.5, 1: 0.5}, sat_freq_hz={0: 0.0},
+                           bandwidth_hz={0: 5e5, 1: 5e5})
+        with pytest.raises(SimError, match="cluster 0: .* never ends"):
+            init_state(sc, d)
+
     @pytest.mark.parametrize("freq", [1e-300, 1e-310, 1.0])
     def test_fixed_chain_past_the_handoff_limit_is_refused_before_the_walk(self, freq):
         """Offloading 600 samples to a crawling clock needs far more handoffs
@@ -394,11 +404,30 @@ class TestCoverageReplay:
         assert any(rb.clusters[0].n_handoffs != ra.clusters[0].n_handoffs
                    for ra, rb in zip(a.records, b.records))
 
+    @pytest.mark.parametrize("straggler_hz, case, starts", [
+        (1e8, 2, (151.0, 181.0)),  # ready at 181 s: each at max(pass start, ready)
+        (7.5e7, 3, (401.0, 401.0)),  # ready at 241 s, its upload ends past 251 s
+    ])
+    def test_upload_starts_on_a_gappy_schedule(self, straggler_hz, case, starts):
+        """On passes [0, 100], [150, 250], [400, 500], ... from the path
+        start at 1 s, a relay-only chain ends in the first pass and the
+        clients, ready at 51 s and later, upload in the straggler's pass. In
+        case 3 they wait for the next pass's start, not its end."""
+        clients = [client_dict(0, 3.6e8, 600), client_dict(1, straggler_hz, 600)]
+        sc = validate_scenario(scenario_dict([cluster_dict(
+            0, clients, coverage_intervals=[[0, 100], [150, 250], [400, 500], [600, 700]])]))
+        d = DecisionVector(alpha={0: 0.0, 1: 0.0}, sat_freq_hz={0: 1e9},
+                           bandwidth_hz={0: 100.0, 1: 100.0})
+        events = []
+        rec = run_round(init_state(sc, d), events_out=events)
+        assert (rec.clusters[0].n_handoffs, rec.clusters[0].y_case) == (0, case)
+        assert tuple(e["t_s"] for e in events if e["kind"] == "upload") == starts
+
     def test_exhausted_schedule_is_reported(self):
         spec = scenario_dict([chain_cluster(
             coverage_intervals=[[0, 360], [360, 720]])], param_count=100000)
         sc = validate_scenario(spec)
-        with pytest.raises(SimError, match="exhausted"):
+        with pytest.raises(SimError, match="cluster 0: coverage schedule exhausted"):
             run_experiment(sc, chain_decision(sc), rounds=2)
 
 
