@@ -20,8 +20,13 @@ each satellite's lowest point (`ClusterModel.battery_margin`): the dwell's
 start, the relay's end (`relay_low`) or the dwell's end, whichever is
 lowest. `relay_chain` and `cluster_client_path` price the fixed period T
 in closed form; `walk_chain` and `client_path` walk any window sequence,
-such as `FixedWindows(T)` or the simulator's explicit passes, window by
-window, and the simulator's replay is those two calls.
+such as `FixedWindows(T)` or the passes of an explicit schedule, window by
+window.
+
+`ClusterRun` is the round model the simulator replays, one per cluster per
+run: the decision priced once, the windows each round uses up, the
+battery level, and each window's ledger (`SatWindowEnergy`). A round is
+its `walk_chain` and `client_path` calls on its own windows.
 
 The satellite chain (`relay_chain`, `handoff_count`, `ClusterModel.chain`
 and `battery_margin`) takes Python floats or arrays of lanes alike: a
@@ -570,3 +575,116 @@ def round_latency(scenario, decision) -> CostBreakdown:
         clusters=per_cluster,
         tau_round_s=max(c.total_s for c in per_cluster),
     )
+
+
+@dataclass(frozen=True)
+class SatWindowEnergy:
+    """One engaged window's battery ledger in a replayed round."""
+
+    window: int
+    dwell_s: float
+    consumed_j: float
+    charged_j: float
+    residual_j: float
+    lowest_j: float  # the lowest level over the dwell
+    battery_ok: bool  # whether that lowest level stays at the floor psi
+
+
+class ClusterRun:
+    """One cluster's rounds under a run's fixed decision, window by window:
+    the round model the simulator replays, built once per cluster per run.
+
+    It prices the decision once in Python floats: the offload, the clock,
+    the relay, the target cycles and each client's local and upload
+    seconds. It serves each round's windows, `window(i)` and `serving(t)`
+    (the first window that ends after t), on the replay's absolute clock:
+    back to back from the path start on the fixed period, or on an explicit
+    schedule the passes from the first unused one, re-anchored at the path
+    start. A round uses up every pass it looked at, the one case 3 looks
+    ahead to too. It carries the satellite battery level: every window
+    starts full, or with `persistent` one level runs through the windows
+    and rounds, capped at the initial charge.
+
+    A fixed-window chain that `ClusterModel.chain` refuses, and a schedule
+    that runs out, are ValueErrors that name the cluster.
+    """
+
+    def __init__(self, scenario, cluster, decision, persistent: bool = False):
+        model = ClusterModel(scenario, cluster)
+        alphas = model.per_client(decision.alpha)
+        self.cluster, self.members, self.persistent = cluster, tuple(model.ids), persistent
+        self.offloaded = a = model.offloaded(alphas)
+        self.tau_tr = model.tau_trans(a)
+        self.f = float(decision.sat_freq_hz[cluster.id])
+        self.intervals = cluster.schedule.intervals if cluster.schedule is not None else None
+        if self.intervals is None:
+            # every fixed window is alike, so a chain the closed form refuses
+            # would be handed off forever, or walked past the handoff limit
+            try:
+                model.chain(a, self.f)
+            except ValueError as err:
+                raise ValueError(f"cluster {cluster.id}: the relay chain on fixed windows never "
+                                 f"ends within {MAX_HANDOFFS} satellite handoffs ({err})") from None
+        self.e_tr = isl_transfer_energy(self.tau_tr, cluster.sat_tx_power_w)
+        self.target_cycles = cluster.sat_cycles_per_sample * a
+        self.p_charge = model.p_charge
+        self.tau_locals = tuple(model.tau_locals(alphas).tolist())
+        self.tau_aggs = tuple(model.tau_agg(model.per_client(decision.bandwidth_hz)).tolist())
+        self.level = cluster.sat_initial_energy_j
+        self.pos = 0  # the first unused pass of an explicit schedule
+        self._start, self._windows = 0.0, []
+
+    def window(self, i: int) -> tuple:
+        """(start, end) of the round's window i."""
+        ws = self._windows
+        while len(ws) <= i:
+            k = len(ws)
+            if self.intervals is None:
+                T = self.cluster.coverage_s
+                ws.append((self._start + k * T, self._start + (k + 1) * T))
+                continue
+            if self.pos + k >= len(self.intervals):
+                raise ValueError(
+                    f"cluster {self.cluster.id}: coverage schedule exhausted after "
+                    f"{len(self.intervals)} intervals; provide more passes or fewer rounds")
+            base = self.intervals[self.pos][1]
+            _, s, e = self.intervals[self.pos + k]
+            ws.append((self._start + (s - base), self._start + (e - base)))
+        return ws[i]
+
+    def serving(self, t: float) -> int:
+        """The index of the window open at t: the first that ends after it."""
+        j = 0
+        while self.window(j)[1] <= t:
+            j += 1
+        return j
+
+    def replay(self, path_start: float) -> tuple:
+        """One round from path_start: (rows, finish, y, case, starts,
+        energy), `walk_chain`'s rows and chain end, `client_path`'s upload
+        end, regime and upload starts, and a `SatWindowEnergy` per engaged
+        window. The passes it looked at are used up."""
+        self._start, self._windows = path_start, []
+        rows, finish = walk_chain(self, self.target_cycles, self.f, self.tau_tr)
+        y, case, starts = client_path(self, len(rows) - 1,
+                                      [path_start + t for t in self.tau_locals], self.tau_aggs)
+        self.pos += len(self._windows)
+        return rows, finish, y, case, starts, tuple(self._ledger(i, take, dwell)
+                                                   for i, _, _, take, dwell, _ in rows)
+
+    def _ledger(self, i, take, dwell) -> SatWindowEnergy:
+        """Window i's ledger from the level its satellite starts at. The
+        battery is lowest at the window's start, the relay's end or the
+        window's end (a relay that outlasts its window ends past it, above
+        the window's end)."""
+        c = self.cluster
+        level = self.level  # without persistence it stays the initial charge
+        consumed = c.energy_coeff * take * self.f ** 2 + self.e_tr
+        charged = dwell * self.p_charge
+        residual = level - consumed + charged
+        if self.persistent:
+            residual = self.level = min(residual, c.sat_initial_energy_j)
+        lowest = min(relay_low(level, self.e_tr, self.tau_tr, self.p_charge), residual)
+        psi = c.sat_min_residual_j
+        return SatWindowEnergy(i, dwell, consumed, charged, residual, lowest,
+                               lowest >= psi - 1e-9 * max(1.0, psi))

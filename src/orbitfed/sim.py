@@ -3,17 +3,20 @@
 Each round the cluster head uploads the model state and the offloaded batch
 to the satellite overhead; the relay chain hands work to successive passes
 while clients train locally, and uploads are gated by whichever satellite
-holds the final state. The window rules are `cost`'s: the replay walks each
-round's coverage windows with `cost.walk_chain` and times the uploads with
-`cost.client_path`, on the fixed period or on the passes of an explicit
-schedule, and keeps only the events and the battery ledger. On a fixed
-period this is the analytic cost model's timing.
+holds the final state. The round model is `cost`'s: each cluster's
+`cost.ClusterRun`, built once per run, prices the decision, serves the
+round's coverage windows (the fixed period, or the unused passes of an
+explicit schedule), walks them with `cost.walk_chain` and
+`cost.client_path`, and keeps the satellite battery level and each window's
+ledger. This module turns each replayed round into events and a
+`ClusterRoundLog`, and trains. On a fixed period the replay is the analytic
+cost model's timing.
 
 Cost accounting uses the declared offload fractions (real-valued sample
 mass); the learning side trains on the actual integer sample sets chosen by
-the offload step. Satellite batteries are fresh each round by default, since
-every pass is a different vehicle; persistent mode rolls one battery per
-cluster across windows and rounds as a worst-case reuse model.
+the offload step. Satellite batteries are fresh each window by default,
+since every pass is a different vehicle; persistent mode rolls one battery
+per cluster across windows and rounds as a worst-case reuse model.
 """
 
 from __future__ import annotations
@@ -39,17 +42,6 @@ class SimError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SatWindowEnergy:
-    window: int
-    dwell_s: float
-    consumed_j: float
-    charged_j: float
-    residual_j: float
-    lowest_j: float  # the lowest level over the dwell
-    battery_ok: bool  # whether that lowest level stays at the floor psi
-
-
-@dataclass(frozen=True)
 class ClusterRoundLog:
     cluster_id: int
     offloaded_samples: float
@@ -61,7 +53,7 @@ class ClusterRoundLog:
     y_case: int
     sat_cycles: float
     target_cycles: float
-    energy: tuple  # SatWindowEnergy per engaged window
+    energy: tuple  # cost.SatWindowEnergy per engaged window
 
 
 @dataclass(frozen=True)
@@ -74,110 +66,6 @@ class RoundRecord:
     clusters: dict  # cluster id -> ClusterRoundLog
 
 
-class _Feed:
-    """Hands out per-round coverage windows, re-anchored at the path start.
-
-    Explicit schedules are consumed whole intervals at a time, preserving
-    the gaps between them; the fixed mode synthesizes back-to-back windows
-    of the configured period.
-    """
-
-    def __init__(self, cluster):
-        self.cluster_id = cluster.id
-        self.period = cluster.coverage_s
-        self.intervals = cluster.schedule.intervals if cluster.schedule is not None else None
-        self.pos = 0
-        self._round_pos = 0
-        self._windows = []
-        self._path_start = 0.0
-
-    def start_round(self, path_start: float):
-        self._path_start = path_start
-        self._round_pos = self.pos
-        self._windows = []
-
-    def window(self, i: int):
-        while len(self._windows) <= i:
-            j = self._round_pos + len(self._windows)
-            if self.intervals is None:
-                k = len(self._windows)
-                self._windows.append(
-                    (self._path_start + k * self.period,
-                     self._path_start + (k + 1) * self.period)
-                )
-            else:
-                if j >= len(self.intervals):
-                    raise SimError(
-                        f"cluster {self.cluster_id}: coverage schedule exhausted after "
-                        f"{len(self.intervals)} intervals; provide more passes or fewer rounds"
-                    )
-                base = self.intervals[self._round_pos][1]
-                _, s, e = self.intervals[j]
-                self._windows.append(
-                    (self._path_start + (s - base), self._path_start + (e - base))
-                )
-        return self._windows[i]
-
-    def serving(self, t: float) -> int:
-        """The index of the window open at t: the first that ends after it."""
-        j = 0
-        while self.window(j)[1] <= t:
-            j += 1
-        return j
-
-    def end_round(self):
-        if self.intervals is not None:
-            self.pos = self._round_pos + len(self._windows)
-
-
-@dataclass(frozen=True)
-class _ClusterConstants:
-    """One cluster's path under the run's fixed decision, priced once per run
-    in Python scalars: the satellite side's offload, relay and target
-    cycles, and each client's local-compute and upload seconds."""
-
-    members: tuple  # client ids, in cluster order
-    offloaded: float
-    freq_hz: float
-    tau_trans_s: float
-    relay_energy_j: float
-    target_cycles: float
-    p_charge_w: float
-    tau_locals: tuple
-    tau_aggs: tuple
-
-
-def _cluster_constants(scenario, cluster, decision) -> _ClusterConstants:
-    model = cost.ClusterModel(scenario, cluster)
-    alphas = model.per_client(decision.alpha)
-    a = model.offloaded(alphas)
-    tau_tr = model.tau_trans(a)
-    f = float(decision.sat_freq_hz[cluster.id])
-    if cluster.schedule is None:
-        # every fixed window is alike, so one that fits no relay, or computes
-        # nothing of a nonzero offload, is handed off forever; and the closed
-        # form refuses, as the solver does, a chain too long to walk two
-        # events a window
-        if cluster.coverage_s <= tau_tr or (a > 0.0 and f <= 0.0):
-            raise SimError(
-                f"cluster {cluster.id}: a fixed coverage window of {cluster.coverage_s:.6g} s "
-                f"fits no relay of {tau_tr:.6g} s or computes none of the offloaded cycles at "
-                f"{f:.6g} Hz, so the relay chain never ends")
-        try:
-            model.chain(a, f)
-        except ValueError as err:
-            raise SimError(f"{err}: the replay would walk its satellite handoffs window by "
-                           f"window, and allows no more than {cost.MAX_HANDOFFS}") from None
-    tau_locals = tuple(model.tau_locals(alphas).tolist())
-    tau_aggs = tuple(model.tau_agg(model.per_client(decision.bandwidth_hz)).tolist())
-    return _ClusterConstants(
-        members=tuple(model.ids), offloaded=a, freq_hz=f, tau_trans_s=tau_tr,
-        relay_energy_j=cost.isl_transfer_energy(tau_tr, cluster.sat_tx_power_w),
-        target_cycles=cluster.sat_cycles_per_sample * a,
-        p_charge_w=model.p_charge, tau_locals=tau_locals, tau_aggs=tau_aggs,
-    )
-
-
 @dataclass
 class SimState:
     scenario: object
@@ -187,10 +75,7 @@ class SimState:
     model: object
     clock_s: float
     round_index: int
-    feeds: dict
-    battery: dict
-    persistent_battery: bool
-    constants: dict  # cluster id -> _ClusterConstants
+    runs: dict  # cluster id -> cost.ClusterRun
 
 
 def init_state(scenario, decision, config: TrainConfig = None, layout=None,
@@ -202,91 +87,63 @@ def init_state(scenario, decision, config: TrainConfig = None, layout=None,
             f"model layout has {layout.param_count} parameters but the scenario "
             f"footprint declares {scenario.footprint.param_count}"
         )
-    return SimState(
-        scenario=scenario, decision=decision, config=config, layout=layout,
-        model=model, clock_s=0.0, round_index=0,
-        feeds={c.id: _Feed(c) for c in scenario.clusters},
-        battery={c.id: c.sat_initial_energy_j for c in scenario.clusters},
-        persistent_battery=persistent_battery,
-        constants={c.id: _cluster_constants(scenario, c, decision) for c in scenario.clusters},
-    )
+    try:
+        runs = {c.id: cost.ClusterRun(scenario, c, decision, persistent_battery)
+                for c in scenario.clusters}
+    except ValueError as err:
+        raise SimError(str(err)) from None
+    return SimState(scenario=scenario, decision=decision, config=config, layout=layout,
+                    model=model, clock_s=0.0, round_index=0, runs=runs)
 
 
-def _cluster_path(state, cluster, feed, path_start, events):
-    """Replay one cluster's round on `cost.walk_chain` and `cost.client_path`
-    over its feed: append its events and return the log plus the absolute
-    completion times of both paths."""
-    consts = state.constants[cluster.id]
-    f = consts.freq_hz
-    tau_tr = consts.tau_trans_s
-    e_tr = consts.relay_energy_j
-    psi = cluster.sat_min_residual_j
-
-    feed.start_round(path_start)
-    rows, finish = cost.walk_chain(feed, consts.target_cycles, f, tau_tr)
+def _cluster_path(run, path_start, events):
+    """Replay one cluster's round on its `cost.ClusterRun`: append its events
+    and return the log plus the absolute completion times of both paths."""
+    cid = run.cluster.id
+    try:
+        rows, finish, y_abs, y_case, starts, energy = run.replay(path_start)
+    except ValueError as err:
+        raise SimError(str(err)) from None
     n = len(rows) - 1
     done_cycles = 0.0
-    ledger = []
-    for i, s, e, take, dwell, cap in rows:
+    for i, s, e, take, _, cap in rows:
         events.append({
-            "t_s": s, "cluster": cluster.id, "kind": "relay",
-            "window": i, "duration_s": tau_tr, "relay_only": cap <= 0.0,
+            "t_s": s, "cluster": cid, "kind": "relay",
+            "window": i, "duration_s": run.tau_tr, "relay_only": cap <= 0.0,
         })
         if take > 0.0:
             events.append({
-                "t_s": s + tau_tr, "cluster": cluster.id, "kind": "sat_compute",
-                "window": i, "duration_s": take / f, "cycles": take,
+                "t_s": s + run.tau_tr, "cluster": cid, "kind": "sat_compute",
+                "window": i, "duration_s": take / run.f, "cycles": take,
             })
         if i < n:
             events.append({
-                "t_s": e, "cluster": cluster.id, "kind": "handoff",
+                "t_s": e, "cluster": cid, "kind": "handoff",
                 "from_sat": i, "to_sat": i + 1,
             })
         done_cycles += take
-        # the battery is lowest at the window's start, the relay's end or the
-        # window's end (a relay that outlasts its window ends past it, above
-        # the window's end)
-        level = (state.battery[cluster.id] if state.persistent_battery
-                 else cluster.sat_initial_energy_j)
-        consumed = cluster.energy_coeff * take * f ** 2 + e_tr
-        charged = dwell * consts.p_charge_w
-        residual = level - consumed + charged
-        if state.persistent_battery:
-            residual = min(residual, cluster.sat_initial_energy_j)
-            state.battery[cluster.id] = residual
-        lowest = min(cost.relay_low(level, e_tr, tau_tr, consts.p_charge_w), residual)
-        ledger.append(SatWindowEnergy(
-            window=i, dwell_s=dwell, consumed_j=consumed, charged_j=charged,
-            residual_j=residual, lowest_j=lowest,
-            battery_ok=lowest >= psi - 1e-9 * max(1.0, psi),
-        ))
-
-    for pid, tl in zip(consts.members, consts.tau_locals):
+    for pid, tl in zip(run.members, run.tau_locals):
         events.append({
-            "t_s": path_start, "cluster": cluster.id, "kind": "client_compute",
+            "t_s": path_start, "cluster": cid, "kind": "client_compute",
             "client": pid, "duration_s": tl,
         })
-    y_abs, y_case, starts = cost.client_path(
-        feed, n, [path_start + tl for tl in consts.tau_locals], consts.tau_aggs)
-    for pid, st, ta in zip(consts.members, starts, consts.tau_aggs):
+    for pid, st, ta in zip(run.members, starts, run.tau_aggs):
         events.append({
-            "t_s": st, "cluster": cluster.id, "kind": "upload",
+            "t_s": st, "cluster": cid, "kind": "upload",
             "client": pid, "duration_s": ta,
         })
-
-    feed.end_round()
     log = ClusterRoundLog(
-        cluster_id=cluster.id,
-        offloaded_samples=consts.offloaded,
-        tau_trans_s=tau_tr,
+        cluster_id=cid,
+        offloaded_samples=run.offloaded,
+        tau_trans_s=run.tau_tr,
         n_windows=len(rows),
         n_handoffs=n,
         rep_finish_s=finish - path_start,
         y_s=y_abs - path_start,
         y_case=y_case,
         sat_cycles=done_cycles,
-        target_cycles=consts.target_cycles,
-        energy=tuple(ledger),
+        target_cycles=run.target_cycles,
+        energy=energy,
     )
     return log, y_abs, finish
 
@@ -357,8 +214,7 @@ def run_round(state: SimState, test_set=None, events_out=None) -> RoundRecord:
             "t_s": round_start, "cluster": cluster.id, "kind": "sync",
             "duration_s": cluster.sync_delay_s,
         })
-        log, y_abs, rep_abs = _cluster_path(
-            state, cluster, state.feeds[cluster.id], path_start, events)
+        log, y_abs, rep_abs = _cluster_path(state.runs[cluster.id], path_start, events)
         logs[cluster.id] = log
         done = max(y_abs, rep_abs)
         events.append({

@@ -98,6 +98,12 @@ class TestSeedParsing:
         with pytest.raises(CliError, match="seed range '3-1' runs backwards"):
             _parse_seeds("1,3-1")
 
+    @pytest.mark.parametrize("text, seed", [("0,0", 0), ("0-2,1", 1), ("4, 2-5", 4)])
+    def test_repeated_seed_rejected(self, text, seed):
+        # a repeated seed would run its legs twice into one seed directory
+        with pytest.raises(CliError, match=f"seed {seed} repeats in '{text}'"):
+            _parse_seeds(text)
+
 
 class TestOptimizeMode:
     def test_writes_decision_and_manifest(self, spec_path, tmp_path, capsys):
@@ -366,6 +372,36 @@ class TestSweepMode:
         assert sorted(summary["per_series"]) == names
         assert [r["series"] for r in summary["rows"]] == names
 
+    @pytest.mark.parametrize("field, value, error, message", [
+        ("sensitive_fraction", 0.5, "CliError", "sweep series alpha_0.8: offload ratio 0.8 "
+                                                "outside [0, 0.5] allowed by the scenario"),
+        ("energy_budget_j", 1e-3, "InfeasibleError", "sweep series alpha_0.0: cluster 0: "
+                                                     "the client energy budgets need more "
+                                                     "than the bandwidth budget at this offload"),
+    ])
+    def test_refused_series_is_named_before_any_file(self, tmp_path, capsys, field, value,
+                                                     error, message):
+        """Half the samples sensitive caps every client's offload at 0.5, so
+        the sweep's alpha_0.8 series is refused; a client budget of 1 mJ
+        refuses every series, the first being alpha_0.0. The error names the
+        series, not a flag the sweep was never given, and no series is solved
+        into a file before it."""
+        spec = tiny_spec()
+        if field == "sensitive_fraction":
+            spec["data"][field] = value
+        else:
+            spec["clusters"][0]["clients"][0][field] = value
+        path = tmp_path / "refused.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / "run"
+        rc = main(["--mode", "sweep", "--scenario", str(path), "--rounds", "2",
+                   "--out", str(out)])
+        assert rc == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        report = json.loads(line)
+        assert (report["error"], report["message"]) == (error, message)
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+
     def test_pinned_series_share_no_state(self, spec_path, tmp_path):
         # alpha_0.0 must match a standalone terrestrial run bit for bit
         sweep_out = tmp_path / "sweep"
@@ -526,6 +562,16 @@ class TestErrorReporting:
         (line,) = capsys.readouterr().err.splitlines()
         report = json.loads(line)
         assert report["error"] == "CliError" and "'3-1'" in report["message"]
+
+    def test_repeated_seed_is_structured(self, spec_path, tmp_path, capsys):
+        run = tmp_path / "run"
+        rc = main(["--mode", "simulate", "--scenario", str(spec_path), "--rounds", "2",
+                   "--target-acc", "0.1", "--seeds", "0-2,1", "--out", str(run)])
+        assert rc == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line) == {"error": "CliError",
+                                    "message": "seed 1 repeats in '0-2,1'; each seed runs once"}
+        assert not run.exists()
 
     @pytest.mark.parametrize("extra, why", [
         (["--rounds", "-3"], "--rounds -3 is not a positive count"),

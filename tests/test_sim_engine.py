@@ -367,6 +367,52 @@ class TestLowestPointReplay:
         check()
         assert counts == {0, 1, 2}
 
+    def test_lowest_ledger_point_is_the_closed_form_margin(self):
+        """On fixed windows the lowest level of a replayed round's ledger,
+        less psi, is `ClusterModel.battery_margin` at the decision's offload
+        and clock, to 1e-12 of the initial charge: the closed form checks
+        the battery at the points the ledger walks. Optimized decisions and
+        decisions pinned at 0.3 and at 0.8 (or each client's cap, if lower),
+        on the reference and on builder scenarios."""
+        seen = set()
+
+        def check_scenario(sc):
+            decisions = []
+            for share in (None, 0.3, 0.8):
+                try:
+                    decisions.append(optimize(sc).decision if share is None else
+                                     optimize_pinned_alpha(sc, {
+                                         p.id: min(share, p.max_offload_fraction)
+                                         for p in sc.clients}))
+                except InfeasibleError:
+                    continue
+                seen.add(share)
+            for d in decisions:
+                rec = run_experiment(sc, d, rounds=1).records[0]
+                for c in sc.clusters:
+                    model = cost.ClusterModel(sc, c)
+                    a = model.offloaded(model.per_client(d.alpha))
+                    want = model.battery_margin(a, d.sat_freq_hz[c.id])
+                    log = rec.clusters[c.id]
+                    got = min(w.lowest_j for w in log.energy) - c.sat_min_residual_j
+                    assert got == pytest.approx(want, rel=0.0,
+                                                abs=1e-12 * c.sat_initial_energy_j)
+                    seen.add(("hands off", log.n_handoffs > 0))
+                    seen.add(("sunlit", c.sun_facing))
+
+        check_scenario(validate_scenario(json.loads(REFERENCE_SCENARIO.read_text())))
+
+        @settings(max_examples=60)
+        @given(st.sampled_from([case1_instance, multiwindow_instance, mixed_instance,
+                                decades_instance]),
+               st.integers(0, 2 ** 32 - 1))
+        def check(build, seed):
+            check_scenario(build(np.random.default_rng([6565, seed])))
+
+        check()
+        assert seen == {None, 0.3, 0.8, *((k, v) for k in ("hands off", "sunlit")
+                                                  for v in (False, True))}
+
 
 class TestCoverageReplay:
     def test_explicit_uniform_schedule_equals_fixed(self):
@@ -409,19 +455,30 @@ class TestCoverageReplay:
         (7.5e7, 3, (401.0, 401.0)),  # ready at 241 s, its upload ends past 251 s
     ])
     def test_upload_starts_on_a_gappy_schedule(self, straggler_hz, case, starts):
-        """On passes [0, 100], [150, 250], [400, 500], ... from the path
-        start at 1 s, a relay-only chain ends in the first pass and the
+        """On passes [0, 100], [150, 250], [400, 500], [600, 700] from the
+        path start at 1 s, a relay-only chain ends in the first pass and the
         clients, ready at 51 s and later, upload in the straggler's pass. In
-        case 3 they wait for the next pass's start, not its end."""
+        case 3 they wait for the next pass's start, not its end.
+
+        A round uses up every pass it looked at. Case 2 looks at two passes
+        a round, so two rounds replay and the third finds the schedule
+        exhausted; case 3's look-ahead uses the third pass too, so the
+        second round finds it exhausted."""
         clients = [client_dict(0, 3.6e8, 600), client_dict(1, straggler_hz, 600)]
         sc = validate_scenario(scenario_dict([cluster_dict(
             0, clients, coverage_intervals=[[0, 100], [150, 250], [400, 500], [600, 700]])]))
         d = DecisionVector(alpha={0: 0.0, 1: 0.0}, sat_freq_hz={0: 1e9},
                            bandwidth_hz={0: 100.0, 1: 100.0})
+        state = init_state(sc, d)
         events = []
-        rec = run_round(init_state(sc, d), events_out=events)
+        rec = run_round(state, events_out=events)
         assert (rec.clusters[0].n_handoffs, rec.clusters[0].y_case) == (0, case)
         assert tuple(e["t_s"] for e in events if e["kind"] == "upload") == starts
+        if case == 2:
+            again = run_round(state).clusters[0]
+            assert (again.n_windows, again.y_case) == (1, 2)
+        with pytest.raises(SimError, match="cluster 0: coverage schedule exhausted"):
+            run_round(state)
 
     def test_exhausted_schedule_is_reported(self):
         spec = scenario_dict([chain_cluster(
