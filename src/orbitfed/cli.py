@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import math
+import re
 import sys
 from dataclasses import asdict, dataclass, replace
 from json.encoder import encode_basestring_ascii
@@ -425,6 +426,12 @@ def run(plan: ExperimentPlan) -> int:
         raise CliError(f"--prox-mu {plan.prox_mu} is not a finite nonnegative coefficient")
     if plan.prox_mu and plan.algorithm != "fedprox":
         raise CliError(f"--prox-mu {plan.prox_mu} needs --algorithm fedprox")
+    if plan.mode == "sweep" and (plan.baseline != "optimized" or plan.alpha_fixed is not None):
+        raise CliError("sweep runs its own five series; it takes no --baseline or --alpha-fixed")
+    if plan.alpha_fixed is not None and plan.baseline != "fixed_ratio":
+        raise CliError(f"--alpha-fixed {plan.alpha_fixed} needs --baseline fixed_ratio")
+    if plan.grid_oracle and plan.mode != "optimize":
+        raise CliError("--grid-oracle needs --mode optimize")
     out = Path(plan.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if plan.mode == "summarize":
@@ -453,13 +460,15 @@ def _parse_seeds(text: str):
         part = part.strip()
         if not part:
             continue
-        if "-" in part and not part.startswith("-"):
-            a, b = (int(v) for v in part.split("-", 1))
-            if b < a:
-                raise CliError(f"seed range {part!r} runs backwards")
-            seeds.extend(range(a, b + 1))
-        else:
-            seeds.append(int(part))
+        # a seed seeds numpy's generators, which take nonnegative integers
+        bounds = re.fullmatch(r"([0-9]+)(?:\s*-\s*([0-9]+))?", part)
+        if bounds is None:
+            raise CliError(f"seed {part!r} is neither a nonnegative integer nor a range "
+                           "of them such as 0-9")
+        a, b = int(bounds[1]), int(bounds[2] or bounds[1])
+        if b < a:
+            raise CliError(f"seed range {part!r} runs backwards")
+        seeds.extend(range(a, b + 1))
     if not seeds:
         raise CliError(f"no seeds in {text!r}")
     seen = set()

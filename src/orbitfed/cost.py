@@ -18,10 +18,13 @@ The window rules live here alone. The satellite chain hands off once a
 window is used up to within CYC_EPS (`used_up`). Its battery is checked at
 each satellite's lowest point (`ClusterModel.battery_margin`): the dwell's
 start, the relay's end (`relay_low`) or the dwell's end, whichever is
-lowest. `relay_chain` and `cluster_client_path` price the fixed period T
-in closed form; `walk_chain` and `client_path` walk any window sequence,
-such as `FixedWindows(T)` or the passes of an explicit schedule, window by
-window.
+lowest. `relay_chain` prices the chain on the fixed period T in closed
+form; `walk_chain` and `client_path` walk any window sequence, such as
+`FixedWindows(T)` or the passes of an explicit schedule, window by window.
+The optimizer reads the same rules from here: the upload windows of a
+target time (`FixedWindows.upload_windows`, `client_path` inverted) and
+the straggler's window over batches and grids of profiles
+(`regime_geometry`).
 
 `ClusterRun` is the round model the simulator replays, one per cluster per
 run: the decision priced once, the windows each round uses up, the
@@ -38,6 +41,7 @@ numpy's vector power can round the last bit apart from libm's.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -298,6 +302,28 @@ class FixedWindows:
         """The index of the window open at time t."""
         return math.floor(t / self.T)
 
+    def upload_windows(self, t: float, n: int, h_full: int):
+        """The upload windows (g, L, D) whose uploads end by t on a chain of
+        at most n handoffs: `client_path` inverted. In a window client k
+        keeps its local pass end l_k <= L, starts its upload at max(g, l_k)
+        and ends it by D; the clients' uploads end by t exactly when some
+        window admits them all.
+
+        The three regimes are the windows (T n, T n, t) and, for straggler
+        windows h >= n, (T h, T (h + 1), min(t, T (h + 1))) and (T (h + 1),
+        T (h + 1), t). Only the last two straggler windows that open before
+        t are listed for the second: an earlier one admits no more than
+        waiting for the next satellite does. Waits stop at the satellite of
+        window h_full + 1, by whose arrival every client's local pass has
+        ended, since a later one admits no more. The windows come lazily in
+        the order L falls, regime 1's last."""
+        T = self.T
+        last = math.ceil(t / T) - 1
+        for h in range(last, max(n, last - 1) - 1, -1):
+            yield T * h, T * (h + 1), min(t, T * (h + 1))
+        for h in range(min(last - 2, max(h_full, n - 1)), n - 2, -1):
+            yield T * (h + 1), T * (h + 1), t
+
 
 def walk_chain(windows, cycles: float, f: float, tau_tr: float) -> tuple:
     """The satellite chain window by window, on any window sequence with
@@ -354,15 +380,17 @@ def upload_time(state_bits: float, snr_num, bandwidth_hz):
 def regime_geometry(tau_locals, coverage_s: float) -> tuple:
     """Where the straggler's serving window lets each client upload.
 
-    The straggler finishes its local pass at m = max_k tau_local_k, inside
-    window h = floor(m / T). Client k can start its upload at
-    max(T h, tau_local_k), and the window closes at T (h + 1). Returns (m,
-    offsets, deadline), over a leading batch axis of tau_locals too.
+    tau_locals holds one array of local pass ends per client, broadcast
+    against each other (a batch of profiles, or a grid of them). The
+    straggler finishes its local pass at m = max_k tau_local_k, inside
+    window h = floor(m / T). Client k can start its upload at max(T h,
+    tau_local_k), and the window closes at T (h + 1). Returns (m, offsets,
+    deadline), offsets a list with one array per client.
     """
-    tau_locals = np.asarray(tau_locals, dtype=float)
-    m = tau_locals.max(axis=-1)
+    m = functools.reduce(np.maximum, tau_locals)
     h = np.floor(m / coverage_s)
-    return m, np.maximum((coverage_s * h)[..., None], tau_locals), coverage_s * (h + 1.0)
+    start = coverage_s * h
+    return m, [np.maximum(start, t) for t in tau_locals], coverage_s * (h + 1.0)
 
 
 def client_path(windows, n: int, ready, aggs) -> tuple:
@@ -379,7 +407,9 @@ def client_path(windows, n: int, ready, aggs) -> tuple:
     straggler's serving window can still collect every upload, each from
     the later of the window's start and the client's ready time, 3 when
     uploads must wait for the next window's start. Ties resolve to the
-    lower case.
+    lower case. A straggler ready by its serving window's start (on a
+    window boundary, or in a gap of an explicit schedule) already waits
+    for that window: in case 3 its uploads start there.
     """
     gate = windows.window(n)[0]
     m = max(ready)
@@ -391,21 +421,10 @@ def client_path(windows, n: int, ready, aggs) -> tuple:
     v = max([st + a for st, a in zip(starts, aggs)])
     if v <= e:
         return v, 2, starts
-    # looking a window ahead consumes a pass of an explicit schedule
-    s = windows.window(j + 1)[0]
+    if m > s:
+        # looking a window ahead consumes a pass of an explicit schedule
+        s = windows.window(j + 1)[0]
     return s + max(aggs), 3, (s,) * len(ready)
-
-
-def cluster_client_path(tau_locals, tau_aggs, coverage_s: float, n_handoffs) -> tuple:
-    """Completion time of the client path relative to path start, and its
-    case: `client_path` on fixed windows of coverage_s from path start."""
-    tau_locals = np.asarray(tau_locals, dtype=float)
-    tau_aggs = np.asarray(tau_aggs, dtype=float)
-    if tau_locals.ndim != 1 or not tau_locals.size or tau_locals.shape != tau_aggs.shape:
-        raise ValueError("need matching nonempty client latency lists")
-    y, case, _ = client_path(FixedWindows(coverage_s), int(n_handoffs), tau_locals.tolist(),
-                             tau_aggs.tolist())
-    return y, case
 
 
 def relay_low(level, e_tr, tau_tr, p):
@@ -543,7 +562,7 @@ def cluster_costs(scenario, cluster, decision) -> ClusterCosts:
     tau_locals = model.tau_locals(alpha)
     tau_aggs, e_aggs = model.uplink(model.per_client(decision.bandwidth_hz))
 
-    y, case = cluster_client_path(tau_locals, tau_aggs, model.T, n)
+    y, case, _ = client_path(FixedWindows(model.T), n, tau_locals.tolist(), tau_aggs.tolist())
     tau_client = cluster.sync_delay_s + y
     tau_sat = cluster.sync_delay_s + tau_rep
     total = max(tau_client, tau_sat) + cluster.glob_delay_s

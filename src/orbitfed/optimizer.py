@@ -37,7 +37,6 @@ bandwidth on the profiles that can win.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import asdict, dataclass
 
@@ -611,17 +610,14 @@ class _Solve:
     slices. (With the offload pinned instead, `_client_paths` prices the
     slices.)
 
-    In an upload window (g, L, D) client k starts its upload at max(g, l_k),
-    keeps its local time l_k <= L and ends by D. For a chain of at most n
-    handoffs the three regimes of `cluster_client_path` are the windows (Tn,
-    Tn, t) and, for straggler windows h >= n, (Th, T(h+1), min(t, T(h+1)))
-    and (T(h+1), T(h+1), t). There client k needs at least max(floor_k, s_k -
-    rate_k (D - tau_k), energy line at tau_k) samples offloaded, a max of
-    affine functions of its upload time, and at most a_max_k. The least
-    total over slices within the budget is separable and convex: one price
-    mu gives each client the slice where r^2 / (Q r') = w_k / mu, w_k the
-    slope of its active piece (Boyd & Vandenberghe, Convex Optimization,
-    2004, section 5.5.3); t only shifts the pieces.
+    In an upload window (g, L, D) of `cost.FixedWindows.upload_windows`
+    client k needs at least max(floor_k, s_k - rate_k (D - tau_k), energy
+    line at tau_k) samples offloaded, a max of affine functions of its
+    upload time, and at most a_max_k. The least total over slices within
+    the budget is separable and convex: one price mu gives each client the
+    slice where r^2 / (Q r') = w_k / mu, w_k the slope of its active piece
+    (Boyd & Vandenberghe, Convex Optimization, 2004, section 5.5.3); t only
+    shifts the pieces.
 
     The client path never falls as the chain gets longer, so windows for n
     handoffs are safe for any chain of n or fewer; n is raised from below to
@@ -636,6 +632,7 @@ class _Solve:
                                  np.maximum(ctx.rate, ctx.energy_slope)))
         self.targets = np.log(slopes) + math.log(math.log(2.0) * ctx.footprint.state_bits)
         self.c2 = np.concatenate((ctx.snr_num, ctx.snr_num))
+        self.windows = cost.FixedWindows(ctx.T)
         # straggler windows past h_full hold every client's local pass
         self.h_full = math.ceil(float(np.max(ctx.sizes / ctx.rate)) / ctx.T) - 1
         self.z = None  # ln mu and the priced slices of the last budget fill
@@ -731,17 +728,11 @@ class _Solve:
         of target t, with the battery-optimal frequency and the chain's
         handoff count, raising the chain from n; alpha is None when no
         offload up to the cap fits."""
-        ctx, T = self.ctx, self.ctx.T
+        ctx = self.ctx
         while True:
-            last = math.ceil(t / T) - 1  # the last window that opens before t
-            # uploads that end in one of the last two windows, then uploads
-            # that wait for a later satellite: L falls down the list
-            ends = [(T * h, T * (h + 1), min(t, T * (h + 1)))
-                    for h in range(last, max(n, last - 1) - 1, -1)]
-            top = min(last - 2, max(self.h_full, n - 1))
-            waits = ((T * (h + 1), T * (h + 1), t) for h in range(top, n - 2, -1))
             best, pick = math.inf, None
-            for g, L, D in itertools.chain(ends, waits):
+            # L falls down the windows, so the first ruled out ends the list
+            for g, L, D in self.windows.upload_windows(t, n, self.h_full):
                 if self.ruled_out(L, best):
                     break
                 got = self.window(g, L, D)
@@ -919,7 +910,7 @@ def _client_paths(ctx: _Ctx, alphas, n):
 
     Every slice keeps at least its energy floor, the least one whose upload
     the client's budget pays for after its local pass. The regime is the one
-    `cost.cluster_client_path` prices, here on the offsets and deadline of
+    `cost.client_path` prices, here on the offsets and deadline of
     `cost.regime_geometry` over the rows:
       1. every local pass ends by the final satellite's arrival T n: the
          uploads start there, and the path is T n plus the equalized upload
@@ -936,7 +927,8 @@ def _client_paths(ctx: _Ctx, alphas, n):
         raise InfeasibleError(
             f"cluster {ctx.cluster.id}: the client energy budgets need more than the "
             "bandwidth budget at this offload", slack=float(np.min(spare)))
-    m, x, deadline = cost.regime_geometry(ctx.tau_locals(alphas), ctx.T)
+    m, x, deadline = cost.regime_geometry(ctx.tau_locals(alphas).T, ctx.T)
+    x = np.stack(x, axis=1)
     gate = ctx.T * n
     first = m <= gate
     y, b = _equalize(ctx, floors, np.where(first[:, None], 0.0, x))
@@ -1026,12 +1018,15 @@ class _Lattice:
     on its own chain's count.
 
     The frequency and the chain come from one `_battery_freq` pass and one
-    `chain` call over every distinct offload total. A profile that breaks a
-    constraint gets an inf lower bound, so it never wins: one whose total
-    the battery refuses, and one whose clients' energy floors overfill the
-    band. The lattice raises only when no profile is left: the first
-    refused total's error when the battery refuses every total, and an
-    energy error when every profile breaks a budget.
+    `chain` call over every distinct offload total. `freq` and `handoffs`
+    stay one per total, and `inverse` maps each profile to its total; only
+    the satellite path `rep`, which the bound reads, is kept per profile. A
+    profile that breaks a constraint gets an inf lower bound, so it never
+    wins: one whose total the battery refuses, and one whose clients'
+    energy floors overfill the band. The lattice raises only when no
+    profile is left: the first refused total's error when the battery
+    refuses every total, and an energy error when every profile breaks a
+    budget.
 
     The lattice is the product of the clients' alpha axes. What depends on
     one client's offload alone (its alpha, local time, energy-floor slice
@@ -1118,7 +1113,8 @@ class _Lattice:
         # a refused total keeps an inf satellite path and no handoff
         n, rep = np.zeros(len(uniq), np.min_scalar_type(cost.MAX_HANDOFFS)), np.full(len(uniq), math.inf)
         _, n[ok], rep[ok], _, _ = ctx.chain(a[ok], best_f[ok])
-        self.rep, self.handoffs, self.freq = (np.take(v, inverse) for v in (rep, n, best_f))
+        self.inverse, self.handoffs, self.freq = inverse, n, best_f
+        self.rep = np.take(rep, inverse)
 
         # --- client side: exact energy floors on the slices and local
         # times, per axis value; column k holds client k's axis, padded with
@@ -1135,12 +1131,10 @@ class _Lattice:
         if not fits.any():
             raise InfeasibleError("grid instance has an unmeetable client energy budget")
 
-        # `cost.regime_geometry` on the grid: the start of the straggler's
-        # serving window, and each client's upload offset
+        # each client's upload offset in the straggler's serving window
         tl_axis = ctx.tau_locals(axis_alpha)
-        tl = [along(k, tl_axis[:n, k]) for k, n in enumerate(shape)]
-        start = ctx.T * np.floor(functools.reduce(np.maximum, tl) / ctx.T)
-        x = [np.maximum(start, t) for t in tl]
+        x = cost.regime_geometry([along(k, tl_axis[:n, k]) for k, n in enumerate(shape)],
+                                 ctx.T)[1]
 
         # client k gets at most the budget the other floors leave, so its
         # upload ends no sooner than reach_k; that bounds the equalized
@@ -1161,7 +1155,7 @@ class _Lattice:
     def totals(self, sel: np.ndarray) -> np.ndarray:
         """Round time of the profiles at indices sel, with the client path of
         the pinned-offload equalizer."""
-        y = _client_paths(self.ctx, self.alphas[sel], self.handoffs[sel])[0]
+        y = _client_paths(self.ctx, self.alphas[sel], self.handoffs[self.inverse[sel]])[0]
         return (self.cluster.sync_delay_s + np.maximum(y, self.rep[sel])
                 + self.cluster.glob_delay_s)
 
@@ -1170,7 +1164,7 @@ class _Lattice:
         slices of `solve_bandwidth` and the cost model's round time."""
         i = int(np.argmin(totals))
         alpha_pt = {pid: float(self.alphas[sel[i], k]) for k, pid in enumerate(self.ctx.ids)}
-        freq_map = {self.cluster.id: float(self.freq[sel[i]])}
+        freq_map = {self.cluster.id: float(self.freq[self.inverse[sel[i]]])}
         b_map = solve_bandwidth(self.scenario, alpha_pt, freq_map, [self.ctx])
         decision = DecisionVector(alpha=alpha_pt, sat_freq_hz=freq_map, bandwidth_hz=b_map)
         tau = cost.round_latency(self.scenario, decision).tau_round_s

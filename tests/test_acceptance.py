@@ -207,7 +207,7 @@ def test_cost_formulas_match_independent_recomputation():
             tls = [float(rng.uniform(0.0, 2.5 * T)) for _ in range(k)]
             tas = [float(rng.uniform(0.01, 15.0)) for _ in range(k)]
             want_y, want_case = path_by_cases(tls, tas, T, nh)
-            got_y, got_case = cost.cluster_client_path(tls, tas, T, nh)
+            got_y, got_case, _ = cost.client_path(cost.FixedWindows(T), nh, tls, tas)
             assert got_case == want_case
             assert got_y == pytest.approx(want_y, rel=1e-9)
             case_seen.add(want_case)

@@ -86,8 +86,19 @@ class TestSeedParsing:
     def test_mixed(self):
         assert _parse_seeds("5, 7-9, 12") == (5, 7, 8, 9, 12)
 
-    def test_negative_seed_is_not_a_range(self):
-        assert _parse_seeds("-3") == (-3,)
+    def test_negative_seed_rejected(self):
+        # numpy's generators refuse a negative seed, and only after the
+        # manifest is written
+        with pytest.raises(CliError, match="seed '-3' is neither a nonnegative integer"):
+            _parse_seeds("0,-3")
+
+    @pytest.mark.parametrize("part", ["abc", "1--3", "-1-3", "1.5", "2-x"])
+    def test_malformed_seed_rejected(self, part):
+        with pytest.raises(CliError, match=f"seed '{re.escape(part)}' is neither"):
+            _parse_seeds(f"0,{part}")
+
+    def test_spaced_range(self):
+        assert _parse_seeds("1 - 3") == (1, 2, 3)
 
     def test_empty_rejected(self):
         with pytest.raises(CliError, match="no seeds"):
@@ -571,6 +582,45 @@ class TestErrorReporting:
         (line,) = capsys.readouterr().err.splitlines()
         assert json.loads(line) == {"error": "CliError",
                                     "message": "seed 1 repeats in '0-2,1'; each seed runs once"}
+        assert not run.exists()
+
+    @pytest.mark.parametrize("seeds", ["-3", "abc"])
+    def test_negative_or_malformed_seed_is_structured(self, spec_path, tmp_path, capsys, seeds):
+        run = tmp_path / "run"
+        rc = main(["--mode", "simulate", "--scenario", str(spec_path), "--rounds", "2",
+                   "--seeds", seeds, "--out", str(run)])
+        assert rc == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line) == {
+            "error": "CliError",
+            "message": f"seed '{seeds}' is neither a nonnegative integer nor a range of them "
+                       "such as 0-9"}
+        assert not run.exists()
+
+    @pytest.mark.parametrize("argv, why", [
+        (["--mode", "optimize", "--alpha-fixed", "0.3"],
+         "--alpha-fixed 0.3 needs --baseline fixed_ratio"),
+        (["--mode", "simulate", "--rounds", "2", "--baseline", "full_offload",
+          "--alpha-fixed", "0.3"], "--alpha-fixed 0.3 needs --baseline fixed_ratio"),
+        (["--mode", "simulate", "--rounds", "2", "--grid-oracle"],
+         "--grid-oracle needs --mode optimize"),
+        (["--mode", "analyze", "--rounds", "2", "--grid-oracle"],
+         "--grid-oracle needs --mode optimize"),
+        (["--mode", "sweep", "--rounds", "2", "--baseline", "full_offload"],
+         "sweep runs its own five series; it takes no --baseline or --alpha-fixed"),
+        (["--mode", "sweep", "--rounds", "2", "--baseline", "fixed_ratio", "--alpha-fixed", "0.3"],
+         "sweep runs its own five series; it takes no --baseline or --alpha-fixed"),
+    ], ids=["optimize-alpha", "simulate-alpha", "simulate-grid", "analyze-grid",
+            "sweep-baseline", "sweep-alpha"])
+    def test_flags_the_mode_would_ignore_are_refused(self, spec_path, tmp_path, capsys, argv,
+                                                      why):
+        """A flag that the mode or baseline never reads is an error, not a
+        run that records it in the manifest and does something else."""
+        run = tmp_path / "run"
+        rc = main([*argv, "--scenario", str(spec_path), "--out", str(run)])
+        assert rc == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line) == {"error": "CliError", "message": why}
         assert not run.exists()
 
     @pytest.mark.parametrize("extra, why", [

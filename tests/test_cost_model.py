@@ -12,11 +12,12 @@ from hypothesis import given, settings, strategies as st
 
 from orbitfed import cost
 from orbitfed.cost import (
+    FixedWindows,
     IslLinkParams,
     ModelFootprint,
     client_local_energy,
     client_local_latency,
-    cluster_client_path,
+    client_path,
     cluster_costs,
     handoff_count,
     isl_rate,
@@ -286,16 +287,16 @@ class TestUplink:
 
 class TestClientPath:
     def test_case1_all_done_before_final_arrival(self):
-        y, case = cluster_client_path([100.0, 500.0], [0.5, 0.4], 360.0, 2)
+        y, case, _ = client_path(FixedWindows(360.0), 2, [100.0, 500.0], [0.5, 0.4])
         assert case == 1
         assert y == pytest.approx(720.5)
 
     def test_case2_worked(self):
-        y, case = cluster_client_path([90.0], [0.5], 360.0, 0)
+        y, case, _ = client_path(FixedWindows(360.0), 0, [90.0], [0.5])
         assert (y, case) == (pytest.approx(90.5), 2)
 
     def test_case3_boundary_crossing(self):
-        y, case = cluster_client_path([359.9], [0.5], 360.0, 0)
+        y, case, _ = client_path(FixedWindows(360.0), 0, [359.9], [0.5])
         assert (y, case) == (pytest.approx(360.5), 3)
 
     def test_case_conditions_hold_for_returned_case(self):
@@ -307,7 +308,7 @@ class TestClientPath:
             k = int(rng.integers(1, 6))
             tl = rng.uniform(0, 4 * t, k).tolist()
             ta = rng.uniform(0.01, 5, k).tolist()
-            y, case = cluster_client_path(tl, ta, t, n)
+            y, case, _ = client_path(FixedWindows(t), n, tl, ta)
             seen.add(case)
             m = max(tl)
             h = math.floor(m / t)
@@ -321,12 +322,45 @@ class TestClientPath:
                 assert case == 3 and y == pytest.approx(t * (h + 1) + max(ta))
         assert seen == {1, 2, 3}
 
-    def test_unmatched_or_empty_lists_rejected(self):
-        """One nonempty list of each, of equal length: a leading batch axis
-        is refused too."""
-        for tl, ta in (([], []), ([1.0, 2.0], [0.5]), ([[1.0]], [[0.5]])):
-            with pytest.raises(ValueError, match="matching nonempty"):
-                cluster_client_path(tl, ta, 360.0, 0)
+
+class TestUploadWindows:
+    def test_windows_admit_exactly_the_uploads_that_end_by_t(self):
+        """`FixedWindows.upload_windows` inverts `client_path` on the fixed
+        period: the uploads end by t exactly when some listed window (g, L,
+        D) admits the clients, every local pass ended by L and every upload
+        from max(g, ready_k) ended by D. h_full is any window index from
+        the one that holds the last local pass on. t is drawn anywhere in
+        the window before, at or after the one where the uploads end, and at
+        their end and a hair either side of it. Local pass ends include
+        whole windows, where the straggler's window changes and the uploads
+        may wait for it."""
+        seen = set()
+        # a local pass end in windows, rounded down to a whole window one
+        # time in four
+        share = st.tuples(st.floats(0.0, 4.0), st.integers(0, 3)).map(
+            lambda p: float(math.floor(p[0])) if p[1] == 0 else p[0])
+
+        @settings(max_examples=400)
+        @given(st.floats(50.0, 500.0), st.integers(0, 3),
+               st.lists(st.tuples(share, st.floats(0.001, 1.5)), min_size=1, max_size=5),
+               st.integers(0, 3), st.integers(-1, 1), st.floats(0.0, 1.0))
+        def check(T, n, clients, extra, k, u):
+            windows = FixedWindows(T)
+            ready = [r * T for r, _ in clients]
+            aggs = [a * T for _, a in clients]
+            y, case, _ = client_path(windows, n, ready, aggs)
+            h_full = math.ceil(max(ready) / T) - 1 + extra
+            for t in (T * (math.floor(y / T) + k + u), y * (1.0 - 1e-9), y, y * (1.0 + 1e-9)):
+                listed = list(windows.upload_windows(t, n, h_full))
+                assert all(a[1] >= b[1] for a, b in zip(listed, listed[1:]))
+                admits = any(max(ready) <= L and all(max(g, r) + a <= D
+                                                     for r, a in zip(ready, aggs))
+                             for g, L, D in listed)
+                assert admits == (y <= t)
+            seen.add(case)
+
+        check()
+        assert seen == {1, 2, 3}
 
 
 def chain_scenario(alpha_max=0.95):

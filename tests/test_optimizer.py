@@ -194,13 +194,13 @@ class TestLattice:
         for a in np.unique(totals).tolist():
             f = _battery_freq(ctx, a)
             at = totals == a
-            assert np.all(lattice.freq[at] == f)
+            assert np.all(lattice.freq[lattice.inverse[at]] == f)
             assert np.all(lattice.rep[at] == ctx.chain(a, f)[2])
-            assert np.all(lattice.handoffs[at] == ctx.chain(a, f)[1])
+            assert np.all(lattice.handoffs[lattice.inverse[at]] == ctx.chain(a, f)[1])
 
     def test_client_path_per_profile(self, lattice):
         ctx = lattice.ctx
-        deadline = cost.regime_geometry(ctx.tau_locals(lattice.alphas), ctx.T)[2]
+        deadline = cost.regime_geometry(ctx.tau_locals(lattice.alphas).T, ctx.T)[2]
         slow = ctx.T < ctx.local_min.max()
         assert (np.unique(deadline).size > 1) == slow
         # each total is the cost model's round time of the profile's
@@ -210,7 +210,7 @@ class TestLattice:
         assert np.all(lattice.lower[sel] <= totals * (1.0 + 1e-12))
         for i, total in zip(sel, totals):
             alpha = dict(zip(ctx.ids, lattice.alphas[i].tolist()))
-            freq = {ctx.cluster.id: float(lattice.freq[i])}
+            freq = {ctx.cluster.id: float(lattice.freq[lattice.inverse[i]])}
             decision = DecisionVector(alpha, freq, solve_bandwidth(lattice.scenario, alpha, freq))
             tau = cost.round_latency(lattice.scenario, decision).tau_round_s
             assert total == pytest.approx(tau, rel=1e-12)
@@ -657,6 +657,7 @@ def bandwidth_floors(ctx, alpha, freq):
     n = ctx.n_handoffs(ctx.offloaded(alpha), freq)
     floors = capped_slices(ctx, (ctx.budgets - ctx.e_locals(alpha)) / ctx.tx_power_w)
     m, x2, deadline = cost.regime_geometry(tl, ctx.T)
+    x2 = np.array(x2)
     if m > ctx.T * n:
         floors2 = np.maximum(floors, capped_slices(ctx, deadline - x2))
         if np.sum(floors2) <= ctx.budget_hz:
@@ -714,7 +715,8 @@ class TestSolveBandwidth:
                 assert (1.0 - BAND_EPS) * ctx.budget_hz <= float(np.sum(b)) <= ctx.budget_hz
                 got = float(np.max(x + ctx.tau_agg(b)))
                 assert got == pytest.approx(bisected_completion(ctx, floors, x), rel=1e-9)
-                seen.add(cost.cluster_client_path(ctx.tau_locals(a), ctx.tau_agg(b), ctx.T, n)[1])
+                seen.add(cost.client_path(cost.FixedWindows(ctx.T), n, ctx.tau_locals(a).tolist(),
+                                          ctx.tau_agg(b).tolist())[1])
 
         check()
         assert seen == {1, 2, 3}
@@ -854,8 +856,8 @@ class TestClientPaths:
                 y, b = _client_paths(ctx, alphas, counts)
                 for i, (a, n, (y1, b1)) in enumerate(alone):
                     assert y[i] == y1[0] and np.array_equal(b[i], b1[0])
-                    seen.add(cost.cluster_client_path(ctx.tau_locals(a), ctx.tau_agg(b1[0]),
-                                                      ctx.T, n)[1])
+                    seen.add(cost.client_path(cost.FixedWindows(ctx.T), n, ctx.tau_locals(a).tolist(),
+                                              ctx.tau_agg(b1[0]).tolist())[1])
 
         check()
         assert seen == {1, 2, 3}

@@ -10,6 +10,8 @@ the manifests agree. The commands are:
 - `optimize`, then `simulate` for the family's rounds, on every scenario of
   the benchmark's `plan` family at seeds 1-3 (`perfbench/workloads.py`
   `plan_family`);
+- `optimize --grid-oracle` on every instance of the benchmark's `oracle`
+  workload at seeds 1-3 (`perfbench/workloads.py` `build_oracle`);
 - on `scenarios/reference.json`: `optimize`, `simulate --rounds 3`,
   `simulate --rounds 5 --persistent-battery`, `sweep --rounds 2 --seeds 0`
   and `analyze --rounds 3`.
@@ -30,7 +32,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-PLAN_SEEDS = (1, 2, 3)
+SEEDS = (1, 2, 3)  # of the plan family and the oracle instances
 REFERENCE = ("inputs/reference.json", [
     ("optimize", []),
     ("simulate", ["--rounds", "3"]),
@@ -60,11 +62,11 @@ print(json.dumps(status))
 def write_inputs(inputs: Path) -> list:
     """Write the input scenarios and return the command list."""
     sys.path.insert(0, str(ROOT / "perfbench"))
-    from workloads import plan_family
+    from workloads import build_oracle, plan_family
 
     inputs.mkdir(parents=True)
     commands = []
-    for seed in PLAN_SEEDS:
+    for seed in SEEDS:
         for key, (raw, rounds) in plan_family(seed).items():
             name = f"inputs/plan-{key}-{seed}.json"
             (inputs.parent / name).write_text(json.dumps(raw, indent=1))
@@ -72,6 +74,13 @@ def write_inputs(inputs: Path) -> list:
                              "--out", f"out/plan-{key}-{seed}-optimize"])
             commands.append(["--mode", "simulate", "--scenario", name, "--rounds", str(rounds),
                              "--out", f"out/plan-{key}-{seed}-simulate"])
+    for seed in SEEDS:
+        work = inputs / f"oracle-{seed}"
+        work.mkdir()
+        for op in build_oracle(seed, work).ops:
+            # the instance's scenario path is the command's last argument
+            name = str(Path(op.argv[-1]).relative_to(inputs.parent))
+            commands.append([*op.argv[:-1], name, "--out", f"out/{op.scenario}-{seed}-grid"])
     path, runs = REFERENCE
     shutil.copy(ROOT / "scenarios" / "reference.json", inputs.parent / path)
     for k, (mode, extra) in enumerate(runs):
