@@ -2,7 +2,9 @@
 
 Every run directory gets a manifest with the fully resolved configuration,
 and all outputs are deterministic functions of (scenario, plan, seeds): no
-timestamps, sorted JSON keys, fixed float formatting via repr.
+timestamps, sorted JSON keys, fixed float formatting via repr. The timeline
+is written as the simulator formats it, one `json.dumps(event,
+sort_keys=True)` line per event.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import math
 import re
 import sys
 from dataclasses import asdict, dataclass, replace
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import __version__
@@ -91,67 +92,10 @@ def _write_metrics(path: Path, metrics):
                         ("round", "clock_s", "accuracy", "loss", "tau_round_s")])
 
 
-_FLOAT_MEMO = 4096  # distinct floats kept formatted; the memo restarts when full
-
-
-def _json_float(v: float) -> str:
-    if v != v:
-        return "NaN"
-    if v == math.inf:
-        return "Infinity"
-    if v == -math.inf:
-        return "-Infinity"
-    return float.__repr__(v)
-
-
-def _template(keys):
-    """The %-template of one event shape, and its keys in sorted order."""
-    order = tuple(sorted(keys))
-    fields = ", ".join(encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in order)
-    return "{" + fields + "}\n", order
-
-
-def _timeline_lines(events):
-    """Yield `json.dumps(e, sort_keys=True) + "\n"` for each event, filled into
-    one template per key tuple. Durations repeat every round and a cluster's
-    client events share t_s, so float reprs are memoised. Zeros and NaN are
-    not: 0.0 == -0.0 share a slot but print differently, and NaN equals no
-    key. Event keys are strings, as the simulator writes them."""
-    shapes = {}
-    floats = {}
-    for e in events:
-        keys = tuple(e)
-        shape = shapes.get(keys)
-        if shape is None:
-            shape = shapes[keys] = _template(keys)
-        template, order = shape
-        parts = []
-        for k in order:
-            v = e[k]
-            t = type(v)  # exact types: True == 1.0 hashes alike, so bools stay out of the memo
-            if t is float:
-                s = floats.get(v)
-                if s is None:
-                    s = _json_float(v)
-                    if v and v == v:
-                        if len(floats) >= _FLOAT_MEMO:
-                            floats.clear()
-                        floats[v] = s
-            elif t is int:
-                s = str(v)
-            elif t is str:
-                s = encode_basestring_ascii(v)
-            elif t is bool:
-                s = "true" if v else "false"
-            else:
-                s = json.dumps(v, sort_keys=True)
-            parts.append(s)
-        yield template % tuple(parts)
-
-
-def _write_timeline(path: Path, events):
+def _write_timeline(path: Path, lines):
+    """Write the simulator's timeline lines as they are, streamed."""
     with open(path, "w") as fh:
-        fh.writelines(_timeline_lines(events))  # streamed: a list of every line costs RSS
+        fh.writelines(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +376,10 @@ def run(plan: ExperimentPlan) -> int:
         raise CliError(f"--alpha-fixed {plan.alpha_fixed} needs --baseline fixed_ratio")
     if plan.grid_oracle and plan.mode != "optimize":
         raise CliError("--grid-oracle needs --mode optimize")
+    if plan.persistent_battery and plan.mode not in ("simulate", "sweep"):
+        raise CliError("--persistent-battery needs --mode simulate or sweep")
+    if plan.target_acc is not None and not 0.0 <= plan.target_acc <= 1.0:
+        raise CliError(f"--target-acc {plan.target_acc} is not an accuracy in [0, 1]")
     out = Path(plan.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if plan.mode == "summarize":

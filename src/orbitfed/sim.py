@@ -8,9 +8,15 @@ holds the final state. The round model is `cost`'s: each cluster's
 round's coverage windows (the fixed period, or the unused passes of an
 explicit schedule), walks them with `cost.walk_chain` and
 `cost.client_path`, and keeps the satellite battery level and each window's
-ledger. This module turns each replayed round into events and a
+ledger. This module turns each replayed round into timeline lines and a
 `ClusterRoundLog`, and trains. On a fixed period the replay is the analytic
 cost model's timing.
+
+Each timeline line is one event as `json.dumps(event, sort_keys=True)`
+writes it, with its newline. The text of a line that holds for the whole run
+(its keys, and each value up to the first that changes from round to round)
+is formatted once per cluster when the state is built; a round formats only
+its times, windows and cycles.
 
 Cost accounting uses the declared offload fractions (real-valued sample
 mass); the learning side trains on the actual integer sample sets chosen by
@@ -76,6 +82,55 @@ class SimState:
     clock_s: float
     round_index: int
     runs: dict  # cluster id -> cost.ClusterRun
+    text: dict  # cluster id -> _ClusterText
+
+
+def _num(v) -> str:
+    """`json.dumps(v)` for a bool, int or float: true or false, the int's
+    repr, a finite float's repr, and NaN, Infinity or -Infinity."""
+    if v is True or v is False:
+        return "true" if v else "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    if math.isfinite(v):
+        return float.__repr__(v)
+    return "NaN" if v != v else ("Infinity" if v > 0 else "-Infinity")
+
+
+_GLOBAL_AGG = '{"cluster": -1, "kind": "global_agg", "t_s": '
+
+
+@dataclass(frozen=True)
+class _ClusterText:
+    """One cluster's timeline text that holds for the run: each line kind's
+    keys in sorted order and its values up to the first that changes from
+    round to round, formatted once."""
+    head: str  # '{"cluster": <id>, ', which opens every line of the cluster
+    sync: str
+    relay: tuple  # relay_only false, true
+    computes: tuple  # client_compute, one per member
+    uploads: tuple  # upload, one per member
+    agg: str
+
+    @classmethod
+    def of(cls, run):
+        cid = _num(run.cluster.id)
+        head = f'{{"cluster": {cid}, '
+        relay = f'{head}"duration_s": {_num(run.tau_tr)}, "kind": "relay", "relay_only": '
+
+        def per_client(kind, durations):
+            return tuple(f'{{"client": {_num(pid)}, "cluster": {cid}, "duration_s": {_num(d)}, '
+                         f'"kind": "{kind}", "t_s": '
+                         for pid, d in zip(run.members, durations))
+
+        return cls(
+            head=head,
+            sync=f'{head}"duration_s": {_num(run.cluster.sync_delay_s)}, "kind": "sync", "t_s": ',
+            relay=(f'{relay}false, "t_s": ', f'{relay}true, "t_s": '),
+            computes=per_client("client_compute", run.tau_locals),
+            uploads=per_client("upload", run.tau_aggs),
+            agg=f'{head}"kind": "cluster_agg", "t_s": ',
+        )
 
 
 def init_state(scenario, decision, config: TrainConfig = None, layout=None,
@@ -93,47 +148,37 @@ def init_state(scenario, decision, config: TrainConfig = None, layout=None,
     except ValueError as err:
         raise SimError(str(err)) from None
     return SimState(scenario=scenario, decision=decision, config=config, layout=layout,
-                    model=model, clock_s=0.0, round_index=0, runs=runs)
+                    model=model, clock_s=0.0, round_index=0, runs=runs,
+                    text={cid: _ClusterText.of(run) for cid, run in runs.items()})
 
 
-def _cluster_path(run, path_start, events):
-    """Replay one cluster's round on its `cost.ClusterRun`: append its events
-    and return the log plus the absolute completion times of both paths."""
-    cid = run.cluster.id
+def _cluster_path(run, text, path_start, lines):
+    """Replay one cluster's round on its `cost.ClusterRun`: append its
+    timeline lines and return the log plus the absolute completion times of
+    both paths."""
     try:
         rows, finish, y_abs, y_case, starts, energy = run.replay(path_start)
     except ValueError as err:
         raise SimError(str(err)) from None
     n = len(rows) - 1
+    head = text.head
     done_cycles = 0.0
     for i, s, e, take, _, cap in rows:
-        events.append({
-            "t_s": s, "cluster": cid, "kind": "relay",
-            "window": i, "duration_s": run.tau_tr, "relay_only": cap <= 0.0,
-        })
+        w = _num(i)
+        lines.append(f'{text.relay[cap <= 0.0]}{_num(s)}, "window": {w}}}\n')
         if take > 0.0:
-            events.append({
-                "t_s": s + run.tau_tr, "cluster": cid, "kind": "sat_compute",
-                "window": i, "duration_s": take / run.f, "cycles": take,
-            })
+            lines.append(f'{head}"cycles": {_num(take)}, "duration_s": {_num(take / run.f)}, '
+                         f'"kind": "sat_compute", "t_s": {_num(s + run.tau_tr)}, '
+                         f'"window": {w}}}\n')
         if i < n:
-            events.append({
-                "t_s": e, "cluster": cid, "kind": "handoff",
-                "from_sat": i, "to_sat": i + 1,
-            })
+            lines.append(f'{head}"from_sat": {w}, "kind": "handoff", "t_s": {_num(e)}, '
+                         f'"to_sat": {_num(i + 1)}}}\n')
         done_cycles += take
-    for pid, tl in zip(run.members, run.tau_locals):
-        events.append({
-            "t_s": path_start, "cluster": cid, "kind": "client_compute",
-            "client": pid, "duration_s": tl,
-        })
-    for pid, st, ta in zip(run.members, starts, run.tau_aggs):
-        events.append({
-            "t_s": st, "cluster": cid, "kind": "upload",
-            "client": pid, "duration_s": ta,
-        })
+    start = f"{_num(path_start)}}}\n"
+    lines.extend([prefix + start for prefix in text.computes])
+    lines.extend([f"{prefix}{_num(st)}}}\n" for prefix, st in zip(text.uploads, starts)])
     log = ClusterRoundLog(
-        cluster_id=cid,
+        cluster_id=run.cluster.id,
         offloaded_samples=run.offloaded,
         tau_trans_s=run.tau_tr,
         n_windows=len(rows),
@@ -202,26 +247,24 @@ def _learning_step(state, test_set):
 
 
 def run_round(state: SimState, test_set=None, events_out=None) -> RoundRecord:
-    """Advance the state by one round; returns the round record."""
+    """Advance the state by one round and return its record. The round's
+    timeline lines are appended to events_out when it is given."""
     scenario = state.scenario
     round_start = state.clock_s
-    events = [] if events_out is None else events_out
+    t0 = f"{_num(round_start)}}}\n"
+    lines = [] if events_out is None else events_out
     logs = {}
     round_end = round_start
     for cluster in scenario.clusters:
+        text = state.text[cluster.id]
         path_start = round_start + cluster.sync_delay_s
-        events.append({
-            "t_s": round_start, "cluster": cluster.id, "kind": "sync",
-            "duration_s": cluster.sync_delay_s,
-        })
-        log, y_abs, rep_abs = _cluster_path(state.runs[cluster.id], path_start, events)
+        lines.append(text.sync + t0)
+        log, y_abs, rep_abs = _cluster_path(state.runs[cluster.id], text, path_start, lines)
         logs[cluster.id] = log
         done = max(y_abs, rep_abs)
-        events.append({
-            "t_s": done, "cluster": cluster.id, "kind": "cluster_agg",
-        })
+        lines.append(f"{text.agg}{_num(done)}}}\n")
         round_end = max(round_end, done + cluster.glob_delay_s)
-    events.append({"t_s": round_end, "cluster": -1, "kind": "global_agg"})
+    lines.append(f"{_GLOBAL_AGG}{_num(round_end)}}}\n")
 
     acc, loss = math.nan, math.nan
     if state.layout is not None:
@@ -245,7 +288,7 @@ class SimResult:
     scenario_name: str
     records: tuple
     metrics: tuple  # dict rows: round, clock_s, accuracy, loss, tau_round_s
-    timeline: tuple  # event dicts with absolute t_s
+    timeline: tuple  # lines, json.dumps(event, sort_keys=True) + "\n", absolute t_s
 
     @property
     def final_accuracy(self) -> float:

@@ -15,6 +15,7 @@ The Hypothesis profile loaded here makes every property test derandomized
 and free of deadlines; each test states only its number of examples.
 """
 
+import json
 import math
 from pathlib import Path
 
@@ -84,6 +85,11 @@ def scenario_dict(clusters, param_count=1000, sample_bits=6272, name="test", see
     }
     out.update(kw)
     return out
+
+
+def events_of(lines):
+    """The event dicts of timeline lines, as the simulator writes them."""
+    return [json.loads(line) for line in lines]
 
 
 def random_passes(rng, dwell_s, count):

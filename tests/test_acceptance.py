@@ -38,6 +38,7 @@ from conftest import (
     client_dict,
     cluster_dict,
     default_init,
+    events_of,
     mixed_instance,
     multiwindow_instance,
     scenario_dict,
@@ -498,7 +499,7 @@ def assert_ledgers(sc, res):
                 want = by_id[cid].sat_initial_energy_j - w.consumed_j \
                     + w.charged_j
                 assert w.residual_j == pytest.approx(want, rel=1e-9)
-    event_total = sum(e["cycles"] for e in res.timeline
+    event_total = sum(e["cycles"] for e in events_of(res.timeline)
                       if e["kind"] == "sat_compute")
     record_total = sum(log.sat_cycles for rec in res.records
                        for log in rec.clusters.values())

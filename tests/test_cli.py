@@ -6,7 +6,6 @@ import csv
 import importlib
 import itertools
 import json
-import math
 import os
 import re
 import subprocess
@@ -20,11 +19,9 @@ from hypothesis import given, settings, strategies as st
 import orbitfed
 from orbitfed import cost
 from orbitfed.cli import (
-    _FLOAT_MEMO,
     CliError,
     _parse_seeds,
     _prepare,
-    _timeline_lines,
     _write_timeline,
     main,
 )
@@ -44,6 +41,7 @@ from conftest import (
     case1_instance,
     client_dict,
     cluster_dict,
+    events_of,
     mixed_instance,
     multiwindow_instance,
     random_passes,
@@ -206,8 +204,7 @@ class TestSimulateMode:
         assert len(rows) == 4
         assert [r["round"] for r in rows] == ["0", "1", "2", "3"]
         assert float(rows[-1]["clock_s"]) > float(rows[0]["clock_s"])
-        events = [json.loads(line)
-                  for line in (leg / "timeline.jsonl").read_text().splitlines()]
+        events = events_of((leg / "timeline.jsonl").read_text().splitlines())
         assert any(e["kind"] == "global_agg" for e in events)
         summary = json.loads((out / "summary.json").read_text())
         assert summary["per_series"]["optimized"]["seeds"] == 1
@@ -291,66 +288,12 @@ def dumps_lines(events):
     return "".join(json.dumps(e, sort_keys=True) + "\n" for e in events)
 
 
-EVENT_KEY_SETS = (
-    ("t_s", "cluster", "kind", "duration_s"),
-    ("t_s", "cluster", "kind", "window", "duration_s", "relay_only"),
-    ("t_s", "cluster", "kind", "window", "duration_s", "cycles"),
-    ("t_s", "cluster", "kind", "from_sat", "to_sat"),
-    ("t_s", "cluster", "kind", "client", "duration_s"),
-    ("t_s", "cluster", "kind"),
-    ("a%s", "quote\"key", "\u00e9t\u00e9", "tab\tkey", "100%"),
-    (),
-)
-SPECIAL_FLOATS = (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 2.2e-308 / 3,
-                  -1e-310, 1e300, -1e300, 1.0, 0.1)
-PLAIN_FLOATS = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
-                         st.sampled_from(SPECIAL_FLOATS))
-EVENT_VALUES = st.one_of(
-    PLAIN_FLOATS,
-    PLAIN_FLOATS.map(np.float64),
-    st.booleans(),
-    st.integers(-2 ** 70, 2 ** 70),
-    st.sampled_from([-1, 0, 1]),
-    st.text(),
-    st.sampled_from(["relay", "sat_compute", "caf\u00e9", "\u2603\U0001f6f0", "a\"b\\c\n"]),
-    st.none(),
-)
-
-
-@st.composite
-def timeline_events(draw):
-    keys = draw(st.permutations(draw(st.sampled_from(EVENT_KEY_SETS))))
-    return {k: draw(EVENT_VALUES) for k in keys}
-
-
 class TestTimelineWriter:
-    def test_lines_equal_json_dumps(self):
-        """Each line is json.dumps(e, sort_keys=True) over events of several
-        shapes, in any key order, holding signed zeros, NaN, infinities,
-        subnormals, np.float64, bools, negative and big ints, and strings
-        that need escapes or are not ASCII."""
-        @settings(max_examples=400)
-        @given(st.lists(timeline_events(), max_size=40))
-        def check(events):
-            assert "".join(_timeline_lines(events)) == dumps_lines(events)
-
-        check()
-
-    def test_more_distinct_floats_than_the_memo_holds(self):
-        # the memo restarts when full: repeats across restarts, with zeros
-        # of both signs and bools equal to 1.0 and 0.0 in between
-        rng = np.random.default_rng(31)
-        values = rng.standard_normal(3 * _FLOAT_MEMO).tolist()
-        events = []
-        for k, v in enumerate(values + values[::-1] + values[: _FLOAT_MEMO]):
-            events.append({"t_s": v, "cluster": -1, "kind": "global_agg",
-                           "zero": -0.0 if k % 2 else 0.0, "one": 1.0, "flag": k % 3 == 0,
-                           "off": k % 2 == 0 and 0.0 or False})
-        assert "".join(_timeline_lines(events)) == dumps_lines(events)
-
     def test_real_timelines(self, tmp_path):
-        """The writer on the events of reference `simulate --rounds 3` and
-        of a builder scenario that follows explicit coverage schedules."""
+        """The timelines of reference `simulate --rounds 3` and of a builder
+        scenario that follows explicit coverage schedules are written as the
+        simulator formats them, one json.dumps(e, sort_keys=True) line per
+        event."""
         out = tmp_path / "ref"
         assert main(["--mode", "simulate", "--scenario", str(REFERENCE_SCENARIO),
                      "--rounds", "3", "--out", str(out)]) == 0
@@ -362,11 +305,12 @@ class TestTimelineWriter:
         for c in raw["clusters"]:
             c["coverage_intervals"] = random_passes(rng, c["coverage_s"], 40)
         sc = validate_scenario(raw)
-        events = run_experiment(sc, optimize(sc).decision, rounds=5).timeline
+        timeline = run_experiment(sc, optimize(sc).decision, rounds=5).timeline
+        events = events_of(timeline)
         assert {e["kind"] for e in events} >= {"relay", "sat_compute", "upload", "handoff"}
         path = tmp_path / "timeline.jsonl"
-        _write_timeline(path, events)
-        assert path.read_text() == dumps_lines(events)
+        _write_timeline(path, timeline)
+        assert path.read_text() == "".join(timeline) == dumps_lines(events)
 
 
 class TestSweepMode:
@@ -610,8 +554,15 @@ class TestErrorReporting:
          "sweep runs its own five series; it takes no --baseline or --alpha-fixed"),
         (["--mode", "sweep", "--rounds", "2", "--baseline", "fixed_ratio", "--alpha-fixed", "0.3"],
          "sweep runs its own five series; it takes no --baseline or --alpha-fixed"),
+        (["--mode", "optimize", "--persistent-battery"],
+         "--persistent-battery needs --mode simulate or sweep"),
+        (["--mode", "analyze", "--rounds", "2", "--persistent-battery"],
+         "--persistent-battery needs --mode simulate or sweep"),
+        (["--mode", "summarize", "--target-acc", "0.5", "--persistent-battery"],
+         "--persistent-battery needs --mode simulate or sweep"),
     ], ids=["optimize-alpha", "simulate-alpha", "simulate-grid", "analyze-grid",
-            "sweep-baseline", "sweep-alpha"])
+            "sweep-baseline", "sweep-alpha", "optimize-battery", "analyze-battery",
+            "summarize-battery"])
     def test_flags_the_mode_would_ignore_are_refused(self, spec_path, tmp_path, capsys, argv,
                                                       why):
         """A flag that the mode or baseline never reads is an error, not a
@@ -639,6 +590,24 @@ class TestErrorReporting:
         assert len(lines) == 1
         assert json.loads(lines[0]) == {"error": "CliError", "message": why}
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("mode, target", [
+        ("simulate", "nan"), ("simulate", "1.5"), ("sweep", "-0.1"), ("summarize", "inf"),
+    ])
+    def test_target_accuracy_outside_0_1_is_refused(self, spec_path, tmp_path, capsys, mode,
+                                                     target):
+        """An accuracy target is a fraction: NaN would be written to
+        summary.json, which JSON cannot spell, a target above 1 is never
+        reached and one below 0 is crossed at round 0."""
+        run = tmp_path / "run"
+        rc = main(["--mode", mode, "--scenario", str(spec_path), "--rounds", "2",
+                   "--target-acc", target, "--out", str(run)])
+        assert rc == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line) == {
+            "error": "CliError",
+            "message": f"--target-acc {float(target)} is not an accuracy in [0, 1]"}
+        assert not run.exists()
 
     def run_infeasible(self, spec, tmp_path, capsys, extra=()):
         path = tmp_path / "tight.json"

@@ -19,8 +19,8 @@ from orbitfed.optimizer import (
     optimize,
     optimize_pinned_alpha,
 )
-from orbitfed.scenario import apply_offload, prepare_data, validate_scenario
-from orbitfed.sim import SimError, run_experiment, run_round, init_state
+from orbitfed.scenario import apply_offload, prepare_data, scenario_to_dict, validate_scenario
+from orbitfed.sim import SimError, _num, init_state, run_experiment, run_round
 
 from conftest import (
     REFERENCE_SCENARIO,
@@ -29,6 +29,7 @@ from conftest import (
     cluster_dict,
     decades_instance,
     default_init,
+    events_of,
     mixed_instance,
     multiwindow_instance,
     random_passes,
@@ -163,8 +164,9 @@ class TestEvents:
         d = DecisionVector(alpha={k: 0.0 for k in range(3)},
                            sat_freq_hz={0: 1e9},
                            bandwidth_hz={k: 1e6 / 3 for k in range(3)})
-        events = []
-        run_round(init_state(sc, d), events_out=events)
+        lines = []
+        run_round(init_state(sc, d), events_out=lines)
+        events = events_of(lines)
         kinds = {e["kind"] for e in events}
         assert "sat_compute" not in kinds
         assert "relay" in kinds  # the state still crosses the ISL
@@ -173,8 +175,9 @@ class TestEvents:
         sc = validate_scenario(scenario_dict([chain_cluster()],
                                              param_count=100000))
         d = chain_decision(sc)
-        events = []
-        rec = run_round(init_state(sc, d), events_out=events)
+        lines = []
+        rec = run_round(init_state(sc, d), events_out=lines)
+        events = events_of(lines)
         log = rec.clusters[0]
         assert log.n_handoffs == 2
         assert log.n_windows == 3
@@ -192,8 +195,9 @@ class TestEvents:
         )], param_count=100000)
         sc = validate_scenario(spec)
         d = chain_decision(sc)
-        events = []
-        rec = run_round(init_state(sc, d), events_out=events)
+        lines = []
+        rec = run_round(init_state(sc, d), events_out=lines)
+        events = events_of(lines)
         first = [e for e in events if e["kind"] == "relay" and e["window"] == 0]
         assert first[0]["relay_only"] is True
         assert rec.clusters[0].sat_cycles == pytest.approx(
@@ -219,7 +223,7 @@ class TestEvents:
         d = DecisionVector(alpha={0: 0.0, 1: 0.0}, sat_freq_hz={0: 1e-300},
                            bandwidth_hz={0: 5e5, 1: 5e5})
         res = run_experiment(sc, d, rounds=3)
-        assert not any(e["kind"] == "handoff" for e in res.timeline)
+        assert not any(e["kind"] == "handoff" for e in events_of(res.timeline))
         want = cost.round_latency(sc, d).tau_round_s
         for rec in res.records:
             assert (rec.clusters[0].n_windows, rec.clusters[0].n_handoffs) == (1, 0)
@@ -233,8 +237,9 @@ class TestEvents:
             coverage_intervals=[[0, 0.005], [10, 370], [380, 740]])]))
         d = DecisionVector(alpha={0: 0.0, 1: 0.0}, sat_freq_hz={0: 1e-300},
                            bandwidth_hz={0: 5e5, 1: 5e5})
-        events = []
-        rec = run_round(init_state(sc, d), events_out=events)
+        lines = []
+        rec = run_round(init_state(sc, d), events_out=lines)
+        events = events_of(lines)
         assert (rec.clusters[0].n_windows, rec.clusters[0].n_handoffs) == (2, 1)
         relays = [e for e in events if e["kind"] == "relay"]
         assert [e["relay_only"] for e in relays] == [True, False]
@@ -277,9 +282,9 @@ class TestEvents:
         assert time.perf_counter() - t0 < 1.0
 
     def test_event_values_are_plain_python(self):
-        """Every event value is a Python float, int, bool or str, the types
-        the timeline writer formats without its json.dumps fallback. Slices
-        scaled down stretch the uploads, so all three regimes are replayed."""
+        """Every timeline line parses to an event whose values are floats,
+        ints, bools or strings. Slices scaled down stretch the uploads, so
+        all three regimes are replayed."""
         rng = np.random.default_rng(27)
         ref = validate_scenario(json.loads(REFERENCE_SCENARIO.read_text()))
         runs = [(ref, optimize(ref).decision)]
@@ -297,9 +302,66 @@ class TestEvents:
         for sc, d in runs:
             res = run_experiment(sc, d, rounds=3)
             regimes |= {log.y_case for rec in res.records for log in rec.clusters.values()}
-            types = {type(v) for e in res.timeline for v in e.values()}
+            types = {type(v) for e in events_of(res.timeline) for v in e.values()}
             assert types <= {float, int, bool, str}, types
         assert regimes == {1, 2, 3}
+
+
+SPECIAL_NUMBERS = (0.0, -0.0, 5e-324, -5e-324, 2.2e-308 / 3, -1e-310, math.nan, math.inf,
+                   -math.inf, 1e300, -1e300, 1.0, 0.1, 1e16, 1e-7, np.float64(0.1),
+                   np.float64(-0.0), np.float64(math.nan), np.float64(-math.inf),
+                   np.float64(5e-324), True, False, 0, 1, -1, 2 ** 70, -2 ** 70, 10 ** 400)
+
+
+class TestTimelineLines:
+    def test_number_formatter_matches_json_dumps(self):
+        """Every number in a timeline line is formatted as json.dumps would:
+        signed zeros, subnormals, NaN, infinities, huge floats, np.float64,
+        bools and negative and big ints."""
+        for v in SPECIAL_NUMBERS:
+            assert _num(v) == json.dumps(v), v
+
+        @settings(max_examples=500)
+        @given(st.one_of(st.floats(), st.floats().map(np.float64), st.booleans(),
+                         st.integers(), st.integers(-2 ** 80, 2 ** 80)))
+        def check(v):
+            assert _num(v) == json.dumps(v)
+
+        check()
+
+    def test_lines_equal_json_dumps(self):
+        """Every line the simulator writes is json.dumps(e, sort_keys=True)
+        of the event it parses to. Builder scenarios replay all three
+        regimes (slices scaled down stretch the uploads), and explicit
+        schedules with short passes replay relay-only windows and handoffs."""
+        seen = set()
+
+        @settings(max_examples=100)
+        @given(st.sampled_from([case1_instance, multiwindow_instance, mixed_instance]),
+               st.integers(0, 2 ** 32 - 1), st.sampled_from([0.0, -3.0, -5.0, -7.0]),
+               st.booleans())
+        def check(build, seed, squeeze, explicit):
+            rng = np.random.default_rng([7373, seed])
+            raw = scenario_to_dict(build(rng))
+            if explicit:
+                for c in raw["clusters"]:
+                    c["coverage_intervals"] = random_passes(rng, c["coverage_s"], 60)
+            sc = validate_scenario(raw)
+            d = default_init(sc)
+            d = DecisionVector(d.alpha, d.sat_freq_hz,
+                               {k: b * 10.0 ** squeeze for k, b in d.bandwidth_hz.items()})
+            res = run_experiment(sc, d, rounds=3)
+            for line in res.timeline:
+                assert line == json.dumps(json.loads(line), sort_keys=True) + "\n"
+            seen.update(f"case {log.y_case}" for rec in res.records
+                        for log in rec.clusters.values())
+            seen.update(e["kind"] + ("-only" if e.get("relay_only") else "")
+                        for e in events_of(res.timeline))
+
+        check()
+        assert seen == {"case 1", "case 2", "case 3", "sync", "relay", "relay-only",
+                        "sat_compute", "handoff", "client_compute", "upload", "cluster_agg",
+                        "global_agg"}
 
 
 def priced_decisions(sc, rng):
@@ -470,8 +532,9 @@ class TestCoverageReplay:
         d = DecisionVector(alpha={0: 0.0, 1: 0.0}, sat_freq_hz={0: 1e9},
                            bandwidth_hz={0: 100.0, 1: 100.0})
         state = init_state(sc, d)
-        events = []
-        rec = run_round(state, events_out=events)
+        lines = []
+        rec = run_round(state, events_out=lines)
+        events = events_of(lines)
         assert (rec.clusters[0].n_handoffs, rec.clusters[0].y_case) == (0, case)
         assert tuple(e["t_s"] for e in events if e["kind"] == "upload") == starts
         if case == 2:
@@ -499,7 +562,7 @@ class TestConservation:
                 for log in rec.clusters.values():
                     assert log.sat_cycles == pytest.approx(
                         log.target_cycles, rel=1e-12)
-            event_total = sum(e["cycles"] for e in res.timeline
+            event_total = sum(e["cycles"] for e in events_of(res.timeline)
                               if e["kind"] == "sat_compute")
             record_total = sum(log.sat_cycles for rec in res.records
                                for log in rec.clusters.values())

@@ -10,6 +10,10 @@ the manifests agree. The commands are:
 - `optimize`, then `simulate` for the family's rounds, on every scenario of
   the benchmark's `plan` family at seeds 1-3 (`perfbench/workloads.py`
   `plan_family`);
+- `simulate --baseline terrestrial_only` and `simulate --baseline
+  full_offload` for the family's rounds, on every scenario of the `plan`
+  family at seed 1. They replay windows with no satellite compute, and
+  `full_offload` long handoff chains and relay-only windows;
 - `optimize --grid-oracle` on every instance of the benchmark's `oracle`
   workload at seeds 1-3 (`perfbench/workloads.py` `build_oracle`);
 - on `scenarios/reference.json`: `optimize`, `simulate --rounds 3`,
@@ -33,6 +37,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3)  # of the plan family and the oracle instances
+BASELINES = ("terrestrial_only", "full_offload")  # simulated on the plan family at seed 1
 REFERENCE = ("inputs/reference.json", [
     ("optimize", []),
     ("simulate", ["--rounds", "3"]),
@@ -74,6 +79,12 @@ def write_inputs(inputs: Path) -> list:
                              "--out", f"out/plan-{key}-{seed}-optimize"])
             commands.append(["--mode", "simulate", "--scenario", name, "--rounds", str(rounds),
                              "--out", f"out/plan-{key}-{seed}-simulate"])
+            if seed != SEEDS[0]:
+                continue
+            for baseline in BASELINES:
+                commands.append(["--mode", "simulate", "--scenario", name, "--rounds", str(rounds),
+                                 "--baseline", baseline,
+                                 "--out", f"out/plan-{key}-{seed}-{baseline}"])
     for seed in SEEDS:
         work = inputs / f"oracle-{seed}"
         work.mkdir()
