@@ -25,6 +25,7 @@ from .optimizer import (
     DecisionVector,
     InfeasibleError,
     check_feasibility,
+    grid_refusal,
     grid_search_cluster,
     optimize,
     optimize_pinned_alpha,
@@ -381,13 +382,17 @@ def run(plan: ExperimentPlan) -> int:
     if plan.target_acc is not None and not 0.0 <= plan.target_acc <= 1.0:
         raise CliError(f"--target-acc {plan.target_acc} is not an accuracy in [0, 1]")
     out = Path(plan.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     if plan.mode == "summarize":
+        out.mkdir(parents=True, exist_ok=True)
         return _mode_summarize(plan, out)
 
     if not plan.scenario_path:
         raise CliError(f"mode {plan.mode} needs --scenario")
     scenario = load_scenario(plan.scenario_path)
+    refusal = grid_refusal(scenario) if plan.grid_oracle else None
+    if refusal:
+        raise CliError(f"--grid-oracle: {refusal}")
+    out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "manifest.json", {
         "version": __version__,
         "plan": {**asdict(plan), "seeds": list(plan.seeds)},

@@ -51,6 +51,13 @@ BAND_EPS = 1e-6  # bandwidth budget band (1 - eps) * B_j <= sum b <= B_j
 # an upper bound on the best, and the best profile's real decision must
 # match its lattice total to it
 GRID_RTOL = BAND_EPS
+# lattice profiles per block of the grid's lower bound: the dozen float64
+# temporaries of one block (128 KiB each) stay in a core's 2 MiB L2 cache,
+# where whole-lattice ones (2 MB each on 501 x 501) stream through memory
+GRID_BLOCK = 1 << 14
+# the lattice is the product of one alpha axis per client, so each client
+# past these multiplies it by about 1 / alpha_step
+GRID_MAX_CLIENTS = 3
 
 
 class InfeasibleError(RuntimeError):
@@ -1008,6 +1015,17 @@ def optimize_pinned_alpha(scenario, alpha: dict) -> DecisionVector:
 # brute-force comparator for small instances
 
 
+def grid_refusal(scenario):
+    """Why `grid_search_cluster` cannot search the scenario, or None: its
+    lattice spans one cluster of at most GRID_MAX_CLIENTS clients."""
+    counts = [len(c.client_ids) for c in scenario.clusters]
+    if len(counts) == 1 and counts[0] <= GRID_MAX_CLIENTS:
+        return None
+    clusters = f"{len(counts)} cluster" + "s" * (len(counts) != 1)
+    return (f"grid comparator works on single-cluster scenarios of at most {GRID_MAX_CLIENTS} "
+            f"clients; this one has {clusters} of {', '.join(map(str, counts))} clients")
+
+
 class _Lattice:
     """Every offload profile of a cluster on a per-client alpha lattice,
     with what its round time needs: the satellite path at the
@@ -1018,34 +1036,35 @@ class _Lattice:
     on its own chain's count.
 
     The frequency and the chain come from one `_battery_freq` pass and one
-    `chain` call over every distinct offload total. `freq` and `handoffs`
-    stay one per total, and `inverse` maps each profile to its total; only
-    the satellite path `rep`, which the bound reads, is kept per profile. A
-    profile that breaks a constraint gets an inf lower bound, so it never
-    wins: one whose total the battery refuses, and one whose clients'
-    energy floors overfill the band. The lattice raises only when no
-    profile is left: the first refused total's error when the battery
-    refuses every total, and an energy error when every profile breaks a
-    budget.
+    `chain` call over every distinct offload total, and `freq`, `handoffs`
+    and the satellite path `rep` are kept once per total; `slot` maps each
+    total under the cap to its row in them. A profile that breaks a
+    constraint gets an inf lower bound, so it never wins: one whose total
+    the battery refuses, and one whose clients' energy floors overfill the
+    band. The lattice raises only when no profile is left: the first
+    refused total's error when the battery refuses every total, and an
+    energy error when every profile breaks a budget.
 
     The lattice is the product of the clients' alpha axes. What depends on
     one client's offload alone (its alpha, local time, energy-floor slice
     and share of the offload total) is computed once per axis value and
     broadcast over the K-dimensional grid; only what couples the clients
     (the straggler's window, the offsets, the floors' sum and the bound) is
-    computed per profile. Each profile array is that grid flattened in the
-    C order of meshgrid(indexing="ij"), less the profiles past the
-    cluster's offload cap."""
+    computed per profile, one block of client 0's axis values at a time.
+    The bound `lower` is the one array kept per profile, in the C order of
+    meshgrid(indexing="ij") less the profiles past the cluster's offload
+    cap; when the cap drops some, `grid_index` holds each kept profile's
+    index in the whole grid. `profiles` rebuilds the alphas and total of
+    any profile from its index."""
 
     def __init__(self, scenario, alpha_step: float):
-        if len(scenario.clusters) != 1:
-            raise ValueError("grid comparator works on single-cluster scenarios")
+        refusal = grid_refusal(scenario)
+        if refusal:
+            raise ValueError(refusal)
         self.scenario = scenario
         self.cluster = cluster = scenario.clusters[0]
         self.ctx = ctx = _Ctx(scenario, cluster)
         k_count = len(ctx.sizes)
-        if k_count > 3:
-            raise ValueError("grid comparator is for at most 3 clients")
 
         # a lattice point past a client's offload cap is no decision at all
         axes = [np.arange(0.0, ctx.alpha_max[k] + alpha_step / 2, alpha_step)
@@ -1056,7 +1075,7 @@ class _Lattice:
         sizes = [int(round(s)) for s in ctx.sizes]
         size_gcd = math.gcd(*sizes) or 1  # every client without data: all totals 0
         quant = alpha_step * size_gcd
-        units = [s // size_gcd for s in sizes]
+        self.units = units = [s // size_gcd for s in sizes]
         # the totals under the cluster cap are 0 .. n_keep - 1: the last is
         # the largest i with i * quant (as the float product) under the cap
         top = sum((len(ax) - 1) * u for ax, u in zip(axes, units))
@@ -1068,53 +1087,50 @@ class _Lattice:
             last += 1
         n_keep = last + 1
         # an axis value that passes the cap on its own is in no kept profile
-        axes = [ax[:last // u + 1] if u else ax for ax, u in zip(axes, units)]
-        shape = tuple(len(ax) for ax in axes)
-
-        def along(k, v):
-            # client k's per-axis-value vector, shaped to broadcast over the grid
-            return np.reshape(v, [-1 if j == k else 1 for j in range(k_count)])
-
-        total = sum(along(k, np.arange(n) * units[k]) for k, n in enumerate(shape))
+        self.axes = axes = [ax[:last // u + 1] if u else ax for ax, u in zip(axes, units)]
+        self.shape = shape = tuple(len(ax) for ax in axes)
         # the largest total is the last profile's; while it is under the cap
-        # the grid flattens as it lies, with no gather
-        every = slice(None) if total.flat[-1] < n_keep else total.reshape(-1) < n_keep
+        # every profile is kept, and a kept index is its grid index
+        capped = sum((n - 1) * u for n, u in zip(shape, units)) >= n_keep
+        stride = math.prod(shape[1:])  # profiles per value of client 0's axis
+        rows = max(1, GRID_BLOCK // stride)
+        blocks = [slice(r, r + rows) for r in range(0, shape[0], rows)]
 
-        def flat(grid):
-            # one value per kept profile
-            return np.broadcast_to(grid, shape).reshape(-1)[every]
+        def along(block, tables):
+            # one per-axis-value table per client, client 0's cut to the
+            # block's rows, each shaped to broadcast over the block
+            return [np.reshape(t[block] if k == 0 else t,
+                               [-1 if j == k else 1 for j in range(k_count)])
+                    for k, t in enumerate(tables)]
 
-        def columns(grids):
-            # (P, K) column-major, like every (P, K) array here: numpy
-            # reduces over the 2-3 clients of a row about 40x faster so
-            out = np.empty((k_count,) + shape)
-            for k, grid in enumerate(grids):
-                out[k] = grid
-            return np.asfortranarray(out.reshape(k_count, -1)[:, every].T)
+        steps = [np.arange(n) * u for n, u in zip(shape, units)]
 
-        self.alphas = columns([along(k, ax) for k, ax in enumerate(axes)])
+        def block_totals(block):
+            # the block's offload totals, and its kept profiles when the cap drops some
+            total = sum(along(block, steps))
+            return total, (total < n_keep).reshape(-1) if capped else slice(None)
 
-        # --- satellite-path inner minimum per offload total that occurs:
-        # marked in a table over the totals' range when that range is no
-        # longer than the lattice, else sorted out of the profiles' totals
-        a_idx = flat(total)
-        if n_keep <= a_idx.size:
-            seen = np.zeros(n_keep, dtype=bool)
-            seen[a_idx] = True
-            uniq = np.flatnonzero(seen)
-            inverse = (np.cumsum(seen) - 1)[a_idx]
-        else:
-            uniq, inverse = np.unique(a_idx, return_inverse=True)
-        a = uniq * quant
+        # --- satellite-path inner minimum per offload total that occurs,
+        # marked in a table over the totals under the cap
+        seen = np.zeros(n_keep, dtype=bool)
+        kept_at = []
+        for block in blocks:
+            total, kept = block_totals(block)
+            seen[total.reshape(-1)[kept]] = True
+            if capped:
+                kept_at.append(np.flatnonzero(kept) + block.start * stride)
+        self.grid_index = (np.concatenate(kept_at).astype(np.min_scalar_type(math.prod(shape)))
+                           if capped else None)
+        self.slot = np.cumsum(seen) - 1
+        a = np.flatnonzero(seen) * quant
         best_f, err = _battery_lanes(ctx, a)
         ok = ~np.isnan(best_f)
         if not ok.any():
             raise err
         # a refused total keeps an inf satellite path and no handoff
-        n, rep = np.zeros(len(uniq), np.min_scalar_type(cost.MAX_HANDOFFS)), np.full(len(uniq), math.inf)
+        n, rep = np.zeros(len(a), np.min_scalar_type(cost.MAX_HANDOFFS)), np.full(len(a), math.inf)
         _, n[ok], rep[ok], _, _ = ctx.chain(a[ok], best_f[ok])
-        self.inverse, self.handoffs, self.freq = inverse, n, best_f
-        self.rep = np.take(rep, inverse)
+        self.handoffs, self.freq, self.rep = n, best_f, rep
 
         # --- client side: exact energy floors on the slices and local
         # times, per axis value; column k holds client k's axis, padded with
@@ -1125,46 +1141,68 @@ class _Lattice:
         # (inf for an axis value whose budget no slice meets)
         b_axis = upload_bandwidth(ctx.footprint.state_bits, ctx.snr_num,
                                   (ctx.budgets - ctx.e_locals(axis_alpha)) / ctx.tx_power_w)
-        b_min = [along(k, b_axis[:n, k]) for k, n in enumerate(shape)]
-        total_min = sum(b_min)
-        fits = flat(total_min) <= ctx.budget_hz
-        if not fits.any():
-            raise InfeasibleError("grid instance has an unmeetable client energy budget")
-
-        # each client's upload offset in the straggler's serving window
+        b_axis = [b_axis[:n, k] for k, n in enumerate(shape)]
         tl_axis = ctx.tau_locals(axis_alpha)
-        x = cost.regime_geometry([along(k, tl_axis[:n, k]) for k, n in enumerate(shape)],
-                                 ctx.T)[1]
+        tl_axis = [tl_axis[:n, k] for k, n in enumerate(shape)]
 
-        # client k gets at most the budget the other floors leave, so its
-        # upload ends no sooner than reach_k; that bounds the equalized
-        # completion and with it every regime: the first has zero offsets,
-        # and the third (deadline plus equalized upload) lies past the
-        # second because the deadline is past every offset. A profile whose
-        # floors overfill the band reads nan here and gets an inf bound
-        with np.errstate(invalid="ignore", divide="ignore"):
-            reach = functools.reduce(np.maximum, [
-                x[k] + cost.upload_time(ctx.footprint.state_bits, ctx.snr_num[k],
-                                        ctx.budget_hz - (total_min - b_min[k]))
-                for k in range(k_count)])
-        self.lower = cluster.sync_delay_s + np.maximum(self.rep, flat(reach)) + cluster.glob_delay_s
-        self.lower[~fits] = math.inf
+        self.lower = np.empty(math.prod(shape) if self.grid_index is None else len(self.grid_index))
+        fits_any, at = False, 0
+        for block in blocks:
+            total, kept = block_totals(block)
+            b_min = along(block, b_axis)
+            total_min = sum(b_min)
+            # each client's upload offset in the straggler's serving window
+            x = cost.regime_geometry(along(block, tl_axis), ctx.T)[1]
+            # client k gets at most the budget the other floors leave, so its
+            # upload ends no sooner than reach_k; that bounds the equalized
+            # completion and with it every regime: the first has zero
+            # offsets, and the third (deadline plus equalized upload) lies
+            # past the second because the deadline is past every offset. A
+            # profile whose floors overfill the band reads nan here and gets
+            # an inf bound
+            with np.errstate(invalid="ignore", divide="ignore"):
+                reach = functools.reduce(np.maximum, [
+                    x[k] + cost.upload_time(ctx.footprint.state_bits, ctx.snr_num[k],
+                                            ctx.budget_hz - (total_min - b_min[k]))
+                    for k in range(k_count)])
+            # (a profile past the cap reads the last total's path, and is dropped)
+            path = rep[self.slot.take(total, mode="clip")]
+            lower = cluster.sync_delay_s + np.maximum(path, reach) + cluster.glob_delay_s
+            fits = total_min <= ctx.budget_hz
+            lower[~fits] = math.inf
+            lower = lower.reshape(-1)[kept]
+            fits_any = fits_any or bool(fits.reshape(-1)[kept].any())
+            self.lower[at:at + len(lower)] = lower
+            at += len(lower)
+        if not fits_any:
+            raise InfeasibleError("grid instance has an unmeetable client energy budget")
         if self.lower.min() == math.inf:
             raise InfeasibleError("grid instance has no profile within every budget")
+
+    def profiles(self, sel: np.ndarray) -> tuple:
+        """(alphas, at) of the profiles at indices sel: their offloads, (P, K)
+        column-major like every (P, K) array here (numpy reduces over the
+        2-3 clients of a row about 40x faster so), and the row of each one's
+        offload total in `freq`, `handoffs` and `rep`."""
+        idx = np.unravel_index(sel if self.grid_index is None else self.grid_index[sel], self.shape)
+        alphas = np.stack([ax[i] for ax, i in zip(self.axes, idx)]).T
+        return alphas, self.slot[sum(i * u for i, u in zip(idx, self.units))]
 
     def totals(self, sel: np.ndarray) -> np.ndarray:
         """Round time of the profiles at indices sel, with the client path of
         the pinned-offload equalizer."""
-        y = _client_paths(self.ctx, self.alphas[sel], self.handoffs[self.inverse[sel]])[0]
-        return (self.cluster.sync_delay_s + np.maximum(y, self.rep[sel])
+        alphas, at = self.profiles(sel)
+        y = _client_paths(self.ctx, alphas, self.handoffs[at])[0]
+        return (self.cluster.sync_delay_s + np.maximum(y, self.rep[at])
                 + self.cluster.glob_delay_s)
 
     def best(self, sel: np.ndarray, totals: np.ndarray):
         """The profile of sel with the least total as a real decision: the
         slices of `solve_bandwidth` and the cost model's round time."""
         i = int(np.argmin(totals))
-        alpha_pt = {pid: float(self.alphas[sel[i], k]) for k, pid in enumerate(self.ctx.ids)}
-        freq_map = {self.cluster.id: float(self.freq[self.inverse[sel[i]]])}
+        alphas, at = self.profiles(sel[i:i + 1])
+        alpha_pt = {pid: float(alphas[0, k]) for k, pid in enumerate(self.ctx.ids)}
+        freq_map = {self.cluster.id: float(self.freq[at[0]])}
         b_map = solve_bandwidth(self.scenario, alpha_pt, freq_map, [self.ctx])
         decision = DecisionVector(alpha=alpha_pt, sat_freq_hz=freq_map, bandwidth_hz=b_map)
         tau = cost.round_latency(self.scenario, decision).tau_round_s

@@ -632,29 +632,44 @@ def synthetic_dataset(
     return SampleSet(features, labels, np.arange(n_samples, dtype=np.int64))
 
 
+def _idx_header(fh, path, fmt: str) -> tuple:
+    """The big-endian header fmt at the start of an IDX file, refused with a
+    ValueError that names the file when the file is shorter than it."""
+    size = struct.calcsize(fmt)
+    head = fh.read(size)
+    if len(head) != size:
+        raise ValueError(f"{path}: {len(head)} bytes, shorter than the {size}-byte IDX header")
+    return struct.unpack(fmt, head)
+
+
 def load_idx(images_path, labels_path) -> SampleSet:
     """Read an IDX image/label pair (the classic big-endian digit format)."""
     with open(images_path, "rb") as fh:
-        magic, n, rows, cols = struct.unpack(">IIII", fh.read(16))
+        magic, n, rows, cols = _idx_header(fh, images_path, ">IIII")
         if magic != 0x00000803:
-            raise ValueError(f"bad image magic 0x{magic:08x}")
+            raise ValueError(f"{images_path}: bad image magic 0x{magic:08x}")
         raw = fh.read(n * rows * cols)
     if len(raw) != n * rows * cols:
-        raise ValueError("image file truncated")
+        raise ValueError(f"{images_path}: image file truncated")
     features = np.frombuffer(raw, dtype=np.uint8).reshape(n, rows * cols).astype(np.float64) / 255.0
 
     with open(labels_path, "rb") as fh:
-        magic, nl = struct.unpack(">II", fh.read(8))
+        magic, nl = _idx_header(fh, labels_path, ">II")
         if magic != 0x00000801:
-            raise ValueError(f"bad label magic 0x{magic:08x}")
-        labels = np.frombuffer(fh.read(nl), dtype=np.uint8).astype(np.int64)
-    if nl != n or labels.shape[0] != n:
+            raise ValueError(f"{labels_path}: bad label magic 0x{magic:08x}")
+        raw = fh.read(nl)
+    if nl != n:
         raise ValueError(f"image/label count mismatch ({n} vs {nl})")
+    if len(raw) != nl:
+        raise ValueError(f"{labels_path}: label file truncated")
+    labels = np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
     return SampleSet(features, labels, np.arange(n, dtype=np.int64))
 
 
 def load_csv_dataset(path) -> SampleSet:
-    """Read ``label,f1,f2,...`` rows; a non-numeric first row is a header."""
+    """Read ``label,f1,f2,...`` rows; a non-numeric first row is a header.
+    A label is a nonnegative integer, a feature a finite number, and every
+    row has the first row's width; a row that breaks one is refused."""
     features = []
     labels = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -663,19 +678,24 @@ def load_csv_dataset(path) -> SampleSet:
             if not row:
                 continue
             try:
-                lab = int(float(row[0]))
+                lab = float(row[0])
                 feat = [float(v) for v in row[1:]]
             except ValueError:
                 if i == 0:
                     continue
-                raise ValueError(f"row {i + 1}: non-numeric value")
-            labels.append(lab)
+                raise ValueError(f"{path} row {i + 1}: non-numeric value")
+            if not (lab >= 0.0 and lab.is_integer()):
+                raise ValueError(f"{path} row {i + 1}: label {row[0]!r} is not a "
+                                 "nonnegative integer")
+            if not all(map(math.isfinite, feat)):
+                raise ValueError(f"{path} row {i + 1}: non-finite feature")
+            if features and len(feat) != len(features[0]):
+                raise ValueError(f"{path} row {i + 1}: {len(feat)} features, not "
+                                 f"{len(features[0])} as in the first row")
+            labels.append(int(lab))
             features.append(feat)
     if not features:
-        raise ValueError("empty CSV dataset")
-    widths = {len(f) for f in features}
-    if len(widths) != 1:
-        raise ValueError("inconsistent feature width across CSV rows")
+        raise ValueError(f"{path}: empty CSV dataset")
     return SampleSet(
         np.asarray(features, dtype=np.float64),
         np.asarray(labels, dtype=np.int64),

@@ -574,6 +574,31 @@ class TestErrorReporting:
         assert json.loads(line) == {"error": "CliError", "message": why}
         assert not run.exists()
 
+    @pytest.mark.parametrize("clusters, clients, why", [
+        (5, None, "5 clusters of 10, 10, 10, 10, 10 clients"),
+        (1, None, "1 cluster of 10 clients"),
+        (1, 4, "1 cluster of 4 clients"),
+    ], ids=["reference", "reference-cluster-0", "four-clients"])
+    def test_grid_oracle_refuses_what_the_grid_cannot_search(self, tmp_path, capsys, clusters,
+                                                              clients, why):
+        """A scenario the grid comparator cannot take is refused before the
+        solve runs and before any file is written."""
+        raw = json.loads(REFERENCE_SCENARIO.read_text())
+        raw["clusters"] = raw["clusters"][:clusters]
+        if clients is not None:
+            raw["clusters"][0]["clients"] = raw["clusters"][0]["clients"][:clients]
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(raw))
+        run = tmp_path / "run"
+        rc = main(["--mode", "optimize", "--grid-oracle", "--scenario", str(path),
+                   "--out", str(run)])
+        assert rc == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line) == {"error": "CliError", "message": (
+            "--grid-oracle: grid comparator works on single-cluster scenarios of at most 3 "
+            f"clients; this one has {why}")}
+        assert not run.exists()
+
     @pytest.mark.parametrize("extra, why", [
         (["--rounds", "-3"], "--rounds -3 is not a positive count"),
         (["--rounds", "0"], "--rounds 0 is not a positive count"),

@@ -185,35 +185,65 @@ class TestLattice:
         every = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
         kept = every[every @ ctx.sizes <= ctx.a_cap * (1.0 + 1e-12)]
         assert (len(kept) < len(every)) == (ctx.a_cap < ctx.a_max.sum())
-        np.testing.assert_array_equal(lattice.alphas, kept)
+        assert (lattice.grid_index is None) == (len(kept) == math.prod(lattice.shape))
+        np.testing.assert_array_equal(every_profile(lattice)[0], kept)
 
     def test_satellite_path_per_quantised_total(self, lattice):
         ctx = lattice.ctx
         quant = 1e-2 * (math.gcd(*[int(s) for s in ctx.sizes]) or 1)
-        totals = np.rint(lattice.alphas @ ctx.sizes / quant) * quant
+        alphas, slot = every_profile(lattice)
+        totals = np.rint(alphas @ ctx.sizes / quant) * quant
         for a in np.unique(totals).tolist():
             f = _battery_freq(ctx, a)
-            at = totals == a
-            assert np.all(lattice.freq[lattice.inverse[at]] == f)
+            at = slot[totals == a]
+            assert np.all(lattice.freq[at] == f)
             assert np.all(lattice.rep[at] == ctx.chain(a, f)[2])
-            assert np.all(lattice.handoffs[lattice.inverse[at]] == ctx.chain(a, f)[1])
+            assert np.all(lattice.handoffs[at] == ctx.chain(a, f)[1])
 
     def test_client_path_per_profile(self, lattice):
         ctx = lattice.ctx
-        deadline = cost.regime_geometry(ctx.tau_locals(lattice.alphas).T, ctx.T)[2]
+        alphas, slot = every_profile(lattice)
+        deadline = cost.regime_geometry(ctx.tau_locals(alphas).T, ctx.T)[2]
         slow = ctx.T < ctx.local_min.max()
         assert (np.unique(deadline).size > 1) == slow
         # each total is the cost model's round time of the profile's
         # decision, and the bound from the per-axis floors lies under it
-        sel = np.random.default_rng(64).choice(len(lattice.alphas), 64, replace=False)
+        sel = np.random.default_rng(64).choice(len(alphas), 64, replace=False)
         totals = lattice.totals(sel)
         assert np.all(lattice.lower[sel] <= totals * (1.0 + 1e-12))
         for i, total in zip(sel, totals):
-            alpha = dict(zip(ctx.ids, lattice.alphas[i].tolist()))
-            freq = {ctx.cluster.id: float(lattice.freq[lattice.inverse[i]])}
+            alpha = dict(zip(ctx.ids, alphas[i].tolist()))
+            freq = {ctx.cluster.id: float(lattice.freq[slot[i]])}
             decision = DecisionVector(alpha, freq, solve_bandwidth(lattice.scenario, alpha, freq))
             tau = cost.round_latency(lattice.scenario, decision).tau_round_s
             assert total == pytest.approx(tau, rel=1e-12)
+
+    def test_blocks_of_one_row_build_the_same_lattice(self, lattice, monkeypatch):
+        # every lattice here fits one block; with one row of client 0's axis
+        # per block, a block boundary falls between every two rows
+        sc = lattice.scenario
+        assert lattice.shape[0] > 1
+
+        def build(block):
+            monkeypatch.setattr(optimizer, "GRID_BLOCK", block)
+            return _Lattice(sc, 1e-2), grid_search_cluster(sc, alpha_step=1e-2)
+
+        (whole, grid_whole), (rows, grid_rows) = build(math.prod(lattice.shape)), build(1)
+        assert rows.lower.tobytes() == whole.lower.tobytes()
+        if whole.grid_index is None:
+            assert rows.grid_index is None
+        else:
+            np.testing.assert_array_equal(rows.grid_index, whole.grid_index)
+        for got, want in zip(every_profile(rows), every_profile(whole)):
+            assert got.tobytes() == want.tobytes()
+        every = np.arange(len(whole.lower))
+        assert rows.totals(every).tobytes() == whole.totals(every).tobytes()
+        assert grid_rows == grid_whole
+
+
+def every_profile(lattice):
+    """(alphas, slot) of every kept profile of the lattice, in its order."""
+    return lattice.profiles(np.arange(len(lattice.lower)))
 
 
 def grid_matches_optimize(sc, alpha_step):
@@ -249,7 +279,8 @@ class TestGridDropsProfiles:
             sun_facing=True, sat_initial_energy_j=5000.0)], param_count=334, sample_bits=544))
         lattice = _Lattice(sc, 2e-3)
         dropped = np.isinf(lattice.lower)
-        assert dropped.any() and not dropped.all() and np.all(lattice.rep < math.inf)
+        assert dropped.any() and not dropped.all()
+        assert np.all(lattice.rep[every_profile(lattice)[1]] < math.inf)
         grid_matches_optimize(sc, 2e-3)
 
     def test_totals_the_battery_spreads_over_windows(self):

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import re
+import struct
 import tracemalloc
 
 import numpy as np
@@ -22,6 +23,8 @@ from orbitfed.scenario import (
     apply_offload,
     attach_datasets,
     load_coverage_schedule,
+    load_csv_dataset,
+    load_idx,
     partition_dataset,
     prepare_data,
     satellite_pool,
@@ -559,3 +562,154 @@ class TestPrepareData:
         )
         sc, test = prepare_data(validate_scenario(spec))
         assert sum(p.size for p in sc.clients) == 4
+
+
+def write_idx(directory, images, labels, name="digits", image_magic=0x00000803,
+              label_magic=0x00000801, n_images=None, n_labels=None):
+    """An IDX image/label pair packed as `load_idx` reads it: a big-endian
+    header, then one unsigned byte per pixel or label. n_images and n_labels
+    replace the counts the headers declare."""
+    n, rows, cols = images.shape
+    images_path, labels_path = directory / f"{name}-images.idx", directory / f"{name}-labels.idx"
+    images_path.write_bytes(struct.pack(">IIII", image_magic, n if n_images is None else n_images,
+                                        rows, cols) + images.astype(np.uint8).tobytes())
+    labels_path.write_bytes(struct.pack(">II", label_magic, n if n_labels is None else n_labels)
+                            + labels.astype(np.uint8).tobytes())
+    return images_path, labels_path
+
+
+def digit_samples(n=120, side=4, classes=3, seed=0):
+    """n random side x side images and their labels, every class present."""
+    rng = np.random.default_rng(seed)
+    labels = np.arange(n) % classes
+    images = rng.integers(0, 256, (n, side, side)) // (labels[:, None, None] + 1)
+    return images.astype(np.uint8), labels
+
+
+class TestDataFiles:
+    """The IDX and CSV loaders on small files written here: what they read,
+    and each malformed file refused with a ValueError that names it."""
+
+    def test_idx_reads_pixels_over_255_and_labels(self, tmp_path):
+        images, labels = digit_samples()
+        got = load_idx(*write_idx(tmp_path, images, labels))
+        np.testing.assert_array_equal(got.features, images.reshape(len(images), -1) / 255.0)
+        np.testing.assert_array_equal(got.labels, labels)
+        np.testing.assert_array_equal(got.ids, np.arange(len(images)))
+
+    @pytest.mark.parametrize("which, magic, why", [
+        ("images", {"image_magic": 0x00000801}, "bad image magic 0x00000801"),
+        ("labels", {"label_magic": 0x00000803}, "bad label magic 0x00000803"),
+    ])
+    def test_idx_bad_magic(self, tmp_path, which, magic, why):
+        images, labels = digit_samples()
+        paths = dict(zip(("images", "labels"), write_idx(tmp_path, images, labels, **magic)))
+        with pytest.raises(ValueError, match=re.escape(f"{paths[which]}: {why}")):
+            load_idx(paths["images"], paths["labels"])
+
+    @pytest.mark.parametrize("which, keep, size", [
+        ("images", 0, 16), ("images", 15, 16), ("labels", 0, 8), ("labels", 7, 8)])
+    def test_idx_shorter_than_its_header(self, tmp_path, which, keep, size):
+        images, labels = digit_samples()
+        paths = dict(zip(("images", "labels"), write_idx(tmp_path, images, labels)))
+        paths[which].write_bytes(paths[which].read_bytes()[:keep])
+        with pytest.raises(ValueError, match=re.escape(
+                f"{paths[which]}: {keep} bytes, shorter than the {size}-byte IDX header")):
+            load_idx(paths["images"], paths["labels"])
+
+    @pytest.mark.parametrize("which", ["images", "labels"])
+    def test_idx_truncated(self, tmp_path, which):
+        images, labels = digit_samples()
+        paths = dict(zip(("images", "labels"), write_idx(tmp_path, images, labels)))
+        paths[which].write_bytes(paths[which].read_bytes()[:-1])
+        kind = "image" if which == "images" else "label"
+        with pytest.raises(ValueError, match=re.escape(f"{paths[which]}: {kind} file truncated")):
+            load_idx(paths["images"], paths["labels"])
+
+    def test_idx_count_mismatch(self, tmp_path):
+        images, labels = digit_samples()
+        paths = write_idx(tmp_path, images, labels[:-1], n_labels=119)
+        with pytest.raises(ValueError, match=re.escape("image/label count mismatch (120 vs 119)")):
+            load_idx(*paths)
+
+    def test_empty_images_file_is_a_structured_error(self, tmp_path, capsys):
+        # an empty images file used to reach struct.unpack and read as an
+        # internal fault
+        images, labels = digit_samples()
+        images_path, labels_path = write_idx(tmp_path, images, labels)
+        images_path.write_bytes(b"")
+        spec = data_spec({"source": "idx", "images": str(images_path),
+                          "labels": str(labels_path)})
+        path = tmp_path / "idx.json"
+        path.write_text(json.dumps(spec))
+        rc = main(["--mode", "simulate", "--rounds", "1", "--scenario", str(path),
+                   "--out", str(tmp_path / "run")])
+        assert rc == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ValueError",
+            "message": f"{images_path}: 0 bytes, shorter than the 16-byte IDX header"}
+
+    def test_csv_header_row_is_skipped(self, tmp_path):
+        f = tmp_path / "data.csv"
+        f.write_text("label,x,y\n1,0.5,0.25\n\n0,1.5,-2.5\n")
+        got = load_csv_dataset(f)
+        np.testing.assert_array_equal(got.features, [[0.5, 0.25], [1.5, -2.5]])
+        np.testing.assert_array_equal(got.labels, [1, 0])
+
+    @pytest.mark.parametrize("rows, why", [
+        (["1,0.5,0.25", "0,1.5"], "row 2: 1 features, not 2 as in the first row"),
+        (["label,x,y", "1,0.5,0.25", "0,1.5,2.5,3.5"],
+         "row 3: 3 features, not 2 as in the first row"),
+        (["1,0.5,0.25", "0,x,0.5"], "row 2: non-numeric value"),
+        (["1,0.5,0.25", "0,nan,0.5"], "row 2: non-finite feature"),
+        (["1,0.5,0.25", "0,0.5,-inf"], "row 2: non-finite feature"),
+        (["1,0.5,0.25", "-1,0.5,0.5"], "row 2: label '-1' is not a nonnegative integer"),
+        (["1.7,0.5,0.25"], "row 1: label '1.7' is not a nonnegative integer"),
+        (["1,0.5,0.25", "nan,0.5,0.5"], "row 2: label 'nan' is not a nonnegative integer"),
+        (["1,0.5,0.25", "inf,0.5,0.5"], "row 2: label 'inf' is not a nonnegative integer"),
+    ], ids=["ragged-short", "ragged-long", "non-numeric", "nan-feature", "inf-feature",
+            "negative-label", "fractional-label", "nan-label", "inf-label"])
+    def test_csv_bad_row_is_refused(self, tmp_path, rows, why):
+        f = tmp_path / "data.csv"
+        f.write_text("\n".join(rows) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{f} {why}")):
+            load_csv_dataset(f)
+
+    @pytest.mark.parametrize("text", ["", "\n\n", "label,x,y\n"], ids=["empty", "blank", "header"])
+    def test_csv_without_samples_is_refused(self, tmp_path, text):
+        f = tmp_path / "data.csv"
+        f.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{f}: empty CSV dataset")):
+            load_csv_dataset(f)
+
+    def test_idx_and_csv_copies_give_the_same_metrics(self, tmp_path):
+        images, labels = digit_samples()
+        images_path, labels_path = write_idx(tmp_path, images, labels)
+        csv_path = tmp_path / "digits.csv"
+        features = images.reshape(len(images), -1) / 255.0
+        csv_path.write_text("label," + ",".join(f"p{j}" for j in range(features.shape[1])) + "\n"
+                            + "".join(f"{y}," + ",".join(map(repr, row.tolist())) + "\n"
+                                      for y, row in zip(labels.tolist(), features)))
+        metrics = []
+        for name, data in (("idx", {"source": "idx", "images": str(images_path),
+                                    "labels": str(labels_path)}),
+                           ("csv", {"source": "csv", "path": str(csv_path)})):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(data_spec(data)))
+            run = tmp_path / f"run-{name}"
+            assert main(["--mode", "simulate", "--rounds", "3", "--scenario", str(path),
+                         "--out", str(run)]) == 0
+            metrics.append((run / "optimized" / "seed0" / "metrics.csv").read_bytes())
+        assert metrics[0] == metrics[1]
+        assert len(metrics[0].splitlines()) == 4
+
+
+def data_spec(data):
+    """Three clients training a logistic model on 16 features and 3
+    classes, from the data section data."""
+    return scenario_dict(
+        [cluster_dict(0, [client_dict(k, 2e8, 0) for k in range(3)])],
+        param_count=51, sample_bits=16 * 32 + 32,
+        data={**data, "partition": "iid", "sensitive_fraction": 0.2,
+              "model": {"kind": "logistic"}},
+        train={"eta0": 0.3, "lr_schedule": "inv", "batch_size": 16, "momentum": 0.5})

@@ -15,7 +15,9 @@ the manifests agree. The commands are:
   family at seed 1. They replay windows with no satellite compute, and
   `full_offload` long handoff chains and relay-only windows;
 - `optimize --grid-oracle` on every instance of the benchmark's `oracle`
-  workload at seeds 1-3 (`perfbench/workloads.py` `build_oracle`);
+  workload at seeds 1-3 (`perfbench/workloads.py` `build_oracle`), and on
+  the seed-1 instances again with the cluster's `max_offload_samples` at half
+  their offloadable total, so that the grid drops the profiles past the cap;
 - on `scenarios/reference.json`: `optimize`, `simulate --rounds 3`,
   `simulate --rounds 5 --persistent-battery`, `sweep --rounds 2 --seeds 0`
   and `analyze --rounds 3`.
@@ -36,7 +38,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SEEDS = (1, 2, 3)  # of the plan family and the oracle instances
+SEEDS = (1, 2, 3)  # of the plan family and the oracle instances; the first also capped
 BASELINES = ("terrestrial_only", "full_offload")  # simulated on the plan family at seed 1
 REFERENCE = ("inputs/reference.json", [
     ("optimize", []),
@@ -92,6 +94,16 @@ def write_inputs(inputs: Path) -> list:
             # the instance's scenario path is the command's last argument
             name = str(Path(op.argv[-1]).relative_to(inputs.parent))
             commands.append([*op.argv[:-1], name, "--out", f"out/{op.scenario}-{seed}-grid"])
+            if seed != SEEDS[0]:
+                continue
+            raw = json.loads(Path(op.argv[-1]).read_text())
+            (cluster,) = raw["clusters"]
+            cluster["max_offload_samples"] = 0.5 * sum(
+                c["max_offload_fraction"] * c["dataset_size"] for c in cluster["clients"])
+            capped = name.replace(".json", "-capped.json")
+            (inputs.parent / capped).write_text(json.dumps(raw, indent=1))
+            commands.append([*op.argv[:-1], capped,
+                             "--out", f"out/{op.scenario}-{seed}-grid-capped"])
     path, runs = REFERENCE
     shutil.copy(ROOT / "scenarios" / "reference.json", inputs.parent / path)
     for k, (mode, extra) in enumerate(runs):
