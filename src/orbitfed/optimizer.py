@@ -1037,8 +1037,11 @@ class _Lattice:
 
     The frequency and the chain come from one `_battery_freq` pass and one
     `chain` call over every distinct offload total, and `freq`, `handoffs`
-    and the satellite path `rep` are kept once per total; `slot` maps each
-    total under the cap to its row in them. A profile that breaks a
+    and the satellite path `rep` are kept once per total, the totals that
+    occur sorted in `uniq`; `rows` finds a total's row in them, through the
+    table `slot` over every total under the cap when those are no more than
+    the profiles, else by search in `uniq`, so the tables stay no longer
+    than the lattice. A profile that breaks a
     constraint gets an inf lower bound, so it never wins: one whose total
     the battery refuses, and one whose clients' energy floors overfill the
     band. The lattice raises only when no profile is left: the first
@@ -1110,19 +1113,34 @@ class _Lattice:
             total = sum(along(block, steps))
             return total, (total < n_keep).reshape(-1) if capped else slice(None)
 
-        # --- satellite-path inner minimum per offload total that occurs,
-        # marked in a table over the totals under the cap
-        seen = np.zeros(n_keep, dtype=bool)
-        kept_at = []
+        # --- satellite-path inner minimum per offload total that occurs:
+        # marked in a table over the totals under the cap when there are no
+        # more of those than profiles, else sorted out of each block's totals
+        # (coprime sizes spread the totals far wider than the lattice)
+        tabled = n_keep <= math.prod(shape)
+        seen = np.zeros(n_keep if tabled else 0, dtype=bool)
+        kept_at, occur = [], []
+
+        def distinct(v):
+            # v's values sorted, once each (np.unique's hash pass is some
+            # 10x slower on these)
+            v = np.sort(v)
+            return v[np.concatenate(([True], v[1:] != v[:-1]))]
+
         for block in blocks:
             total, kept = block_totals(block)
-            seen[total.reshape(-1)[kept]] = True
+            if tabled:
+                seen[total.reshape(-1)[kept]] = True
+            else:
+                occur.append(distinct(total.reshape(-1)[kept]))
             if capped:
                 kept_at.append(np.flatnonzero(kept) + block.start * stride)
         self.grid_index = (np.concatenate(kept_at).astype(np.min_scalar_type(math.prod(shape)))
                            if capped else None)
-        self.slot = np.cumsum(seen) - 1
-        a = np.flatnonzero(seen) * quant
+        self.uniq = uniq = np.flatnonzero(seen) if tabled else distinct(np.concatenate(occur))
+        # (total 0 always occurs, so the unsigned count never drops below 1)
+        self.slot = (np.cumsum(seen, dtype=np.min_scalar_type(len(uniq))) - 1) if tabled else None
+        a = uniq * quant
         best_f, err = _battery_lanes(ctx, a)
         ok = ~np.isnan(best_f)
         if not ok.any():
@@ -1166,7 +1184,7 @@ class _Lattice:
                                             ctx.budget_hz - (total_min - b_min[k]))
                     for k in range(k_count)])
             # (a profile past the cap reads the last total's path, and is dropped)
-            path = rep[self.slot.take(total, mode="clip")]
+            path = rep.take(self.rows(total), mode="clip")
             lower = cluster.sync_delay_s + np.maximum(path, reach) + cluster.glob_delay_s
             fits = total_min <= ctx.budget_hz
             lower[~fits] = math.inf
@@ -1186,7 +1204,15 @@ class _Lattice:
         offload total in `freq`, `handoffs` and `rep`."""
         idx = np.unravel_index(sel if self.grid_index is None else self.grid_index[sel], self.shape)
         alphas = np.stack([ax[i] for ax, i in zip(self.axes, idx)]).T
-        return alphas, self.slot[sum(i * u for i, u in zip(idx, self.units))]
+        return alphas, self.rows(sum(i * u for i, u in zip(idx, self.units)))
+
+    def rows(self, total: np.ndarray) -> np.ndarray:
+        """The row of each offload total (in units of quant) in `freq`,
+        `handoffs` and `rep`; a total past the cap reads the last row or
+        one past it."""
+        if self.slot is None:
+            return np.searchsorted(self.uniq, total)
+        return self.slot.take(total, mode="clip")
 
     def totals(self, sel: np.ndarray) -> np.ndarray:
         """Round time of the profiles at indices sel, with the client path of

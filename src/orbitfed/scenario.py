@@ -668,7 +668,7 @@ def load_idx(images_path, labels_path) -> SampleSet:
 
 def load_csv_dataset(path) -> SampleSet:
     """Read ``label,f1,f2,...`` rows; a non-numeric first row is a header.
-    A label is a nonnegative integer, a feature a finite number, and every
+    A label is a nonnegative integer below 2^63, a feature a finite number, and every
     row has the first row's width; a row that breaks one is refused."""
     features = []
     labels = []
@@ -684,9 +684,9 @@ def load_csv_dataset(path) -> SampleSet:
                 if i == 0:
                     continue
                 raise ValueError(f"{path} row {i + 1}: non-numeric value")
-            if not (lab >= 0.0 and lab.is_integer()):
+            if not (0.0 <= lab < 2.0 ** 63 and lab.is_integer()):
                 raise ValueError(f"{path} row {i + 1}: label {row[0]!r} is not a "
-                                 "nonnegative integer")
+                                 "nonnegative integer below 2^63")
             if not all(map(math.isfinite, feat)):
                 raise ValueError(f"{path} row {i + 1}: non-finite feature")
             if features and len(feat) != len(features[0]):

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -239,6 +240,24 @@ class TestLattice:
         every = np.arange(len(whole.lower))
         assert rows.totals(every).tobytes() == whole.totals(every).tobytes()
         assert grid_rows == grid_whole
+
+    def test_spread_totals_keep_memory_to_the_lattice(self):
+        # sizes with gcd 1 put about 3e6 offload totals under the cap but
+        # only 42 x 42 profiles on the lattice: the totals that occur are
+        # sorted out, with no table over the whole range (24 MB of rows)
+        sc = lattice_instance(2, False, sizes=(30000, 29999))
+        sc = sc.with_clients([dataclasses.replace(p, energy_budget_j=1e9) for p in sc.clients])
+        tracemalloc.start()
+        try:
+            lattice = _Lattice(sc, 1e-2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert lattice.slot is None and len(lattice.uniq) == len(lattice.lower)
+        assert peak < 1e6
+        alphas, at = every_profile(lattice)
+        totals = np.rint(alphas @ lattice.ctx.sizes / 1e-2)
+        assert np.all(lattice.uniq[at] == totals)
 
 
 def every_profile(lattice):

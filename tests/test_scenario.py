@@ -667,8 +667,9 @@ class TestDataFiles:
         (["1.7,0.5,0.25"], "row 1: label '1.7' is not a nonnegative integer"),
         (["1,0.5,0.25", "nan,0.5,0.5"], "row 2: label 'nan' is not a nonnegative integer"),
         (["1,0.5,0.25", "inf,0.5,0.5"], "row 2: label 'inf' is not a nonnegative integer"),
+        (["1,0.5,0.25", "1e19,0.5,0.5"], "row 2: label '1e19' is not a nonnegative integer below 2^63"),
     ], ids=["ragged-short", "ragged-long", "non-numeric", "nan-feature", "inf-feature",
-            "negative-label", "fractional-label", "nan-label", "inf-label"])
+            "negative-label", "fractional-label", "nan-label", "inf-label", "huge-label"])
     def test_csv_bad_row_is_refused(self, tmp_path, rows, why):
         f = tmp_path / "data.csv"
         f.write_text("\n".join(rows) + "\n")
