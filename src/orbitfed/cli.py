@@ -147,8 +147,14 @@ def _resolve_decision(scenario, baseline: str, alpha_fixed):
 def _resolve_layout(scenario, test_set) -> ModelLayout:
     cfg = scenario.data
     kind, dim = cfg["model"]["kind"], test_set.feature_dim
-    # a synthetic corpus has the classes it was drawn with; files, their labels
-    classes = cfg["classes"] if cfg["source"] == "synthetic" else int(test_set.labels.max()) + 1
+    # a synthetic corpus has the classes it was drawn with; files, every
+    # label the clients train on or the test set holds
+    if cfg["source"] == "synthetic":
+        classes = cfg["classes"]
+    else:
+        held = [test_set] + [part for p in scenario.clients
+                             for part in (p.dataset.sensitive, p.dataset.nonsensitive)]
+        classes = 1 + max(int(s.labels.max()) for s in held if len(s))
     dims = (dim, cfg["model"]["hidden"], classes) if kind == "mlp" else (dim, classes)
     layout = ModelLayout(kind, dims)
     if layout.param_count != scenario.footprint.param_count:

@@ -140,9 +140,17 @@ def lanewise(fn, x, *args):
     lanewise(pow, x, 3). numpy's vector power and arccos (a 0-d or one-lane
     array's too) can differ from libm's in the last bit, and then a lane
     would not read what a scalar call reads; sqrt, cos and the four
-    operations agree."""
+    operations agree.
+
+    fn runs once per distinct lane: lanes are told apart by their bit
+    patterns, so -0.0 and 0.0 (and NaNs of different payloads) each get
+    their own call, and every lane reads what a scalar call on it reads.
+    The grid's totals mostly share one clock, which then costs one call."""
     if isinstance(x, np.ndarray):
-        return np.array([fn(v, *args) for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
+        v = np.ascontiguousarray(x, dtype=float).reshape(-1)
+        bits, inverse = np.unique(v.view(np.int64), return_inverse=True)
+        out = np.array([fn(u, *args) for u in bits.view(float).tolist()], dtype=float)
+        return out[inverse].reshape(x.shape)
     return fn(float(x), *args)
 
 

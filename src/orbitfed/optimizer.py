@@ -24,7 +24,8 @@ pinned only the bandwidth split is left, and one vectorised equalizer
 (`_client_paths`) finds it for rows of offloads: the least common upload
 completion the budget buys in the timing regime the offload's local times
 and chain select. `solve_bandwidth` runs it on one row per cluster, and the
-grid oracle's re-scoring on every profile that can win. Every bandwidth for
+grid oracle on every profile that can win, keeping the winner's row as its
+slices. Every bandwidth for
 a target upload time comes from the closed-form inversion of the uplink
 curve through the lower branch of Lambert W (`upload_bandwidth`).
 
@@ -1033,10 +1034,12 @@ class _Lattice:
     the round time that costs no bisection, from the per-client bandwidth
     floors the energy budgets set. `totals` prices the client path of
     chosen profiles with the pinned-offload equalizer `_client_paths`, each
-    on its own chain's count.
+    on its own chain's count, and `best` keeps the winner's slices from the
+    row that scored it.
 
     The frequency and the chain come from one `_battery_freq` pass and one
-    `chain` call over every distinct offload total, and `freq`, `handoffs`
+    `chain` call over every distinct offload total (their powers once per
+    distinct value, `cost.lanewise`), and `freq`, `handoffs`
     and the satellite path `rep` are kept once per total, the totals that
     occur sorted in `uniq`; `rows` finds a total's row in them, through the
     table `slot` over every total under the cap when those are no more than
@@ -1051,9 +1054,11 @@ class _Lattice:
     The lattice is the product of the clients' alpha axes. What depends on
     one client's offload alone (its alpha, local time, energy-floor slice
     and share of the offload total) is computed once per axis value and
-    broadcast over the K-dimensional grid; only what couples the clients
-    (the straggler's window, the offsets, the floors' sum and the bound) is
-    computed per profile, one block of client 0's axis values at a time.
+    broadcast over the K-dimensional grid, and the upload time on the band
+    the other clients' floors leave over the other K - 1 axes; only what
+    couples all the clients (the straggler's window, the offsets, the
+    floors' sum and the bound) is computed per profile, one block of client
+    0's axis values at a time.
     The bound `lower` is the one array kept per profile, in the C order of
     meshgrid(indexing="ij") less the profiles past the cluster's offload
     cap; when the cap drops some, `grid_index` holds each kept profile's
@@ -1175,13 +1180,14 @@ class _Lattice:
             # upload ends no sooner than reach_k; that bounds the equalized
             # completion and with it every regime: the first has zero
             # offsets, and the third (deadline plus equalized upload) lies
-            # past the second because the deadline is past every offset. A
-            # profile whose floors overfill the band reads nan here and gets
-            # an inf bound
+            # past the second because the deadline is past every offset. The
+            # other floors span the other K - 1 axes alone, so the upload
+            # time is taken there and broadcast. A profile whose floors
+            # overfill the band reads nan here and gets an inf bound
             with np.errstate(invalid="ignore", divide="ignore"):
                 reach = functools.reduce(np.maximum, [
                     x[k] + cost.upload_time(ctx.footprint.state_bits, ctx.snr_num[k],
-                                            ctx.budget_hz - (total_min - b_min[k]))
+                                            ctx.budget_hz - sum(b_min[:k] + b_min[k + 1:]))
                     for k in range(k_count)])
             # (a profile past the cap reads the last total's path, and is dropped)
             path = rep.take(self.rows(total), mode="clip")
@@ -1214,22 +1220,32 @@ class _Lattice:
             return np.searchsorted(self.uniq, total)
         return self.slot.take(total, mode="clip")
 
-    def totals(self, sel: np.ndarray) -> np.ndarray:
-        """Round time of the profiles at indices sel, with the client path of
-        the pinned-offload equalizer."""
+    def totals(self, sel: np.ndarray) -> tuple:
+        """(totals, slices) of the profiles at indices sel: each one's round
+        time, with the client path of the pinned-offload equalizer on its
+        total's handoff count, and the slices (P x K) that reach it."""
         alphas, at = self.profiles(sel)
-        y = _client_paths(self.ctx, alphas, self.handoffs[at])[0]
+        y, b = _client_paths(self.ctx, alphas, self.handoffs[at])
         return (self.cluster.sync_delay_s + np.maximum(y, self.rep[at])
-                + self.cluster.glob_delay_s)
+                + self.cluster.glob_delay_s), b
 
-    def best(self, sel: np.ndarray, totals: np.ndarray):
-        """The profile of sel with the least total as a real decision: the
-        slices of `solve_bandwidth` and the cost model's round time."""
+    def best(self, sel: np.ndarray, totals: np.ndarray, slices: np.ndarray):
+        """The profile of sel with the least total as a real decision and
+        the cost model's round time. Its slices are the row of `totals`
+        that scored it: `_client_paths` prices each row alone, as
+        `solve_bandwidth` prices the decision, on the handoff count of the
+        profile's lattice total. The decision's own offload sum can round
+        apart from that total; where its count then differs, the slices
+        are solved afresh on the decision's count."""
         i = int(np.argmin(totals))
         alphas, at = self.profiles(sel[i:i + 1])
         alpha_pt = {pid: float(alphas[0, k]) for k, pid in enumerate(self.ctx.ids)}
         freq_map = {self.cluster.id: float(self.freq[at[0]])}
-        b_map = solve_bandwidth(self.scenario, alpha_pt, freq_map, [self.ctx])
+        n = self.ctx.n_handoffs(self.ctx.offloaded(alphas[0]), freq_map[self.cluster.id])
+        if n == self.handoffs[at[0]]:
+            b_map = dict(zip(self.ctx.ids, slices[i].tolist()))
+        else:
+            b_map = solve_bandwidth(self.scenario, alpha_pt, freq_map, [self.ctx])
         decision = DecisionVector(alpha=alpha_pt, sat_freq_hz=freq_map, bandwidth_hz=b_map)
         tau = cost.round_latency(self.scenario, decision).tau_round_s
         if tau > totals[i] * (1.0 + GRID_RTOL):
@@ -1255,12 +1271,15 @@ def grid_search_cluster(scenario, alpha_step: float = 1e-3):
     then at most the final satellite's arrival, where the uploads start): the
     profile with the least bound gives an upper bound on the optimum, and
     only profiles whose bound comes within GRID_RTOL of it are evaluated
-    (when that is the bound profile alone, its score is reused). Returns
+    (when that is the bound profile alone, its score is reused). The winner
+    keeps the slices of the equalizer row that scored it. Returns
     (tau_round_s, DecisionVector). Intended for <= 3 clients.
     """
     lattice = _Lattice(scenario, alpha_step)
-    ub = lattice.totals(np.array([np.argmin(lattice.lower)]))
+    ub, ub_slices = lattice.totals(np.array([np.argmin(lattice.lower)]))
     sel = np.flatnonzero(lattice.lower <= ub[0] * (1.0 + GRID_RTOL))
     # the bound profile's lower bound is under its total, so a selection of
     # one profile is that profile, already scored
-    return lattice.best(sel, ub if len(sel) == 1 else lattice.totals(sel))
+    if len(sel) == 1:
+        return lattice.best(sel, ub, ub_slices)
+    return lattice.best(sel, *lattice.totals(sel))

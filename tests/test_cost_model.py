@@ -265,6 +265,67 @@ class TestHandoffChain:
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
+def bits_nan(payload, sign=0):
+    """A NaN with the given payload and sign bit."""
+    return np.array([(sign << 63) | (0x7FF << 52) | payload], dtype=np.uint64).view(float)[0].item()
+
+
+class TestLanewise:
+    """`cost.lanewise` calls fn once per distinct bit pattern, and every lane
+    reads bit for bit what a scalar call on it reads."""
+
+    # the domain each fn takes without raising: pow to 1/3 and sqrt of a
+    # negative lane are complex or an error, so theirs are flipped positive
+    FNS = [(pow, (2,), False), (pow, (3,), False), (pow, (1.0 / 3.0,), True),
+           (math.sqrt, (), True)]
+    SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, bits_nan(1), bits_nan(5, sign=1),
+               5e-324, -5e-324, 2.2250738585072014e-308 / 3.0, 1.0, 1.0 / 3.0]
+
+    @staticmethod
+    def check(fn, args, x):
+        calls = []
+
+        def counted(v, *a):
+            calls.append(v)
+            return fn(v, *a)
+
+        got = cost.lanewise(counted, x, *args)
+        want = np.array([fn(v, *args) for v in np.ravel(x).tolist()], dtype=float)
+        assert type(got) is np.ndarray and got.shape == np.shape(x)
+        assert got.tobytes() == want.reshape(np.shape(x)).tobytes()
+        assert len(calls) == len(np.unique(np.ravel(x).view(np.int64)))
+
+    @staticmethod
+    def domain(lanes, positive):
+        return [abs(v) if positive and v < 0.0 else v for v in lanes]
+
+    @pytest.mark.parametrize("fn, args, positive", FNS, ids=["pow2", "pow3", "cbrt", "sqrt"])
+    def test_every_special_lane_reads_its_scalar_call(self, fn, args, positive):
+        lanes = self.domain(self.SPECIAL, positive)
+        grid = np.array(lanes * 2).reshape(4, -1)
+        for x in (np.array(lanes[0]), np.array(lanes), grid, grid.T, grid[::2, 1::3]):
+            self.check(fn, args, x)
+
+    def test_scalars_keep_the_scalar_call(self):
+        for x in (1.5, -0.0, np.float64(2.0), 3):
+            got = cost.lanewise(pow, x, 3)
+            assert type(got) is float and got == pow(float(x), 3)
+        assert math.copysign(1.0, cost.lanewise(pow, -0.0, 3)) == -1.0
+
+    @settings(max_examples=300)
+    @given(st.sampled_from(FNS), st.sampled_from([(), (7,), (3, 4), (1, 5)]),
+           st.lists(st.one_of(st.sampled_from(SPECIAL), st.floats(-1e100, 1e100)),
+                    min_size=1, max_size=4),
+           st.data())
+    def test_repeated_lanes_read_their_scalar_calls(self, fn_args, shape, pool, data):
+        # lanes are drawn from a pool of at most four values, so they repeat
+        fn, args, positive = fn_args
+        n = math.prod(shape)
+        lanes = data.draw(st.lists(st.sampled_from(self.domain(pool, positive)),
+                                   min_size=n, max_size=n))
+        self.check(fn, args, np.array(lanes).reshape(shape))
+
+
 class TestUplink:
     ARGS = dict(distance_m=784e3, pathloss_exponent=2.0, noise_density_w_per_hz=3.98e-21)
 

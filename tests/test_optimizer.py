@@ -139,9 +139,9 @@ class TestGridPruning:
     def check_every_profile(sc):
         lattice = _Lattice(sc, 1e-2)
         every = np.arange(len(lattice.lower))
-        totals = lattice.totals(every)
+        totals, slices = lattice.totals(every)
         assert np.all(lattice.lower <= totals)
-        assert lattice.best(every, totals) == grid_search_cluster(sc, alpha_step=1e-2)
+        assert lattice.best(every, totals, slices) == grid_search_cluster(sc, alpha_step=1e-2)
 
     @pytest.mark.parametrize("n_clients,seed", [(2, 0), (2, 1), (3, 0), (3, 1)])
     def test_pruned_search_matches_every_profile(self, n_clients, seed):
@@ -210,7 +210,7 @@ class TestLattice:
         # each total is the cost model's round time of the profile's
         # decision, and the bound from the per-axis floors lies under it
         sel = np.random.default_rng(64).choice(len(alphas), 64, replace=False)
-        totals = lattice.totals(sel)
+        totals = lattice.totals(sel)[0]
         assert np.all(lattice.lower[sel] <= totals * (1.0 + 1e-12))
         for i, total in zip(sel, totals):
             alpha = dict(zip(ctx.ids, alphas[i].tolist()))
@@ -238,7 +238,7 @@ class TestLattice:
         for got, want in zip(every_profile(rows), every_profile(whole)):
             assert got.tobytes() == want.tobytes()
         every = np.arange(len(whole.lower))
-        assert rows.totals(every).tobytes() == whole.totals(every).tobytes()
+        assert rows.totals(every)[0].tobytes() == whole.totals(every)[0].tobytes()
         assert grid_rows == grid_whole
 
     def test_spread_totals_keep_memory_to_the_lattice(self):
@@ -331,6 +331,45 @@ class TestGridDropsProfiles:
         assert np.isinf(_Lattice(build(5000.0), 1e-2).lower).any()
         with pytest.raises(InfeasibleError, match="no profile within every budget"):
             grid_search_cluster(sc, 1e-2)
+
+
+class TestGridWinner:
+    """The grid's decision keeps the slices of the lattice row that scored
+    it: they are what a fresh `solve_bandwidth` gives the winning profile,
+    and the grid's time is the cost model's."""
+
+    @pytest.fixture(params=["single-window", "handoff", "3-clients"])
+    def instance(self, request):
+        if request.param == "single-window":
+            return lattice_instance(2, False), 0
+        if request.param == "handoff":
+            return multiwindow_instance(np.random.default_rng([4300, 5]), n_clients=2), 1
+        return lattice_instance(3, False), 0
+
+    def test_reused_slices_match_a_fresh_solve(self, instance):
+        sc, handoffs = instance
+        tau, decision = grid_search_cluster(sc, alpha_step=1e-2)
+        breakdown = cost.round_latency(sc, decision)
+        assert breakdown.clusters[0].n_handoffs == handoffs
+        assert decision.bandwidth_hz == solve_bandwidth(sc, decision.alpha, decision.sat_freq_hz)
+        assert tau == breakdown.tau_round_s
+
+    def test_a_winner_counted_apart_is_solved_afresh(self, instance, monkeypatch):
+        # when the decision's own offload sum hands off another number of
+        # times than its lattice total, the scored row's slices do not
+        # apply: best solves them on the decision's count
+        sc, _ = instance
+        lattice = _Lattice(sc, 1e-2)
+        every = np.arange(len(lattice.lower))
+        totals, slices = lattice.totals(every)
+        solves = []
+        monkeypatch.setattr(optimizer, "solve_bandwidth",
+                            lambda *a: solves.append(a) or solve_bandwidth(*a))
+        want = lattice.best(every, totals, slices)
+        assert not solves
+        lattice.handoffs = lattice.handoffs + 1
+        assert lattice.best(every, totals, np.full_like(slices, np.nan)) == want
+        assert len(solves) == 1
 
 
 class TestBisect:

@@ -586,6 +586,16 @@ def digit_samples(n=120, side=4, classes=3, seed=0):
     return images.astype(np.uint8), labels
 
 
+def write_csv(path, images, labels):
+    """The samples as `load_csv_dataset` reads them: a header row, then a
+    label and each image's pixels over 255 per row."""
+    features = images.reshape(len(images), -1) / 255.0
+    path.write_text("label," + ",".join(f"p{j}" for j in range(features.shape[1])) + "\n"
+                    + "".join(f"{y}," + ",".join(map(repr, row.tolist())) + "\n"
+                              for y, row in zip(labels.tolist(), features)))
+    return path
+
+
 class TestDataFiles:
     """The IDX and CSV loaders on small files written here: what they read,
     and each malformed file refused with a ValueError that names it."""
@@ -686,11 +696,7 @@ class TestDataFiles:
     def test_idx_and_csv_copies_give_the_same_metrics(self, tmp_path):
         images, labels = digit_samples()
         images_path, labels_path = write_idx(tmp_path, images, labels)
-        csv_path = tmp_path / "digits.csv"
-        features = images.reshape(len(images), -1) / 255.0
-        csv_path.write_text("label," + ",".join(f"p{j}" for j in range(features.shape[1])) + "\n"
-                            + "".join(f"{y}," + ",".join(map(repr, row.tolist())) + "\n"
-                                      for y, row in zip(labels.tolist(), features)))
+        csv_path = write_csv(tmp_path / "digits.csv", images, labels)
         metrics = []
         for name, data in (("idx", {"source": "idx", "images": str(images_path),
                                     "labels": str(labels_path)}),
@@ -703,6 +709,29 @@ class TestDataFiles:
             metrics.append((run / "optimized" / "seed0" / "metrics.csv").read_bytes())
         assert metrics[0] == metrics[1]
         assert len(metrics[0].splitlines()) == 4
+
+    def test_class_count_covers_the_training_labels(self, tmp_path, capsys):
+        # training labels 0-3 against test labels 0-2: the layout has the
+        # four classes the clients train on, so a scenario sized for three
+        # is refused, and one sized for four trains
+        paths = {}
+        for name, classes in (("path", 4), ("test_path", 3)):
+            paths[name] = str(write_csv(tmp_path / f"{name}.csv",
+                                        *digit_samples(classes=classes, seed=classes)))
+        runs = []
+        for param_count in (51, 68):
+            spec = data_spec({"source": "csv", **paths})
+            spec["model"]["param_count"] = param_count
+            path = tmp_path / f"csv-{param_count}.json"
+            path.write_text(json.dumps(spec))
+            runs.append(main(["--mode", "simulate", "--rounds", "1", "--scenario", str(path),
+                              "--out", str(tmp_path / f"run-{param_count}")]))
+            if param_count == 51:
+                assert json.loads(capsys.readouterr().err) == {
+                    "error": "CliError",
+                    "message": "model.param_count in the scenario is 51 but the logistic "
+                               "layout has 68; align them"}
+        assert runs == [1, 0]
 
 
 def data_spec(data):

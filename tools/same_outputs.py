@@ -18,6 +18,9 @@ the manifests agree. The commands are:
   workload at seeds 1-3 (`perfbench/workloads.py` `build_oracle`), and on
   the seed-1 instances again with the cluster's `max_offload_samples` at half
   their offloadable total, so that the grid drops the profiles past the cap;
+- `optimize --grid-oracle` on two instances past the `oracle` workload's
+  two-client single windows (`extra_grids`): three clients, and a dark
+  cluster whose slow satellite clock hands the winner's chain off;
 - on `scenarios/reference.json`: `optimize`, `simulate --rounds 3`,
   `simulate --rounds 5 --persistent-battery`, `sweep --rounds 2 --seeds 0`
   and `analyze --rounds 3`.
@@ -36,6 +39,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3)  # of the plan family and the oracle instances; the first also capped
@@ -64,6 +69,20 @@ for argv in json.loads(open(sys.argv[2]).read()):
         status.append([main(argv), err.getvalue()])
 print(json.dumps(status))
 """
+
+
+def extra_grids() -> dict:
+    """Grid-oracle scenarios by name: three clients on a 51^3 lattice, and
+    two slow clients under a dark, slow satellite whose chains hand off
+    (twice at the grid's winner)."""
+    from workloads import client, cluster, oracle_instance, scenario
+
+    three = oracle_instance(np.random.default_rng([SEEDS[0], 204]), (600, 400, 500),
+                            (2e8, 5e8, 3e8), True, 0.05)
+    handoff = scenario("handoff", [cluster(
+        0, [client(k, f, 3000, max_offload_fraction=0.3) for k, f in enumerate((1e8, 4e8))],
+        coverage_s=120.0, sat_max_freq_hz=1e8, isl_rate_bps=1e6, sun_facing=False)])
+    return {"grid-3-clients": three, "grid-handoff": handoff}
 
 
 def write_inputs(inputs: Path) -> list:
@@ -104,6 +123,11 @@ def write_inputs(inputs: Path) -> list:
             (inputs.parent / capped).write_text(json.dumps(raw, indent=1))
             commands.append([*op.argv[:-1], capped,
                              "--out", f"out/{op.scenario}-{seed}-grid-capped"])
+    for key, raw in extra_grids().items():
+        name = f"inputs/{key}.json"
+        (inputs.parent / name).write_text(json.dumps(raw, indent=1))
+        commands.append(["--mode", "optimize", "--grid-oracle", "--scenario", name,
+                         "--out", f"out/{key}"])
     path, runs = REFERENCE
     shutil.copy(ROOT / "scenarios" / "reference.json", inputs.parent / path)
     for k, (mode, extra) in enumerate(runs):
