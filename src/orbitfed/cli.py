@@ -55,19 +55,27 @@ class ExperimentPlan:
     mode: str
     baseline: str = "optimized"
     alpha_fixed: float = None
-    algorithm: str = "fedavg"
     prox_mu: float = 0.0
     rounds: int = 20
     seeds: tuple = (0,)
     target_acc: float = None
     out_dir: str = "orbitfed_run"
     single_step: bool = False
-    persistent_battery: bool = False
     grid_oracle: bool = False
 
 
 class CliError(RuntimeError):
     pass
+
+
+# the modes that read each flag; a flag away from its default in any other
+# mode would be recorded in the manifest and ignored, so it is refused
+FLAG_MODES = {
+    "single_step": ("simulate", "sweep", "analyze"),
+    "prox_mu": ("simulate", "sweep"),
+    "target_acc": ("simulate", "sweep", "summarize"),
+    "grid_oracle": ("optimize",),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -190,10 +198,8 @@ def _simulate_leg(prepared, plan, decision, seed, leg_dir: Path):
     if layout is not None:
         scenario = apply_offload(scenario, decision.alpha)
     cfg = replace(scenario.train, prox_mu=plan.prox_mu, single_step=plan.single_step, seed=seed)
-    result = run_experiment(
-        scenario, decision, plan.rounds, config=cfg, layout=layout,
-        test_set=test, persistent_battery=plan.persistent_battery,
-    )
+    result = run_experiment(scenario, decision, plan.rounds, config=cfg, layout=layout,
+                            test_set=test)
     leg_dir.mkdir(parents=True, exist_ok=True)
     _write_metrics(leg_dir / "metrics.csv", result.metrics)
     _write_timeline(leg_dir / "timeline.jsonl", result.timeline)
@@ -375,16 +381,13 @@ def run(plan: ExperimentPlan) -> int:
         raise CliError(f"--rounds {plan.rounds} is not a positive count")
     if not 0.0 <= plan.prox_mu < math.inf:
         raise CliError(f"--prox-mu {plan.prox_mu} is not a finite nonnegative coefficient")
-    if plan.prox_mu and plan.algorithm != "fedprox":
-        raise CliError(f"--prox-mu {plan.prox_mu} needs --algorithm fedprox")
     if plan.mode == "sweep" and (plan.baseline != "optimized" or plan.alpha_fixed is not None):
         raise CliError("sweep runs its own five series; it takes no --baseline or --alpha-fixed")
     if plan.alpha_fixed is not None and plan.baseline != "fixed_ratio":
         raise CliError(f"--alpha-fixed {plan.alpha_fixed} needs --baseline fixed_ratio")
-    if plan.grid_oracle and plan.mode != "optimize":
-        raise CliError("--grid-oracle needs --mode optimize")
-    if plan.persistent_battery and plan.mode not in ("simulate", "sweep"):
-        raise CliError("--persistent-battery needs --mode simulate or sweep")
+    for field, modes in FLAG_MODES.items():
+        if plan.mode not in modes and getattr(plan, field) != getattr(ExperimentPlan, field):
+            raise CliError(f"--{field.replace('_', '-')} needs --mode {' or '.join(modes)}")
     if plan.target_acc is not None and not 0.0 <= plan.target_acc <= 1.0:
         raise CliError(f"--target-acc {plan.target_acc} is not an accuracy in [0, 1]")
     out = Path(plan.out_dir)
@@ -438,8 +441,15 @@ def _parse_seeds(text: str):
     return tuple(seeds)
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a CliError, reported as one JSON line like the rest."""
+
+    def error(self, message):
+        raise CliError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="orbitfed",
         description="Optimize and simulate satellite-assisted federated training.",
     )
@@ -450,9 +460,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["optimized", "terrestrial_only", "full_offload", "fixed_ratio"])
     p.add_argument("--alpha-fixed", type=float, default=None,
                    help="offload ratio for the fixed_ratio baseline")
-    p.add_argument("--algorithm", default="fedavg", choices=["fedavg", "fedprox"])
     p.add_argument("--prox-mu", type=float, default=0.0,
-                   help="proximal coefficient for fedprox")
+                   help="FedProx proximal coefficient for the client objective (0: FedAvg)")
     p.add_argument("--rounds", type=int, default=20)
     p.add_argument("--seeds", default="0",
                    help="comma list and/or ranges, e.g. 0,1,2 or 0-9")
@@ -460,16 +469,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", dest="out_dir", default="orbitfed_run", help="output directory")
     p.add_argument("--single-step", action="store_true",
                    help="one SGD step per round (analysis mode of the protocol)")
-    p.add_argument("--persistent-battery", action="store_true",
-                   help="carry one satellite battery per cluster across rounds")
     p.add_argument("--grid-oracle", action="store_true",
                    help="also run the exhaustive grid comparator (small instances)")
     return p
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return run(ExperimentPlan(**{**vars(args), "seeds": _parse_seeds(args.seeds)}))
     except (ScenarioError, InfeasibleError, SimError, CliError, ValueError, OSError) as exc:
         report = {"error": type(exc).__name__, "message": str(exc)}

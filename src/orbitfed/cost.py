@@ -27,9 +27,9 @@ the straggler's window over batches and grids of profiles
 (`regime_geometry`).
 
 `ClusterRun` is the round model the simulator replays, one per cluster per
-run: the decision priced once, the windows each round uses up, the
-battery level, and each window's ledger (`SatWindowEnergy`). A round is
-its `walk_chain` and `client_path` calls on its own windows.
+run: the decision priced once, the windows each round uses up, and each
+window's battery ledger (`SatWindowEnergy`). A round is its `walk_chain`
+and `client_path` calls on its own windows.
 
 The satellite chain (`relay_chain`, `handoff_count`, `ClusterModel.chain`
 and `battery_margin`) takes Python floats or arrays of lanes alike: a
@@ -628,18 +628,17 @@ class ClusterRun:
     back to back from the path start on the fixed period, or on an explicit
     schedule the passes from the first unused one, re-anchored at the path
     start. A round uses up every pass it looked at, the one case 3 looks
-    ahead to too. It carries the satellite battery level: every window
-    starts full, or with `persistent` one level runs through the windows
-    and rounds, capped at the initial charge.
+    ahead to too. Every window's satellite starts full: each pass is a new
+    vehicle.
 
     A fixed-window chain that `ClusterModel.chain` refuses, and a schedule
     that runs out, are ValueErrors that name the cluster.
     """
 
-    def __init__(self, scenario, cluster, decision, persistent: bool = False):
+    def __init__(self, scenario, cluster, decision):
         model = ClusterModel(scenario, cluster)
         alphas = model.per_client(decision.alpha)
-        self.cluster, self.members, self.persistent = cluster, tuple(model.ids), persistent
+        self.cluster, self.members = cluster, tuple(model.ids)
         self.offloaded = a = model.offloaded(alphas)
         self.tau_tr = model.tau_trans(a)
         self.f = float(decision.sat_freq_hz[cluster.id])
@@ -657,7 +656,6 @@ class ClusterRun:
         self.p_charge = model.p_charge
         self.tau_locals = tuple(model.tau_locals(alphas).tolist())
         self.tau_aggs = tuple(model.tau_agg(model.per_client(decision.bandwidth_hz)).tolist())
-        self.level = cluster.sat_initial_energy_j
         self.pos = 0  # the first unused pass of an explicit schedule
         self._start, self._windows = 0.0, []
 
@@ -700,18 +698,16 @@ class ClusterRun:
                                                    for i, _, _, take, dwell, _ in rows)
 
     def _ledger(self, i, take, dwell) -> SatWindowEnergy:
-        """Window i's ledger from the level its satellite starts at. The
-        battery is lowest at the window's start, the relay's end or the
+        """Window i's ledger, its satellite starting at the initial charge.
+        The battery is lowest at the window's start, the relay's end or the
         window's end (a relay that outlasts its window ends past it, above
         the window's end)."""
         c = self.cluster
-        level = self.level  # without persistence it stays the initial charge
+        full = c.sat_initial_energy_j
         consumed = c.energy_coeff * take * self.f ** 2 + self.e_tr
         charged = dwell * self.p_charge
-        residual = level - consumed + charged
-        if self.persistent:
-            residual = self.level = min(residual, c.sat_initial_energy_j)
-        lowest = min(relay_low(level, self.e_tr, self.tau_tr, self.p_charge), residual)
+        residual = full - consumed + charged
+        lowest = min(relay_low(full, self.e_tr, self.tau_tr, self.p_charge), residual)
         psi = c.sat_min_residual_j
         return SatWindowEnergy(i, dwell, consumed, charged, residual, lowest,
                                lowest >= psi - 1e-9 * max(1.0, psi))

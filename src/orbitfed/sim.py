@@ -7,10 +7,9 @@ holds the final state. The round model is `cost`'s: each cluster's
 `cost.ClusterRun`, built once per run, prices the decision, serves the
 round's coverage windows (the fixed period, or the unused passes of an
 explicit schedule), walks them with `cost.walk_chain` and
-`cost.client_path`, and keeps the satellite battery level and each window's
-ledger. This module turns each replayed round into timeline lines and a
-`ClusterRoundLog`, and trains. On a fixed period the replay is the analytic
-cost model's timing.
+`cost.client_path`, and keeps each window's battery ledger. This module
+turns each replayed round into timeline lines and a `ClusterRoundLog`, and
+trains. On a fixed period the replay is the analytic cost model's timing.
 
 Each timeline line is one event as `json.dumps(event, sort_keys=True)`
 writes it, with its newline. The text of a line that holds for the whole run
@@ -20,9 +19,8 @@ its times, windows and cycles.
 
 Cost accounting uses the declared offload fractions (real-valued sample
 mass); the learning side trains on the actual integer sample sets chosen by
-the offload step. Satellite batteries are fresh each window by default,
-since every pass is a different vehicle; persistent mode rolls one battery
-per cluster across windows and rounds as a worst-case reuse model.
+the offload step. Every window's satellite starts with a full battery,
+since every pass is a different vehicle.
 """
 
 from __future__ import annotations
@@ -133,8 +131,7 @@ class _ClusterText:
         )
 
 
-def init_state(scenario, decision, config: TrainConfig = None, layout=None,
-               persistent_battery: bool = False) -> SimState:
+def init_state(scenario, decision, config: TrainConfig = None, layout=None) -> SimState:
     config = config if config is not None else TrainConfig()
     model = init_model(layout, seed=config.seed) if layout is not None else None
     if layout is not None and layout.param_count != scenario.footprint.param_count:
@@ -143,7 +140,7 @@ def init_state(scenario, decision, config: TrainConfig = None, layout=None,
             f"footprint declares {scenario.footprint.param_count}"
         )
     try:
-        runs = {c.id: cost.ClusterRun(scenario, c, decision, persistent_battery)
+        runs = {c.id: cost.ClusterRun(scenario, c, decision)
                 for c in scenario.clusters}
     except ValueError as err:
         raise SimError(str(err)) from None
@@ -296,8 +293,7 @@ class SimResult:
 
 
 def run_experiment(scenario, decision, rounds: int, config: TrainConfig = None,
-                   layout=None, test_set=None,
-                   persistent_battery: bool = False) -> SimResult:
+                   layout=None, test_set=None) -> SimResult:
     """Run a full experiment: `rounds` protocol rounds with timing, the
     energy ledger, and (when a model layout is given) actual training."""
     if layout is not None:
@@ -307,8 +303,7 @@ def run_experiment(scenario, decision, rounds: int, config: TrainConfig = None,
                     f"client {p.id} has no attached dataset; run the data "
                     "preparation and offload steps first"
                 )
-    state = init_state(scenario, decision, config=config, layout=layout,
-                       persistent_battery=persistent_battery)
+    state = init_state(scenario, decision, config=config, layout=layout)
     records = []
     metrics = []
     timeline = []

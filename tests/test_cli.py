@@ -223,16 +223,18 @@ class TestSimulateMode:
                 b = read_bytes(outs[1] / "optimized" / seed / fname)
                 assert a == b
 
-    def test_fedprox_zero_mu_matches_fedavg(self, spec_path, tmp_path):
-        outs = {}
-        for algo, extra in (("fedavg", []), ("fedprox", ["--prox-mu", "0.0"])):
-            out = tmp_path / algo
+    def test_prox_mu_alone_runs_fedprox(self, spec_path, tmp_path):
+        """A nonzero --prox-mu is all FedProx needs: it changes the training
+        and so metrics.csv, and leaves the timeline as it is."""
+        legs = []
+        for name, extra in (("fedavg", []), ("fedprox", ["--prox-mu", "0.5"])):
+            out = tmp_path / name
             rc = main(["--mode", "simulate", "--scenario", str(spec_path),
-                       "--rounds", "3", "--algorithm", algo, "--out", str(out)]
-                      + extra)
+                       "--rounds", "3", "--out", str(out), *extra])
             assert rc == 0
-            outs[algo] = read_bytes(out / "optimized" / "seed0" / "metrics.csv")
-        assert outs["fedavg"] == outs["fedprox"]
+            legs.append(out / "optimized" / "seed0")
+        assert read_bytes(legs[0] / "metrics.csv") != read_bytes(legs[1] / "metrics.csv")
+        assert read_bytes(legs[0] / "timeline.jsonl") == read_bytes(legs[1] / "timeline.jsonl")
 
     def test_full_offload_series_name(self, spec_path, tmp_path):
         out = tmp_path / "run"
@@ -554,15 +556,32 @@ class TestErrorReporting:
          "sweep runs its own five series; it takes no --baseline or --alpha-fixed"),
         (["--mode", "sweep", "--rounds", "2", "--baseline", "fixed_ratio", "--alpha-fixed", "0.3"],
          "sweep runs its own five series; it takes no --baseline or --alpha-fixed"),
+        # no mode reads a carried battery level, so no mode takes the flag
         (["--mode", "optimize", "--persistent-battery"],
-         "--persistent-battery needs --mode simulate or sweep"),
+         "unrecognized arguments: --persistent-battery"),
         (["--mode", "analyze", "--rounds", "2", "--persistent-battery"],
-         "--persistent-battery needs --mode simulate or sweep"),
+         "unrecognized arguments: --persistent-battery"),
         (["--mode", "summarize", "--target-acc", "0.5", "--persistent-battery"],
-         "--persistent-battery needs --mode simulate or sweep"),
+         "unrecognized arguments: --persistent-battery"),
+        (["--mode", "optimize", "--single-step"],
+         "--single-step needs --mode simulate or sweep or analyze"),
+        (["--mode", "summarize", "--target-acc", "0.5", "--single-step"],
+         "--single-step needs --mode simulate or sweep or analyze"),
+        (["--mode", "optimize", "--prox-mu", "0.5"],
+         "--prox-mu needs --mode simulate or sweep"),
+        (["--mode", "analyze", "--rounds", "2", "--prox-mu", "0.5"],
+         "--prox-mu needs --mode simulate or sweep"),
+        (["--mode", "summarize", "--target-acc", "0.5", "--prox-mu", "0.5"],
+         "--prox-mu needs --mode simulate or sweep"),
+        (["--mode", "optimize", "--target-acc", "0.5"],
+         "--target-acc needs --mode simulate or sweep or summarize"),
+        (["--mode", "analyze", "--rounds", "2", "--target-acc", "0"],
+         "--target-acc needs --mode simulate or sweep or summarize"),
     ], ids=["optimize-alpha", "simulate-alpha", "simulate-grid", "analyze-grid",
             "sweep-baseline", "sweep-alpha", "optimize-battery", "analyze-battery",
-            "summarize-battery"])
+            "summarize-battery", "optimize-single-step", "summarize-single-step",
+            "optimize-prox", "analyze-prox", "summarize-prox", "optimize-target",
+            "analyze-target"])
     def test_flags_the_mode_would_ignore_are_refused(self, spec_path, tmp_path, capsys, argv,
                                                       why):
         """A flag that the mode or baseline never reads is an error, not a
@@ -572,6 +591,31 @@ class TestErrorReporting:
         assert rc == 1
         (line,) = capsys.readouterr().err.splitlines()
         assert json.loads(line) == {"error": "CliError", "message": why}
+        assert not run.exists()
+
+    @pytest.mark.parametrize("argv, why", [
+        (["--mode", "simulate", "--rounds", "2", "--persistent-battery"],
+         "unrecognized arguments: --persistent-battery"),
+        (["--mode", "simulate", "--rounds", "2", "--algorithm", "fedprox"],
+         "unrecognized arguments: --algorithm fedprox"),
+        (["--mode", "bogus"], "argument --mode: invalid choice: "),
+        (["--mode", "simulate", "--rounds", "x"], "argument --rounds: invalid int value: "),
+        ([], "the following arguments are required: --mode"),
+    ], ids=["persistent-battery", "algorithm", "bad-mode", "bad-rounds", "no-mode"])
+    def test_usage_errors_are_one_json_line(self, spec_path, tmp_path, capsys, argv, why):
+        """A command line that argparse refuses comes back as one JSON
+        error line with exit code 1, like every other error, not as usage
+        text and exit code 2. Only the message's start is checked, since
+        argparse words the rest differently across Python versions."""
+        run = tmp_path / "run"
+        rc = main([*argv, "--scenario", str(spec_path), "--out", str(run)])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        (line,) = err.splitlines()
+        report = json.loads(line)
+        assert report.keys() == {"error", "message"} and report["error"] == "CliError"
+        assert report["message"].startswith(why), report["message"]
         assert not run.exists()
 
     @pytest.mark.parametrize("clusters, clients, why", [
@@ -602,9 +646,10 @@ class TestErrorReporting:
     @pytest.mark.parametrize("extra, why", [
         (["--rounds", "-3"], "--rounds -3 is not a positive count"),
         (["--rounds", "0"], "--rounds 0 is not a positive count"),
-        (["--rounds", "2", "--prox-mu", "-2", "--algorithm", "fedprox"],
+        (["--rounds", "2", "--prox-mu", "-2"],
          "--prox-mu -2.0 is not a finite nonnegative coefficient"),
-        (["--rounds", "2", "--prox-mu", "0.5"], "--prox-mu 0.5 needs --algorithm fedprox"),
+        (["--rounds", "2", "--prox-mu", "inf"],
+         "--prox-mu inf is not a finite nonnegative coefficient"),
     ])
     def test_flag_values_the_run_would_ignore_are_refused(self, spec_path, tmp_path, capsys,
                                                           extra, why):

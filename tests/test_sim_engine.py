@@ -580,70 +580,35 @@ class TestConservation:
                 assert w.residual_j == pytest.approx(want, rel=1e-9)
 
     def test_battery_ledger_identity(self):
-        """Every window's residual is the charge it starts from (the initial
-        one, or with a persistent battery the level the last window left)
-        less what it consumed plus what it charged, capped at the initial
-        charge when the battery persists; battery_ok says whether its
-        lowest level over the window stays at psi. A floor psi raised
-        anywhere up to the initial charge and up to 6 rounds leave some
-        windows below it, and the sunlit persistent ones also meet the
-        cap."""
+        """Every window's residual is the initial charge, with which each
+        window's satellite starts, less what it consumed plus what it
+        charged; battery_ok says whether its lowest level over the window
+        stays at psi. A floor psi raised anywhere up to the initial charge
+        leaves some windows below it."""
         seen = set()
 
         @settings(max_examples=120)
         @given(st.sampled_from([case1_instance, multiwindow_instance, mixed_instance]),
-               st.integers(0, 2 ** 32 - 1), st.booleans(), st.floats(0.0, 1.0),
-               st.integers(1, 6))
-        def check(build, seed, persistent, floor, rounds):
+               st.integers(0, 2 ** 32 - 1), st.floats(0.0, 1.0), st.integers(1, 6))
+        def check(build, seed, floor, rounds):
             sc = build(np.random.default_rng([5252, seed]))
             d = default_init(sc)
             sc = dataclasses.replace(sc, clusters=tuple(
                 dataclasses.replace(c, sat_min_residual_j=floor * c.sat_initial_energy_j)
                 for c in sc.clusters))
-            res = run_experiment(sc, d, rounds=rounds, persistent_battery=persistent)
+            res = run_experiment(sc, d, rounds=rounds)
             for c in sc.clusters:
                 e0, psi = c.sat_initial_energy_j, c.sat_min_residual_j
-                level = e0
                 for rec in res.records:
                     for w in rec.clusters[c.id].energy:
-                        want = (level if persistent else e0) - w.consumed_j + w.charged_j
-                        if persistent:
-                            seen.add(("capped", want > e0))
-                            want = min(want, e0)
-                            level = w.residual_j
-                        assert w.residual_j == pytest.approx(want, rel=1e-12, abs=1e-9)
+                        assert w.residual_j == pytest.approx(e0 - w.consumed_j + w.charged_j,
+                                                             rel=1e-12, abs=1e-9)
                         assert w.lowest_j <= min(e0, w.residual_j)
                         assert w.battery_ok == (w.lowest_j >= psi - 1e-9 * max(1.0, psi))
-                        seen.add(("ok", persistent, w.battery_ok))
+                        seen.add(w.battery_ok)
 
         check()
-        assert seen == {("capped", True), ("capped", False),
-                        *(("ok", p, ok) for p in (False, True) for ok in (False, True))}
-
-    def test_persistent_battery_drains(self):
-        spec = scenario_dict([chain_cluster(sat_initial_energy_j=4000.0,
-                                            sat_min_residual_j=100.0)],
-                             param_count=100000)
-        sc = validate_scenario(spec)
-        d = chain_decision(sc)
-        res = run_experiment(sc, d, rounds=4, persistent_battery=True)
-        finals = [rec.clusters[0].energy[-1].residual_j for rec in res.records]
-        assert all(b < a for a, b in zip(finals, finals[1:]))
-        # same setup without persistence resets every window
-        res2 = run_experiment(sc, d, rounds=4)
-        finals2 = [rec.clusters[0].energy[-1].residual_j for rec in res2.records]
-        assert finals2[0] == pytest.approx(finals2[-1], rel=1e-12)
-
-    def test_persistent_battery_flags_depletion(self):
-        spec = scenario_dict([chain_cluster(sat_initial_energy_j=1500.0,
-                                            sat_min_residual_j=100.0)],
-                             param_count=100000)
-        sc = validate_scenario(spec)
-        res = run_experiment(sc, chain_decision(sc), rounds=6,
-                             persistent_battery=True)
-        flags = [w.battery_ok for rec in res.records
-                 for w in rec.clusters[0].energy]
-        assert flags[0] and not flags[-1]
+        assert seen == {False, True}
 
 
 class TestTraining:

@@ -22,8 +22,8 @@ the manifests agree. The commands are:
   two-client single windows (`extra_grids`): three clients, and a dark
   cluster whose slow satellite clock hands the winner's chain off;
 - on `scenarios/reference.json`: `optimize`, `simulate --rounds 3`,
-  `simulate --rounds 5 --persistent-battery`, `sweep --rounds 2 --seeds 0`
-  and `analyze --rounds 3`.
+  `simulate --rounds 3 --prox-mu 0.1` (FedProx training),
+  `sweep --rounds 2 --seeds 0` and `analyze --rounds 3`.
 
 Both trees read the inputs this tree writes. The script lists every output
 file, manifests included, whose bytes differ or that only one tree wrote,
@@ -48,7 +48,7 @@ BASELINES = ("terrestrial_only", "full_offload")  # simulated on the plan family
 REFERENCE = ("inputs/reference.json", [
     ("optimize", []),
     ("simulate", ["--rounds", "3"]),
-    ("simulate", ["--rounds", "5", "--persistent-battery"]),
+    ("simulate", ["--rounds", "3", "--prox-mu", "0.1"]),
     ("sweep", ["--rounds", "2", "--seeds", "0"]),
     ("analyze", ["--rounds", "3"]),
 ])
