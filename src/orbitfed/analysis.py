@@ -262,11 +262,12 @@ def _global_loss_and_grad(values, layout, cluster_data):
     return float(np.mean([loss for loss, _ in parts])), np.mean([g for _, g in parts], axis=0)
 
 
-def verify_bound_empirically(scenario, layout, rounds: int, seeds: int = 10,
+def verify_bound_empirically(scenario, layout, rounds: int, seeds=tuple(range(10)),
                              eta0: float = 0.1, lr_schedule: str = "constant",
                              lambda_client=None, lambda_sat=None) -> dict:
     """Run the one-step-per-round protocol and check the measured weighted
-    gradient norm against the bound, per seed.
+    gradient norm against the bound, once per model seed of seeds, in
+    order.
 
     The protocol recomposes the full-data cluster gradient when batches are
     full, so the full-batch case is plain gradient descent on the global
@@ -295,7 +296,7 @@ def verify_bound_empirically(scenario, layout, rounds: int, seeds: int = 10,
     om = omega(inputs)
 
     per_seed = []
-    for s in range(seeds):
+    for s in seeds:
         cfg = replace(config, seed=s)
         model = init_model(layout, seed=s)
         f0, g = _global_loss_and_grad(model.values, layout, cluster_data)
@@ -317,7 +318,7 @@ def verify_bound_empirically(scenario, layout, rounds: int, seeds: int = 10,
 
     return {
         "rounds": rounds,
-        "seeds": seeds,
+        "seeds": len(seeds),
         "omega": om,
         "gamma_r": inputs.gamma_r,
         "sum_eta_sq": inputs.sum_eta_sq,

@@ -75,6 +75,8 @@ FLAG_MODES = {
     "prox_mu": ("simulate", "sweep"),
     "target_acc": ("simulate", "sweep", "summarize"),
     "grid_oracle": ("optimize",),
+    "rounds": ("simulate", "sweep", "analyze"),
+    "seeds": ("simulate", "sweep", "analyze"),
 }
 
 
@@ -330,7 +332,7 @@ def _mode_analyze(scenario, plan, out: Path):
     train = scenario.train
     lam = train.batch_size if plan.single_step else None
     report = verify_bound_empirically(
-        offloaded, layout, rounds=plan.rounds, seeds=len(plan.seeds),
+        offloaded, layout, rounds=plan.rounds, seeds=plan.seeds,
         eta0=train.eta0, lr_schedule=train.lr_schedule, lambda_client=lam, lambda_sat=lam,
     )
     report["decision"] = decision.as_dict()

@@ -30,9 +30,9 @@ a target upload time comes from the closed-form inversion of the uplink
 curve through the lower branch of Lambert W (`upload_bandwidth`).
 
 `grid_search_cluster` is the exhaustive check of the solve on small
-single-cluster instances, relay chains that hand off included: it prunes its
-offload lattice with a bisection-free lower bound before it equalizes
-bandwidth on the profiles that can win.
+single-cluster instances, relay chains that hand off included: it bounds its
+offload lattice tile by tile with a bisection-free lower bound, and bounds
+and then equalizes bandwidth on the profiles of the tiles that can win.
 """
 
 from __future__ import annotations
@@ -52,10 +52,12 @@ BAND_EPS = 1e-6  # bandwidth budget band (1 - eps) * B_j <= sum b <= B_j
 # an upper bound on the best, and the best profile's real decision must
 # match its lattice total to it
 GRID_RTOL = BAND_EPS
-# lattice profiles per block of the grid's lower bound: the dozen float64
-# temporaries of one block (128 KiB each) stay in a core's 2 MiB L2 cache,
-# where whole-lattice ones (2 MB each on 501 x 501) stream through memory
-GRID_BLOCK = 1 << 14
+# the grid's tile edge, in profiles per axis: a tile's bound is one lower
+# bound for its whole box of profiles, and a search prices the profiles of
+# the few tiles whose bound can still win (on the oracle's 501 x 501
+# lattices 1-3 of 256 tiles). Rows of client 0's axis are also marked in
+# slabs of this many (16k totals on 501 x 501)
+GRID_TILE = 32
 # the lattice is the product of one alpha axis per client, so each client
 # past these multiplies it by about 1 / alpha_step
 GRID_MAX_CLIENTS = 3
@@ -1032,10 +1034,10 @@ class _Lattice:
     with what its round time needs: the satellite path at the
     battery-optimal frequency and its handoff count, and a lower bound on
     the round time that costs no bisection, from the per-client bandwidth
-    floors the energy budgets set. `totals` prices the client path of
-    chosen profiles with the pinned-offload equalizer `_client_paths`, each
-    on its own chain's count, and `best` keeps the winner's slices from the
-    row that scored it.
+    floors the energy budgets set (`bound`). `totals` prices the client
+    path of chosen profiles with the pinned-offload equalizer
+    `_client_paths`, each on its own chain's count, and `best` keeps the
+    winner's slices from the row that scored it.
 
     The frequency and the chain come from one `_battery_freq` pass and one
     `chain` call over every distinct offload total (their powers once per
@@ -1044,26 +1046,41 @@ class _Lattice:
     occur sorted in `uniq`; `rows` finds a total's row in them, through the
     table `slot` over every total under the cap when those are no more than
     the profiles, else by search in `uniq`, so the tables stay no longer
-    than the lattice. A profile that breaks a
-    constraint gets an inf lower bound, so it never wins: one whose total
+    than the lattice. A profile that breaks a constraint gets an inf bound,
+    so it never wins: one past the cluster's offload cap, one whose total
     the battery refuses, and one whose clients' energy floors overfill the
-    band. The lattice raises only when no profile is left: the first
-    refused total's error when the battery refuses every total, and an
-    energy error when every profile breaks a budget.
+    band. The lattice raises only when the battery refuses every total,
+    with the first refused total's error; `refusal` tells why a search
+    found no profile with a finite bound.
 
-    The lattice is the product of the clients' alpha axes. What depends on
-    one client's offload alone (its alpha, local time, energy-floor slice
-    and share of the offload total) is computed once per axis value and
-    broadcast over the K-dimensional grid, and the upload time on the band
-    the other clients' floors leave over the other K - 1 axes; only what
-    couples all the clients (the straggler's window, the offsets, the
-    floors' sum and the bound) is computed per profile, one block of client
-    0's axis values at a time.
-    The bound `lower` is the one array kept per profile, in the C order of
-    meshgrid(indexing="ij") less the profiles past the cluster's offload
-    cap; when the cap drops some, `grid_index` holds each kept profile's
-    index in the whole grid. `profiles` rebuilds the alphas and total of
-    any profile from its index."""
+    The lattice is the product of the clients' alpha axes, and a profile
+    is named by its grid index, its place in the C order of
+    meshgrid(indexing="ij") over them; `profiles` rebuilds the alphas and
+    total of any profile from it. What depends on one client's offload
+    alone (its alpha, local time, energy-floor slice and share of the
+    offload total) is computed once per axis value and broadcast, and the
+    upload time on the band the other clients' floors leave over the other
+    K - 1 axes; only what couples all the clients (the straggler's window,
+    the offsets, the floors' sum and the bound) is computed per profile.
+
+    Boxes of GRID_TILE values per axis tile the lattice, and `tile_lower`
+    holds one bound per tile (inf for a tile wholly past the cap): the
+    formula of `bound` on each client's least local time and least floor
+    over the tile's values of its axis, and on the least satellite path
+    over the totals that occur in the tile's range of totals. So a tile's
+    bound is at most the bound of each profile in it that the cap keeps:
+    each input is at most the profile's own (its total occurs in the
+    range), and every step from them is monotone in them. The straggler's
+    end, max over k of tl_k, and its window's start T floor(m / T) are no
+    later, nor is each offset max(start, tl_k); the band B less the other
+    floors, summed in the same order, is no narrower; the floors' sum is
+    no larger, so a tile that holds a profile within the band is within it;
+    and IEEE add, subtract, max and `take` are monotone. Only the upload
+    time's fall as its band grows rests on a library function, log2 in
+    `cost.slice_rate`. A band that even the least floors overfill reads
+    nan there, and the tile inf. `order` lists the tiles that hold a kept
+    profile by ascending bound, ties by tile index, and `price` bounds a
+    tile's profiles."""
 
     def __init__(self, scenario, alpha_step: float):
         refusal = grid_refusal(scenario)
@@ -1093,38 +1110,29 @@ class _Lattice:
             last -= 1
         while last < top and (last + 1) * quant <= limit:
             last += 1
-        n_keep = last + 1
+        self.n_keep = n_keep = last + 1
         # an axis value that passes the cap on its own is in no kept profile
         self.axes = axes = [ax[:last // u + 1] if u else ax for ax, u in zip(axes, units)]
         self.shape = shape = tuple(len(ax) for ax in axes)
+        self.edge = edge = GRID_TILE
         # the largest total is the last profile's; while it is under the cap
-        # every profile is kept, and a kept index is its grid index
+        # every profile is kept
         capped = sum((n - 1) * u for n, u in zip(shape, units)) >= n_keep
-        stride = math.prod(shape[1:])  # profiles per value of client 0's axis
-        rows = max(1, GRID_BLOCK // stride)
-        blocks = [slice(r, r + rows) for r in range(0, shape[0], rows)]
 
-        def along(block, tables):
-            # one per-axis-value table per client, client 0's cut to the
-            # block's rows, each shaped to broadcast over the block
-            return [np.reshape(t[block] if k == 0 else t,
+        def along(tables, rows=slice(None)):
+            # one per-axis-value table per client, client 0's cut to rows,
+            # each shaped to broadcast over the others
+            return [np.reshape(t[rows] if k == 0 else t,
                                [-1 if j == k else 1 for j in range(k_count)])
                     for k, t in enumerate(tables)]
 
-        steps = [np.arange(n) * u for n, u in zip(shape, units)]
-
-        def block_totals(block):
-            # the block's offload totals, and its kept profiles when the cap drops some
-            total = sum(along(block, steps))
-            return total, (total < n_keep).reshape(-1) if capped else slice(None)
-
         # --- satellite-path inner minimum per offload total that occurs:
         # marked in a table over the totals under the cap when there are no
-        # more of those than profiles, else sorted out of each block's totals
+        # more of those than profiles, else sorted out of each slab's totals
         # (coprime sizes spread the totals far wider than the lattice)
         tabled = n_keep <= math.prod(shape)
         seen = np.zeros(n_keep if tabled else 0, dtype=bool)
-        kept_at, occur = [], []
+        occur = []
 
         def distinct(v):
             # v's values sorted, once each (np.unique's hash pass is some
@@ -1132,16 +1140,15 @@ class _Lattice:
             v = np.sort(v)
             return v[np.concatenate(([True], v[1:] != v[:-1]))]
 
-        for block in blocks:
-            total, kept = block_totals(block)
-            if tabled:
-                seen[total.reshape(-1)[kept]] = True
-            else:
-                occur.append(distinct(total.reshape(-1)[kept]))
+        steps = [np.arange(n) * u for n, u in zip(shape, units)]
+        for r in range(0, shape[0], edge):
+            total = sum(along(steps, slice(r, r + edge))).reshape(-1)
             if capped:
-                kept_at.append(np.flatnonzero(kept) + block.start * stride)
-        self.grid_index = (np.concatenate(kept_at).astype(np.min_scalar_type(math.prod(shape)))
-                           if capped else None)
+                total = total[total < n_keep]
+            if tabled:
+                seen[total] = True
+            else:
+                occur.append(distinct(total))
         self.uniq = uniq = np.flatnonzero(seen) if tabled else distinct(np.concatenate(occur))
         # (total 0 always occurs, so the unsigned count never drops below 1)
         self.slot = (np.cumsum(seen, dtype=np.min_scalar_type(len(uniq))) - 1) if tabled else None
@@ -1164,51 +1171,93 @@ class _Lattice:
         # (inf for an axis value whose budget no slice meets)
         b_axis = upload_bandwidth(ctx.footprint.state_bits, ctx.snr_num,
                                   (ctx.budgets - ctx.e_locals(axis_alpha)) / ctx.tx_power_w)
-        b_axis = [b_axis[:n, k] for k, n in enumerate(shape)]
+        self.b_axis = [b_axis[:n, k] for k, n in enumerate(shape)]
         tl_axis = ctx.tau_locals(axis_alpha)
-        tl_axis = [tl_axis[:n, k] for k, n in enumerate(shape)]
+        self.tl_axis = [tl_axis[:n, k] for k, n in enumerate(shape)]
 
-        self.lower = np.empty(math.prod(shape) if self.grid_index is None else len(self.grid_index))
-        fits_any, at = False, 0
-        for block in blocks:
-            total, kept = block_totals(block)
-            b_min = along(block, b_axis)
-            total_min = sum(b_min)
-            # each client's upload offset in the straggler's serving window
-            x = cost.regime_geometry(along(block, tl_axis), ctx.T)[1]
-            # client k gets at most the budget the other floors leave, so its
-            # upload ends no sooner than reach_k; that bounds the equalized
-            # completion and with it every regime: the first has zero
-            # offsets, and the third (deadline plus equalized upload) lies
-            # past the second because the deadline is past every offset. The
-            # other floors span the other K - 1 axes alone, so the upload
-            # time is taken there and broadcast. A profile whose floors
-            # overfill the band reads nan here and gets an inf bound
-            with np.errstate(invalid="ignore", divide="ignore"):
-                reach = functools.reduce(np.maximum, [
-                    x[k] + cost.upload_time(ctx.footprint.state_bits, ctx.snr_num[k],
-                                            ctx.budget_hz - sum(b_min[:k] + b_min[k + 1:]))
-                    for k in range(k_count)])
-            # (a profile past the cap reads the last total's path, and is dropped)
-            path = rep.take(self.rows(total), mode="clip")
-            lower = cluster.sync_delay_s + np.maximum(path, reach) + cluster.glob_delay_s
-            fits = total_min <= ctx.budget_hz
-            lower[~fits] = math.inf
-            lower = lower.reshape(-1)[kept]
-            fits_any = fits_any or bool(fits.reshape(-1)[kept].any())
-            self.lower[at:at + len(lower)] = lower
-            at += len(lower)
-        if not fits_any:
-            raise InfeasibleError("grid instance has an unmeetable client energy budget")
-        if self.lower.min() == math.inf:
-            raise InfeasibleError("grid instance has no profile within every budget")
+        # --- one bound per tile, from each axis's least values over the
+        # tile's range of it and the least path over the totals between the
+        # tile's least and largest (a range minimum over rep, inf past it)
+        starts = [np.arange(0, n, edge) for n in shape]
+        lo = sum(along([s * u for s, u in zip(starts, units)]))
+        hi = sum(along([(np.minimum(s + edge, n) - 1) * u
+                        for s, n, u in zip(starts, shape, units)]))
+        span = np.stack([np.searchsorted(uniq, lo),
+                         np.searchsorted(uniq, np.minimum(hi, n_keep - 1), side="right")], axis=-1)
+        path = np.minimum.reduceat(np.append(rep, math.inf), span.reshape(-1))[::2]
+
+        def least(tables):
+            return along([np.minimum.reduceat(t, s) for t, s in zip(tables, starts)])
+
+        self.tile_lower = np.where(lo < n_keep, self._bound(
+            least(self.tl_axis), least(self.b_axis), path.reshape(lo.shape)), math.inf)
+        order = np.argsort(self.tile_lower, axis=None, kind="stable")
+        self.order = order[lo.reshape(-1)[order] < n_keep]
+
+    def _bound(self, tl, b, path):
+        """The bound on per-client local ends tl and slice floors b (one
+        array per client, broadcast) and satellite paths: client k gets at
+        most the budget the other floors leave, so its upload ends no sooner
+        than reach_k; that bounds the equalized completion and with it
+        every regime: the first has zero offsets, and the third (deadline
+        plus equalized upload) lies past the second because the deadline is
+        past every offset. The bound holds when a chain hands off too:
+        every upload offset is then at most the final satellite's arrival,
+        where the uploads start. Inf where the floors overfill the band, or
+        leave a client none (nan reach)."""
+        ctx = self.ctx
+        # each client's upload offset in the straggler's serving window
+        x = cost.regime_geometry(tl, ctx.T)[1]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            reach = functools.reduce(np.maximum, [
+                x[k] + cost.upload_time(ctx.footprint.state_bits, ctx.snr_num[k],
+                                        ctx.budget_hz - sum(b[:k] + b[k + 1:]))
+                for k in range(len(b))])
+        lower = self.cluster.sync_delay_s + np.maximum(path, reach) + self.cluster.glob_delay_s
+        return np.where((sum(b) <= ctx.budget_hz) & ~np.isnan(lower), lower, math.inf)
+
+    def bound(self, idx) -> np.ndarray:
+        """The bound of the profiles at per-axis indices idx (arrays that
+        broadcast against each other: np.unravel_index of grid indices, or
+        `tile`'s open mesh); inf for one past the cap or that breaks a
+        constraint."""
+        total = sum(i * u for i, u in zip(idx, self.units))
+        # (a total past the cap reads the last row's path or one past it)
+        path = np.where(total < self.n_keep, self.rep.take(self.rows(total), mode="clip"), math.inf)
+        return self._bound([t[i] for t, i in zip(self.tl_axis, idx)],
+                           [b[i] for b, i in zip(self.b_axis, idx)], path)
+
+    def tile(self, t) -> tuple:
+        """The per-axis indices of tile t, a flat index into `tile_lower`, as
+        an open mesh (np.ix_)."""
+        at = np.unravel_index(t, self.tile_lower.shape)
+        return np.ix_(*[np.arange(j * self.edge, min((j + 1) * self.edge, n))
+                        for j, n in zip(at, self.shape)])
+
+    def price(self, t) -> tuple:
+        """(sel, lower) of tile t's profiles: their grid indices, ascending,
+        and their bounds."""
+        idx = self.tile(t)
+        return np.ravel_multi_index(idx, self.shape).reshape(-1), self.bound(idx).reshape(-1)
+
+    def refusal(self) -> InfeasibleError:
+        """Why no profile has a finite bound: no profile under the cap has
+        energy floors within the band, or each that has breaks the
+        battery."""
+        for t in self.order:
+            idx = self.tile(t)
+            kept = sum(i * u for i, u in zip(idx, self.units)) < self.n_keep
+            floors = sum(b[i] for b, i in zip(self.b_axis, idx))
+            if np.any(kept & (floors <= self.ctx.budget_hz)):
+                return InfeasibleError("grid instance has no profile within every budget")
+        return InfeasibleError("grid instance has an unmeetable client energy budget")
 
     def profiles(self, sel: np.ndarray) -> tuple:
-        """(alphas, at) of the profiles at indices sel: their offloads, (P, K)
-        column-major like every (P, K) array here (numpy reduces over the
-        2-3 clients of a row about 40x faster so), and the row of each one's
-        offload total in `freq`, `handoffs` and `rep`."""
-        idx = np.unravel_index(sel if self.grid_index is None else self.grid_index[sel], self.shape)
+        """(alphas, at) of the profiles at grid indices sel: their offloads,
+        (P, K) column-major like every (P, K) array here (numpy reduces over
+        the 2-3 clients of a row about 40x faster so), and the row of each
+        one's offload total in `freq`, `handoffs` and `rep`."""
+        idx = np.unravel_index(sel, self.shape)
         alphas = np.stack([ax[i] for ax, i in zip(self.axes, idx)]).T
         return alphas, self.rows(sum(i * u for i, u in zip(idx, self.units)))
 
@@ -1221,9 +1270,9 @@ class _Lattice:
         return self.slot.take(total, mode="clip")
 
     def totals(self, sel: np.ndarray) -> tuple:
-        """(totals, slices) of the profiles at indices sel: each one's round
-        time, with the client path of the pinned-offload equalizer on its
-        total's handoff count, and the slices (P x K) that reach it."""
+        """(totals, slices) of the profiles at grid indices sel: each one's
+        round time, with the client path of the pinned-offload equalizer on
+        its total's handoff count, and the slices (P x K) that reach it."""
         alphas, at = self.profiles(sel)
         y, b = _client_paths(self.ctx, alphas, self.handoffs[at])
         return (self.cluster.sync_delay_s + np.maximum(y, self.rep[at])
@@ -1265,19 +1314,42 @@ def grid_search_cluster(scenario, alpha_step: float = 1e-3):
     wants the bandwidth split that equalizes per-client completion, found
     by the pinned-offload equalizer `_client_paths` on the profile's own
     handoff count, with the uplink inverted in closed form. Profiles that
-    break the battery or a client energy budget are dropped, and the search
-    raises only when none is left. A bisection-free lower bound prunes the
-    lattice first (it holds when a chain hands off: every upload offset is
-    then at most the final satellite's arrival, where the uploads start): the
-    profile with the least bound gives an upper bound on the optimum, and
-    only profiles whose bound comes within GRID_RTOL of it are evaluated
-    (when that is the bound profile alone, its score is reused). The winner
-    keeps the slices of the equalizer row that scored it. Returns
+    break the cap, the battery or a client energy budget are dropped, and
+    the search raises only when none is left.
+
+    A bisection-free lower bound prunes the lattice, best first (branch
+    and bound): tiles are visited by ascending tile bound and their
+    profiles bounded, until a tile's bound passes the least profile bound
+    found, ties going to the lower grid index. That profile, the one with
+    the least bound on the whole lattice, is scored for an upper bound on
+    the optimum; every tile whose bound comes within GRID_RTOL of it is
+    bounded too, and only the profiles whose own bound does are evaluated
+    (when that is the bound profile alone, its score is reused). The
+    winner keeps the slices of the equalizer row that scored it. Returns
     (tau_round_s, DecisionVector). Intended for <= 3 clients.
     """
     lattice = _Lattice(scenario, alpha_step)
-    ub, ub_slices = lattice.totals(np.array([np.argmin(lattice.lower)]))
-    sel = np.flatnonzero(lattice.lower <= ub[0] * (1.0 + GRID_RTOL))
+    bounds = lattice.tile_lower.reshape(-1)
+    priced, least = [], (math.inf, 0)  # the least profile bound so far, and its grid index
+    for t in lattice.order:
+        # a tile bounded above the least bound holds no profile under it,
+        # nor one tied with it at a lower grid index
+        if bounds[t] > least[0]:
+            break
+        sel, lower = lattice.price(t)
+        i = int(np.argmin(lower))
+        least = min(least, (lower[i], sel[i]))
+        priced.append((sel, lower))
+    if least[0] == math.inf:
+        raise lattice.refusal()
+    ub, ub_slices = lattice.totals(np.array([least[1]]))
+    limit = ub[0] * (1.0 + GRID_RTOL)
+    for t in lattice.order[len(priced):]:
+        if bounds[t] > limit:
+            break
+        priced.append(lattice.price(t))
+    sel, lower = (np.concatenate(v) for v in zip(*priced))
+    sel = np.sort(sel[lower <= limit])
     # the bound profile's lower bound is under its total, so a selection of
     # one profile is that profile, already scored
     if len(sel) == 1:

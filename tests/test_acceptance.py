@@ -456,10 +456,10 @@ def test_gradient_norm_bound_holds_on_convex_runs():
         sc = apply_offload(sc, {p.id: 0.3 for p in sc.clients})
         layout = ModelLayout("logistic", (6, 3))
 
-        probe = verify_bound_empirically(sc, layout, rounds=1, seeds=1,
+        probe = verify_bound_empirically(sc, layout, rounds=1, seeds=[0],
                                          eta0=1e-6, lr_schedule="inv")
         eta0 = 1.0 / (2.0 * probe["smoothness"] * 1.02)
-        rep = verify_bound_empirically(sc, layout, rounds=25, seeds=10,
+        rep = verify_bound_empirically(sc, layout, rounds=25, seeds=range(10),
                                        eta0=eta0, lr_schedule="inv")
         assert rep["lr_premise_ok"]
         assert rep["omega"] == 0.0  # full batches

@@ -281,7 +281,7 @@ class TestVerifyBound:
     def test_full_batch_convex_holds_with_margin(self):
         sc = offloaded_scenario(seed=1)
         rep = verify_bound_empirically(sc, ModelLayout("logistic", (6, 3)),
-                                       rounds=15, seeds=4, eta0=0.05)
+                                       rounds=15, seeds=range(4), eta0=0.05)
         assert rep["holds_all"]
         assert rep["omega"] == 0.0
         assert rep["min_margin"] > 0
@@ -292,7 +292,7 @@ class TestVerifyBound:
     def test_single_round_holds(self):
         sc = offloaded_scenario(seed=2)
         rep = verify_bound_empirically(sc, ModelLayout("logistic", (6, 3)),
-                                       rounds=1, seeds=3, eta0=0.05)
+                                       rounds=1, seeds=range(3), eta0=0.05)
         assert rep["holds_all"]
 
     def test_slack_tightens_as_batches_fill(self):
@@ -301,7 +301,7 @@ class TestVerifyBound:
         margins = []
         for lam in (1, max(pool // 4, 2), pool):
             rep = verify_bound_empirically(
-                sc, ModelLayout("logistic", (6, 3)), rounds=10, seeds=3,
+                sc, ModelLayout("logistic", (6, 3)), rounds=10, seeds=range(3),
                 eta0=0.05, lambda_client=lam, lambda_sat=lam)
             assert rep["holds_all"]
             margins.append(rep["bound_mean"] - rep["lhs_mean"])
@@ -310,7 +310,7 @@ class TestVerifyBound:
     def test_premise_flag_tracks_rate(self):
         sc = offloaded_scenario(seed=4)
         layout = ModelLayout("logistic", (6, 3))
-        small = verify_bound_empirically(sc, layout, rounds=2, seeds=1, eta0=1e-4)
-        big = verify_bound_empirically(sc, layout, rounds=2, seeds=1, eta0=50.0)
+        small = verify_bound_empirically(sc, layout, rounds=2, seeds=[0], eta0=1e-4)
+        big = verify_bound_empirically(sc, layout, rounds=2, seeds=[0], eta0=50.0)
         assert small["lr_premise_ok"]
         assert not big["lr_premise_ok"]

@@ -429,6 +429,21 @@ class TestAnalyzeMode:
         assert "decision" in rep and "v_sat" in rep
         assert "smoothness_certified" in rep
 
+    def test_seeds_are_the_model_seeds(self, spec_path, tmp_path):
+        # the data is prepared at the first seed, and each seed given runs
+        # the protocol from its own model draw, in order
+        reps = {}
+        for seeds in ("3,4", "3,9"):
+            out = tmp_path / seeds
+            assert main(["--mode", "analyze", "--scenario", str(spec_path), "--rounds", "2",
+                         "--seeds", seeds, "--out", str(out)]) == 0
+            reps[seeds] = json.loads((out / "bounds.json").read_text())
+        assert [r["seed"] for r in reps["3,4"]["per_seed"]] == [3, 4]
+        assert [r["seed"] for r in reps["3,9"]["per_seed"]] == [3, 9]
+        assert reps["3,4"]["per_seed"][0] == reps["3,9"]["per_seed"][0]
+        assert reps["3,4"]["per_seed"][1]["f0"] != reps["3,9"]["per_seed"][1]["f0"]
+        assert reps["3,4"]["seeds"] == 2
+
     def test_rerun_writes_identical_bounds(self, spec_path, tmp_path):
         runs = []
         for name in ("a", "b"):
@@ -577,11 +592,20 @@ class TestErrorReporting:
          "--target-acc needs --mode simulate or sweep or summarize"),
         (["--mode", "analyze", "--rounds", "2", "--target-acc", "0"],
          "--target-acc needs --mode simulate or sweep or summarize"),
+        (["--mode", "optimize", "--rounds", "7"],
+         "--rounds needs --mode simulate or sweep or analyze"),
+        (["--mode", "summarize", "--target-acc", "0.5", "--rounds", "7"],
+         "--rounds needs --mode simulate or sweep or analyze"),
+        (["--mode", "optimize", "--seeds", "1,2,3"],
+         "--seeds needs --mode simulate or sweep or analyze"),
+        (["--mode", "summarize", "--target-acc", "0.5", "--seeds", "1"],
+         "--seeds needs --mode simulate or sweep or analyze"),
     ], ids=["optimize-alpha", "simulate-alpha", "simulate-grid", "analyze-grid",
             "sweep-baseline", "sweep-alpha", "optimize-battery", "analyze-battery",
             "summarize-battery", "optimize-single-step", "summarize-single-step",
             "optimize-prox", "analyze-prox", "summarize-prox", "optimize-target",
-            "analyze-target"])
+            "analyze-target", "optimize-rounds", "summarize-rounds", "optimize-seeds",
+            "summarize-seeds"])
     def test_flags_the_mode_would_ignore_are_refused(self, spec_path, tmp_path, capsys, argv,
                                                       why):
         """A flag that the mode or baseline never reads is an error, not a
@@ -670,7 +694,8 @@ class TestErrorReporting:
         summary.json, which JSON cannot spell, a target above 1 is never
         reached and one below 0 is crossed at round 0."""
         run = tmp_path / "run"
-        rc = main(["--mode", mode, "--scenario", str(spec_path), "--rounds", "2",
+        rounds = [] if mode == "summarize" else ["--rounds", "2"]
+        rc = main(["--mode", mode, "--scenario", str(spec_path), *rounds,
                    "--target-acc", target, "--out", str(run)])
         assert rc == 1
         (line,) = capsys.readouterr().err.splitlines()

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from orbitfed import cost, optimizer
 from orbitfed.optimizer import (
     BAND_EPS,
+    GRID_RTOL,
     DecisionVector,
     InfeasibleError,
     _Ctx,
@@ -111,12 +112,12 @@ class TestUploadBandwidth:
         assert np.all(self.tau(got[np.isfinite(got)]) <= near[np.isfinite(got)])
 
 
-def lattice_instance(n_clients, capped, slow=False, sizes=None):
+def lattice_instance(n_clients, capped, slow=False, sizes=None, seed=0):
     # a cluster cap at half the clients' own caps drops about half the
     # lattice; slow client k keeps its full local pass for 2.5 + 0.7 k
     # coverage windows, so the straggler's window varies over the lattice;
     # sizes replaces the clients' dataset sizes (1000 and 1200 on 2 clients)
-    sc = case1_instance(np.random.default_rng([4204, 0]), n_clients=n_clients,
+    sc = case1_instance(np.random.default_rng([4204, seed]), n_clients=n_clients,
                         grid_sizes=True, alpha_max=0.12 if n_clients == 3 else None)
     if sizes is not None:
         sc = sc.with_clients([dataclasses.replace(p, dataset_size=n)
@@ -134,14 +135,41 @@ def lattice_instance(n_clients, capped, slow=False, sizes=None):
     return sc
 
 
+def handoff_instance(seed=5):
+    # two dark clients whose chains hand off over the lattice (once at the
+    # winner of seed 5, at step 1e-2)
+    return multiwindow_instance(np.random.default_rng([4300, seed]), n_clients=2)
+
+
+def kept(lattice):
+    """The grid indices of the lattice's profiles under the cluster's cap."""
+    idx = np.unravel_index(np.arange(math.prod(lattice.shape)), lattice.shape)
+    return np.flatnonzero(sum(i * u for i, u in zip(idx, lattice.units)) < lattice.n_keep)
+
+
+def bounds(lattice, sel):
+    """The lattice's bound of each profile at grid indices sel."""
+    return lattice.bound(np.unravel_index(sel, lattice.shape))
+
+
 class TestGridPruning:
     @staticmethod
     def check_every_profile(sc):
+        # the search scores the profiles whose bound comes within GRID_RTOL
+        # of the total of the one with the least bound (the first, on a tie)
         lattice = _Lattice(sc, 1e-2)
-        every = np.arange(len(lattice.lower))
+        every = kept(lattice)
         totals, slices = lattice.totals(every)
-        assert np.all(lattice.lower <= totals)
-        assert lattice.best(every, totals, slices) == grid_search_cluster(sc, alpha_step=1e-2)
+        lower = bounds(lattice, every)
+        assert np.all(lower <= totals)
+        scored, best = [], _Lattice.best
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_Lattice, "best", lambda self, sel, *a: scored.append(sel) or best(
+                self, sel, *a))
+            grid = grid_search_cluster(sc, alpha_step=1e-2)
+        np.testing.assert_array_equal(
+            scored[0], every[lower <= totals[np.argmin(lower)] * (1.0 + GRID_RTOL)])
+        assert lattice.best(every, totals, slices) == grid
 
     @pytest.mark.parametrize("n_clients,seed", [(2, 0), (2, 1), (3, 0), (3, 1)])
     def test_pruned_search_matches_every_profile(self, n_clients, seed):
@@ -160,6 +188,52 @@ class TestGridPruning:
                              ids=["one-without-data", "none-with-data", "coprime"])
     def test_odd_sizes_search_matches_every_profile(self, sizes, capped):
         self.check_every_profile(lattice_instance(2, capped, sizes=sizes))
+
+    def test_tile_bounds_lie_under_their_profiles(self, monkeypatch):
+        """Each tile's bound is at most the bound of every profile in it
+        that the cap keeps, at any tile edge, and the best-first search
+        still finds what scoring every profile finds. The draws cover 2 and
+        3 clients, capped and slow clients, clients without data, coprime
+        sizes and chains that hand off."""
+        families = {
+            "lattice": lambda n, capped, slow, seed: lattice_instance(n, capped, slow, seed=seed),
+            # (a slow client needs data to be slow)
+            "one-without-data": lambda n, capped, slow, seed: lattice_instance(
+                2, capped, False, (1000, 0), seed),
+            "none-with-data": lambda n, capped, slow, seed: lattice_instance(
+                2, capped, False, (0, 0), seed),
+            "coprime": lambda n, capped, slow, seed: lattice_instance(
+                2, capped, slow, (1000, 1201), seed),
+            "handoff": lambda n, capped, slow, seed: handoff_instance(seed),
+        }
+        seen = set()
+
+        @settings(max_examples=60)
+        @example("lattice", 3, True, True, 0, 4)
+        @example("handoff", 2, False, False, 5, 7)
+        @given(st.sampled_from(sorted(families)), st.sampled_from([2, 3]), st.booleans(),
+               st.booleans(), st.integers(0, 3), st.integers(1, 40))
+        def check(family, n_clients, capped, slow, seed, edge):
+            monkeypatch.setattr(optimizer, "GRID_TILE", edge)
+            sc = families[family](n_clients, capped, slow, seed)
+            lattice = _Lattice(sc, 1e-2)
+            every = kept(lattice)
+            tile_of = np.ravel_multi_index(
+                [i // edge for i in np.unravel_index(every, lattice.shape)],
+                lattice.tile_lower.shape)
+            # the tiles that hold a kept profile, each once, by ascending bound
+            np.testing.assert_array_equal(np.sort(lattice.order), np.unique(tile_of))
+            assert np.all(np.diff(lattice.tile_lower.flat[lattice.order]) >= 0.0)
+            assert np.all(lattice.tile_lower.flat[tile_of] <= bounds(lattice, every))
+            TestGridPruning.check_every_profile(sc)
+            ctx = lattice.ctx
+            seen.add((family, len(sc.clients), capped, ctx.T < ctx.local_min.max(),
+                      lattice.handoffs.max() > 0))
+
+        check()
+        assert {f for f, *_ in seen} == set(families)
+        assert {n for _, n, *_ in seen} == {2, 3}
+        assert all(any(draw[k] for draw in seen) for k in (2, 3, 4))  # capped, slow, handoffs
 
 
 class TestLattice:
@@ -184,10 +258,12 @@ class TestLattice:
         axes = [np.arange(0.0, a + 5e-3, 1e-2) for a in ctx.alpha_max]
         axes = [ax[ax <= a * (1.0 + 1e-12)] for ax, a in zip(axes, ctx.alpha_max)]
         every = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
-        kept = every[every @ ctx.sizes <= ctx.a_cap * (1.0 + 1e-12)]
-        assert (len(kept) < len(every)) == (ctx.a_cap < ctx.a_max.sum())
-        assert (lattice.grid_index is None) == (len(kept) == math.prod(lattice.shape))
-        np.testing.assert_array_equal(every_profile(lattice)[0], kept)
+        under = every @ ctx.sizes <= ctx.a_cap * (1.0 + 1e-12)
+        assert (not under.all()) == (ctx.a_cap < ctx.a_max.sum())
+        np.testing.assert_array_equal(every_profile(lattice)[0], every[under])
+        # a profile the cap drops has an inf bound
+        past = np.setdiff1d(np.arange(math.prod(lattice.shape)), kept(lattice))
+        assert np.all(np.isinf(bounds(lattice, past)))
 
     def test_satellite_path_per_quantised_total(self, lattice):
         ctx = lattice.ctx
@@ -203,16 +279,17 @@ class TestLattice:
 
     def test_client_path_per_profile(self, lattice):
         ctx = lattice.ctx
-        alphas, slot = every_profile(lattice)
+        every = kept(lattice)
+        alphas, slot = lattice.profiles(every)
         deadline = cost.regime_geometry(ctx.tau_locals(alphas).T, ctx.T)[2]
         slow = ctx.T < ctx.local_min.max()
         assert (np.unique(deadline).size > 1) == slow
         # each total is the cost model's round time of the profile's
         # decision, and the bound from the per-axis floors lies under it
-        sel = np.random.default_rng(64).choice(len(alphas), 64, replace=False)
-        totals = lattice.totals(sel)[0]
-        assert np.all(lattice.lower[sel] <= totals * (1.0 + 1e-12))
-        for i, total in zip(sel, totals):
+        at = np.random.default_rng(64).choice(len(alphas), 64, replace=False)
+        totals = lattice.totals(every[at])[0]
+        assert np.all(bounds(lattice, every[at]) <= totals * (1.0 + 1e-12))
+        for i, total in zip(at, totals):
             alpha = dict(zip(ctx.ids, alphas[i].tolist()))
             freq = {ctx.cluster.id: float(lattice.freq[slot[i]])}
             decision = DecisionVector(alpha, freq, solve_bandwidth(lattice.scenario, alpha, freq))
@@ -220,26 +297,36 @@ class TestLattice:
             assert total == pytest.approx(tau, rel=1e-12)
 
     def test_blocks_of_one_row_build_the_same_lattice(self, lattice, monkeypatch):
-        # every lattice here fits one block; with one row of client 0's axis
-        # per block, a block boundary falls between every two rows
+        # tiles of one profile and one tile over the whole lattice build the
+        # same lattice and search alike: with one profile per tile, each
+        # tile's bound is its profile's and client 0's axis is marked one
+        # row at a time; with one tile, its profiles are bounded as one box
         sc = lattice.scenario
         assert lattice.shape[0] > 1
+        want = grid_search_cluster(sc, alpha_step=1e-2)
 
-        def build(block):
-            monkeypatch.setattr(optimizer, "GRID_BLOCK", block)
+        def build(edge):
+            monkeypatch.setattr(optimizer, "GRID_TILE", edge)
             return _Lattice(sc, 1e-2), grid_search_cluster(sc, alpha_step=1e-2)
 
-        (whole, grid_whole), (rows, grid_rows) = build(math.prod(lattice.shape)), build(1)
-        assert rows.lower.tobytes() == whole.lower.tobytes()
-        if whole.grid_index is None:
-            assert rows.grid_index is None
-        else:
-            np.testing.assert_array_equal(rows.grid_index, whole.grid_index)
-        for got, want in zip(every_profile(rows), every_profile(whole)):
-            assert got.tobytes() == want.tobytes()
-        every = np.arange(len(whole.lower))
-        assert rows.totals(every)[0].tobytes() == whole.totals(every)[0].tobytes()
-        assert grid_rows == grid_whole
+        (whole, grid_whole), (ones, grid_ones) = build(max(lattice.shape)), build(1)
+        every = np.arange(math.prod(lattice.shape))
+        assert ones.tile_lower.shape == lattice.shape
+        assert ones.tile_lower.tobytes() == bounds(ones, every).tobytes()
+        np.testing.assert_array_equal(np.sort(ones.order), kept(ones))
+        assert whole.tile_lower.shape == (1,) * len(lattice.shape)
+        np.testing.assert_array_equal(whole.order, [0])
+        sel, lower = whole.price(0)
+        np.testing.assert_array_equal(sel, every)
+        assert lower.tobytes() == ones.tile_lower.reshape(-1).tobytes()
+        assert np.all(whole.tile_lower[(0,) * len(lattice.shape)] <= lower)
+        for name in ("uniq", "rep", "freq", "handoffs"):
+            assert getattr(ones, name).tobytes() == getattr(whole, name).tobytes()
+        assert (ones.slot is None) == (whole.slot is None)
+        if whole.slot is not None:
+            np.testing.assert_array_equal(ones.slot, whole.slot)
+        assert ones.totals(kept(ones))[0].tobytes() == whole.totals(kept(whole))[0].tobytes()
+        assert grid_ones == grid_whole == want
 
     def test_spread_totals_keep_memory_to_the_lattice(self):
         # sizes with gcd 1 put about 3e6 offload totals under the cap but
@@ -253,7 +340,7 @@ class TestLattice:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert lattice.slot is None and len(lattice.uniq) == len(lattice.lower)
+        assert lattice.slot is None and len(lattice.uniq) == math.prod(lattice.shape)
         assert peak < 1e6
         alphas, at = every_profile(lattice)
         totals = np.rint(alphas @ lattice.ctx.sizes / 1e-2)
@@ -261,8 +348,8 @@ class TestLattice:
 
 
 def every_profile(lattice):
-    """(alphas, slot) of every kept profile of the lattice, in its order."""
-    return lattice.profiles(np.arange(len(lattice.lower)))
+    """(alphas, slot) of every kept profile of the lattice, by grid index."""
+    return lattice.profiles(kept(lattice))
 
 
 def grid_matches_optimize(sc, alpha_step):
@@ -297,7 +384,7 @@ class TestGridDropsProfiles:
             client_dict(1, 3e8, 400, max_offload_fraction=0.5, energy_budget_j=0.08)],
             sun_facing=True, sat_initial_energy_j=5000.0)], param_count=334, sample_bits=544))
         lattice = _Lattice(sc, 2e-3)
-        dropped = np.isinf(lattice.lower)
+        dropped = np.isinf(bounds(lattice, kept(lattice)))
         assert dropped.any() and not dropped.all()
         assert np.all(lattice.rep[every_profile(lattice)[1]] < math.inf)
         grid_matches_optimize(sc, 2e-3)
@@ -328,7 +415,8 @@ class TestGridDropsProfiles:
         sc = build(110.0)
         ctx = _Ctx(sc, sc.clusters[0])
         assert not math.isnan(_battery_lanes(ctx, 0.0)[0])
-        assert np.isinf(_Lattice(build(5000.0), 1e-2).lower).any()
+        lattice = _Lattice(build(5000.0), 1e-2)
+        assert np.isinf(bounds(lattice, kept(lattice))).any()
         with pytest.raises(InfeasibleError, match="no profile within every budget"):
             grid_search_cluster(sc, 1e-2)
 
@@ -343,7 +431,7 @@ class TestGridWinner:
         if request.param == "single-window":
             return lattice_instance(2, False), 0
         if request.param == "handoff":
-            return multiwindow_instance(np.random.default_rng([4300, 5]), n_clients=2), 1
+            return handoff_instance(), 1
         return lattice_instance(3, False), 0
 
     def test_reused_slices_match_a_fresh_solve(self, instance):
@@ -360,7 +448,7 @@ class TestGridWinner:
         # apply: best solves them on the decision's count
         sc, _ = instance
         lattice = _Lattice(sc, 1e-2)
-        every = np.arange(len(lattice.lower))
+        every = kept(lattice)
         totals, slices = lattice.totals(every)
         solves = []
         monkeypatch.setattr(optimizer, "solve_bandwidth",

@@ -18,9 +18,12 @@ the manifests agree. The commands are:
   workload at seeds 1-3 (`perfbench/workloads.py` `build_oracle`), and on
   the seed-1 instances again with the cluster's `max_offload_samples` at half
   their offloadable total, so that the grid drops the profiles past the cap;
-- `optimize --grid-oracle` on two instances past the `oracle` workload's
-  two-client single windows (`extra_grids`): three clients, and a dark
-  cluster whose slow satellite clock hands the winner's chain off;
+- `optimize --grid-oracle` on instances past the `oracle` workload's
+  two-client single windows (`extra_grids`): three clients on a 51^3
+  lattice; three clients on a 101^3 lattice, which spans 4 search tiles on
+  every axis, with and without a binding cluster cap, so that a ref that
+  bounds every profile checks the tiled search in three dimensions; and a
+  dark cluster whose slow satellite clock hands the winner's chain off;
 - on `scenarios/reference.json`: `optimize`, `simulate --rounds 3`,
   `simulate --rounds 3 --prox-mu 0.1` (FedProx training),
   `sweep --rounds 2 --seeds 0` and `analyze --rounds 3`.
@@ -72,17 +75,25 @@ print(json.dumps(status))
 
 
 def extra_grids() -> dict:
-    """Grid-oracle scenarios by name: three clients on a 51^3 lattice, and
-    two slow clients under a dark, slow satellite whose chains hand off
-    (twice at the grid's winner)."""
+    """Grid-oracle scenarios by name: three clients on 51^3 and 101^3
+    lattices, the larger also with the cluster's `max_offload_samples` at
+    half the offloadable total, and two slow clients under a dark, slow
+    satellite whose chains hand off (twice at the grid's winner)."""
     from workloads import client, cluster, oracle_instance, scenario
 
-    three = oracle_instance(np.random.default_rng([SEEDS[0], 204]), (600, 400, 500),
-                            (2e8, 5e8, 3e8), True, 0.05)
+    def three(alpha_max):
+        return oracle_instance(np.random.default_rng([SEEDS[0], 204]), (600, 400, 500),
+                               (2e8, 5e8, 3e8), True, alpha_max)
+
+    wide, capped = three(0.1), three(0.1)
+    (c,) = capped["clusters"]
+    c["max_offload_samples"] = 0.5 * sum(
+        p["max_offload_fraction"] * p["dataset_size"] for p in c["clients"])
     handoff = scenario("handoff", [cluster(
         0, [client(k, f, 3000, max_offload_fraction=0.3) for k, f in enumerate((1e8, 4e8))],
         coverage_s=120.0, sat_max_freq_hz=1e8, isl_rate_bps=1e6, sun_facing=False)])
-    return {"grid-3-clients": three, "grid-handoff": handoff}
+    return {"grid-3-clients": three(0.05), "grid-3-clients-wide": wide,
+            "grid-3-clients-wide-capped": capped, "grid-handoff": handoff}
 
 
 def write_inputs(inputs: Path) -> list:
