@@ -10,8 +10,10 @@ aggregation and an unweighted global mean.
 The forward and backward passes are written once, over optional leading
 model axes, so one call can step a whole stack of models: a round's local
 updates run as one `local_update_stack`, of which `local_update` is the
-one-model case. They work class-major, with logits (..., classes, rows), so
-the softmax reduces along contiguous rows. A caller that takes many
+one-model case. Its models train on row spans of a few sample blocks (one
+per cluster in a protocol round), whose batches it gathers a chunk of steps
+at a time. The passes work class-major, with logits (..., classes, rows),
+so the softmax reduces along contiguous rows. A caller that takes many
 gradients of one shape can hand them a `Workspace`, whose buffers the
 passes write into in place of fresh arrays.
 """
@@ -22,6 +24,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+# rows of training batches gathered per take: a few steps of a round's widest
+# stacks, small enough that the buffers stay a fraction of one cluster's data
+CHUNK_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -259,76 +265,150 @@ def evaluate(model: ModelParams, test_set) -> tuple:
     return acc, _mean_ce(den, true)
 
 
-def local_update_stack(values, layout: ModelLayout, sample_sets, config: TrainConfig,
+def _schedule(lengths) -> list:
+    """The runs of each step: for lengths (T, K), where lengths[t, i] is the
+    length of model i's batch at step t and 0 once it is done, the
+    (lo, hi, length) ranges of neighbouring models that step together."""
+    steps, count = lengths.shape
+    edges = [[0] for _ in range(steps)]
+    for t, i in zip(*(a.tolist() for a in np.nonzero(np.diff(lengths, axis=1)))):
+        edges[t].append(i + 1)
+    rows = lengths.tolist()
+    return [[(lo, hi, row[lo]) for lo, hi in zip(e, e[1:] + [count]) if row[lo]]
+            for e, row in zip(edges, rows)]
+
+
+def local_update_stack(values, layout: ModelLayout, blocks, spans, config: TrainConfig,
                        round_index: int, batch_sizes, streams) -> np.ndarray:
     """Local updates of K models at once; returns their (K, P) parameters.
 
-    Row k of `values` trains on `sample_sets[k]` with batch size
-    `batch_sizes[k]`, shuffled by its own `default_rng([seed, round,
-    *streams[k]])` permutation. Default mode is one mini-batch pass with
-    momentum (plus an optional proximal pull toward the row's starting
-    point); single_step mode takes exactly one plain SGD step on one
-    sampled mini-batch.
+    Model k trains on rows [start, stop) of `blocks[b]`, a sample set, for
+    (b, start, stop) = `spans[k]`, with batch size `batch_sizes[k]`,
+    shuffled by its own `default_rng([seed, round, *streams[k]])`
+    permutation. Default mode is one mini-batch pass with momentum (plus an
+    optional proximal pull toward the row's starting point); single_step
+    mode takes exactly one plain SGD step on one sampled mini-batch.
 
     At step t every model that still has a batch takes it, and each run of
     neighbouring models whose batches have the same length steps as one
     (G, B, d) stack. A ragged last batch thus divides by its own size, and
     every row comes out bit for bit as a one-model update would leave it.
+
+    The batches are gathered a chunk of consecutive steps at a time, about
+    `CHUNK_ROWS` rows: one take per block fills a staging buffer, block by
+    block and model by model, and one more lays the rows out step by step,
+    each run's rows in one piece, so that every stack is a view.
     """
-    sizes = np.array([len(s) for s in sample_sets], dtype=np.int64)
-    if np.any(sizes == 0):
+    count = len(spans)
+    sizes = [stop - start for _, start, stop in spans]
+    if min(sizes) <= 0:
         raise ValueError("local update on empty sample set")
-    bs = np.maximum(1, np.minimum(np.asarray(batch_sizes, dtype=np.int64), sizes))
-    steps = np.ones_like(sizes) if config.single_step else -(-sizes // bs)
+    bs = [max(1, min(int(b), n)) for b, n in zip(batch_sizes, sizes)]
+    # the rows each model trains on: one batch in single_step mode
+    used = [b if config.single_step else n for b, n in zip(bs, sizes)]
+    steps = [-(-u // b) for u, b in zip(used, bs)]
     # most steps first, so the models still stepping at t are a prefix; at a
     # tie the longer last batch first, so equal lengths tend to sit together
-    order = np.lexsort((-(sizes - (steps - 1) * bs), -steps))
-    sizes, bs, steps = sizes[order], bs[order], steps[order]
-    feats = [sample_sets[k].features for k in order]
-    perms = [
-        np.random.default_rng([config.seed, round_index, *streams[k]]).permutation(n)
-        for k, n in zip(order, sizes)
-    ]
-    # the models' shuffles end to end, as row numbers and as labels; a batch
-    # is a run of these starting at first[k] + t * bs[k]
-    labels = np.concatenate([sample_sets[k].labels[p] for k, p in zip(order, perms)])
-    perm = np.concatenate(perms)
-    first = np.cumsum(sizes) - sizes
-    anchor = np.array(np.broadcast_to(values, (len(sizes), layout.param_count))[order],
+    order = sorted(range(count), key=lambda k: (-steps[k], (steps[k] - 1) * bs[k] - used[k]))
+    bs, used = [bs[k] for k in order], [used[k] for k in order]
+    block_of = np.array([spans[k][0] for k in order], dtype=np.intp)
+    # done[t, i]: the rows model i has trained on before step t; lengths[t, i]:
+    # its batch at step t, 0 once it is done
+    done = np.minimum(np.arange(steps[order[0]] + 1)[:, None] * bs, used)
+    lengths = np.diff(done, axis=0)
+    runs = _schedule(lengths)
+    # Each block's batches in training order, step by step and model by model
+    # within a step: before step t come block_rows[t, b] of them, model i's
+    # batch at step t starts at at[t, i], and src[b] lists their block rows.
+    at = np.empty_like(lengths)
+    block_rows = np.zeros((len(done), len(blocks)), dtype=np.int64)
+    src = []
+    for b in range(len(blocks)):
+        mine = np.flatnonzero(block_of == b)
+        size = lengths[:, mine]
+        block_rows[:, b] = done[:, mine].sum(axis=1)
+        at[:, mine] = np.cumsum(size, axis=1) - size + block_rows[:-1, b, None]
+        if not len(mine):
+            src.append(None)
+            continue
+        # the models' shuffles end to end, as block rows: model i's batch at
+        # step t is its shuffle's lengths[t, i] rows from done[t, i]
+        shuffles = []
+        for i in mine:
+            _, start, stop = spans[order[i]]
+            rng = np.random.default_rng([config.seed, round_index, *streams[order[i]]])
+            shuffles.append(rng.permutation(stop - start) + start)
+        offsets = np.cumsum([0] + [len(r) for r in shuffles[:-1]])
+        gap = (done[:-1, mine] + offsets - at[:, mine]).ravel()
+        picks = np.repeat(gap, size.ravel()) + np.arange(block_rows[-1, b])
+        src.append(np.concatenate(shuffles)[picks])
+    chunks, t0, n = [], 0, 0
+    for t, step_rows in enumerate(lengths.sum(axis=1).tolist()):
+        if n and n + step_rows > CHUNK_ROWS:
+            chunks.append((t0, t, n))
+            t0, n = t, 0
+        n += step_rows
+    chunks.append((t0, len(runs), n))
+    cap = max(n for _, _, n in chunks)
+    dim = blocks[0].features.shape[1]
+    stage_x, xs = np.empty((cap, dim)), np.empty((cap, dim))
+    stage_y, ys = np.empty(cap, dtype=np.int64), np.empty(cap, dtype=np.int64)
+
+    anchor = np.array(np.broadcast_to(values, (count, layout.param_count))[order],
                       dtype=np.float64)
     w = anchor.copy()
     velocity = np.zeros_like(w)
     eta = config.learning_rate(round_index)
-    dim = feats[0].shape[1]
-    for t in range(int(steps[0])):
-        m = int(np.count_nonzero(steps > t))
-        lengths = np.minimum(bs[:m], sizes[:m] - t * bs[:m])
-        # each run of equal batch lengths steps as one stack
-        cuts = [0, *(np.flatnonzero(np.diff(lengths)) + 1).tolist(), m]
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            rows, length = slice(lo, hi), int(lengths[lo])
-            at = (first[rows] + t * bs[rows])[:, None] + np.arange(length)
-            yb = labels[at]
-            picks = perm[at]
-            Xb = np.empty((hi - lo, length, dim))
-            for i in range(hi - lo):
-                feats[lo + i].take(picks[i], axis=0, out=Xb[i])
-            g = gradient(w[rows], layout, Xb, yb)
-            finite = np.isfinite(g).all(axis=1)
-            if not finite.all():
-                i = int(np.argmin(finite))
-                loss, _ = _loss_grad(w[lo + i], layout, Xb[i], yb[i], with_loss=True)
-                raise FloatingPointError(
-                    f"non-finite gradient for model stream {tuple(streams[order[lo + i]])} "
-                    f"at batch offset {t * bs[lo + i]} (loss={loss})"
-                )
-            if config.prox_mu > 0.0:
-                g += config.prox_mu * (w[rows] - anchor[rows])
-            if config.single_step:
-                w[rows] -= eta * g
-            else:
-                velocity[rows] = config.momentum * velocity[rows] + g
-                w[rows] -= eta * velocity[rows]
+    work = Workspace()
+    for t0, t1, n in chunks:
+        # stage: each block's rows for the chunk, in training order
+        first, last = block_rows[t0].tolist(), block_rows[t1].tolist()
+        shift, o = [], 0
+        for b, block in enumerate(blocks):
+            shift.append(o - first[b])
+            if last[b] > first[b]:
+                picks, stop = src[b][first[b]:last[b]], o + last[b] - first[b]
+                np.take(block.features, picks, axis=0, out=stage_x[o:stop], mode="clip")
+                np.take(block.labels, picks, out=stage_y[o:stop], mode="clip")
+                o = stop
+        # step-major: model i's batch at step t is the lengths[t, i] stage
+        # rows from at[t, i] + shift[block_of[i]]
+        size = lengths[t0:t1].ravel()
+        gap = (at[t0:t1] + np.array(shift)[block_of]).ravel()
+        gap -= np.cumsum(size) - size
+        placed = np.repeat(gap, size)
+        placed += np.arange(n)
+        np.take(stage_x, placed, axis=0, out=xs[:n], mode="clip")
+        np.take(stage_y, placed, out=ys[:n], mode="clip")
+
+        o = 0
+        for t in range(t0, t1):
+            for lo, hi, length in runs[t]:
+                end = o + (hi - lo) * length
+                X = xs[o:end].reshape(hi - lo, length, dim)
+                y = ys[o:end].reshape(hi - lo, length)
+                o = end
+                w_run = w[lo:hi]
+                g = gradient(w_run, layout, X, y, work)
+                if not np.isfinite(g).all():
+                    i = int(np.argmin(np.isfinite(g).all(axis=1)))
+                    loss, _ = _loss_grad(w_run[i], layout, X[i], y[i], with_loss=True)
+                    raise FloatingPointError(
+                        f"non-finite gradient for model stream {tuple(streams[order[lo + i]])} "
+                        f"at batch offset {t * bs[lo + i]} (loss={loss})"
+                    )
+                if config.prox_mu > 0.0:
+                    pull = np.subtract(w_run, anchor[lo:hi], out=work("pull", g.shape))
+                    pull *= config.prox_mu
+                    g += pull
+                if config.single_step:
+                    g *= eta
+                else:
+                    v = velocity[lo:hi]
+                    v *= config.momentum
+                    v += g
+                    np.multiply(v, eta, out=g)
+                w_run -= g
     out = np.empty_like(w)
     out[order] = w
     return out
@@ -343,10 +423,10 @@ def local_update(
     stream=(0,),
 ) -> ModelParams:
     """One local update on a sample set: the one-model case of
-    `local_update_stack`."""
+    `local_update_stack`, on the set as its one block."""
     bs = batch_size if batch_size is not None else config.batch_size
-    values = local_update_stack(model.values, model.layout, [samples], config,
-                                round_index, [bs], [stream])
+    values = local_update_stack(model.values, model.layout, [samples], [(0, 0, len(samples))],
+                                config, round_index, [bs], [stream])
     return ModelParams(values[0], model.layout)
 
 

@@ -69,6 +69,11 @@ class SampleSet:
         idx = np.asarray(indices, dtype=np.int64)
         return SampleSet(self.features[idx], self.labels[idx], self.ids[idx])
 
+    def rows(self, start: int, stop: int) -> "SampleSet":
+        """Rows [start, stop), as views of this set's arrays."""
+        return SampleSet(self.features[start:stop], self.labels[start:stop],
+                         self.ids[start:stop])
+
     @staticmethod
     def empty(feature_dim: int) -> "SampleSet":
         return SampleSet(
@@ -117,6 +122,19 @@ class DatasetHandle:
             offloaded=SampleSet.empty(dim),
             retained=retained,
         )
+
+
+@dataclass(frozen=True)
+class ClusterBlock:
+    """A cluster's training rows in one sample set, as `apply_offload` lays
+    them out: the satellite pool first (each member's offloaded rows, in
+    member order), then each member's retained rows (its sensitive rows,
+    then the nonsensitive rows it keeps). The pool and every member's
+    offloaded and retained sets are row ranges of it."""
+
+    samples: SampleSet
+    pool: tuple  # (start, stop) of the satellite pool
+    retained: dict  # client id -> (start, stop) of its retained rows
 
 
 # ---------------------------------------------------------------------------
@@ -185,9 +203,8 @@ class Scenario:
     seed: int = 0
     data: dict | None = None  # the data section, every field filled in
     train: TrainConfig = TrainConfig()  # the train section
-    # cluster id -> the cluster's offloaded samples, set by apply_offload; the
-    # members' offloaded sets are row slices of it, so the pool costs no copy
-    sat_pools: dict | None = field(default=None, repr=False, compare=False)
+    # cluster id -> the cluster's ClusterBlock, set by apply_offload
+    blocks: dict | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_client_by_id", {c.id: c for c in self.clients})
@@ -203,8 +220,8 @@ class Scenario:
         spec = self._cluster_by_id[cluster_id]
         return tuple(self._client_by_id[cid] for cid in spec.client_ids)
 
-    def with_clients(self, new_clients, sat_pools=None) -> "Scenario":
-        return replace(self, clients=tuple(new_clients), sat_pools=sat_pools)
+    def with_clients(self, new_clients, blocks=None) -> "Scenario":
+        return replace(self, clients=tuple(new_clients), blocks=blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -514,9 +531,27 @@ def validate_scenario(spec: dict) -> Scenario:
     )
 
 
+# the file fields of a scenario, by section; load_scenario resolves them
+_DATA_FILES = ("images", "labels", "test_images", "test_labels", "path", "test_path")
+
+
 def load_scenario(path) -> Scenario:
+    """Read and validate a scenario file. A relative path in one of its file
+    fields (the data files and each cluster's `coverage_file`) is taken
+    from the scenario file's directory, not the working directory, and is
+    kept as that joined path."""
     with open(path, "r", encoding="utf-8") as fh:
-        return validate_scenario(json.load(fh))
+        spec = json.load(fh)
+    if isinstance(spec, dict):
+        clusters = spec.get("clusters")
+        sections = [(spec.get("data"), _DATA_FILES)] + [
+            (c, ("coverage_file",)) for c in (clusters if isinstance(clusters, list) else ())]
+        for section, keys in sections:
+            for key in keys if isinstance(section, dict) else ():
+                value = section.get(key)
+                if isinstance(value, str) and not Path(value).is_absolute():
+                    section[key] = str(Path(path).parent / value)
+    return validate_scenario(spec)
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
@@ -768,14 +803,29 @@ def attach_datasets(scenario: Scenario, per_client: dict,
     return scenario.with_clients(new_clients)
 
 
+def _fill(block: SampleSet, start: int, src: SampleSet, idx) -> int:
+    """Copy src's rows idx into block's rows from start on; return where
+    they stop."""
+    stop = start + len(idx)
+    np.take(src.features, idx, axis=0, out=block.features[start:stop])
+    np.take(src.labels, idx, out=block.labels[start:stop])
+    np.take(src.ids, idx, out=block.ids[start:stop])
+    return stop
+
+
 def apply_offload(scenario: Scenario, alpha) -> Scenario:
     """Materialize per-client offloaded/retained sets for an offload vector.
 
     alpha maps client id to fraction. Selection is uniform over the
     nonsensitive pool under a seed fixed by (scenario seed, client id), so
     reapplication is idempotent.
+
+    Each cluster's rows are copied once, in place, into its `ClusterBlock`:
+    the satellite pool, then each member's retained rows. The members'
+    offloaded and retained sets and the pool are views of it, so training
+    reads every cluster's batches from one array.
     """
-    picks, retained = {}, {}
+    picks = {}
     for p in scenario.clients:
         a = float(alpha[p.id])
         if a < -1e-12 or a > p.max_offload_fraction + 1e-12:
@@ -791,54 +841,45 @@ def apply_offload(scenario: Scenario, alpha) -> Scenario:
                 f"client {p.id}: offload of {n_off} exceeds nonsensitive pool {len(nonsens)}"
             )
         rng = np.random.default_rng([scenario.seed, 11, p.id])
-        chosen = np.sort(rng.choice(len(nonsens), size=n_off, replace=False)) if n_off else np.array([], dtype=np.int64)
-        mask = np.zeros(len(nonsens), dtype=bool)
-        mask[chosen] = True
-        picks[p.id] = chosen
-        kept_nonsens = nonsens.take(np.where(~mask)[0])
-        if len(p.dataset.sensitive) and len(kept_nonsens):
-            retained[p.id] = concat_samples([p.dataset.sensitive, kept_nonsens])
-        elif len(p.dataset.sensitive):
-            retained[p.id] = p.dataset.sensitive
-        else:
-            retained[p.id] = kept_nonsens
+        picks[p.id] = np.sort(rng.choice(len(nonsens), size=n_off, replace=False)) if n_off else np.array([], dtype=np.int64)
 
-    # each cluster's offloaded rows are gathered once, in member order, into
-    # the satellite pool; a member's offloaded set is its slice of the pool
-    offloaded, pools = {}, {}
+    blocks, handles = {}, {}
     for c in scenario.clusters:
         members = scenario.cluster_clients(c.id)
-        total = sum(len(picks[p.id]) for p in members)
+        total = sum(p.dataset.size for p in members)
         dim = members[0].dataset.nonsensitive.feature_dim
-        pool = SampleSet(np.empty((total, dim)), np.empty(total, dtype=np.int64),
-                         np.empty(total, dtype=np.int64))
-        o = 0
+        block = SampleSet(np.empty((total, dim)), np.empty(total, dtype=np.int64),
+                          np.empty(total, dtype=np.int64))
+        offloaded, retained, o = {}, {}, 0
         for p in members:
-            src, idx = p.dataset.nonsensitive, picks[p.id]
-            part = slice(o, o + len(idx))
-            np.take(src.features, idx, axis=0, out=pool.features[part])
-            np.take(src.labels, idx, out=pool.labels[part])
-            np.take(src.ids, idx, out=pool.ids[part])
-            offloaded[p.id] = SampleSet(pool.features[part], pool.labels[part], pool.ids[part])
-            o += len(idx)
-        pools[c.id] = pool
-
-    new_clients = [
-        replace(p, dataset=DatasetHandle(
-            sensitive=p.dataset.sensitive,
-            nonsensitive=p.dataset.nonsensitive,
-            offloaded=offloaded[p.id],
-            retained=retained[p.id],
-        ))
-        for p in scenario.clients
-    ]
-    return scenario.with_clients(new_clients, sat_pools=pools)
+            start, o = o, _fill(block, o, p.dataset.nonsensitive, picks[p.id])
+            offloaded[p.id] = (start, o)
+        pool = (0, o)
+        for p in members:
+            sens, nonsens = p.dataset.sensitive, p.dataset.nonsensitive
+            kept = np.ones(len(nonsens), dtype=bool)
+            kept[picks[p.id]] = False
+            start = o
+            o = _fill(block, o, sens, np.arange(len(sens)))
+            o = _fill(block, o, nonsens, np.flatnonzero(kept))
+            retained[p.id] = (start, o)
+        blocks[c.id] = ClusterBlock(block, pool, retained)
+        for p in members:
+            handles[p.id] = DatasetHandle(
+                sensitive=p.dataset.sensitive,
+                nonsensitive=p.dataset.nonsensitive,
+                offloaded=block.rows(*offloaded[p.id]),
+                retained=block.rows(*retained[p.id]),
+            )
+    return scenario.with_clients([replace(p, dataset=handles[p.id]) for p in scenario.clients],
+                                 blocks=blocks)
 
 
 def satellite_pool(scenario: Scenario, cluster_id: int) -> SampleSet:
     """Union of the cluster's offloaded sets (the satellite's training data)."""
-    if scenario.sat_pools is not None:
-        return scenario.sat_pools[cluster_id]
+    if scenario.blocks is not None:
+        block = scenario.blocks[cluster_id]
+        return block.samples.rows(*block.pool)
     # apply_offload has not run, so nothing is offloaded yet
     for p in scenario.cluster_clients(cluster_id):
         if p.dataset is not None:

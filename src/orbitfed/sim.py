@@ -38,7 +38,6 @@ from .fl import (
     intra_cluster_aggregate,
     local_update_stack,
 )
-from .scenario import satellite_pool
 
 
 class SimError(RuntimeError):
@@ -194,35 +193,41 @@ def protocol_round(scenario, model, config: TrainConfig, round_index: int, alpha
                    client_batch=None, sat_batch=None) -> ModelParams:
     """One protocol round of training from the global `model`: every cluster
     satellite that holds offloaded samples and every client take their local
-    update, all stepped as one stack; then intra-cluster and global
-    aggregation.
+    update, all stepped as one stack on row spans of the cluster blocks that
+    `apply_offload` laid out; then intra-cluster and global aggregation.
 
     alpha maps client id to its aggregation fraction. A satellite trains
     when its pool is nonempty and its aggregation weight sum(alpha_k |D_k|)
     is positive. client_batch and sat_batch map client and cluster ids to
     batch sizes; None means the config's.
     """
-    sets, batches, streams, plan = [], [], [], []
+    if scenario.blocks is None:
+        raise SimError("training reads the cluster blocks that apply_offload lays out; "
+                       "run the offload step first")
+    blocks, spans, batches, streams, plan = [], [], [], [], []
     for cluster in scenario.clusters:
         members = scenario.cluster_clients(cluster.id)
-        pool = satellite_pool(scenario, cluster.id)
+        block = scenario.blocks[cluster.id]
+        b = len(blocks)
+        blocks.append(block.samples)
+        start, stop = block.pool
         # an offload that rounds to 0 samples on every client leaves the pool
         # empty; the cluster then aggregates with the fractions realised, all 0
-        alphas = [alpha[p.id] if len(pool) else 0.0 for p in members]
+        alphas = [alpha[p.id] if stop > start else 0.0 for p in members]
         sizes = [p.size for p in members]
         has_sat = sum(al * s for al, s in zip(alphas, sizes)) > 0
         if has_sat:
-            sets.append(pool)
+            spans.append((b, start, stop))
             batches.append(sat_batch[cluster.id] if sat_batch is not None
                            else config.sat_batch_size or config.batch_size)
             streams.append((1, cluster.id))
         for p in members:
-            sets.append(p.dataset.retained)
+            spans.append((b, *block.retained[p.id]))
             batches.append(client_batch[p.id] if client_batch is not None
                            else config.batch_size)
             streams.append((2, p.id))
         plan.append((has_sat, len(members), alphas, sizes))
-    trained = iter(local_update_stack(model.values, model.layout, sets, config,
+    trained = iter(local_update_stack(model.values, model.layout, blocks, spans, config,
                                       round_index, batches, streams))
     cluster_models = []
     for has_sat, n_members, alphas, sizes in plan:

@@ -1,9 +1,12 @@
 """Model families, local updates, and aggregation rules."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from orbitfed import fl
 from orbitfed.fl import (
     ModelLayout,
     ModelParams,
@@ -228,6 +231,11 @@ class TestLocalUpdate:
         assert not np.array_equal(a.values, c.values)
 
 
+def whole(sets):
+    """Spans that train each set as its own block."""
+    return [(k, 0, len(s)) for k, s in enumerate(sets)]
+
+
 def looped_update(values, layout, samples, cfg, r, bs, stream):
     """The one-model update written as a plain loop over loss_and_grad."""
     n = len(samples)
@@ -273,7 +281,7 @@ class TestStackedUpdate:
         batches = [32] * len(self.SIZES) + [17]
         streams = [(2, i) for i in range(len(self.SIZES))] + [(1, 0)]
         start = np.random.default_rng(1).uniform(-0.3, 0.3, (len(sets), layout.param_count))
-        stacked = local_update_stack(start, layout, sets, cfg, 2, batches, streams)
+        stacked = local_update_stack(start, layout, sets, whole(sets), cfg, 2, batches, streams)
         for k, samples in enumerate(sets):
             ref = looped_update(start[k], layout, samples, cfg, 2, batches[k], streams[k])
             assert np.array_equal(stacked[k], ref), (k, len(samples))
@@ -283,24 +291,76 @@ class TestStackedUpdate:
         model = init_model(MLP, seed=2)
         cfg = TrainConfig(eta0=0.1, seed=1)
         streams = [(2, k) for k in range(3)]
-        stacked = local_update_stack(model.values, MLP, sets, cfg, 0, [32] * 3, streams)
+        stacked = local_update_stack(model.values, MLP, sets, whole(sets), cfg, 0, [32] * 3,
+                                     streams)
         for k, samples in enumerate(sets):
             one = local_update(model, samples, cfg, 0, stream=streams[k])
             assert np.array_equal(stacked[k], one.values)
 
     def test_planted_nan_names_the_model_stream(self):
-        sets = [sample_set(n, 8, 4, seed=n) for n in (20, 45, 60)]
-        sets[2].features[37, 3] = np.nan
+        # the satellite's shuffle position q holds the NaN row: a batch in
+        # the first chunk, then one gathered past fl.CHUNK_ROWS rows
         start = init_model(LOGISTIC).values
-        with pytest.raises(FloatingPointError, match=r"stream \(1, 7\)"):
-            local_update_stack(start, LOGISTIC, sets, TrainConfig(seed=0), 0,
-                               [16, 16, 16], [(2, 0), (2, 1), (1, 7)])
+        for n, q, later in ((60, 37, False), (2 * fl.CHUNK_ROWS, 2 * fl.CHUNK_ROWS - 10, True)):
+            sets = [sample_set(20, 8, 4, seed=20), sample_set(45, 8, 4, seed=45),
+                    sample_set(n, 8, 4, seed=60)]
+            sets[2].features[np.random.default_rng([0, 0, 1, 7]).permutation(n)[q], 3] = np.nan
+            offset = q // 16 * 16
+            assert later == (offset > fl.CHUNK_ROWS)
+            with pytest.raises(FloatingPointError,
+                               match=rf"stream \(1, 7\) at batch offset {offset} \("):
+                local_update_stack(start, LOGISTIC, sets, whole(sets), TrainConfig(seed=0), 0,
+                                   [16, 16, 16], [(2, 0), (2, 1), (1, 7)])
 
     def test_empty_member_rejected(self):
         sets = [sample_set(10, 8, 4), SampleSet.empty(8)]
         with pytest.raises(ValueError, match="empty"):
-            local_update_stack(init_model(LOGISTIC).values, LOGISTIC, sets,
+            local_update_stack(init_model(LOGISTIC).values, LOGISTIC, sets, whole(sets),
                                TrainConfig(), 0, [4, 4], [(2, 0), (2, 1)])
+
+    @settings(max_examples=60)
+    @given(
+        clusters=st.lists(st.tuples(st.integers(0, 40), st.lists(st.integers(1, 40), min_size=1,
+                                                                  max_size=3)),
+                          min_size=1, max_size=3),
+        client_batch=st.integers(1, 12), sat_batch=st.integers(1, 12),
+        cfg=st.sampled_from(sorted(STACK_CONFIGS)),
+        layout=st.sampled_from([LOGISTIC, ModelLayout("mlp", (8, 3, 4))]),
+        chunk_rows=st.sampled_from([1, 7, 64, fl.CHUNK_ROWS]), seed=st.integers(0, 2**16))
+    @example(clusters=[(0, [1, 2]), (9, [40, 5, 1])], client_batch=4, sat_batch=3,
+             cfg="single_step_prox", layout=LOGISTIC, chunk_rows=7, seed=0)
+    @example(clusters=[(33, [1, 17]), (0, [3])], client_batch=8, sat_batch=5,
+             cfg="fedprox", layout=ModelLayout("mlp", (8, 3, 4)), chunk_rows=1, seed=1)
+    def test_block_spans_match_one_model_updates(self, clusters, client_batch, sat_batch,
+                                                 cfg, layout, chunk_rows, seed):
+        # each cluster's block holds its pool (0 rows: no satellite model),
+        # then its members' sets, as apply_offload lays them out
+        rng = np.random.default_rng(seed)
+        blocks, spans, batches, streams = [], [], [], []
+        for b, (pool, members) in enumerate(clusters):
+            blocks.append(sample_set(pool + sum(members), 8, 4, seed=seed + b))
+            if pool:
+                spans.append((b, 0, pool))
+                batches.append(sat_batch)
+                streams.append((1, b))
+            o = pool
+            for k, n in enumerate(members):
+                spans.append((b, o, o + n))
+                batches.append(client_batch)
+                streams.append((2, 10 * b + k))
+                o += n
+        start = rng.uniform(-0.3, 0.3, (len(spans), layout.param_count))
+        config = STACK_CONFIGS[cfg]
+        with mock.patch.object(fl, "CHUNK_ROWS", chunk_rows):
+            stacked = local_update_stack(start, layout, blocks, spans, config, 1, batches,
+                                         streams)
+        for k, (b, lo, hi) in enumerate(spans):
+            one = local_update(ModelParams(start[k], layout), blocks[b].rows(lo, hi), config, 1,
+                               batch_size=batches[k], stream=streams[k])
+            ref = looped_update(start[k], layout, blocks[b].rows(lo, hi), config, 1, batches[k],
+                                streams[k])
+            assert np.array_equal(stacked[k], one.values), (k, hi - lo)
+            assert np.array_equal(stacked[k], ref), (k, hi - lo)
 
 
 class TestIntraClusterAggregate:

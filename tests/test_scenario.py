@@ -22,6 +22,7 @@ from orbitfed.scenario import (
     ScenarioError,
     apply_offload,
     attach_datasets,
+    concat_samples,
     load_coverage_schedule,
     load_csv_dataset,
     load_idx,
@@ -414,6 +415,48 @@ class TestApplyOffload:
         pool = satellite_pool(out, 0)
         assert len(pool) == 250 + 200
 
+    def test_sets_are_row_ranges_of_their_cluster_block(self):
+        clients = [client_dict(k, 2e8, 0) for k in range(4)]
+        sc = validate_scenario(scenario_dict([cluster_dict(0, clients[:3]),
+                                              cluster_dict(1, clients[3:])]))
+        per = {k: synthetic_dataset(n, n_classes=5, feature_dim=6, seed=k)
+               for k, n in enumerate((300, 200, 150, 90))}
+        out = apply_offload(attach_datasets(sc, per, sensitive_fraction=0.2),
+                            {0: 0.5, 1: 0.0, 2: 0.3, 3: 0.0})
+        for c in out.clusters:
+            block = out.blocks[c.id].samples
+            members = out.cluster_clients(c.id)
+            pool = satellite_pool(out, c.id)
+            # the pool first, then each member's retained rows, in member order
+            parts = [pool] + [p.dataset.retained for p in members]
+            assert sum(map(len, parts)) == len(block)
+            o = 0
+            for part in parts:
+                stop = o + len(part)
+                for name in ("features", "labels", "ids"):
+                    mine, rows = getattr(part, name), getattr(block, name)
+                    assert len(part) == 0 or np.shares_memory(mine, rows[o:stop])
+                    assert not np.shares_memory(mine, rows[:o])
+                    assert not np.shares_memory(mine, rows[stop:])
+                o = stop
+            # the pool is the members' offloaded rows in member order, each
+            # member's a slice of it
+            assert np.array_equal(pool.ids, np.concatenate(
+                [p.dataset.offloaded.ids for p in members]))
+            for p in members:
+                d = p.dataset
+                assert len(d.offloaded) == 0 or np.shares_memory(d.offloaded.features,
+                                                                 pool.features)
+                # rows keep their corpus order: the offloaded rows as they sit
+                # among the nonsensitive ones, the retained sensitive then kept
+                off = np.isin(d.nonsensitive.ids, d.offloaded.ids)
+                assert np.array_equal(d.offloaded.ids, d.nonsensitive.ids[off])
+                src = concat_samples([d.sensitive, d.nonsensitive])
+                want = np.concatenate([np.arange(len(d.sensitive)),
+                                       len(d.sensitive) + np.flatnonzero(~off)])
+                for name in ("features", "labels", "ids"):
+                    assert np.array_equal(getattr(d.retained, name), getattr(src, name)[want])
+
 
 class TestCoverage:
     def test_fixed_period_intervals(self):
@@ -703,6 +746,38 @@ class TestDataFiles:
                            ("csv", {"source": "csv", "path": str(csv_path)})):
             path = tmp_path / f"{name}.json"
             path.write_text(json.dumps(data_spec(data)))
+            run = tmp_path / f"run-{name}"
+            assert main(["--mode", "simulate", "--rounds", "3", "--scenario", str(path),
+                         "--out", str(run)]) == 0
+            metrics.append((run / "optimized" / "seed0" / "metrics.csv").read_bytes())
+        assert metrics[0] == metrics[1]
+        assert len(metrics[0].splitlines()) == 4
+
+    def test_relative_paths_resolve_against_the_scenario_file(self, tmp_path, monkeypatch):
+        # every file field is relative to the scenario's directory, and the
+        # run starts in another one
+        home = tmp_path / "scenarios"
+        (home / "data").mkdir(parents=True)
+        images, labels = digit_samples()
+        test_images, test_labels = digit_samples(n=60, seed=1)
+        write_idx(home / "data", images, labels)
+        write_idx(home / "data", test_images, test_labels, name="test")
+        write_csv(home / "data" / "digits.csv", images, labels)
+        write_csv(home / "data" / "test.csv", test_images, test_labels)
+        (home / "passes.txt").write_text("".join(f"{i} {400.0 * i} {400.0 * i + 360.0}\n"
+                                                 for i in range(200)))
+        monkeypatch.chdir(tmp_path.parent)
+        metrics = []
+        for name, data in (("idx", {"source": "idx", "images": "data/digits-images.idx",
+                                    "labels": "data/digits-labels.idx",
+                                    "test_images": "data/test-images.idx",
+                                    "test_labels": "data/test-labels.idx"}),
+                           ("csv", {"source": "csv", "path": "data/digits.csv",
+                                    "test_path": "data/test.csv"})):
+            spec = data_spec(data)
+            spec["clusters"][0]["coverage_file"] = "passes.txt"
+            path = home / f"{name}.json"
+            path.write_text(json.dumps(spec))
             run = tmp_path / f"run-{name}"
             assert main(["--mode", "simulate", "--rounds", "3", "--scenario", str(path),
                          "--out", str(run)]) == 0

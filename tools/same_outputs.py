@@ -26,7 +26,12 @@ the manifests agree. The commands are:
   dark cluster whose slow satellite clock hands the winner's chain off;
 - on `scenarios/reference.json`: `optimize`, `simulate --rounds 3`,
   `simulate --rounds 3 --prox-mu 0.1` (FedProx training),
-  `sweep --rounds 2 --seeds 0` and `analyze --rounds 3`.
+  `simulate --rounds 3 --single-step`, `sweep --rounds 2 --seeds 0` and
+  `analyze --rounds 3`;
+- `simulate --rounds 3` on a copy of the reference with 40 samples per
+  client and a satellite batch of 20 (`SMALL_BATCHES`), so that training
+  stacks ragged last batches, sets smaller than their batch and two batch
+  sizes.
 
 Both trees read the inputs this tree writes. The script lists every output
 file, manifests included, whose bytes differ or that only one tree wrote,
@@ -52,9 +57,13 @@ REFERENCE = ("inputs/reference.json", [
     ("optimize", []),
     ("simulate", ["--rounds", "3"]),
     ("simulate", ["--rounds", "3", "--prox-mu", "0.1"]),
+    ("simulate", ["--rounds", "3", "--single-step"]),
     ("sweep", ["--rounds", "2", "--seeds", "0"]),
     ("analyze", ["--rounds", "3"]),
 ])
+# the reference with small client sets and a satellite batch of its own
+SMALL_BATCHES = ("inputs/reference-small-batches.json", {"samples_per_client": 40},
+                 {"sat_batch_size": 20}, ["--rounds", "3"])
 
 # run in each tree: argv[1] is its src directory, argv[2] the command list;
 # prints each command's exit status and stderr as JSON
@@ -144,6 +153,13 @@ def write_inputs(inputs: Path) -> list:
     for k, (mode, extra) in enumerate(runs):
         commands.append(["--mode", mode, "--scenario", path, *extra,
                          "--out", f"out/reference-{k}-{mode}"])
+    name, data, train, extra = SMALL_BATCHES
+    raw = json.loads((ROOT / "scenarios" / "reference.json").read_text())
+    raw["data"].update(data)
+    raw["train"].update(train)
+    (inputs.parent / name).write_text(json.dumps(raw, indent=1))
+    commands.append(["--mode", "simulate", "--scenario", name, *extra,
+                     "--out", "out/reference-small-batches"])
     return commands
 
 
