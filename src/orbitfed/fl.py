@@ -15,7 +15,10 @@ per cluster in a protocol round), whose batches it gathers a chunk of steps
 at a time. The passes work class-major, with logits (..., classes, rows),
 so the softmax reduces along contiguous rows. A caller that takes many
 gradients of one shape can hand them a `Workspace`, whose buffers the
-passes write into in place of fresh arrays.
+passes write into in place of fresh arrays. They call the ufuncs'
+reductions and the array methods directly, not numpy's Python-level
+wrappers, which on a training step's small arrays cost about as much as the
+arithmetic.
 """
 
 from __future__ import annotations
@@ -151,17 +154,17 @@ def _forward(params, X: np.ndarray, alloc=_fresh):
     (..., hidden, n), None for logistic, of the views `params` on features X
     (..., n, d): each layer is wᵀ @ Xᵀ, so that the softmax's reductions run
     along contiguous rows. `alloc(name, shape)` gives the output arrays."""
-    Xt = np.swapaxes(X, -1, -2)
+    Xt = X.swapaxes(-1, -2)
     n = X.shape[-2]
     if len(params) == 2:
         w, b = params
-        wt = np.swapaxes(w, -1, -2)
+        wt = w.swapaxes(-1, -2)
         lead = _stack_shape(wt.shape[:-2], Xt.shape[:-2])
         logits = np.matmul(wt, Xt, out=alloc("logits", lead + (wt.shape[-2], n)))
         logits += b[..., None]
         return logits, None
     w1, b1, w2, b2 = params
-    w1t, w2t = np.swapaxes(w1, -1, -2), np.swapaxes(w2, -1, -2)
+    w1t, w2t = w1.swapaxes(-1, -2), w2.swapaxes(-1, -2)
     lead = _stack_shape(w1t.shape[:-2], Xt.shape[:-2])
     hidden = np.matmul(w1t, Xt, out=alloc("hidden", lead + (w1t.shape[-2], n)))
     hidden += b1[..., None]
@@ -179,10 +182,10 @@ def _softmax(logits: np.ndarray, label_index=None, alloc=_fresh):
     before the exp overwrites them. The sums reuse the array that held the
     row maxima."""
     red = alloc("reduction", logits.shape[:-2] + (1, logits.shape[-1]))
-    logits -= logits.max(axis=-2, keepdims=True, out=red)
+    logits -= np.maximum.reduce(logits, axis=-2, keepdims=True, out=red)
     true = logits[label_index] if label_index is not None else None
     np.exp(logits, out=logits)
-    den = logits.sum(axis=-2, keepdims=True, out=red)
+    den = np.add.reduce(logits, axis=-2, keepdims=True, out=red)
     logits /= den
     return den, true
 
@@ -219,23 +222,23 @@ def _loss_grad(values, layout: ModelLayout, X, y, with_loss: bool, work=None):
     dz /= n
     lead = dz.shape[:-2]
     g = alloc("grad", lead + (layout.param_count,))
-    dzt = np.swapaxes(dz, -1, -2)
+    dzt = dz.swapaxes(-1, -2)
     if layout.kind == "logistic":
         d, c = layout.dims
-        np.matmul(np.swapaxes(X, -1, -2), dzt, out=g[..., :d * c].reshape(lead + (d, c)))
-        dz.sum(axis=-1, out=g[..., d * c:])
+        np.matmul(X.swapaxes(-1, -2), dzt, out=g[..., :d * c].reshape(lead + (d, c)))
+        np.add.reduce(dz, axis=-1, out=g[..., d * c:])
         return loss, g
     d, h, c = layout.dims
     o = d * h + h
     np.matmul(hidden, dzt, out=g[..., o:o + h * c].reshape(lead + (h, c)))
-    dz.sum(axis=-1, out=g[..., o + h * c:])
+    np.add.reduce(dz, axis=-1, out=g[..., o + h * c:])
     dh = np.matmul(params[2], dz, out=alloc("dh", hidden.shape))
     hidden *= hidden
     np.subtract(1.0, hidden, out=hidden)
     dh *= hidden
-    np.matmul(np.swapaxes(X, -1, -2), np.swapaxes(dh, -1, -2),
+    np.matmul(X.swapaxes(-1, -2), dh.swapaxes(-1, -2),
               out=g[..., :d * h].reshape(lead + (d, h)))
-    dh.sum(axis=-1, out=g[..., d * h:o])
+    np.add.reduce(dh, axis=-1, out=g[..., d * h:o])
     return loss, g
 
 
@@ -295,9 +298,10 @@ def local_update_stack(values, layout: ModelLayout, blocks, spans, config: Train
     every row comes out bit for bit as a one-model update would leave it.
 
     The batches are gathered a chunk of consecutive steps at a time, about
-    `CHUNK_ROWS` rows: one take per block fills a staging buffer, block by
-    block and model by model, and one more lays the rows out step by step,
-    each run's rows in one piece, so that every stack is a view.
+    `CHUNK_ROWS` rows: one take per block stages the block's rows for the
+    chunk, in training order, and one more lays all the staged rows out
+    step by step, each run's batches in one piece, so that every stack is a
+    view and no row is padding.
     """
     count = len(spans)
     sizes = [stop - start for _, start, stop in spans]
@@ -361,15 +365,17 @@ def local_update_stack(values, layout: ModelLayout, blocks, spans, config: Train
     eta = config.learning_rate(round_index)
     work = Workspace()
     for t0, t1, n in chunks:
-        # stage: each block's rows for the chunk, in training order
+        # stage: each block's rows for the chunk, in training order. Every
+        # index is in range; mode="clip" takes straight into `out`, where the
+        # default mode fills a temporary copy first.
         first, last = block_rows[t0].tolist(), block_rows[t1].tolist()
         shift, o = [], 0
         for b, block in enumerate(blocks):
             shift.append(o - first[b])
             if last[b] > first[b]:
                 picks, stop = src[b][first[b]:last[b]], o + last[b] - first[b]
-                np.take(block.features, picks, axis=0, out=stage_x[o:stop], mode="clip")
-                np.take(block.labels, picks, out=stage_y[o:stop], mode="clip")
+                block.features.take(picks, axis=0, out=stage_x[o:stop], mode="clip")
+                block.labels.take(picks, out=stage_y[o:stop], mode="clip")
                 o = stop
         # step-major: model i's batch at step t is the lengths[t, i] stage
         # rows from at[t, i] + shift[block_of[i]]
@@ -378,8 +384,8 @@ def local_update_stack(values, layout: ModelLayout, blocks, spans, config: Train
         gap -= np.cumsum(size) - size
         placed = np.repeat(gap, size)
         placed += np.arange(n)
-        np.take(stage_x, placed, axis=0, out=xs[:n], mode="clip")
-        np.take(stage_y, placed, out=ys[:n], mode="clip")
+        stage_x.take(placed, axis=0, out=xs[:n], mode="clip")
+        stage_y.take(placed, out=ys[:n], mode="clip")
 
         o = 0
         for t in range(t0, t1):

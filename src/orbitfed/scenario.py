@@ -539,9 +539,11 @@ def load_scenario(path) -> Scenario:
     """Read and validate a scenario file. A relative path in one of its file
     fields (the data files and each cluster's `coverage_file`) is taken
     from the scenario file's directory, not the working directory, and is
-    kept as that joined path."""
+    kept as an absolute path, so that the run's manifest names the file
+    wherever it is replayed from."""
     with open(path, "r", encoding="utf-8") as fh:
         spec = json.load(fh)
+    here = Path(path).absolute().parent
     if isinstance(spec, dict):
         clusters = spec.get("clusters")
         sections = [(spec.get("data"), _DATA_FILES)] + [
@@ -550,7 +552,7 @@ def load_scenario(path) -> Scenario:
             for key in keys if isinstance(section, dict) else ():
                 value = section.get(key)
                 if isinstance(value, str) and not Path(value).is_absolute():
-                    section[key] = str(Path(path).parent / value)
+                    section[key] = str(here / value)
     return validate_scenario(spec)
 
 

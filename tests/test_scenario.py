@@ -782,6 +782,10 @@ class TestDataFiles:
             assert main(["--mode", "simulate", "--rounds", "3", "--scenario", str(path),
                          "--out", str(run)]) == 0
             metrics.append((run / "optimized" / "seed0" / "metrics.csv").read_bytes())
+            # the manifest names each file by its absolute path
+            recorded = json.loads((run / "manifest.json").read_text())["scenario"]["data"]
+            assert {k: recorded[k] for k in data if k != "source"} == {
+                k: str(home / v) for k, v in data.items() if k != "source"}
         assert metrics[0] == metrics[1]
         assert len(metrics[0].splitlines()) == 4
 
