@@ -321,31 +321,32 @@ def local_update_stack(values, layout: ModelLayout, blocks, spans, config: Train
     done = np.minimum(np.arange(steps[order[0]] + 1)[:, None] * bs, used)
     lengths = np.diff(done, axis=0)
     runs = _schedule(lengths)
-    # Each block's batches in training order, step by step and model by model
-    # within a step: before step t come block_rows[t, b] of them, model i's
-    # batch at step t starts at at[t, i], and src[b] lists their block rows.
-    at = np.empty_like(lengths)
-    block_rows = np.zeros((len(done), len(blocks)), dtype=np.int64)
-    src = []
-    for b in range(len(blocks)):
-        mine = np.flatnonzero(block_of == b)
-        size = lengths[:, mine]
-        block_rows[:, b] = done[:, mine].sum(axis=1)
-        at[:, mine] = np.cumsum(size, axis=1) - size + block_rows[:-1, b, None]
-        if not len(mine):
-            src.append(None)
-            continue
-        # the models' shuffles end to end, as block rows: model i's batch at
-        # step t is its shuffle's lengths[t, i] rows from done[t, i]
-        shuffles = []
-        for i in mine:
-            _, start, stop = spans[order[i]]
-            rng = np.random.default_rng([config.seed, round_index, *streams[order[i]]])
-            shuffles.append(rng.permutation(stop - start) + start)
-        offsets = np.cumsum([0] + [len(r) for r in shuffles[:-1]])
-        gap = (done[:-1, mine] + offsets - at[:, mine]).ravel()
-        picks = np.repeat(gap, size.ravel()) + np.arange(block_rows[-1, b])
-        src.append(np.concatenate(shuffles)[picks])
+    # the models' shuffles end to end, as block rows: model i's batch at step
+    # t is the lengths[t, i] rows of its shuffle from done[t, i]
+    shuffles = []
+    for k in order:
+        _, start, stop = spans[k]
+        perm = np.random.default_rng([config.seed, round_index, *streams[k]]).permutation(
+            stop - start)
+        perm += start
+        shuffles.append(perm)
+    first = np.cumsum([0] + [len(p) for p in shuffles[:-1]])
+    # src lists every batch's block rows in the order the chunks stage them:
+    # block by block, then step by step and model by model. Batch (t, i)
+    # starts at src[at[t, i]]; block b's rows before step t end at bounds[t, b].
+    batch = lengths.ravel()
+    key = np.argsort(np.broadcast_to(block_of, lengths.shape).ravel(), kind="stable")
+    staged = batch[key]
+    begin = np.cumsum(staged)
+    begin -= staged
+    at = np.empty_like(batch)
+    at[key] = begin
+    at = at.reshape(lengths.shape)
+    picks = np.repeat((done[:-1] + first).ravel()[key] - begin, staged)
+    picks += np.arange(len(picks))
+    src = np.concatenate(shuffles).take(picks)
+    block_rows = done @ (block_of[:, None] == np.arange(len(blocks)))
+    bounds = block_rows + (np.cumsum(block_rows[-1]) - block_rows[-1])
     chunks, t0, n = [], 0, 0
     for t, step_rows in enumerate(lengths.sum(axis=1).tolist()):
         if n and n + step_rows > CHUNK_ROWS:
@@ -368,14 +369,13 @@ def local_update_stack(values, layout: ModelLayout, blocks, spans, config: Train
         # stage: each block's rows for the chunk, in training order. Every
         # index is in range; mode="clip" takes straight into `out`, where the
         # default mode fills a temporary copy first.
-        first, last = block_rows[t0].tolist(), block_rows[t1].tolist()
         shift, o = [], 0
-        for b, block in enumerate(blocks):
-            shift.append(o - first[b])
-            if last[b] > first[b]:
-                picks, stop = src[b][first[b]:last[b]], o + last[b] - first[b]
-                block.features.take(picks, axis=0, out=stage_x[o:stop], mode="clip")
-                block.labels.take(picks, out=stage_y[o:stop], mode="clip")
+        for block, r0, r1 in zip(blocks, bounds[t0].tolist(), bounds[t1].tolist()):
+            shift.append(o - r0)
+            if r1 > r0:
+                rows, stop = src[r0:r1], o + r1 - r0
+                block.features.take(rows, axis=0, out=stage_x[o:stop], mode="clip")
+                block.labels.take(rows, out=stage_y[o:stop], mode="clip")
                 o = stop
         # step-major: model i's batch at step t is the lengths[t, i] stage
         # rows from at[t, i] + shift[block_of[i]]
