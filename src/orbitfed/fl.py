@@ -333,7 +333,8 @@ def local_update_stack(values, layout: ModelLayout, blocks, spans, config: Train
     first = np.cumsum([0] + [len(p) for p in shuffles[:-1]])
     # src lists every batch's block rows in the order the chunks stage them:
     # block by block, then step by step and model by model. Batch (t, i)
-    # starts at src[at[t, i]]; block b's rows before step t end at bounds[t, b].
+    # starts at src[at[t, i]], and block b's rows for steps t0 to t1 - 1 are
+    # src[bounds[t0, b]:bounds[t1, b]].
     batch = lengths.ravel()
     key = np.argsort(np.broadcast_to(block_of, lengths.shape).ravel(), kind="stable")
     staged = batch[key]
