@@ -25,8 +25,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fl import TrainConfig, Workspace, gradient, init_model, loss_and_grad
-from .scenario import SampleSet, concat_samples, satellite_pool
-from .sim import protocol_round
+from .scenario import concat_samples, satellite_pool
+from .sim import cluster_blocks, protocol_round
 
 WEIGHT_SCALE = 0.5  # std of the random weights the smoothness estimate draws
 BOUND_TRIALS = 4000  # smoothness-estimate trials behind a reported bound
@@ -272,21 +272,17 @@ def verify_bound_empirically(scenario, layout, rounds: int, seeds=tuple(range(10
     The protocol recomposes the full-data cluster gradient when batches are
     full, so the full-batch case is plain gradient descent on the global
     objective. Aggregation weights use the actual integer sample counts.
-    """
-    cluster_data = []
-    eff_alpha = {}
-    for c in scenario.clusters:
-        members = scenario.cluster_clients(c.id)
-        parts = [p.dataset.retained for p in members] + [satellite_pool(scenario, c.id)]
-        merged = concat_samples([s for s in parts if len(s) > 0])
-        cluster_data.append((merged.features, merged.labels))
-        for p in members:
-            eff_alpha[p.id] = len(p.dataset.offloaded) / p.size if p.size else 0.0
 
-    merged_all = concat_samples([
-        SampleSet(features=x, labels=y, ids=np.arange(len(x)))
-        for x, y in cluster_data
-    ])
+    The scenario must be offloaded: each cluster's data is its
+    `ClusterBlock`, its members' retained rows then its satellite pool. A
+    scenario without blocks is refused with `sim`'s SimError before any
+    estimate runs.
+    """
+    by_cluster = cluster_blocks(scenario)
+    blocks = [by_cluster[c.id].samples for c in scenario.clusters]
+    cluster_data = [(b.features, b.labels) for b in blocks]
+    eff_alpha = {p.id: len(p.dataset.offloaded) / p.size for p in scenario.clients}
+    merged_all = concat_samples(blocks)
     l_hat, rho_hat = estimate_smoothness_and_rho(layout, merged_all, trials=BOUND_TRIALS)
     config = TrainConfig(eta0=eta0, lr_schedule=lr_schedule, single_step=True)
     lrs = [config.learning_rate(r) for r in range(rounds)]

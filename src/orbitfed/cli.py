@@ -36,6 +36,7 @@ from .scenario import (
     load_scenario,
     prepare_data,
     scenario_to_dict,
+    tests_on_corpus,
 )
 from .sim import SimError, run_experiment
 
@@ -159,12 +160,8 @@ def _resolve_layout(scenario, test_set) -> ModelLayout:
     kind, dim = cfg["model"]["kind"], test_set.feature_dim
     # a synthetic corpus has the classes it was drawn with; files, every
     # label the clients train on or the test set holds
-    if cfg["source"] == "synthetic":
-        classes = cfg["classes"]
-    else:
-        held = [test_set] + [part for p in scenario.clients
-                             for part in (p.dataset.sensitive, p.dataset.nonsensitive)]
-        classes = 1 + max(int(s.labels.max()) for s in held if len(s))
+    classes = cfg["classes"] if cfg["source"] == "synthetic" else 1 + max(
+        int(s.labels.max()) for s in [test_set] + [p.dataset.samples for p in scenario.clients])
     dims = (dim, cfg["model"]["hidden"], classes) if kind == "mlp" else (dim, classes)
     layout = ModelLayout(kind, dims)
     if layout.param_count != scenario.footprint.param_count:
@@ -260,7 +257,10 @@ def _run_series(scenario, plan, series, out: Path):
     return rows
 
 
-def _series_summary(rows, target_acc):
+def _series_summary(rows, target_acc, data):
+    """summary.json of simulated series: each leg, and per series its seeds,
+    how many reached target_acc and their mean clock. A file source without
+    test files is said to measure accuracy on its training corpus."""
     per_series = {}
     for row in rows:
         s = per_series.setdefault(row["series"], {"seeds": 0, "reached": 0, "clocks": []})
@@ -276,7 +276,8 @@ def _series_summary(rows, target_acc):
             "reached": s["reached"],
             "mean_clock_s": (sum(s["clocks"]) / len(s["clocks"])) if s["clocks"] else NOT_REACHED,
         }
-    return {"target_accuracy": target_acc, "rows": rows, "per_series": out}
+    note = {"accuracy_on": "training corpus"} if data and tests_on_corpus(data) else {}
+    return {"target_accuracy": target_acc, "rows": rows, "per_series": out, **note}
 
 
 def _mode_optimize(scenario, plan, out: Path):
@@ -311,14 +312,14 @@ def _mode_simulate(scenario, plan, out: Path):
         "optimized": "optimized",
     }[plan.baseline]
     rows = _run_series(scenario, plan, [(name, plan.baseline, plan.alpha_fixed)], out)
-    _write_json(out / "summary.json", _series_summary(rows, plan.target_acc))
+    _write_json(out / "summary.json", _series_summary(rows, plan.target_acc, scenario.data))
     print(f"wrote {out / 'summary.json'} ({len(rows)} legs)")
 
 
 def _mode_sweep(scenario, plan, out: Path):
     rows = _run_series(scenario, plan, SWEEP_SERIES, out)
     rows.sort(key=lambda r: (r["series"], r["seed"]))
-    _write_json(out / "summary.json", _series_summary(rows, plan.target_acc))
+    _write_json(out / "summary.json", _series_summary(rows, plan.target_acc, scenario.data))
     print(f"wrote {out / 'summary.json'} ({len(rows)} legs)")
 
 

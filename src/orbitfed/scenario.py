@@ -12,6 +12,10 @@ Design notes:
   - Clients may carry only a ``dataset_size`` (enough for cost and resource
     work); materialized data is attached later from the scenario's data
     section or by a test harness.
+  - Each training row is held once per layout: in its client's
+    ``DatasetHandle.samples`` (sensitive rows first) and, once
+    ``apply_offload`` has run, in its cluster's ``ClusterBlock``. Every
+    client, privacy-class and offload set is a row range of one of them.
 """
 
 from __future__ import annotations
@@ -96,41 +100,51 @@ def concat_samples(sets) -> SampleSet:
 
 @dataclass(frozen=True)
 class DatasetHandle:
-    """One client's data split into privacy classes and offload state."""
+    """One client's data: its rows laid out once, split into privacy
+    classes and offload state.
 
-    sensitive: SampleSet
-    nonsensitive: SampleSet
+    `samples` holds the client's sensitive rows, then its nonsensitive rows,
+    each group in corpus order, and `sensitive` and `nonsensitive` are row
+    ranges of it. Before offload, `retained` is `samples` itself and
+    `offloaded` is empty; `apply_offload` makes both row ranges of the
+    cluster's `ClusterBlock`.
+    """
+
+    samples: SampleSet
+    n_sensitive: int
     offloaded: SampleSet
     retained: SampleSet
 
     @property
     def size(self) -> int:
-        return len(self.sensitive) + len(self.nonsensitive)
+        return len(self.samples)
+
+    @property
+    def sensitive(self) -> SampleSet:
+        return self.samples.rows(0, self.n_sensitive)
+
+    @property
+    def nonsensitive(self) -> SampleSet:
+        return self.samples.rows(self.n_sensitive, len(self.samples))
 
     @staticmethod
-    def fresh(sensitive: SampleSet, nonsensitive: SampleSet) -> "DatasetHandle":
-        if len(sensitive) == 0 and len(nonsensitive) == 0:
+    def fresh(samples: SampleSet, n_sensitive: int) -> "DatasetHandle":
+        """The pre-offload handle of samples, whose first n_sensitive rows
+        are sensitive."""
+        if len(samples) == 0:
             raise ValueError("client dataset is empty")
-        dim = sensitive.feature_dim if len(sensitive) else nonsensitive.feature_dim
-        if len(sensitive) and len(nonsensitive):
-            retained = concat_samples([sensitive, nonsensitive])
-        else:
-            retained = sensitive if len(sensitive) else nonsensitive
-        return DatasetHandle(
-            sensitive=sensitive,
-            nonsensitive=nonsensitive,
-            offloaded=SampleSet.empty(dim),
-            retained=retained,
-        )
+        return DatasetHandle(samples, n_sensitive, SampleSet.empty(samples.feature_dim), samples)
 
 
 @dataclass(frozen=True)
 class ClusterBlock:
     """A cluster's training rows in one sample set, as `apply_offload` lays
-    them out: the satellite pool first (each member's offloaded rows, in
-    member order), then each member's retained rows (its sensitive rows,
-    then the nonsensitive rows it keeps). The pool and every member's
-    offloaded and retained sets are row ranges of it."""
+    them out: each member's retained rows in member order (its sensitive
+    rows, then the nonsensitive rows it keeps), then the satellite pool
+    (each member's offloaded rows, in member order). The pool and every
+    member's offloaded and retained sets are row ranges of it, and the whole
+    block is the cluster's data as the convergence analysis reads it. Its
+    arrays share one anonymous mapping, outside the heap."""
 
     samples: SampleSet
     pool: tuple  # (start, stop) of the satellite pool
@@ -783,7 +797,10 @@ def partition_dataset(samples: SampleSet, n_clients: int, mode: str = "iid",
 def attach_datasets(scenario: Scenario, per_client: dict,
                     sensitive_fraction: float = 0.2, seed=None) -> Scenario:
     """Attach materialized sample sets, marking a seeded sensitive fraction.
-    A client's `max_offload_fraction` is capped at its nonsensitive share."""
+
+    Each client's rows are taken once into its `DatasetHandle.samples`,
+    sensitive rows first. A client's `max_offload_fraction` is capped at its
+    nonsensitive share."""
     if not 0.0 <= sensitive_fraction <= 1.0:
         raise ValueError("sensitive_fraction outside [0, 1]")
     base_seed = scenario.seed if seed is None else seed
@@ -794,9 +811,9 @@ def attach_datasets(scenario: Scenario, per_client: dict,
         n_sens = round(sensitive_fraction * n)
         rng = np.random.default_rng([base_seed, 7, p.id])
         picks = np.sort(rng.choice(n, size=n_sens, replace=False)) if n_sens else np.array([], dtype=np.int64)
-        mask = np.zeros(n, dtype=bool)
-        mask[picks] = True
-        handle = DatasetHandle.fresh(ss.take(np.where(mask)[0]), ss.take(np.where(~mask)[0]))
+        rest = np.ones(n, dtype=bool)
+        rest[picks] = False
+        handle = DatasetHandle.fresh(ss.take(np.concatenate([picks, np.flatnonzero(rest)])), n_sens)
         # only nonsensitive samples leave the client, so round(alpha * n)
         # stays within the pool when alpha does within its share
         alpha_max = min(p.max_offload_fraction, (n - n_sens) / n)
@@ -822,12 +839,13 @@ def apply_offload(scenario: Scenario, alpha) -> Scenario:
     nonsensitive pool under a seed fixed by (scenario seed, client id), so
     reapplication is idempotent.
 
-    Each cluster's rows are copied once, in place, into its `ClusterBlock`:
-    the satellite pool, then each member's retained rows. The members'
-    offloaded and retained sets and the pool are views of it, so training
-    reads every cluster's batches from one array.
+    Each cluster's rows are copied once, in place, from its members'
+    `DatasetHandle.samples` into its `ClusterBlock`: each member's retained
+    rows, then the satellite pool. The members' offloaded and retained sets
+    and the pool are views of it, so training reads every cluster's batches
+    from one array.
     """
-    picks = {}
+    offloaded = {}  # client id -> its offloaded rows, as indices into its samples
     for p in scenario.clients:
         a = float(alpha[p.id])
         if a < -1e-12 or a > p.max_offload_fraction + 1e-12:
@@ -837,42 +855,39 @@ def apply_offload(scenario: Scenario, alpha) -> Scenario:
         if p.dataset is None:
             raise ValueError(f"client {p.id}: no materialized dataset to offload from")
         n_off = round(a * p.dataset.size)
-        nonsens = p.dataset.nonsensitive
-        if n_off > len(nonsens):
+        n_nonsens = p.dataset.size - p.dataset.n_sensitive
+        if n_off > n_nonsens:
             raise ValueError(
-                f"client {p.id}: offload of {n_off} exceeds nonsensitive pool {len(nonsens)}"
+                f"client {p.id}: offload of {n_off} exceeds nonsensitive pool {n_nonsens}"
             )
         rng = np.random.default_rng([scenario.seed, 11, p.id])
-        picks[p.id] = np.sort(rng.choice(len(nonsens), size=n_off, replace=False)) if n_off else np.array([], dtype=np.int64)
+        picks = np.sort(rng.choice(n_nonsens, size=n_off, replace=False)) if n_off else np.array([], dtype=np.int64)
+        offloaded[p.id] = p.dataset.n_sensitive + picks
 
     blocks, handles = {}, {}
     for c in scenario.clusters:
         members = scenario.cluster_clients(c.id)
         total = sum(p.dataset.size for p in members)
-        dim = members[0].dataset.nonsensitive.feature_dim
-        block = SampleSet(np.empty((total, dim)), np.empty(total, dtype=np.int64),
-                          np.empty(total, dtype=np.int64))
-        offloaded, retained, o = {}, {}, 0
+        dim = members[0].dataset.samples.feature_dim
+        # features, labels and ids in one anonymous mapping of the block's
+        # own: a block in the heap fills the hole the partition leaves, so
+        # each training round grows the heap and glibc trims it again
+        buf = np.frombuffer(mmap.mmap(-1, total * (dim + 2) * 8), dtype=np.float64)
+        block = SampleSet(buf[:total * dim].reshape(total, dim),
+                          buf[total * dim:total * (dim + 1)].view(np.int64),
+                          buf[total * (dim + 1):].view(np.int64))
+        retained, o = {}, 0
         for p in members:
-            start, o = o, _fill(block, o, p.dataset.nonsensitive, picks[p.id])
-            offloaded[p.id] = (start, o)
-        pool = (0, o)
-        for p in members:
-            sens, nonsens = p.dataset.sensitive, p.dataset.nonsensitive
-            kept = np.ones(len(nonsens), dtype=bool)
-            kept[picks[p.id]] = False
-            start = o
-            o = _fill(block, o, sens, np.arange(len(sens)))
-            o = _fill(block, o, nonsens, np.flatnonzero(kept))
+            kept = np.ones(p.dataset.size, dtype=bool)
+            kept[offloaded[p.id]] = False
+            start, o = o, _fill(block, o, p.dataset.samples, np.flatnonzero(kept))
             retained[p.id] = (start, o)
-        blocks[c.id] = ClusterBlock(block, pool, retained)
+        pool_start = o
         for p in members:
-            handles[p.id] = DatasetHandle(
-                sensitive=p.dataset.sensitive,
-                nonsensitive=p.dataset.nonsensitive,
-                offloaded=block.rows(*offloaded[p.id]),
-                retained=block.rows(*retained[p.id]),
-            )
+            start, o = o, _fill(block, o, p.dataset.samples, offloaded[p.id])
+            handles[p.id] = replace(p.dataset, offloaded=block.rows(start, o),
+                                    retained=block.rows(*retained[p.id]))
+        blocks[c.id] = ClusterBlock(block, (pool_start, o), retained)
     return scenario.with_clients([replace(p, dataset=handles[p.id]) for p in scenario.clients],
                                  blocks=blocks)
 
@@ -889,12 +904,20 @@ def satellite_pool(scenario: Scenario, cluster_id: int) -> SampleSet:
     raise ValueError(f"cluster {cluster_id}: no materialized datasets")
 
 
+def tests_on_corpus(data: dict) -> bool:
+    """Whether `prepare_data` measures accuracy on the training corpus: a
+    file source whose data section names no test files."""
+    return data["source"] != "synthetic" and data[
+        "test_images" if data["source"] == "idx" else "test_path"] is None
+
+
 def prepare_data(scenario: Scenario) -> tuple:
     """Materialize train/test data from the scenario's data section.
 
     Returns (scenario_with_datasets, test_set). Synthetic sources generate a
-    fresh corpus; idx/csv sources read files. The corpus is partitioned over
-    all clients in scenario order.
+    fresh corpus; idx/csv sources read files, and without test files the
+    training corpus is the test set (`tests_on_corpus`). The corpus is
+    partitioned over all clients in scenario order.
     """
     cfg = scenario.data
     if cfg is None:
@@ -908,11 +931,11 @@ def prepare_data(scenario: Scenario) -> tuple:
         test = synthetic_dataset(cfg["test_samples"], *shape, seed=seed + 1, mean_seed=seed)
     elif cfg["source"] == "idx":
         corpus = load_idx(cfg["images"], cfg["labels"])
-        test = corpus if cfg["test_images"] is None else load_idx(cfg["test_images"],
-                                                                   cfg["test_labels"])
+        test = corpus if tests_on_corpus(cfg) else load_idx(cfg["test_images"],
+                                                             cfg["test_labels"])
     else:
         corpus = load_csv_dataset(cfg["path"])
-        test = corpus if cfg["test_path"] is None else load_csv_dataset(cfg["test_path"])
+        test = corpus if tests_on_corpus(cfg) else load_csv_dataset(cfg["test_path"])
 
     parts = partition_dataset(corpus, len(scenario.clients), mode=cfg["partition"],
                               shards_per_client=cfg["shards_per_client"], seed=seed)

@@ -189,6 +189,15 @@ def _cluster_path(run, text, path_start, lines):
     return log, y_abs, finish
 
 
+def cluster_blocks(scenario) -> dict:
+    """The cluster blocks `apply_offload` laid out, by cluster id; a
+    SimError when it has not run."""
+    if scenario.blocks is None:
+        raise SimError("training reads the cluster blocks that apply_offload lays out; "
+                       "run the offload step first")
+    return scenario.blocks
+
+
 def protocol_round(scenario, model, config: TrainConfig, round_index: int, alpha,
                    client_batch=None, sat_batch=None) -> ModelParams:
     """One protocol round of training from the global `model`: every cluster
@@ -201,13 +210,11 @@ def protocol_round(scenario, model, config: TrainConfig, round_index: int, alpha
     is positive. client_batch and sat_batch map client and cluster ids to
     batch sizes; None means the config's.
     """
-    if scenario.blocks is None:
-        raise SimError("training reads the cluster blocks that apply_offload lays out; "
-                       "run the offload step first")
+    by_cluster = cluster_blocks(scenario)
     blocks, spans, batches, streams, plan = [], [], [], [], []
     for cluster in scenario.clusters:
         members = scenario.cluster_clients(cluster.id)
-        block = scenario.blocks[cluster.id]
+        block = by_cluster[cluster.id]
         b = len(blocks)
         blocks.append(block.samples)
         start, stop = block.pool

@@ -18,6 +18,7 @@ from orbitfed.analysis import (
     sample_variance,
     verify_bound_empirically,
 )
+from orbitfed import analysis
 from orbitfed.fl import ModelLayout, loss_and_grad
 from orbitfed.scenario import (
     SampleSet,
@@ -27,6 +28,8 @@ from orbitfed.scenario import (
     synthetic_dataset,
     validate_scenario,
 )
+
+from orbitfed.sim import SimError
 
 from conftest import client_dict, cluster_dict, scenario_dict
 
@@ -314,3 +317,21 @@ class TestVerifyBound:
         big = verify_bound_empirically(sc, layout, rounds=2, seeds=[0], eta0=50.0)
         assert small["lr_premise_ok"]
         assert not big["lr_premise_ok"]
+
+    def test_scenario_without_blocks_is_refused_before_the_estimate(self, monkeypatch):
+        # prepared but never offloaded: no cluster blocks to train or measure on
+        clients = [client_dict(k, 2e8, 0) for k in range(2)]
+        spec = scenario_dict(
+            [cluster_dict(0, clients)], param_count=27, sample_bits=6 * 32 + 32,
+            data={"source": "synthetic", "samples_per_client": 20, "classes": 3, "dim": 6,
+                  "noise": 0.4, "test_samples": 10, "partition": "iid",
+                  "sensitive_fraction": 0.2, "model": {"kind": "logistic"}})
+        sc, _ = prepare_data(validate_scenario(spec))
+        assert sc.blocks is None
+
+        def estimate(*args, **kwargs):
+            raise AssertionError("the smoothness estimate ran")
+
+        monkeypatch.setattr(analysis, "estimate_smoothness_and_rho", estimate)
+        with pytest.raises(SimError, match="run the offload step first"):
+            verify_bound_empirically(sc, ModelLayout("logistic", (6, 3)), rounds=1, seeds=[0])

@@ -26,6 +26,7 @@ from orbitfed.scenario import (
     load_coverage_schedule,
     load_csv_dataset,
     load_idx,
+    load_scenario,
     partition_dataset,
     prepare_data,
     satellite_pool,
@@ -363,13 +364,66 @@ def attached_scenario(sizes=(1000, 1000), sensitive_fraction=0.2, seed=0):
     return attach_datasets(sc, per, sensitive_fraction=sensitive_fraction, seed=seed)
 
 
+# no sensitive rows, the default share, and every row sensitive (every pool empty)
+FRACTIONS = (0.0, 0.2, 1.0)
+
+
+def capped(sc, alpha):
+    """alpha, each client's fraction cut to its offload cap."""
+    return {p.id: min(alpha[p.id], p.max_offload_fraction) for p in sc.clients}
+
+
+def assert_row_range(part, whole, lo, hi):
+    """part's arrays are views of rows [lo, hi) of whole's, and of no other."""
+    assert len(part) == hi - lo
+    for name in ("features", "labels", "ids"):
+        mine, rows = getattr(part, name), getattr(whole, name)
+        assert lo == hi or np.shares_memory(mine, rows[lo:hi])
+        assert not np.shares_memory(mine, rows[:lo])
+        assert not np.shares_memory(mine, rows[hi:])
+
+
+def check_block_layout(out):
+    """Each cluster's block holds its members' retained rows, then its pool,
+    and every set is a row range of it in corpus order."""
+    for c in out.clusters:
+        block = out.blocks[c.id].samples
+        members = out.cluster_clients(c.id)
+        pool = satellite_pool(out, c.id)
+        # each member's retained rows, in member order, then the pool
+        parts = [p.dataset.retained for p in members] + [pool]
+        assert sum(map(len, parts)) == len(block)
+        o = 0
+        for part in parts:
+            assert_row_range(part, block, o, o + len(part))
+            o += len(part)
+        # the pool is the members' offloaded rows in member order, each
+        # member's a slice of it
+        assert np.array_equal(pool.ids, np.concatenate(
+            [p.dataset.offloaded.ids for p in members]))
+        for p in members:
+            d = p.dataset
+            assert len(d.offloaded) == 0 or np.shares_memory(d.offloaded.features,
+                                                             pool.features)
+            # rows keep their corpus order: the offloaded rows as they sit
+            # among the nonsensitive ones, the retained sensitive then kept
+            off = np.isin(d.nonsensitive.ids, d.offloaded.ids)
+            assert np.array_equal(d.offloaded.ids, d.nonsensitive.ids[off])
+            src = concat_samples([d.sensitive, d.nonsensitive])
+            want = np.concatenate([np.arange(len(d.sensitive)),
+                                   len(d.sensitive) + np.flatnonzero(~off)])
+            for name in ("features", "labels", "ids"):
+                assert np.array_equal(getattr(d.retained, name), getattr(src, name)[want])
+
+
 class TestApplyOffload:
     def test_zero_alpha_identity(self):
-        sc = attached_scenario()
-        out = apply_offload(sc, {0: 0.0, 1: 0.0})
-        for p in out.clients:
-            assert len(p.dataset.offloaded) == 0
-            assert len(p.dataset.retained) == p.size
+        for fraction in FRACTIONS:
+            sc = attached_scenario(sensitive_fraction=fraction)
+            out = apply_offload(sc, {0: 0.0, 1: 0.0})
+            for p in out.clients:
+                assert len(p.dataset.offloaded) == 0
+                assert len(p.dataset.retained) == p.size
 
     def test_alpha_max_count(self):
         sc = attached_scenario(sizes=(1200, 1200))
@@ -388,21 +442,24 @@ class TestApplyOffload:
         assert not sensitive_ids & set(d.offloaded.ids.tolist())
 
     def test_union_preserves_corpus(self):
-        sc = attached_scenario(sizes=(700, 900))
-        out = apply_offload(sc, {0: 0.3, 1: 0.6})
-        for before, after in zip(sc.clients, out.clients):
-            got = np.sort(np.concatenate([after.dataset.offloaded.ids,
-                                          after.dataset.retained.ids]))
-            want = np.sort(np.concatenate([before.dataset.sensitive.ids,
-                                           before.dataset.nonsensitive.ids]))
-            assert np.array_equal(got, want)
+        for fraction in FRACTIONS:
+            sc = attached_scenario(sizes=(700, 900), sensitive_fraction=fraction)
+            out = apply_offload(sc, capped(sc, {0: 0.3, 1: 0.6}))
+            for before, after in zip(sc.clients, out.clients):
+                got = np.sort(np.concatenate([after.dataset.offloaded.ids,
+                                              after.dataset.retained.ids]))
+                want = np.sort(np.concatenate([before.dataset.sensitive.ids,
+                                               before.dataset.nonsensitive.ids]))
+                assert np.array_equal(got, want)
 
     def test_idempotent_for_fixed_seed(self):
-        sc = attached_scenario()
-        a = apply_offload(sc, {0: 0.4, 1: 0.7})
-        b = apply_offload(sc, {0: 0.4, 1: 0.7})
-        for pa, pb in zip(a.clients, b.clients):
-            assert np.array_equal(pa.dataset.offloaded.ids, pb.dataset.offloaded.ids)
+        for fraction in FRACTIONS:
+            sc = attached_scenario(sensitive_fraction=fraction)
+            a = apply_offload(sc, capped(sc, {0: 0.4, 1: 0.7}))
+            b = apply_offload(sc, capped(sc, {0: 0.4, 1: 0.7}))
+            for pa, pb in zip(a.clients, b.clients):
+                assert np.array_equal(pa.dataset.offloaded.ids, pb.dataset.offloaded.ids)
+                assert np.array_equal(pa.dataset.retained.ids, pb.dataset.retained.ids)
 
     def test_exceeding_cap_rejected(self):
         sc = attached_scenario()
@@ -410,10 +467,30 @@ class TestApplyOffload:
             apply_offload(sc, {0: 0.9, 1: 0.0})
 
     def test_satellite_pool_is_union(self):
-        sc = attached_scenario(sizes=(500, 800))
-        out = apply_offload(sc, {0: 0.5, 1: 0.25})
-        pool = satellite_pool(out, 0)
-        assert len(pool) == 250 + 200
+        for fraction, size in zip(FRACTIONS, (250 + 200, 250 + 200, 0)):
+            sc = attached_scenario(sizes=(500, 800), sensitive_fraction=fraction)
+            out = apply_offload(sc, capped(sc, {0: 0.5, 1: 0.25}))
+            assert len(satellite_pool(out, 0)) == size
+
+    @pytest.mark.parametrize("fraction", FRACTIONS)
+    def test_sets_are_views_of_the_client_rows_then_the_block(self, fraction):
+        sc = attached_scenario(sizes=(300, 200), sensitive_fraction=fraction)
+        out = apply_offload(sc, capped(sc, {0: 0.5, 1: 0.3}))
+        for before, after in zip(sc.clients, out.clients):
+            d, n_sens = before.dataset, round(fraction * before.size)
+            # before offload: every set is a row range of the client's one
+            # array, sensitive rows first, each group in corpus order
+            assert d.n_sensitive == n_sens and len(d.offloaded) == 0
+            assert_row_range(d.sensitive, d.samples, 0, n_sens)
+            assert_row_range(d.nonsensitive, d.samples, n_sens, before.size)
+            assert_row_range(d.retained, d.samples, 0, before.size)
+            assert np.all(np.diff(d.sensitive.ids) > 0) and np.all(np.diff(d.nonsensitive.ids) > 0)
+            # after: the privacy classes stay on that array, and the offload
+            # sets are rows of the block, a copy of its own
+            assert after.dataset.samples is d.samples
+            assert not np.shares_memory(d.samples.features, out.blocks[0].samples.features)
+        check_block_layout(out)
+        assert (len(satellite_pool(out, 0)) > 0) == (fraction < 1.0)
 
     def test_sets_are_row_ranges_of_their_cluster_block(self):
         clients = [client_dict(k, 2e8, 0) for k in range(4)]
@@ -421,41 +498,10 @@ class TestApplyOffload:
                                               cluster_dict(1, clients[3:])]))
         per = {k: synthetic_dataset(n, n_classes=5, feature_dim=6, seed=k)
                for k, n in enumerate((300, 200, 150, 90))}
-        out = apply_offload(attach_datasets(sc, per, sensitive_fraction=0.2),
-                            {0: 0.5, 1: 0.0, 2: 0.3, 3: 0.0})
-        for c in out.clusters:
-            block = out.blocks[c.id].samples
-            members = out.cluster_clients(c.id)
-            pool = satellite_pool(out, c.id)
-            # the pool first, then each member's retained rows, in member order
-            parts = [pool] + [p.dataset.retained for p in members]
-            assert sum(map(len, parts)) == len(block)
-            o = 0
-            for part in parts:
-                stop = o + len(part)
-                for name in ("features", "labels", "ids"):
-                    mine, rows = getattr(part, name), getattr(block, name)
-                    assert len(part) == 0 or np.shares_memory(mine, rows[o:stop])
-                    assert not np.shares_memory(mine, rows[:o])
-                    assert not np.shares_memory(mine, rows[stop:])
-                o = stop
-            # the pool is the members' offloaded rows in member order, each
-            # member's a slice of it
-            assert np.array_equal(pool.ids, np.concatenate(
-                [p.dataset.offloaded.ids for p in members]))
-            for p in members:
-                d = p.dataset
-                assert len(d.offloaded) == 0 or np.shares_memory(d.offloaded.features,
-                                                                 pool.features)
-                # rows keep their corpus order: the offloaded rows as they sit
-                # among the nonsensitive ones, the retained sensitive then kept
-                off = np.isin(d.nonsensitive.ids, d.offloaded.ids)
-                assert np.array_equal(d.offloaded.ids, d.nonsensitive.ids[off])
-                src = concat_samples([d.sensitive, d.nonsensitive])
-                want = np.concatenate([np.arange(len(d.sensitive)),
-                                       len(d.sensitive) + np.flatnonzero(~off)])
-                for name in ("features", "labels", "ids"):
-                    assert np.array_equal(getattr(d.retained, name), getattr(src, name)[want])
+        for fraction in FRACTIONS:
+            attached = attach_datasets(sc, per, sensitive_fraction=fraction)
+            out = apply_offload(attached, capped(attached, {0: 0.5, 1: 0.0, 2: 0.3, 3: 0.0}))
+            check_block_layout(out)
 
 
 class TestCoverage:
@@ -594,6 +640,34 @@ class TestPrepareData:
         for i in range(len(test)):
             d = np.linalg.norm(train.features - test.features[i], axis=1)
             assert train.labels[np.argmin(d)] == test.labels[i]
+
+    def test_rows_are_held_in_two_copies(self):
+        # each client's rows once and each cluster's block once: the
+        # offload step copies the rows, and nothing else holds them again,
+        # with the prepared scenario kept alive as a sweep keeps it
+        sc = load_scenario(REFERENCE_SCENARIO)
+
+        def offloaded():
+            prepared, test = prepare_data(sc)
+            return prepared, apply_offload(prepared, {p.id: p.max_offload_fraction / 2
+                                                      for p in prepared.clients}), test
+
+        offloaded()  # once untraced, so that lazy imports are not counted
+        tracemalloc.start()
+        try:
+            prepared, out, test = offloaded()
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+
+        def nbytes(s):
+            return s.features.nbytes + s.labels.nbytes + s.ids.nbytes
+
+        # each block sits in an anonymous mapping of its own, which
+        # tracemalloc does not see, so the blocks' bytes are added to it
+        rows = sum(nbytes(b.samples) for b in out.blocks.values())
+        assert held + rows - nbytes(test) <= 2.5 * rows
+        assert rows == sum(nbytes(p.dataset.samples) for p in out.clients)
 
     def test_csv_roundtrip(self, tmp_path):
         f = tmp_path / "data.csv"
@@ -752,6 +826,26 @@ class TestDataFiles:
             metrics.append((run / "optimized" / "seed0" / "metrics.csv").read_bytes())
         assert metrics[0] == metrics[1]
         assert len(metrics[0].splitlines()) == 4
+
+    def test_summary_says_when_accuracy_is_on_the_training_corpus(self, tmp_path):
+        images, labels = digit_samples()
+        test_images, test_labels = digit_samples(n=60, seed=1)
+        csv_path = write_csv(tmp_path / "digits.csv", images, labels)
+        test_path = write_csv(tmp_path / "test.csv", test_images, test_labels)
+        synthetic = {"source": "synthetic", "samples_per_client": 40, "classes": 3, "dim": 16}
+        for name, data, note in (
+                ("train-only", {"source": "csv", "path": str(csv_path)}, "training corpus"),
+                ("with-test", {"source": "csv", "path": str(csv_path),
+                               "test_path": str(test_path)}, None),
+                ("synthetic", synthetic, None)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(data_spec(data)))
+            run = tmp_path / f"run-{name}"
+            assert main(["--mode", "simulate", "--rounds", "2", "--scenario", str(path),
+                         "--out", str(run)]) == 0
+            summary = json.loads((run / "summary.json").read_text())
+            assert summary.get("accuracy_on") == note
+            assert set(summary) - {"accuracy_on"} == {"target_accuracy", "rows", "per_series"}
 
     def test_relative_paths_resolve_against_the_scenario_file(self, tmp_path, monkeypatch):
         # every file field is relative to the scenario's directory, and the

@@ -28,10 +28,13 @@ the manifests agree. The commands are:
   `simulate --rounds 3 --prox-mu 0.1` (FedProx training),
   `simulate --rounds 3 --single-step`, `sweep --rounds 2 --seeds 0` and
   `analyze --rounds 3`;
-- `simulate --rounds 3` on a copy of the reference with 40 samples per
-  client and a satellite batch of 20 (`SMALL_BATCHES`), so that training
-  stacks ragged last batches, sets smaller than their batch and two batch
-  sizes.
+- on copies of the reference (`VARIANTS`): `simulate --rounds 3` with 40
+  samples per client and a satellite batch of 20, so that training stacks
+  ragged last batches, sets smaller than their batch and two batch sizes;
+  and `simulate --rounds 2` and `analyze --rounds 2` with an iid partition
+  and no sensitive rows, and with every row sensitive (every satellite pool
+  empty), so that the clients' row layouts and the cluster blocks are
+  checked at both ends of the sensitive share.
 
 Both trees read the inputs this tree writes. The script lists every output
 file, manifests included, whose bytes differ or that only one tree wrote,
@@ -61,9 +64,16 @@ REFERENCE = ("inputs/reference.json", [
     ("sweep", ["--rounds", "2", "--seeds", "0"]),
     ("analyze", ["--rounds", "3"]),
 ])
-# the reference with small client sets and a satellite batch of its own
-SMALL_BATCHES = ("inputs/reference-small-batches.json", {"samples_per_client": 40},
-                 {"sat_batch_size": 20}, ["--rounds", "3"])
+# copies of the reference: name, updates to its data and train sections, and
+# the commands run on it
+SIMULATE_AND_ANALYZE = [("simulate", ["--rounds", "2"]), ("analyze", ["--rounds", "2"])]
+VARIANTS = [
+    ("small-batches", {"samples_per_client": 40}, {"sat_batch_size": 20},
+     [("simulate", ["--rounds", "3"])]),
+    ("iid-no-sensitive", {"partition": "iid", "sensitive_fraction": 0.0}, {},
+     SIMULATE_AND_ANALYZE),
+    ("all-sensitive", {"sensitive_fraction": 1.0}, {}, SIMULATE_AND_ANALYZE),
+]
 
 # run in each tree: argv[1] is its src directory, argv[2] the command list;
 # prints each command's exit status and stderr as JSON
@@ -153,13 +163,15 @@ def write_inputs(inputs: Path) -> list:
     for k, (mode, extra) in enumerate(runs):
         commands.append(["--mode", mode, "--scenario", path, *extra,
                          "--out", f"out/reference-{k}-{mode}"])
-    name, data, train, extra = SMALL_BATCHES
-    raw = json.loads((ROOT / "scenarios" / "reference.json").read_text())
-    raw["data"].update(data)
-    raw["train"].update(train)
-    (inputs.parent / name).write_text(json.dumps(raw, indent=1))
-    commands.append(["--mode", "simulate", "--scenario", name, *extra,
-                     "--out", "out/reference-small-batches"])
+    for key, data, train, runs in VARIANTS:
+        raw = json.loads((ROOT / "scenarios" / "reference.json").read_text())
+        raw["data"].update(data)
+        raw["train"].update(train)
+        name = f"inputs/reference-{key}.json"
+        (inputs.parent / name).write_text(json.dumps(raw, indent=1))
+        for mode, extra in runs:
+            commands.append(["--mode", mode, "--scenario", name, *extra,
+                             "--out", f"out/reference-{key}-{mode}"])
     return commands
 
 
