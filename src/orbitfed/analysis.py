@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fl import TrainConfig, Workspace, gradient, init_model, loss_and_grad
-from .scenario import concat_samples, satellite_pool
+from .scenario import concat_samples
 from .sim import cluster_blocks, protocol_round
 
 WEIGHT_SCALE = 0.5  # std of the random weights the smoothness estimate draws
@@ -54,8 +54,8 @@ class BoundInputs:
     client k out of its client_pool[k] retained samples, and sat_batch[j] out
     of the sat_pool[j] samples gathered at cluster j's satellite.
     dataset_sizes holds the full per-client dataset sizes that weight the
-    global objective. Variances may be supplied directly (v_client, v_sat)
-    or computed from an attached scenario.
+    global objective, and v_client[k] and v_sat[j] the sample variances of
+    client k's retained data and of cluster j's satellite pool.
     """
 
     learning_rates: tuple
@@ -67,10 +67,10 @@ class BoundInputs:
     sat_pool: dict
     dataset_sizes: dict
     groups: dict  # cluster id -> tuple of client ids
+    v_client: dict
+    v_sat: dict
     f0: float = math.nan
     f_star: float = math.nan
-    v_client: dict = None
-    v_sat: dict = None
 
     @property
     def rounds(self) -> int:
@@ -99,20 +99,9 @@ def _batch_term(lam: float, pool: int, rho: float, variance: float) -> float:
     return (1.0 - lam / pool) * ((pool - 1) * rho / lam) * variance
 
 
-def _variances(scenario) -> tuple:
-    """Sample variance of each client's retained data and of each cluster's
-    satellite pool, by id (0 below two samples)."""
-    def var(samples):
-        return sample_variance(samples) if len(samples) >= 2 else 0.0
-    return ({p.id: var(p.dataset.retained) for p in scenario.clients},
-            {c.id: var(satellite_pool(scenario, c.id)) for c in scenario.clusters})
-
-
 def omega(inputs: BoundInputs) -> float:
     """Batching penalty: 2/(sum |D_k|) times the round sum of per-client and
     per-satellite variance terms. Zero iff every batch is full."""
-    v_c = inputs.v_client or {}
-    v_s = inputs.v_sat or {}
     d_tot = float(sum(inputs.dataset_sizes.values()))
     if d_tot <= 0:
         raise ValueError("no dataset mass")
@@ -121,11 +110,11 @@ def omega(inputs: BoundInputs) -> float:
     for cid, members in inputs.groups.items():
         for k in members:
             per_round += _batch_term(
-                inputs.client_batch[k], inputs.client_pool[k], rho, v_c.get(k, 0.0))
+                inputs.client_batch[k], inputs.client_pool[k], rho, inputs.v_client[k])
         pool = inputs.sat_pool.get(cid, 0)
         if pool > 0:
             per_round += _batch_term(
-                inputs.sat_batch[cid], pool, rho, v_s.get(cid, 0.0))
+                inputs.sat_batch[cid], pool, rho, inputs.v_sat[cid])
     return (2.0 / d_tot) * inputs.rounds * per_round
 
 
@@ -144,32 +133,44 @@ def convergence_bound(inputs: BoundInputs, omega_value: float) -> float:
 def build_bound_inputs(scenario, learning_rates, smoothness, rho,
                        f0=math.nan, f_star=math.nan,
                        lambda_client=None, lambda_sat=None) -> BoundInputs:
-    """Assemble BoundInputs from an offloaded scenario. Batch sizes default
-    to the full pools (the protocol processes everything each round); an int
-    lambda_client/lambda_sat models mini-batching, clamped to each pool."""
+    """Assemble BoundInputs from an offloaded scenario: each client's
+    retained rows and each cluster's satellite pool are read from the
+    `ClusterBlock`s, with their sample variances (0 below two samples); a
+    scenario without blocks is refused with `sim`'s SimError. Batch sizes
+    default to the full pools (the protocol processes everything each
+    round); an int lambda_client/lambda_sat models mini-batching, clamped
+    to each pool."""
 
     def resolve(lam, full):
         if lam is None:
             return full
         return max(1, min(int(lam), full)) if full > 0 else full
 
-    client_batch, client_pool, dataset_sizes = {}, {}, {}
+    def var(samples):
+        return sample_variance(samples) if len(samples) >= 2 else 0.0
+
+    blocks = cluster_blocks(scenario)
+    client_batch, client_pool, dataset_sizes, v_client = {}, {}, {}, {}
     for p in scenario.clients:
-        retained = len(p.dataset.retained) if p.dataset is not None else p.size
-        client_pool[p.id] = retained
-        client_batch[p.id] = resolve(lambda_client, retained)
+        block = blocks[p.cluster_id]
+        retained = block.samples.rows(*block.retained[p.id])
+        client_pool[p.id] = len(retained)
+        client_batch[p.id] = resolve(lambda_client, len(retained))
         dataset_sizes[p.id] = p.size
-    sat_batch, sat_pool, groups = {}, {}, {}
+        v_client[p.id] = var(retained)
+    sat_batch, sat_pool, v_sat, groups = {}, {}, {}, {}
     for c in scenario.clusters:
-        pool = len(satellite_pool(scenario, c.id))
-        sat_pool[c.id] = pool
-        sat_batch[c.id] = resolve(lambda_sat, pool)
+        block = blocks[c.id]
+        pool = block.samples.rows(*block.pool)
+        sat_pool[c.id] = len(pool)
+        sat_batch[c.id] = resolve(lambda_sat, len(pool))
+        v_sat[c.id] = var(pool)
         groups[c.id] = tuple(p.id for p in scenario.cluster_clients(c.id))
     return BoundInputs(
         learning_rates=tuple(learning_rates), smoothness=smoothness,
         data_variability=rho, client_batch=client_batch, client_pool=client_pool,
         sat_batch=sat_batch, sat_pool=sat_pool, dataset_sizes=dataset_sizes,
-        groups=groups, f0=f0, f_star=f_star,
+        groups=groups, v_client=v_client, v_sat=v_sat, f0=f0, f_star=f_star,
     )
 
 
@@ -281,14 +282,15 @@ def verify_bound_empirically(scenario, layout, rounds: int, seeds=tuple(range(10
     by_cluster = cluster_blocks(scenario)
     blocks = [by_cluster[c.id].samples for c in scenario.clusters]
     cluster_data = [(b.features, b.labels) for b in blocks]
-    eff_alpha = {p.id: len(p.dataset.offloaded) / p.size for p in scenario.clients}
     merged_all = concat_samples(blocks)
     l_hat, rho_hat = estimate_smoothness_and_rho(layout, merged_all, trials=BOUND_TRIALS)
     config = TrainConfig(eta0=eta0, lr_schedule=lr_schedule, single_step=True)
     lrs = [config.learning_rate(r) for r in range(rounds)]
-    v_client, v_sat = _variances(scenario)
-    inputs = replace(build_bound_inputs(scenario, lrs, l_hat, rho_hat, lambda_client=lambda_client,
-                                        lambda_sat=lambda_sat), v_client=v_client, v_sat=v_sat)
+    inputs = build_bound_inputs(scenario, lrs, l_hat, rho_hat, lambda_client=lambda_client,
+                                lambda_sat=lambda_sat)
+    # the integer count offloaded over the size: 1 - retained/size differs
+    # in the last bit (1 - 2/3 != 1/3)
+    eff_alpha = {k: (n - inputs.client_pool[k]) / n for k, n in inputs.dataset_sizes.items()}
     om = omega(inputs)
 
     per_seed = []
@@ -328,6 +330,6 @@ def verify_bound_empirically(scenario, layout, rounds: int, seeds=tuple(range(10
         "lhs_mean": float(np.mean([r["lhs"] for r in per_seed])),
         "bound_mean": float(np.mean([r["bound"] for r in per_seed])),
         "certified": False,  # L and rho are empirical lower bounds
-        "v_client": {str(k): v for k, v in v_client.items()},
-        "v_sat": {str(k): v for k, v in v_sat.items()},
+        "v_client": {str(k): v for k, v in inputs.v_client.items()},
+        "v_sat": {str(k): v for k, v in inputs.v_sat.items()},
     }

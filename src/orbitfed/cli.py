@@ -231,14 +231,14 @@ def _solve_series(scenario, plan, series):
 
 def _run_series(scenario, plan, series, out: Path):
     """Solve every series on the first seed's data, then simulate every
-    series on every seed. Each seed's data is prepared once and shared by
-    its legs."""
-    base = _prepare(scenario, plan.seeds[0])
+    series on every seed. Each seed's data is prepared once, shared by its
+    legs, and dropped before the next seed's is prepared."""
+    prepared = _prepare(scenario, plan.seeds[0])
     decisions = []
     # the solved list lives only as long as this loop: holding every report
     # through the legs' training raised a sweep's peak RSS by up to 1.7 MB
     for (name, baseline, alpha_fixed), (decision, report, meta) in zip(
-            series, _solve_series(base[0], plan, series)):
+            series, _solve_series(prepared[0], plan, series)):
         (out / name).mkdir(parents=True, exist_ok=True)
         _write_json(out / name / "decision.json", {
             "baseline": baseline,
@@ -250,10 +250,11 @@ def _run_series(scenario, plan, series, out: Path):
         decisions.append((name, decision))
     rows = []
     for seed in plan.seeds:
-        prepared = base if seed == plan.seeds[0] else _prepare(scenario, seed)
+        prepared = prepared or _prepare(scenario, seed)
         for name, decision in decisions:
             leg = _simulate_leg(prepared, plan, decision, seed, out / name / f"seed{seed}")
             rows.append({"series": name, **leg})
+        prepared = None
     return rows
 
 

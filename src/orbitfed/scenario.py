@@ -15,7 +15,11 @@ Design notes:
   - Each training row is held once per layout: in its client's
     ``DatasetHandle.samples`` (sensitive rows first) and, once
     ``apply_offload`` has run, in its cluster's ``ClusterBlock``. Every
-    client, privacy-class and offload set is a row range of one of them.
+    client and privacy-class set is a row range of the first, and every
+    retained set and satellite pool a row range of the second.
+  - The offload split is recorded once, in the ``ClusterBlock``: the
+    clients keep only their own rows, and training and the convergence
+    bound read each retained range and pool from the block.
 """
 
 from __future__ import annotations
@@ -101,19 +105,20 @@ def concat_samples(sets) -> SampleSet:
 @dataclass(frozen=True)
 class DatasetHandle:
     """One client's data: its rows laid out once, split into privacy
-    classes and offload state.
+    classes.
 
     `samples` holds the client's sensitive rows, then its nonsensitive rows,
     each group in corpus order, and `sensitive` and `nonsensitive` are row
-    ranges of it. Before offload, `retained` is `samples` itself and
-    `offloaded` is empty; `apply_offload` makes both row ranges of the
-    cluster's `ClusterBlock`.
+    ranges of it. The offload split is not kept here: `apply_offload`
+    records it in the cluster's `ClusterBlock`.
     """
 
     samples: SampleSet
     n_sensitive: int
-    offloaded: SampleSet
-    retained: SampleSet
+
+    def __post_init__(self):
+        if len(self.samples) == 0:
+            raise ValueError("client dataset is empty")
 
     @property
     def size(self) -> int:
@@ -127,24 +132,17 @@ class DatasetHandle:
     def nonsensitive(self) -> SampleSet:
         return self.samples.rows(self.n_sensitive, len(self.samples))
 
-    @staticmethod
-    def fresh(samples: SampleSet, n_sensitive: int) -> "DatasetHandle":
-        """The pre-offload handle of samples, whose first n_sensitive rows
-        are sensitive."""
-        if len(samples) == 0:
-            raise ValueError("client dataset is empty")
-        return DatasetHandle(samples, n_sensitive, SampleSet.empty(samples.feature_dim), samples)
-
 
 @dataclass(frozen=True)
 class ClusterBlock:
     """A cluster's training rows in one sample set, as `apply_offload` lays
     them out: each member's retained rows in member order (its sensitive
     rows, then the nonsensitive rows it keeps), then the satellite pool
-    (each member's offloaded rows, in member order). The pool and every
-    member's offloaded and retained sets are row ranges of it, and the whole
-    block is the cluster's data as the convergence analysis reads it. Its
-    arrays share one anonymous mapping, outside the heap."""
+    (each member's offloaded rows, in member order). It is the one record
+    of the offload split: the pool and every member's retained set are row
+    ranges of it, and the whole block is the cluster's data as the
+    convergence analysis reads it. Its arrays share one anonymous mapping,
+    outside the heap."""
 
     samples: SampleSet
     pool: tuple  # (start, stop) of the satellite pool
@@ -233,9 +231,6 @@ class Scenario:
     def cluster_clients(self, cluster_id: int) -> tuple:
         spec = self._cluster_by_id[cluster_id]
         return tuple(self._client_by_id[cid] for cid in spec.client_ids)
-
-    def with_clients(self, new_clients, blocks=None) -> "Scenario":
-        return replace(self, clients=tuple(new_clients), blocks=blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -615,10 +610,12 @@ def load_coverage_schedule(source) -> CoverageSchedule:
                 text = line.strip()
                 if not text or text.startswith("#"):
                     continue
-                parts = text.split()
-                if len(parts) != 3:
-                    raise ValueError(f"line {line_no}: expected 'index start_s end_s'")
-                items.append((int(parts[0]), float(parts[1]), float(parts[2])))
+                try:
+                    index, start, end = text.split()
+                    items.append((int(index), float(start), float(end)))
+                except ValueError:
+                    raise ValueError(f"line {line_no}: expected 'index start_s end_s', "
+                                     f"got {text!r}") from None
     rows = []
     for k, item in enumerate(items):
         if not isinstance(item, (list, tuple)) or len(item) not in (2, 3):
@@ -813,13 +810,13 @@ def attach_datasets(scenario: Scenario, per_client: dict,
         picks = np.sort(rng.choice(n, size=n_sens, replace=False)) if n_sens else np.array([], dtype=np.int64)
         rest = np.ones(n, dtype=bool)
         rest[picks] = False
-        handle = DatasetHandle.fresh(ss.take(np.concatenate([picks, np.flatnonzero(rest)])), n_sens)
+        handle = DatasetHandle(ss.take(np.concatenate([picks, np.flatnonzero(rest)])), n_sens)
         # only nonsensitive samples leave the client, so round(alpha * n)
         # stays within the pool when alpha does within its share
         alpha_max = min(p.max_offload_fraction, (n - n_sens) / n)
         new_clients.append(replace(p, dataset=handle, dataset_size=n,
                                    max_offload_fraction=alpha_max))
-    return scenario.with_clients(new_clients)
+    return replace(scenario, clients=tuple(new_clients), blocks=None)
 
 
 def _fill(block: SampleSet, start: int, src: SampleSet, idx) -> int:
@@ -833,17 +830,17 @@ def _fill(block: SampleSet, start: int, src: SampleSet, idx) -> int:
 
 
 def apply_offload(scenario: Scenario, alpha) -> Scenario:
-    """Materialize per-client offloaded/retained sets for an offload vector.
+    """The scenario with each cluster's `ClusterBlock` laid out for an
+    offload vector; its clients are left as they are.
 
     alpha maps client id to fraction. Selection is uniform over the
     nonsensitive pool under a seed fixed by (scenario seed, client id), so
     reapplication is idempotent.
 
     Each cluster's rows are copied once, in place, from its members'
-    `DatasetHandle.samples` into its `ClusterBlock`: each member's retained
-    rows, then the satellite pool. The members' offloaded and retained sets
-    and the pool are views of it, so training reads every cluster's batches
-    from one array.
+    `DatasetHandle.samples` into its block: each member's retained rows,
+    then the satellite pool. The block's ranges are the one record of the
+    split, and training reads every cluster's batches from its one array.
     """
     offloaded = {}  # client id -> its offloaded rows, as indices into its samples
     for p in scenario.clients:
@@ -864,7 +861,7 @@ def apply_offload(scenario: Scenario, alpha) -> Scenario:
         picks = np.sort(rng.choice(n_nonsens, size=n_off, replace=False)) if n_off else np.array([], dtype=np.int64)
         offloaded[p.id] = p.dataset.n_sensitive + picks
 
-    blocks, handles = {}, {}
+    blocks = {}
     for c in scenario.clusters:
         members = scenario.cluster_clients(c.id)
         total = sum(p.dataset.size for p in members)
@@ -884,24 +881,9 @@ def apply_offload(scenario: Scenario, alpha) -> Scenario:
             retained[p.id] = (start, o)
         pool_start = o
         for p in members:
-            start, o = o, _fill(block, o, p.dataset.samples, offloaded[p.id])
-            handles[p.id] = replace(p.dataset, offloaded=block.rows(start, o),
-                                    retained=block.rows(*retained[p.id]))
+            o = _fill(block, o, p.dataset.samples, offloaded[p.id])
         blocks[c.id] = ClusterBlock(block, (pool_start, o), retained)
-    return scenario.with_clients([replace(p, dataset=handles[p.id]) for p in scenario.clients],
-                                 blocks=blocks)
-
-
-def satellite_pool(scenario: Scenario, cluster_id: int) -> SampleSet:
-    """Union of the cluster's offloaded sets (the satellite's training data)."""
-    if scenario.blocks is not None:
-        block = scenario.blocks[cluster_id]
-        return block.samples.rows(*block.pool)
-    # apply_offload has not run, so nothing is offloaded yet
-    for p in scenario.cluster_clients(cluster_id):
-        if p.dataset is not None:
-            return SampleSet.empty(p.dataset.retained.feature_dim)
-    raise ValueError(f"cluster {cluster_id}: no materialized datasets")
+    return replace(scenario, blocks=blocks)
 
 
 def tests_on_corpus(data: dict) -> bool:

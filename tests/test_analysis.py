@@ -1,6 +1,7 @@
 """Variance measures, the batching penalty, the convergence bound, and the
 empirical bound check."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -42,7 +43,7 @@ def inputs_for(lrs=(0.1,), lam=2, pool=4, rho=1.0, var=3.0, smooth=1.0,
         client_batch={0: lam}, client_pool={0: pool},
         sat_batch={0: 0}, sat_pool={0: 0},
         dataset_sizes={0: pool}, groups={0: (0,)},
-        f0=f0, f_star=f_star, v_client={0: var},
+        f0=f0, f_star=f_star, v_client={0: var}, v_sat={},
     )
 
 
@@ -279,6 +280,25 @@ class TestBoundInputsFromScenario:
         inp = build_bound_inputs(sc, [0.1], 1.0, 1.0, lambda_client=10 ** 6)
         assert inp.client_batch == inp.client_pool
 
+    def test_omega_reads_the_variances_verify_reports(self):
+        # the public inputs carry each pool's variance, so that with
+        # mini-batches omega on them is the omega the bound check uses
+        sc = offloaded_scenario(alpha=0.25)
+        layout = ModelLayout("logistic", (6, 3))
+        rep = verify_bound_empirically(sc, layout, rounds=2, seeds=[0], eta0=0.05,
+                                       lambda_client=4, lambda_sat=4)
+        inp = build_bound_inputs(sc, [0.05] * 2, rep["smoothness"], rep["rho"],
+                                 lambda_client=4, lambda_sat=4)
+        assert rep["omega"] > 0.0
+        assert omega(inp) == rep["omega"]
+        assert {str(k): v for k, v in inp.v_client.items()} == rep["v_client"]
+        assert {str(k): v for k, v in inp.v_sat.items()} == rep["v_sat"]
+
+    def test_refused_before_offload(self):
+        sc = offloaded_scenario()
+        with pytest.raises(SimError, match="offload"):
+            build_bound_inputs(dataclasses.replace(sc, blocks=None), [0.1], 1.0, 1.0)
+
 
 class TestVerifyBound:
     def test_full_batch_convex_holds_with_margin(self):
@@ -300,7 +320,8 @@ class TestVerifyBound:
 
     def test_slack_tightens_as_batches_fill(self):
         sc = offloaded_scenario(seed=3)
-        pool = len(sc.clients[0].dataset.retained)
+        lo, hi = sc.blocks[0].retained[0]
+        pool = hi - lo
         margins = []
         for lam in (1, max(pool // 4, 2), pool):
             rep = verify_bound_empirically(

@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -222,6 +223,23 @@ class TestSimulateMode:
                 a = read_bytes(outs[0] / "optimized" / seed / fname)
                 b = read_bytes(outs[1] / "optimized" / seed / fname)
                 assert a == b
+
+    def test_each_seed_s_data_is_dropped_before_the_next_is_prepared(self, spec_path,
+                                                                     tmp_path, monkeypatch):
+        """A seed's prepared rows are freed once its legs are done, so that
+        preparing the next seed's does not hold two seeds' rows at once."""
+        prepare, held, alive = orbitfed.cli._prepare, [], []
+
+        def tracked(scenario, seed):
+            alive.append(sum(r() is not None for r in held))
+            prepared = prepare(scenario, seed)
+            held.append(weakref.ref(prepared[0].clients[0].dataset.samples.features))
+            return prepared
+
+        monkeypatch.setattr(orbitfed.cli, "_prepare", tracked)
+        assert main(["--mode", "simulate", "--scenario", str(spec_path), "--rounds", "1",
+                     "--seeds", "0,1,2", "--out", str(tmp_path / "run")]) == 0
+        assert alive == [0, 0, 0]
 
     def test_prox_mu_alone_runs_fedprox(self, spec_path, tmp_path):
         """A nonzero --prox-mu is all FedProx needs: it changes the training

@@ -120,13 +120,13 @@ def lattice_instance(n_clients, capped, slow=False, sizes=None, seed=0):
     sc = case1_instance(np.random.default_rng([4204, seed]), n_clients=n_clients,
                         grid_sizes=True, alpha_max=0.12 if n_clients == 3 else None)
     if sizes is not None:
-        sc = sc.with_clients([dataclasses.replace(p, dataset_size=n)
-                              for p, n in zip(sc.clients, sizes)])
+        sc = dataclasses.replace(sc, clients=tuple(dataclasses.replace(p, dataset_size=n)
+                                                   for p, n in zip(sc.clients, sizes)))
     if slow:
         T = sc.clusters[0].coverage_s
-        sc = sc.with_clients([dataclasses.replace(
+        sc = dataclasses.replace(sc, clients=tuple(dataclasses.replace(
             p, cpu_freq_hz=p.cycles_per_sample * p.size / ((2.5 + 0.7 * k) * T))
-            for k, p in enumerate(sc.clients)])
+            for k, p in enumerate(sc.clients)))
     if capped:
         c = sc.clusters[0]
         cap = sum(p.max_offload_fraction * p.size for p in sc.cluster_clients(c.id))
@@ -333,7 +333,8 @@ class TestLattice:
         # only 42 x 42 profiles on the lattice: the totals that occur are
         # sorted out, with no table over the whole range (24 MB of rows)
         sc = lattice_instance(2, False, sizes=(30000, 29999))
-        sc = sc.with_clients([dataclasses.replace(p, energy_budget_j=1e9) for p in sc.clients])
+        sc = dataclasses.replace(sc, clients=tuple(dataclasses.replace(p, energy_budget_j=1e9)
+                                                   for p in sc.clients))
         tracemalloc.start()
         try:
             lattice = _Lattice(sc, 1e-2)

@@ -29,7 +29,6 @@ from orbitfed.scenario import (
     load_scenario,
     partition_dataset,
     prepare_data,
-    satellite_pool,
     scenario_to_dict,
     synthetic_dataset,
     validate_scenario,
@@ -383,6 +382,26 @@ def assert_row_range(part, whole, lo, hi):
         assert not np.shares_memory(mine, rows[hi:])
 
 
+def satellite_pool(out, cluster_id):
+    """The cluster's satellite pool, a row range of its block."""
+    block = out.blocks[cluster_id]
+    return block.samples.rows(*block.pool)
+
+
+def split(out, p):
+    """Client p's offloaded and retained rows, as row ranges of its
+    cluster's block: the pool holds the members' offloaded rows in member
+    order."""
+    block = out.blocks[p.cluster_id]
+    o = block.pool[0]
+    for q in out.cluster_clients(p.cluster_id):
+        lo, hi = block.retained[q.id]
+        n_off = q.size - (hi - lo)
+        if q.id == p.id:
+            return block.samples.rows(o, o + n_off), block.samples.rows(lo, hi)
+        o += n_off
+
+
 def check_block_layout(out):
     """Each cluster's block holds its members' retained rows, then its pool,
     and every set is a row range of it in corpus order."""
@@ -391,7 +410,7 @@ def check_block_layout(out):
         members = out.cluster_clients(c.id)
         pool = satellite_pool(out, c.id)
         # each member's retained rows, in member order, then the pool
-        parts = [p.dataset.retained for p in members] + [pool]
+        parts = [split(out, p)[1] for p in members] + [pool]
         assert sum(map(len, parts)) == len(block)
         o = 0
         for part in parts:
@@ -400,20 +419,20 @@ def check_block_layout(out):
         # the pool is the members' offloaded rows in member order, each
         # member's a slice of it
         assert np.array_equal(pool.ids, np.concatenate(
-            [p.dataset.offloaded.ids for p in members]))
+            [split(out, p)[0].ids for p in members]))
         for p in members:
             d = p.dataset
-            assert len(d.offloaded) == 0 or np.shares_memory(d.offloaded.features,
-                                                             pool.features)
+            offloaded, retained = split(out, p)
+            assert len(offloaded) == 0 or np.shares_memory(offloaded.features, pool.features)
             # rows keep their corpus order: the offloaded rows as they sit
             # among the nonsensitive ones, the retained sensitive then kept
-            off = np.isin(d.nonsensitive.ids, d.offloaded.ids)
-            assert np.array_equal(d.offloaded.ids, d.nonsensitive.ids[off])
+            off = np.isin(d.nonsensitive.ids, offloaded.ids)
+            assert np.array_equal(offloaded.ids, d.nonsensitive.ids[off])
             src = concat_samples([d.sensitive, d.nonsensitive])
             want = np.concatenate([np.arange(len(d.sensitive)),
                                    len(d.sensitive) + np.flatnonzero(~off)])
             for name in ("features", "labels", "ids"):
-                assert np.array_equal(getattr(d.retained, name), getattr(src, name)[want])
+                assert np.array_equal(getattr(retained, name), getattr(src, name)[want])
 
 
 class TestApplyOffload:
@@ -422,32 +441,32 @@ class TestApplyOffload:
             sc = attached_scenario(sensitive_fraction=fraction)
             out = apply_offload(sc, {0: 0.0, 1: 0.0})
             for p in out.clients:
-                assert len(p.dataset.offloaded) == 0
-                assert len(p.dataset.retained) == p.size
+                offloaded, retained = split(out, p)
+                assert len(offloaded) == 0
+                assert len(retained) == p.size
 
     def test_alpha_max_count(self):
         sc = attached_scenario(sizes=(1200, 1200))
         out = apply_offload(sc, {0: 0.8, 1: 0.8})
-        assert all(len(p.dataset.offloaded) == 960 for p in out.clients)
+        assert all(len(split(out, p)[0]) == 960 for p in out.clients)
 
     def test_sensitive_never_offloaded(self):
         sc = attached_scenario(sizes=(1000,), sensitive_fraction=0.4)
         p0 = sc.clients[0]
         assert len(p0.dataset.nonsensitive) == 600
         out = apply_offload(sc, {0: 0.5})
-        d = out.clients[0].dataset
-        assert len(d.offloaded) == 500 and len(d.retained) == 500
-        sensitive_ids = set(d.sensitive.ids.tolist())
-        assert sensitive_ids <= set(d.retained.ids.tolist())
-        assert not sensitive_ids & set(d.offloaded.ids.tolist())
+        offloaded, retained = split(out, out.clients[0])
+        assert len(offloaded) == 500 and len(retained) == 500
+        sensitive_ids = set(out.clients[0].dataset.sensitive.ids.tolist())
+        assert sensitive_ids <= set(retained.ids.tolist())
+        assert not sensitive_ids & set(offloaded.ids.tolist())
 
     def test_union_preserves_corpus(self):
         for fraction in FRACTIONS:
             sc = attached_scenario(sizes=(700, 900), sensitive_fraction=fraction)
             out = apply_offload(sc, capped(sc, {0: 0.3, 1: 0.6}))
             for before, after in zip(sc.clients, out.clients):
-                got = np.sort(np.concatenate([after.dataset.offloaded.ids,
-                                              after.dataset.retained.ids]))
+                got = np.sort(np.concatenate([s.ids for s in split(out, after)]))
                 want = np.sort(np.concatenate([before.dataset.sensitive.ids,
                                                before.dataset.nonsensitive.ids]))
                 assert np.array_equal(got, want)
@@ -458,8 +477,8 @@ class TestApplyOffload:
             a = apply_offload(sc, capped(sc, {0: 0.4, 1: 0.7}))
             b = apply_offload(sc, capped(sc, {0: 0.4, 1: 0.7}))
             for pa, pb in zip(a.clients, b.clients):
-                assert np.array_equal(pa.dataset.offloaded.ids, pb.dataset.offloaded.ids)
-                assert np.array_equal(pa.dataset.retained.ids, pb.dataset.retained.ids)
+                for sa, sb in zip(split(a, pa), split(b, pb)):
+                    assert np.array_equal(sa.ids, sb.ids)
 
     def test_exceeding_cap_rejected(self):
         sc = attached_scenario()
@@ -476,18 +495,17 @@ class TestApplyOffload:
     def test_sets_are_views_of_the_client_rows_then_the_block(self, fraction):
         sc = attached_scenario(sizes=(300, 200), sensitive_fraction=fraction)
         out = apply_offload(sc, capped(sc, {0: 0.5, 1: 0.3}))
-        for before, after in zip(sc.clients, out.clients):
+        # the split is recorded only in the blocks: the clients are the same
+        assert sc.blocks is None and out.clients is sc.clients
+        for before in sc.clients:
             d, n_sens = before.dataset, round(fraction * before.size)
-            # before offload: every set is a row range of the client's one
+            # every privacy-class set is a row range of the client's one
             # array, sensitive rows first, each group in corpus order
-            assert d.n_sensitive == n_sens and len(d.offloaded) == 0
+            assert d.n_sensitive == n_sens
             assert_row_range(d.sensitive, d.samples, 0, n_sens)
             assert_row_range(d.nonsensitive, d.samples, n_sens, before.size)
-            assert_row_range(d.retained, d.samples, 0, before.size)
             assert np.all(np.diff(d.sensitive.ids) > 0) and np.all(np.diff(d.nonsensitive.ids) > 0)
-            # after: the privacy classes stay on that array, and the offload
-            # sets are rows of the block, a copy of its own
-            assert after.dataset.samples is d.samples
+            # the offload sets are rows of the block, a copy of its own
             assert not np.shares_memory(d.samples.features, out.blocks[0].samples.features)
         check_block_layout(out)
         assert (len(satellite_pool(out, 0)) > 0) == (fraction < 1.0)
@@ -521,6 +539,15 @@ class TestCoverage:
         f = tmp_path / "cov.txt"
         f.write_text("# only a comment\n")
         with pytest.raises(ValueError, match="empty"):
+            load_coverage_schedule(f)
+
+    @pytest.mark.parametrize("row", ["0 10.0", "0 10.0 20.0 1", "x 10.0 20.0",
+                                     "1.5 10.0 20.0", "0 start 20.0"])
+    def test_malformed_file_row_named_by_line(self, tmp_path, row):
+        # a wrong field count and a non-numeric field are both named by line
+        f = tmp_path / "cov.txt"
+        f.write_text(f"# passes\n0 0.0 5.0\n{row}\n")
+        with pytest.raises(ValueError, match="line 3: expected 'index start_s end_s'"):
             load_coverage_schedule(f)
 
     def test_mean_dwell_from_file(self, tmp_path):
@@ -636,7 +663,7 @@ class TestPrepareData:
                   "dim": 6, "noise": 0.01, "partition": "iid", "test_samples": 50},
         )
         sc, test = prepare_data(validate_scenario(spec))
-        train = sc.clients[0].dataset.retained
+        train = sc.clients[0].dataset.samples
         for i in range(len(test)):
             d = np.linalg.norm(train.features - test.features[i], axis=1)
             assert train.labels[np.argmin(d)] == test.labels[i]

@@ -26,8 +26,11 @@ the manifests agree. The commands are:
   dark cluster whose slow satellite clock hands the winner's chain off;
 - on `scenarios/reference.json`: `optimize`, `simulate --rounds 3`,
   `simulate --rounds 3 --prox-mu 0.1` (FedProx training),
-  `simulate --rounds 3 --single-step`, `sweep --rounds 2 --seeds 0` and
-  `analyze --rounds 3`;
+  `simulate --rounds 3 --single-step`, `simulate --rounds 2 --seeds 0,1`
+  (a second seed's data prepared after the first seed's legs),
+  `sweep --rounds 2 --seeds 0`, `analyze --rounds 3` and
+  `analyze --rounds 3 --single-step` (mini-batches, so that the batching
+  penalty reads the pools' non-zero variances);
 - on copies of the reference (`VARIANTS`): `simulate --rounds 3` with 40
   samples per client and a satellite batch of 20, so that training stacks
   ragged last batches, sets smaller than their batch and two batch sizes;
@@ -61,8 +64,10 @@ REFERENCE = ("inputs/reference.json", [
     ("simulate", ["--rounds", "3"]),
     ("simulate", ["--rounds", "3", "--prox-mu", "0.1"]),
     ("simulate", ["--rounds", "3", "--single-step"]),
+    ("simulate", ["--rounds", "2", "--seeds", "0,1"]),
     ("sweep", ["--rounds", "2", "--seeds", "0"]),
     ("analyze", ["--rounds", "3"]),
+    ("analyze", ["--rounds", "3", "--single-step"]),
 ])
 # copies of the reference: name, updates to its data and train sections, and
 # the commands run on it
